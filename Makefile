@@ -1,7 +1,7 @@
 GO ?= go
 VET_BIN := bin/divtopk-vet
 
-.PHONY: all build test race bench lint lint-custom vet-tool clean
+.PHONY: all build test race bench bench-smoke lint lint-custom vet-tool clean
 
 all: build lint test
 
@@ -19,6 +19,16 @@ race:
 
 bench:
 	$(GO) test -run '^$$' -bench Baseline -benchmem -benchtime 1x ./internal/bench/
+
+# bench-smoke is the static and test gate of the tracked benchmark. benchmark/
+# is a module of its own (so the root module does not see it): the root
+# ./... patterns, `make lint` and `make test` all stop at its go.mod. Its test
+# is a 2k-node pass of every workload through the real daemon (~10 s).
+bench-smoke:
+	@out=$$(gofmt -l benchmark); if [ -n "$$out" ]; then \
+		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark ./...
 
 # vet-tool builds the custom analyzer suite. tools/vet is a nested module
 # (so the root module stays dependency-free), hence the cd: the root

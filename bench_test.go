@@ -9,8 +9,8 @@ package divtopk
 //
 //	go test -bench=. -benchmem
 //
-// regenerates every number of EXPERIMENTS.md at the small scale (use
-// cmd/experiments -scale medium for the recorded tables).
+// regenerates every number of the paper-figure tables at the small scale
+// (cmd/experiments -scale medium prints the full tables).
 
 import (
 	"strings"
@@ -207,6 +207,67 @@ func BenchmarkQueryDiversified(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TopKDiversified(g, q, 10, 0.5); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Cold-path benchmarks: the tracked benchmark's cold_paper inputs in process
+// — a YouTube-like 15k/90k graph, mined patterns cycling |Vp| ∈ {4,5,6},
+// every second one cyclic, every third with predicates — each iteration one
+// uncached query, patterns round-robin. With -benchmem the B/op column is the
+// per-query allocation figure the engine scratch budget test pins.
+
+var coldBenchState struct {
+	once     sync.Once
+	g        *Graph
+	patterns []*Pattern
+}
+
+func coldBenchInputs(b *testing.B) (*Graph, []*Pattern) {
+	b.Helper()
+	s := &coldBenchState
+	s.once.Do(func() {
+		s.g = NewYouTubeLike(15_000, 90_000, 1)
+		for i, tries := 0, int64(0); len(s.patterns) < 128 && tries < 5000; tries++ {
+			nodes := 4 + i%3
+			q, err := GeneratePattern(s.g, nodes, nodes+1+(i/3)%2, i%2 == 1, i%3 == 0, 1_000_003+tries)
+			if err != nil {
+				continue
+			}
+			s.patterns = append(s.patterns, q)
+			i++
+		}
+	})
+	if len(s.patterns) == 0 {
+		b.Fatal("no patterns mined")
+	}
+	return s.g, s.patterns
+}
+
+func BenchmarkTopKCold(b *testing.B) {
+	g, patterns := coldBenchInputs(b)
+	if _, err := TopK(g, patterns[0], 10, Parallelism(1)); err != nil { // warm the bound index
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopK(g, patterns[i%len(patterns)], 10, Parallelism(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTopKDHCold(b *testing.B) {
+	g, patterns := coldBenchInputs(b)
+	if _, err := TopKDiversified(g, patterns[0], 10, 0.5, Parallelism(1)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5, Parallelism(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

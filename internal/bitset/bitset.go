@@ -40,10 +40,7 @@ func (s *Set) Len() int { return s.n }
 // Add inserts i and reports whether it was newly added.
 func (s *Set) Add(i int) bool {
 	s.check(i)
-	w, b := i/wordBits, uint(i%wordBits)
-	old := s.words[w]
-	s.words[w] = old | (1 << b)
-	return old&(1<<b) == 0
+	return AddBit(s.words, i)
 }
 
 // Remove deletes i and reports whether it was present.
@@ -62,13 +59,7 @@ func (s *Set) Contains(i int) bool {
 }
 
 // Count returns the number of elements in the set.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
+func (s *Set) Count() int { return CountWords(s.words) }
 
 // Empty reports whether the set has no elements.
 func (s *Set) Empty() bool {
@@ -103,16 +94,7 @@ func (s *Set) CopyFrom(t *Set) {
 // UnionWith adds every element of t to s and reports whether s changed.
 func (s *Set) UnionWith(t *Set) bool {
 	s.compat(t)
-	changed := false
-	for i, w := range t.words {
-		old := s.words[i]
-		nw := old | w
-		if nw != old {
-			s.words[i] = nw
-			changed = true
-		}
-	}
-	return changed
+	return UnionWords(s.words, t.words)
 }
 
 // IntersectWith removes from s every element not in t.
@@ -264,12 +246,23 @@ func (s *Set) String() string {
 // distance function δd = 1 − Jaccard. Two empty sets are identical, so their
 // Jaccard similarity is defined as 1 (and δd as 0), matching the paper's
 // reading that matches with equal (empty) impact are indistinguishable.
+//
+// Both cardinalities come out of one pass over the words: the distance
+// matrix of the diversified algorithms is the hottest consumer of full-width
+// scans, and the two integers (hence the quotient) are the ones
+// IntersectCount and UnionCount return.
 func Jaccard(a, b *Set) float64 {
-	u := a.UnionCount(b)
-	if u == 0 {
+	a.compat(b)
+	inter, union := 0, 0
+	bw := b.words[:len(a.words)]
+	for i, w := range a.words {
+		inter += bits.OnesCount64(w & bw[i])
+		union += bits.OnesCount64(w | bw[i])
+	}
+	if union == 0 {
 		return 1
 	}
-	return float64(a.IntersectCount(b)) / float64(u)
+	return float64(inter) / float64(union)
 }
 
 func (s *Set) check(i int) {

@@ -130,7 +130,8 @@ func (c *BoundsCache) countsFor(l graph.LabelID) []int32 {
 }
 
 // computeUpperBounds initializes h(uo,v) for every candidate of the output
-// node (§4.1's "v.h = Cu(v)"). Every mode is sound: h(uo,v) ≥ δr(uo,v).
+// node (§4.1's "v.h = Cu(v)") into out, which has one entry per candidate in
+// pair order. Every mode is sound: h(uo,v) ≥ δr(uo,v).
 //
 //   - With a BoundsCache (the amortized per-graph index): h = Σ over the
 //     output node's descendant labels of the per-label descendant counts.
@@ -140,19 +141,18 @@ func (c *BoundsCache) countsFor(l graph.LabelID) []int32 {
 //     a product traversal per query.
 //   - BoundLabelCount / BoundCheap (per query): the index aggregation
 //     without a cache.
-func computeUpperBounds(prod *simulation.Product, an *pattern.Analysis,
-	space *simulation.RelSpace, opts Options) []int32 {
+func computeUpperBounds(out []int32, prod *simulation.Product, an *pattern.Analysis,
+	space *simulation.RelSpace, opts Options) {
 
 	g, p, ci := prod.G, prod.P, prod.CI
 	mode, cache := opts.Bounds, opts.Cache
 	uo := p.Output()
-	lo, hi := ci.PairRange(uo)
-	out := make([]int32, hi-lo)
+	lo, _ := ci.PairRange(uo)
 
 	if cache == nil && mode == BoundTight {
 		rel := simulation.ComputeRelevant(prod, an, space, nil, uo, false, opts.Workers())
 		copy(out, rel.Sizes)
-		return out
+		return
 	}
 
 	if cache == nil {
@@ -164,8 +164,8 @@ func computeUpperBounds(prod *simulation.Product, an *pattern.Analysis,
 			labelCounts = append(labelCounts, cache.countsFor(id))
 		}
 	}
-	for i := int32(0); i < hi-lo; i++ {
-		v := ci.V[lo+i]
+	for i := range out {
+		v := ci.V[int(lo)+i]
 		total := int64(0)
 		for _, cs := range labelCounts {
 			total += int64(cs[v])
@@ -175,5 +175,4 @@ func computeUpperBounds(prod *simulation.Product, an *pattern.Analysis,
 		}
 		out[i] = int32(total)
 	}
-	return out
 }

@@ -1,0 +1,103 @@
+// Package core implements the paper's primary contribution: the
+// early-termination top-k matching algorithms of §4 (TopKDAG for DAG
+// patterns, TopK for cyclic patterns, and their non-optimized variants
+// TopKDAGnopt/TopKnopt), plus the find-all baseline Match they are compared
+// against, all over one incremental propagation engine.
+//
+// Given a pattern Q with output node uo, a graph G and k, the engine feeds
+// batches of leaf candidates, propagates match status and relevant sets
+// upward through the SCC units of Q, maintains per-candidate lower/upper
+// bounds l ≤ δr ≤ h, and stops as soon as Proposition 3 holds: the k best
+// discovered matches' smallest lower bound dominates every other live
+// candidate's upper bound — without computing the entire M(Q,G).
+//
+// # The engine and why its counters are sound
+//
+// The engine works on the candidate product graph (simulation.Product): one
+// node per candidate pair (u,v), one edge per (query edge, data edge) pair
+// between candidates. A pair is unknown, matched or dead, and separately
+// finalized or not; every argument below rests on two monotonicity facts.
+// A matched pair never reverts (the boolean system Xv = ∧_j ∨_i X_vi is
+// monotone in the fed leaves), and a finalized pair never changes again in
+// any respect — status or relevant set.
+//
+//   - satCnt[slot] counts the matched successors behind one (pair, query
+//     edge). Because matches are permanent, satCnt > 0 is a stable witness
+//     for that disjunction; a pair of a trivial unit whose every edge has
+//     one is a match, by induction over the rank of its query node.
+//   - unfinCnt[slot] counts the successors behind the slot that are not
+//     finalized. When it reaches 0 with satCnt = 0, every successor is
+//     finalized and none is matched, so all are dead for good: the
+//     disjunction is false and the pair dies. This is the lazy
+//     false-resolution of the paper's formula semantics; nothing is refined
+//     eagerly at initialization.
+//   - unfinTotal[pair] is the sum of the pair's unfinCnt. At 0 all inputs of
+//     the pair are final, so its own status and relevant set are too: a
+//     matched pair finalizes (from then on l = h = δr), any other dies.
+//     Pairs on product cycles wait on each other and never drain it
+//     pairwise; their unit resolves them together.
+//   - unitOutstanding[unit] counts, for a nontrivial unit (a cyclic SCC of
+//     Q), the external events that can still change it: finalizations of
+//     cross-unit successors of its pairs — counted from the slot lengths at
+//     initialization and decremented on every such finalization whether the
+//     parent is alive or dead, so the two always agree — plus its leaf pairs
+//     not yet fed. At 0 nothing outside the unit can move any more; one
+//     last refinement runs on final inputs, its survivors finalize and the
+//     rest die.
+//   - refineUnit computes the greatest fixpoint of the simulation condition
+//     inside one unit, over the pairs whose cross-unit edges are satisfied.
+//     Outside support only grows, so successive fixpoints only grow and a
+//     pair matched by an earlier refinement always survives a later one
+//     (the engine panics if one does not).
+//   - drainEvents processes matches first, then refinements in ascending
+//     unit rank, and only then finalization events: every pair the current
+//     inputs support is matched before per-pair resolution may declare an
+//     unmatched pair dead.
+//
+// The partial relevant set of a matched pair holds only nodes reached
+// through matched pairs, so its size l never exceeds δr; the upper bound h
+// comes from an index that overcounts descendants (bounds.go), so h ≥ δr;
+// finalization makes both exact. checkTermination is Proposition 3 on those
+// bounds.
+//
+// # Scratch lifecycle
+//
+// Every mutable per-run array of the engine — pair status and counters, the
+// event queues, the feeder's order, the refinement tables, the slab the
+// interior relevant sets are carved from — lives in a recycled scratch
+// (scratch.go: one kept for good, the others of a concurrent burst in a
+// sync.Pool). newEngine takes it once the inputs are validated
+// and every query node is known to have candidates; reset re-lengths each
+// array and clears exactly the prefix the run will use; TopK returns it,
+// after the Result is assembled, on every path out. Three rules keep that
+// safe, and the hygiene tests hold the engine to them by overwriting every
+// returned scratch with ones:
+//
+//   - Nothing carved from pooled memory may be reachable from a Result. A
+//     Result holds its own Space, its own Matches/All, and Match.R sets that
+//     were allocated one by one (engine.outSets): the serving layer caches
+//     Results for as long as it likes while the scratch moves on to other
+//     queries, possibly on other goroutines.
+//   - PairHandles die with the run. A handle reads the engine's output sets,
+//     never the scratch, so one kept too long is harmless — but it describes
+//     a run that is over.
+//   - No backing array of the scratch holds a pointer. The collector has
+//     nothing to scan in the pool, a recycled scratch cannot keep another
+//     run's results alive, and no state flows from one run to the next:
+//     whatever a previous run left in the arrays is cleared or overwritten
+//     before it is read.
+//
+// # The hook's frozen-state contract
+//
+// Options.Hook (the diversified heuristic TopKDH) observes a run from the
+// inside. Begin is called once, before the first batch. Batch is called
+// after each batch has been fed and propagated to quiescence — match events,
+// unit refinements, finalizations and the relevance phase all done — and
+// before the termination check. The engine does nothing while the hook
+// runs: for the duration of one Batch call, Lower and R of every handle,
+// whether it arrived in this call or an earlier one, are constants, which
+// is what lets TopKDH memoize bounds and distances per call. Between calls
+// the sets behind R grow in place and Lower grows with them. The slice
+// passed to Batch is reused by the next call (copy the handles out, they
+// are values); the sets are the engine's and must not be written.
+package core

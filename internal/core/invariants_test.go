@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"divtopk/internal/bitset"
 	"divtopk/internal/pattern"
 	"divtopk/internal/simulation"
 	"divtopk/internal/testutil"
@@ -78,9 +79,9 @@ func checkInvariants(t *testing.T, e *engine) {
 		// I4: a finalized matched pair's relevant set is exactly R(u,v)
 		// over the matched product graph, and a matched relevance-tracked
 		// pair's partial set is a subset of it.
-		if e.relQ[u] && e.status[q] == statusMatched && e.rset[q] != nil {
+		if rs := e.rwords(q); e.relQ[u] && e.status[q] == statusMatched && rs != nil {
 			exact := simulation.RelevantSetNaive(e.g, e.p, e.ci, matchedMask(e), u, v)
-			got := e.rset[q].Count()
+			got := bitset.CountWords(rs)
 			if e.finalized[q] {
 				// Finalized: must equal R over the FULL simulation relation
 				// (no further growth possible).

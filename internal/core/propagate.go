@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"divtopk/internal/bitset"
 )
@@ -114,7 +115,7 @@ func (e *engine) processFinalized(q int32) {
 		nontrivial := e.unitNontrivial[upUnit]
 		if nontrivial && upUnit != unit {
 			// Outstanding counts cross-unit successor finalizations of
-			// all unit pairs, dead or alive (see DESIGN.md §3).
+			// all unit pairs, dead or alive (see the package documentation).
 			e.outstandingDec(upUnit)
 		}
 		if e.status[qp] == statusDead {
@@ -201,8 +202,10 @@ func (e *engine) refineUnit(unit int32) {
 
 	nodes := e.unitNodes[unit]
 	// Dense per-query-node tables (patterns are tiny; maps here were pure
-	// overhead in the refinement loop).
-	inUnit := make([]bool, e.nq)
+	// overhead in the refinement loop). Every table of this function lives
+	// in the scratch and is rebuilt per call: refinements never nest.
+	inUnit := e.rfInUnit
+	clear(inUnit)
 	for _, u := range nodes {
 		inUnit[u] = true
 	}
@@ -210,25 +213,22 @@ func (e *engine) refineUnit(unit int32) {
 	// Local indexing of the unit's pairs: pair IDs of one query node are
 	// contiguous, so a per-node offset table maps them to dense local IDs
 	// (dead pairs keep a slot; they are simply never included).
-	localBase := make([]int32, e.nq)
+	localBase := e.rfLocalBase
 	totalLocal := int32(0)
-	var pairsOf = func(u int32) (int32, int32) { return e.ci.PairRange(int(u)) }
+	pairs := e.rfPairs[:0]
 	for _, u := range nodes {
-		lo, hi := pairsOf(u)
+		lo, hi := e.ci.PairRange(int(u))
 		localBase[u] = totalLocal - lo
 		totalLocal += hi - lo
-	}
-	localOf := func(q int32) int32 { return localBase[e.ci.U[q]] + q }
-
-	pairs := make([]int32, 0, totalLocal)
-	for _, u := range nodes {
-		lo, hi := pairsOf(u)
 		for q := lo; q < hi; q++ {
 			pairs = append(pairs, q)
 		}
 	}
+	e.rfPairs = pairs
+	localOf := func(q int32) int32 { return localBase[e.ci.U[q]] + q }
 
-	include := make([]bool, totalLocal)
+	e.rfInclude = zeroed(e.rfInclude, int(totalLocal))
+	include := e.rfInclude
 	for li, q := range pairs {
 		if e.status[q] == statusDead {
 			continue
@@ -258,16 +258,13 @@ func (e *engine) refineUnit(unit int32) {
 			maxOut = d
 		}
 	}
-	inCnt := make([]int32, int(totalLocal)*maxOut)
-	predHead := make([]int32, totalLocal) // head of each target's pred list
-	for i := range predHead {
-		predHead[i] = -1
-	}
-	type predRef struct {
-		key  int32 // parent local * maxOut + edge slot
-		next int32
-	}
-	var preds []predRef
+	e.rfInCnt = zeroed(e.rfInCnt, int(totalLocal)*maxOut)
+	inCnt := e.rfInCnt
+	// predHead[target] and predRef.next hold a preds index plus one; 0 ends
+	// the list.
+	e.rfPredHead = zeroed(e.rfPredHead, int(totalLocal))
+	predHead := e.rfPredHead
+	preds := e.rfPreds[:0]
 	for li, q := range pairs {
 		if !include[li] {
 			continue
@@ -285,13 +282,14 @@ func (e *engine) refineUnit(unit int32) {
 				}
 				inCnt[key]++
 				preds = append(preds, predRef{key: key, next: predHead[lc]})
-				predHead[lc] = int32(len(preds) - 1)
+				predHead[lc] = int32(len(preds))
 			}
 		}
 	}
+	e.rfPreds = preds
 
 	// Worklist removal of unsupported pairs.
-	var removeQ []int32
+	removeQ := e.rfRemoveQ[:0]
 	for li, q := range pairs {
 		if !include[li] {
 			continue
@@ -308,8 +306,8 @@ func (e *engine) refineUnit(unit int32) {
 	for len(removeQ) > 0 {
 		lr := removeQ[len(removeQ)-1]
 		removeQ = removeQ[:len(removeQ)-1]
-		for ref := predHead[lr]; ref >= 0; ref = preds[ref].next {
-			key := preds[ref].key
+		for ref := predHead[lr]; ref != 0; ref = preds[ref-1].next {
+			key := preds[ref-1].key
 			parent := key / int32(maxOut)
 			if !include[parent] {
 				continue
@@ -321,6 +319,7 @@ func (e *engine) refineUnit(unit int32) {
 			}
 		}
 	}
+	e.rfRemoveQ = removeQ
 
 	// Survivors are matches; previously matched pairs must be among them.
 	for li, q := range pairs {
@@ -371,114 +370,143 @@ func (e *engine) propagateRelevance() {
 		return
 	}
 	// Children first (ascending unit rank) to minimize re-propagation.
-	sort.Slice(e.newRelM, func(i, j int) bool {
-		ri := e.unitRank[e.unitOf[e.ci.U[e.newRelM[i]]]]
-		rj := e.unitRank[e.unitOf[e.ci.U[e.newRelM[j]]]]
-		if ri != rj {
-			return ri < rj
+	slices.SortFunc(e.newRelM, func(a, b int32) int {
+		ra := e.unitRank[e.unitOf[e.ci.U[a]]]
+		rb := e.unitRank[e.unitOf[e.ci.U[b]]]
+		if ra != rb {
+			return cmp.Compare(ra, rb)
 		}
-		return e.newRelM[i] < e.newRelM[j]
+		return cmp.Compare(a, b)
 	})
 
+	prod := e.prod
 	for _, q := range e.newRelM {
 		// Output-node sets escape through Result.Match.R and may be retained
-		// indefinitely (the serving layer caches Results); give them their
-		// own allocations so a kept set does not pin a whole arena chunk —
-		// and with it every interior set carved from the same chunk — past
-		// the engine's lifetime. Interior sets die with the engine and stay
-		// arena-backed.
-		var s *bitset.Set
-		if int(e.ci.U[q]) == e.uo {
-			s = e.space.NewSet()
+		// indefinitely (the serving layer caches Results), so each is its
+		// own allocation; interior sets die with the run and are carved
+		// from the scratch's slab.
+		var s []uint64
+		if q >= e.uoLo && q < e.uoHi {
+			set := e.space.NewSet()
+			e.outSets[q-e.uoLo] = set
+			s = set.Words()
 		} else {
-			s = e.rarena.Get()
+			h := e.sets.Alloc()
+			e.rslot[q] = h + 1
+			s = e.sets.At(h)
 		}
-		for _, qc := range e.prod.Succs(q) {
+		for _, qc := range prod.Succs(q) {
 			if e.status[qc] != statusMatched {
 				continue
 			}
-			if rs := e.rset[qc]; rs != nil {
-				s.UnionWith(rs)
+			// qc == q (a product self-loop) reads the set being built: a
+			// union with itself, as harmless as it is useless.
+			if rs := e.rwords(qc); rs != nil {
+				bitset.UnionWords(s, rs)
 			}
 			if idx := e.space.Index(e.ci.V[qc]); idx >= 0 {
-				s.Add(int(idx))
+				bitset.AddBit(s, int(idx))
 			}
 		}
-		e.rset[q] = s
 		// A fresh match is new to all its parents: forward the full set.
 		e.rEnqueueFull(q)
 	}
 	e.newRelM = e.newRelM[:0]
 
-	prod := e.prod
 	for len(e.rQueue) > 0 {
 		q := e.rQueue[len(e.rQueue)-1]
 		e.rQueue = e.rQueue[:len(e.rQueue)-1]
 		e.rInQueue[q] = false
 		full := e.rFull[q]
-		delta := e.rDelta[q]
 		e.rFull[q] = false
-		e.rDelta[q] = nil
+		// Detach the pending delta list: forwarding may append to q's own
+		// list again (product cycles), which must start a fresh one.
+		head, tail := e.rdHead[q], e.rdTail[q]
+		e.rdHead[q], e.rdTail[q], e.rdLen[q] = 0, 0, 0
 
-		src := e.rset[q]
+		src := e.rwords(q)
 		selfIdx := e.space.Index(e.ci.V[q])
 		for ei := prod.RevOff[q]; ei < prod.RevOff[q+1]; ei++ {
 			qp := prod.Rev[ei]
 			if !e.relQ[e.ci.U[qp]] || e.status[qp] != statusMatched {
 				continue
 			}
-			dst := e.rset[qp]
+			dst := e.rwords(qp)
 			if dst == nil {
 				continue // initialized later this phase; init gathers src
 			}
 			if full {
-				changed := dst.UnionWith(src)
-				if selfIdx >= 0 && dst.Add(int(selfIdx)) {
+				changed := bitset.UnionWords(dst, src)
+				if selfIdx >= 0 && bitset.AddBit(dst, int(selfIdx)) {
 					changed = true
 				}
 				if changed {
 					e.rEnqueueFull(qp)
 				}
-			} else {
-				var added []int32
-				for _, b := range delta {
-					if dst.Add(int(b)) {
-						added = append(added, b)
-					}
-				}
-				if selfIdx >= 0 && dst.Add(int(selfIdx)) {
-					added = append(added, selfIdx)
-				}
-				if len(added) > 0 {
-					e.rEnqueueDelta(qp, added)
+				continue
+			}
+			for i := head; i != 0; i = e.rdPool[i-1].next {
+				if b := e.rdPool[i-1].bit; bitset.AddBit(dst, int(b)) {
+					e.rEnqueueBit(qp, b)
 				}
 			}
+			if selfIdx >= 0 && bitset.AddBit(dst, int(selfIdx)) {
+				e.rEnqueueBit(qp, selfIdx)
+			}
+		}
+		if head != 0 {
+			e.rdPool[tail-1].next = e.rdFree
+			e.rdFree = head
 		}
 	}
 }
 
-// rEnqueueFull schedules a full-set forward for q.
+// rEnqueueFull schedules a full-set forward for q, superseding any pending
+// delta.
 func (e *engine) rEnqueueFull(q int32) {
 	e.rFull[q] = true
-	e.rDelta[q] = nil
+	e.dropDelta(q)
 	if !e.rInQueue[q] {
 		e.rInQueue[q] = true
 		e.rQueue = append(e.rQueue, q)
 	}
 }
 
-// rEnqueueDelta schedules additional delta bits for q, upgrading to a full
+// rEnqueueBit schedules one more delta bit for q, upgrading to a full
 // forward when the pending list grows too large.
-func (e *engine) rEnqueueDelta(q int32, bits []int32) {
+func (e *engine) rEnqueueBit(q, bit int32) {
 	if !e.rFull[q] {
-		e.rDelta[q] = append(e.rDelta[q], bits...)
-		if len(e.rDelta[q]) > maxDeltaList {
+		i := e.rdFree
+		if i != 0 {
+			e.rdFree = e.rdPool[i-1].next
+			e.rdPool[i-1] = deltaNode{bit: bit}
+		} else {
+			e.rdPool = append(e.rdPool, deltaNode{bit: bit})
+			i = int32(len(e.rdPool))
+		}
+		if t := e.rdTail[q]; t != 0 {
+			e.rdPool[t-1].next = i
+		} else {
+			e.rdHead[q] = i
+		}
+		e.rdTail[q] = i
+		e.rdLen[q]++
+		if e.rdLen[q] > maxDeltaList {
 			e.rFull[q] = true
-			e.rDelta[q] = nil
+			e.dropDelta(q)
 		}
 	}
 	if !e.rInQueue[q] {
 		e.rInQueue[q] = true
 		e.rQueue = append(e.rQueue, q)
+	}
+}
+
+// dropDelta returns q's pending delta list to the free list.
+func (e *engine) dropDelta(q int32) {
+	if head := e.rdHead[q]; head != 0 {
+		e.rdPool[e.rdTail[q]-1].next = e.rdFree
+		e.rdFree = head
+		e.rdHead[q], e.rdTail[q], e.rdLen[q] = 0, 0, 0
 	}
 }

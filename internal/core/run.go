@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
@@ -20,6 +21,7 @@ func TopK(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*Result, err
 	if err != nil {
 		return nil, err
 	}
+	defer e.release()
 	return e.run(), nil
 }
 
@@ -63,14 +65,13 @@ func (e *engine) run() *Result {
 		e.opts.Hook.Begin(res.Cuo)
 	}
 
-	var newUo []int32 // uo matches discovered in the current batch
 	for !e.abortedEmpty {
 		batch := e.feeder.next(e)
 		if len(batch) == 0 {
 			break // exhausted: everything known is final
 		}
 		e.stats.Batches++
-		uoBefore := int(e.matchCnt[e.uo])
+		uoBefore := e.matchCnt[e.uo]
 		for _, q := range batch {
 			e.feed(q)
 		}
@@ -78,24 +79,11 @@ func (e *engine) run() *Result {
 		e.propagateRelevance()
 
 		if e.opts.Hook != nil {
-			newUo = newUo[:0]
-			if int(e.matchCnt[e.uo]) > uoBefore {
-				for q := e.uoLo; q < e.uoHi; q++ {
-					if e.status[q] == statusMatched && !e.hookSeen(q) {
-						newUo = append(newUo, q)
-					}
-				}
-			}
-			handles := make([]PairHandle, len(newUo))
-			for i, q := range newUo {
-				handles[i] = PairHandle{e: e, pair: q}
-				e.markHookSeen(q)
-			}
-			e.opts.Hook.Batch(handles)
+			e.opts.Hook.Batch(e.newOutputMatches(uoBefore))
 		}
 
 		if e.checkTermination() {
-			e.stats.EarlyTerminated = !e.feeder.done()
+			e.stats.EarlyTerminated = !e.feeder.done(e)
 			break
 		}
 	}
@@ -103,22 +91,50 @@ func (e *engine) run() *Result {
 	return e.assemble(res)
 }
 
-// hookSeen tracks which uo matches were already reported to the hook.
-func (e *engine) hookSeen(q int32) bool {
-	return e.hookReported != nil && e.hookReported[q-e.uoLo]
+// newOutputMatches returns handles for the output-node matches discovered
+// since the count was uoBefore, in pair order, marking them surfaced. The
+// slice is reused by the next batch.
+func (e *engine) newOutputMatches(uoBefore int32) []PairHandle {
+	e.handles = e.handles[:0]
+	if e.matchCnt[e.uo] == uoBefore {
+		return e.handles
+	}
+	for q := e.uoLo; q < e.uoHi; q++ {
+		if e.status[q] == statusMatched && !e.hookReported[q-e.uoLo] {
+			e.hookReported[q-e.uoLo] = true
+			e.handles = append(e.handles, PairHandle{e: e, pair: q})
+		}
+	}
+	return e.handles
 }
 
-func (e *engine) markHookSeen(q int32) {
-	if e.hookReported == nil {
-		e.hookReported = make([]bool, e.uoHi-e.uoLo)
+// lowerOf returns the current lower bound l of output pair q: the size of
+// its partial relevant set.
+func (e *engine) lowerOf(q int32) int {
+	if s := e.outSets[q-e.uoLo]; s != nil {
+		return s.Count()
 	}
-	e.hookReported[q-e.uoLo] = true
+	return 0
+}
+
+// worse orders output candidates for the top-k selection: a ranks below b
+// under (l desc, pair asc).
+func worse(a, b cand) bool {
+	if a.l != b.l {
+		return a.l < b.l
+	}
+	return a.q > b.q
 }
 
 // checkTermination evaluates Proposition 3: S (the k discovered matches
 // with the largest lower bounds) is a top-k set once every query node has a
 // match (the simulation's global condition, which also makes non-root
 // output nodes correct) and min_{v∈S} l(v) ≥ max_{v'∉S, live} h(v').
+//
+// S is selected with a k-bounded heap whose root is S's worst member under
+// (l desc, pair asc); a pair belongs to S exactly when it does not rank
+// below that root, so no sort of all matches and no membership table is
+// needed.
 func (e *engine) checkTermination() bool {
 	for u := 0; u < e.nq; u++ {
 		if e.matchCnt[u] == 0 {
@@ -129,45 +145,58 @@ func (e *engine) checkTermination() bool {
 		return false
 	}
 
-	type cand struct {
-		q int32
-		l int32
-	}
-	matched := make([]cand, 0, e.matchCnt[e.uo])
+	sel := e.sel[:0]
 	for q := e.uoLo; q < e.uoHi; q++ {
-		if e.status[q] == statusMatched {
-			l := int32(0)
-			if s := e.rset[q]; s != nil {
-				l = int32(s.Count())
-			}
-			matched = append(matched, cand{q, l})
-		}
-	}
-	sort.Slice(matched, func(i, j int) bool {
-		if matched[i].l != matched[j].l {
-			return matched[i].l > matched[j].l
-		}
-		return matched[i].q < matched[j].q
-	})
-	minL := matched[e.k-1].l
-
-	inS := make(map[int32]bool, e.k)
-	for _, c := range matched[:e.k] {
-		inS[c.q] = true
-	}
-	for q := e.uoLo; q < e.uoHi; q++ {
-		if e.status[q] == statusDead || inS[q] {
+		if e.status[q] != statusMatched {
 			continue
 		}
-		var h int32
-		if e.finalized[q] {
-			if s := e.rset[q]; s != nil {
-				h = int32(s.Count())
+		c := cand{q: q, l: int32(e.lowerOf(q))}
+		e.lower[q-e.uoLo] = c.l
+		switch {
+		case len(sel) < e.k:
+			// Sift up.
+			sel = append(sel, c)
+			for i := len(sel) - 1; i > 0; {
+				parent := (i - 1) / 2
+				if !worse(sel[i], sel[parent]) {
+					break
+				}
+				sel[i], sel[parent] = sel[parent], sel[i]
+				i = parent
 			}
-		} else {
-			h = e.upper[q-e.uoLo]
+		case worse(sel[0], c):
+			// Replace the root and sift down.
+			sel[0] = c
+			for i := 0; ; {
+				least := i
+				if l := 2*i + 1; l < len(sel) && worse(sel[l], sel[least]) {
+					least = l
+				}
+				if r := 2*i + 2; r < len(sel) && worse(sel[r], sel[least]) {
+					least = r
+				}
+				if least == i {
+					break
+				}
+				sel[i], sel[least] = sel[least], sel[i]
+				i = least
+			}
 		}
-		if h > minL {
+	}
+	e.sel = sel
+	kth := sel[0]
+
+	for q := e.uoLo; q < e.uoHi; q++ {
+		matched := e.status[q] == statusMatched
+		if e.status[q] == statusDead ||
+			matched && !worse(cand{q: q, l: e.lower[q-e.uoLo]}, kth) {
+			continue // dead, or a member of S
+		}
+		h := e.upper[q-e.uoLo]
+		if e.finalized[q] {
+			h = e.lower[q-e.uoLo] // finalized and alive means matched: h = l
+		}
+		if h > kth.l {
 			return false
 		}
 	}
@@ -189,14 +218,12 @@ func (e *engine) assemble(res *Result) *Result {
 		return res
 	}
 
+	res.All = make([]Match, 0, e.matchCnt[e.uo])
 	for q := e.uoLo; q < e.uoHi; q++ {
 		if e.status[q] != statusMatched {
 			continue
 		}
-		l := 0
-		if s := e.rset[q]; s != nil {
-			l = s.Count()
-		}
+		l := e.lowerOf(q)
 		h := int(e.upper[q-e.uoLo])
 		if e.finalized[q] {
 			h = l
@@ -207,14 +234,15 @@ func (e *engine) assemble(res *Result) *Result {
 			Upper:     h,
 			// Coinciding bounds pin δr even without finalization.
 			Exact: e.finalized[q] || h == l,
-			R:     e.rset[q],
+			R:     e.outSets[q-e.uoLo],
 		})
 	}
-	sort.Slice(res.All, func(i, j int) bool {
-		if res.All[i].Relevance != res.All[j].Relevance {
-			return res.All[i].Relevance > res.All[j].Relevance
+	// (relevance desc, node asc) is a total order: nodes are distinct.
+	slices.SortFunc(res.All, func(a, b Match) int {
+		if a.Relevance != b.Relevance {
+			return cmp.Compare(b.Relevance, a.Relevance)
 		}
-		return res.All[i].Node < res.All[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	res.Stats.MatchesFound = len(res.All)
 	top := e.k

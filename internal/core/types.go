@@ -1,15 +1,3 @@
-// Package core implements the paper's primary contribution: the
-// early-termination top-k matching algorithms of §4 (TopKDAG for DAG
-// patterns, TopK for cyclic patterns, and their non-optimized variants
-// TopKDAGnopt/TopKnopt), plus the find-all baseline Match they are compared
-// against, all over one incremental propagation engine (see DESIGN.md §3).
-//
-// Given a pattern Q with output node uo, a graph G and k, the engine feeds
-// batches of leaf candidates, propagates match status and relevant sets
-// upward through the SCC units of Q, maintains per-candidate lower/upper
-// bounds l ≤ δr ≤ h, and stops as soon as Proposition 3 holds: the k best
-// discovered matches' smallest lower bound dominates every other live
-// candidate's upper bound — without computing the entire M(Q,G).
 package core
 
 import (
@@ -51,7 +39,7 @@ type BoundMode int
 const (
 	// BoundTight counts reachability over the candidate product graph —
 	// the semantics that reproduces the h values of the paper's Examples 7
-	// and 8 (see DESIGN.md §2.3).
+	// and 8.
 	BoundTight BoundMode = iota
 	// BoundLabelCount uses exact label-filtered descendant counts in G:
 	// cheaper to compute, looser (it ignores the pattern's path structure).
@@ -223,15 +211,18 @@ type Result struct {
 	Stats Stats
 }
 
-// Hook observes engine batches; see Options.Hook.
+// Hook observes engine batches; see Options.Hook and the frozen-state
+// contract in the package documentation.
 type Hook interface {
 	// Begin is invoked once before the first batch with the normalization
 	// constant C_uo of §3.3 (the diversified heuristic needs it to evaluate
 	// F'' mid-run).
 	Begin(cuo int)
 	// Batch is invoked after each propagation batch with the newly matched
-	// output-node candidates. Handles read live engine state and must not
-	// be retained past the run.
+	// output-node candidates, in pair order. The engine is idle during the
+	// call, so every handle's Lower and R — old handles included — are
+	// constant until it returns. The slice is reused by the next call;
+	// handles are values and may be copied out, but not kept past the run.
 	Batch(newMatches []PairHandle)
 }
 
@@ -246,16 +237,11 @@ func (h PairHandle) Node() graph.NodeID { return h.e.ci.V[h.pair] }
 
 // Lower returns the current lower bound l (the size of the partial relevant
 // set).
-func (h PairHandle) Lower() int {
-	if s := h.e.rset[h.pair]; s != nil {
-		return s.Count()
-	}
-	return 0
-}
+func (h PairHandle) Lower() int { return h.e.lowerOf(h.pair) }
 
 // R returns the current (partial) relevant set. The set is live engine
 // state: callers must treat it as read-only.
-func (h PairHandle) R() *bitset.Set { return h.e.rset[h.pair] }
+func (h PairHandle) R() *bitset.Set { return h.e.outSets[h.pair-h.e.uoLo] }
 
 // ErrBadK is returned when k < 1.
 var ErrBadK = errors.New("core: k must be >= 1")

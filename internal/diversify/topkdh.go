@@ -3,7 +3,6 @@ package diversify
 import (
 	"fmt"
 
-	"divtopk/internal/bitset"
 	"divtopk/internal/core"
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
@@ -100,13 +99,28 @@ func TopKDAGDH(g *graph.Graph, p *pattern.Pattern, k int, lambda float64, opts c
 }
 
 // swapSelector maintains the heuristic set S across engine batches.
+//
+// The engine's state is frozen while Batch runs, so within one call every
+// member's lower bound and every pairwise distance among members is a
+// constant: the selector computes them once per call (refresh) and, per new
+// match, only that match's k distances to the members. The k+1 candidate
+// values of F” are then sums of those memoized float64 terms, added in
+// DiversifyParams.F's own order (DiversifyParams.FSwap) — the selections and
+// the reported F are bit-identical to re-evaluating every Jaccard from the
+// sets, at O(k) set scans per match instead of O(k³). Between calls the
+// members' sets are live and grow, which is why the memo does not outlive
+// the call.
 type swapSelector struct {
 	k      int
 	params *ranking.DiversifyParams
 
 	members []graph.NodeID
-	sets    []*bitset.Set // live views of the members' partial R sets
 	handles []core.PairHandle
+
+	lower   []int     // members' lower bounds |R|, this call
+	normRel []float64 // the same, normalized
+	dist    []float64 // k×k member distances (row-major, symmetric), this call
+	toNew   []float64 // distances from the match under consideration
 }
 
 // Begin implements core.Hook: F” needs C_uo before the first swap.
@@ -114,55 +128,79 @@ func (s *swapSelector) Begin(cuo int) { s.params.Cuo = cuo }
 
 // Batch implements core.Hook.
 func (s *swapSelector) Batch(newMatches []core.PairHandle) {
+	fresh := false
 	for _, h := range newMatches {
 		if len(s.members) < s.k {
-			s.add(h)
+			s.members = append(s.members, h.Node())
+			s.handles = append(s.handles, h)
 			continue
+		}
+		if !fresh {
+			s.refresh()
+			fresh = true
 		}
 		s.trySwap(h)
 	}
 }
 
-func (s *swapSelector) add(h core.PairHandle) {
-	s.members = append(s.members, h.Node())
-	s.sets = append(s.sets, h.R())
-	s.handles = append(s.handles, h)
+// usesDistance reports whether F” weighs distances at all (λ = 0 and k = 1
+// do not); when it does not, no set is ever compared.
+func (s *swapSelector) usesDistance() bool { return s.params.DiversityScale() != 0 }
+
+// refresh recomputes the members' lower bounds and distance matrix from the
+// live engine state.
+func (s *swapSelector) refresh() {
+	k := s.k
+	if s.lower == nil {
+		s.lower = make([]int, k)
+		s.normRel, s.toNew, s.dist = make([]float64, k), make([]float64, k), make([]float64, k*k)
+	}
+	for i, h := range s.handles {
+		s.lower[i] = h.Lower()
+		s.normRel[i] = s.params.NormRel(float64(s.lower[i]))
+	}
+	if !s.usesDistance() {
+		return
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			d := ranking.DistanceSized(s.handles[i].R(), s.handles[j].R(), s.lower[i], s.lower[j])
+			s.dist[i*k+j], s.dist[j*k+i] = d, d
+		}
+	}
 }
 
 // trySwap replaces the member whose substitution by h maximizes the F” gain
 // (if any gain is positive).
 func (s *swapSelector) trySwap(h core.PairHandle) {
-	cur := s.fpp(-1, core.PairHandle{})
-	bestGain, bestIdx := 0.0, -1
-	for i := range s.members {
-		f := s.fpp(i, h)
-		if gain := f - cur; gain > bestGain {
-			bestGain, bestIdx = gain, i
+	k := s.k
+	lower := h.Lower()
+	rel := s.params.NormRel(float64(lower))
+	if s.usesDistance() {
+		// Jaccard is symmetric down to the bit: toNew serves as the new
+		// match's row and column alike.
+		for i, m := range s.handles {
+			s.toNew[i] = ranking.DistanceSized(m.R(), h.R(), s.lower[i], lower)
 		}
 	}
-	if bestIdx >= 0 {
-		s.members[bestIdx] = h.Node()
-		s.sets[bestIdx] = h.R()
-		s.handles[bestIdx] = h
-	}
-}
 
-// fpp evaluates F” on the current members with member `replace` substituted
-// by h (replace = -1 evaluates the set as-is). Relevance uses the live lower
-// bounds, distance the live partial relevant sets.
-func (s *swapSelector) fpp(replace int, h core.PairHandle) float64 {
-	normRel := make([]float64, len(s.members))
-	sets := make([]*bitset.Set, len(s.members))
-	for i := range s.members {
-		if i == replace {
-			normRel[i] = s.params.NormRel(float64(h.Lower()))
-			sets[i] = h.R()
-		} else {
-			normRel[i] = s.params.NormRel(float64(s.handles[i].Lower()))
-			sets[i] = s.sets[i]
+	cur := s.params.FSwap(s.normRel, s.dist, -1, 0, nil)
+	bestGain, bestIdx := 0.0, -1
+	for r := 0; r < k; r++ {
+		if gain := s.params.FSwap(s.normRel, s.dist, r, rel, s.toNew) - cur; gain > bestGain {
+			bestGain, bestIdx = gain, r
 		}
 	}
-	return s.params.F(normRel, func(i, j int) float64 {
-		return ranking.Distance(sets[i], sets[j])
-	})
+	if bestIdx < 0 {
+		return
+	}
+	r := bestIdx
+	s.members[r] = h.Node()
+	s.handles[r] = h
+	s.lower[r], s.normRel[r] = lower, rel
+	for i := 0; i < k; i++ {
+		if i != r {
+			s.dist[i*k+r], s.dist[r*k+i] = s.toNew[i], s.toNew[i]
+		}
+	}
 }

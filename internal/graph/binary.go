@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 )
 
 // Binary snapshot format (checkpoint payload of the durability layer): the
@@ -71,24 +70,17 @@ func WriteBinary(g *Graph) []byte {
 	buf = appendI32s(buf, g.inOff)
 	buf = appendI32s(buf, g.inAdj)
 
-	var attributed []int
-	for v, m := range g.attrs {
-		if len(m) > 0 {
+	var attributed []NodeID
+	for v := NodeID(0); int(v) < g.n; v++ {
+		if g.attrs.count(v) > 0 {
 			attributed = append(attributed, v)
 		}
 	}
 	buf = appendU64(buf, uint64(len(attributed)))
 	for _, v := range attributed {
-		m := g.attrs[v]
 		buf = appendU32(buf, uint32(v))
-		buf = appendU32(buf, uint32(len(m)))
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			val := m[k]
+		buf = appendU32(buf, uint32(g.attrs.count(v)))
+		g.attrs.each(v, func(k string, val Value) {
 			buf = appendLenBytes(buf, k)
 			buf = append(buf, byte(val.Kind))
 			if val.Kind == KindInt {
@@ -96,7 +88,7 @@ func WriteBinary(g *Graph) []byte {
 			} else {
 				buf = appendLenBytes(buf, val.Str)
 			}
-		}
+		})
 	}
 	return appendU32(buf, crc32.Checksum(buf, csrCRCTable))
 }
@@ -252,7 +244,8 @@ func ReadBinary(data []byte) (*Graph, error) {
 	if r.err == nil && attrCount > uint64(len(r.buf)) {
 		r.fail("snapshot attributed-node count %d exceeds remaining payload", attrCount)
 	}
-	attrs := make([]map[string]Value, n)
+	var attrs attrWriter
+	nodeAttrs := make(map[string]Value) // one node's attributes, reused
 	prevNode := -1
 	for i := uint64(0); i < attrCount && r.err == nil; i++ {
 		v := int(r.u32())
@@ -269,20 +262,22 @@ func ReadBinary(data []byte) (*Graph, error) {
 			r.fail("snapshot attr count %d exceeds remaining payload", numAttrs)
 			break
 		}
-		m := make(map[string]Value, numAttrs)
+		clear(nodeAttrs)
 		for j := uint32(0); j < numAttrs && r.err == nil; j++ {
 			k := r.lenBytes()
 			kind := ValueKind(r.byte())
 			switch kind {
 			case KindInt:
-				m[k] = IntValue(int64(r.u64()))
+				nodeAttrs[k] = IntValue(int64(r.u64()))
 			case KindString:
-				m[k] = StrValue(r.lenBytes())
+				nodeAttrs[k] = StrValue(r.lenBytes())
 			default:
 				r.fail("snapshot unknown attribute kind %d", kind)
 			}
 		}
-		attrs[v] = m
+		if r.err == nil {
+			attrs.add(v, nodeAttrs)
+		}
 	}
 	if r.err == nil && len(r.buf) != 0 {
 		r.fail("snapshot has %d trailing bytes", len(r.buf))
@@ -320,7 +315,7 @@ func ReadBinary(data []byte) (*Graph, error) {
 		n:       n,
 		m:       m,
 		labels:  labels,
-		attrs:   attrs,
+		attrs:   attrs.t,
 		dict:    dict,
 		outOff:  outOff,
 		outAdj:  outAdj,

@@ -510,18 +510,10 @@ func ApplyDeltaVersionStep(g *Graph, d *Delta, steps uint64) (*Graph, *DeltaSumm
 	// Capped slices: the first append below copies instead of scribbling into
 	// the old graph's arrays.
 	labels := g.labels[:nOld:nOld]
-	attrs := g.attrs[:nOld:nOld]
 	for _, na := range d.NodeAppends {
 		labels = append(labels, g.dict.Intern(na.Label))
-		var m map[string]Value
-		if len(na.Attrs) > 0 {
-			m = make(map[string]Value, len(na.Attrs))
-			for k, v := range na.Attrs {
-				m[k] = v
-			}
-		}
-		attrs = append(attrs, m)
 	}
+	attrs := g.attrs.appended(nOld, d.NodeAppends)
 
 	// byLabel: appended node IDs exceed every old ID, so per-label lists stay
 	// ascending by appending; labels that gain no node share the old slice

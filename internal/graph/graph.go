@@ -8,6 +8,8 @@
 // stored in CSR (compressed sparse row) form, in both directions: the
 // matching algorithms traverse successors when evaluating pattern edges and
 // predecessors when propagating match and relevance information upward.
+// Attributes are stored flat, per chunk of nodes (attrs.go), so that a
+// graph costs the collector a few objects per thousand nodes.
 package graph
 
 import (
@@ -135,7 +137,7 @@ type Graph struct {
 	n      int
 	m      int
 	labels []LabelID
-	attrs  []map[string]Value // nil entries for attribute-free nodes
+	attrs  attrTable
 	dict   *Dict
 
 	outOff []int32
@@ -196,24 +198,12 @@ func (g *Graph) OutDegree(v NodeID) int { return int(g.outOff[v+1] - g.outOff[v]
 func (g *Graph) InDegree(v NodeID) int { return int(g.inOff[v+1] - g.inOff[v]) }
 
 // Attr returns the attribute value stored under key for node v.
-func (g *Graph) Attr(v NodeID, key string) (Value, bool) {
-	if g.attrs[v] == nil {
-		return Value{}, false
-	}
-	val, ok := g.attrs[v][key]
-	return val, ok
-}
+func (g *Graph) Attr(v NodeID, key string) (Value, bool) { return g.attrs.get(v, key) }
 
 // AttrKeys returns the attribute keys of node v in sorted order.
 func (g *Graph) AttrKeys(v NodeID) []string {
-	if g.attrs[v] == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(g.attrs[v]))
-	for k := range g.attrs[v] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	var keys []string
+	g.attrs.each(v, func(k string, _ Value) { keys = append(keys, k) })
 	return keys
 }
 
@@ -277,9 +267,12 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 // in the wild contain them and simulation handles them naturally).
 type Builder struct {
 	labels []LabelID
-	attrs  []map[string]Value
-	edges  [][2]NodeID
-	dict   *Dict
+	attrs  attrWriter // the attributes given to AddNode, already in table form
+	// late holds the full attribute map of every node SetAttr touched; Build
+	// folds it into the table.
+	late  map[NodeID]map[string]Value
+	edges [][2]NodeID
+	dict  *Dict
 }
 
 // NewBuilder returns an empty Builder with a fresh label dictionary.
@@ -301,14 +294,7 @@ func (b *Builder) NumNodes() int { return len(b.labels) }
 func (b *Builder) AddNode(label string, attrs map[string]Value) NodeID {
 	id := NodeID(len(b.labels))
 	b.labels = append(b.labels, b.dict.Intern(label))
-	var m map[string]Value
-	if len(attrs) > 0 {
-		m = make(map[string]Value, len(attrs))
-		for k, v := range attrs {
-			m[k] = v
-		}
-	}
-	b.attrs = append(b.attrs, m)
+	b.attrs.add(int(id), attrs)
 	return id
 }
 
@@ -317,10 +303,18 @@ func (b *Builder) SetAttr(v NodeID, key string, val Value) error {
 	if int(v) >= len(b.labels) || v < 0 {
 		return fmt.Errorf("graph: SetAttr on unknown node %d", v)
 	}
-	if b.attrs[v] == nil {
-		b.attrs[v] = make(map[string]Value, 1)
+	m, ok := b.late[v]
+	if !ok {
+		m = b.attrs.t.mapOf(v)
+		if m == nil {
+			m = make(map[string]Value, 1)
+		}
+		if b.late == nil {
+			b.late = make(map[NodeID]map[string]Value)
+		}
+		b.late[v] = m
 	}
-	b.attrs[v][key] = val
+	m[key] = val
 	return nil
 }
 
@@ -353,11 +347,24 @@ func (b *Builder) Build() *Graph {
 	}
 	m := len(edges)
 
+	attrs := b.attrs.t
+	if len(b.late) > 0 {
+		maps := make([]map[string]Value, n)
+		for v := range maps {
+			if late, ok := b.late[NodeID(v)]; ok {
+				maps[v] = late
+			} else {
+				maps[v] = attrs.mapOf(NodeID(v))
+			}
+		}
+		attrs = newAttrTable(maps)
+	}
+
 	g := &Graph{
 		n:      n,
 		m:      m,
 		labels: b.labels,
-		attrs:  b.attrs,
+		attrs:  attrs,
 		dict:   b.dict,
 		outOff: make([]int32, n+1),
 		outAdj: make([]NodeID, m),

@@ -142,8 +142,7 @@ loop:
 }
 
 // InducedSubgraph returns the subgraph of g induced by keep (a set of node
-// IDs) plus a mapping from new IDs back to the original ones. Attribute maps
-// are shared, not copied. It is used to materialize the "graphs induced by
+// IDs) plus a mapping from new IDs back to the original ones. It is used to materialize the "graphs induced by
 // relevant sets" of the paper's case study (Fig. 4).
 func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, []NodeID) {
 	idx := make(map[NodeID]NodeID, len(keep))
@@ -153,8 +152,7 @@ func InducedSubgraph(g *Graph, keep []NodeID) (*Graph, []NodeID) {
 		if _, ok := idx[v]; ok {
 			continue
 		}
-		nv := b.AddNode(g.Label(v), nil)
-		b.attrs[nv] = g.attrs[v]
+		nv := b.AddNode(g.Label(v), g.attrs.mapOf(v))
 		idx[v] = nv
 		orig = append(orig, v)
 	}

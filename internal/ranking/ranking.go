@@ -30,6 +30,19 @@ func Relevance(r *bitset.Set) float64 { return float64(r.Count()) }
 // the 2-approximation of TopKDiv relies on.
 func Distance(r1, r2 *bitset.Set) float64 { return 1 - bitset.Jaccard(r1, r2) }
 
+// DistanceSized is Distance for callers that already hold the two sets'
+// sizes n1 = |R1| and n2 = |R2|: |R1 ∪ R2| = n1 + n2 − |R1 ∩ R2| is the
+// integer Distance counts, so the quotient is the same float64, for an
+// intersection scan alone.
+func DistanceSized(r1, r2 *bitset.Set, n1, n2 int) float64 {
+	inter := r1.IntersectCount(r2)
+	union := n1 + n2 - inter
+	if union == 0 {
+		return 0
+	}
+	return 1 - float64(inter)/float64(union)
+}
+
 // DiversifyParams carries the fixed inputs of the diversification function:
 // the user balance λ ∈ [0,1], the requested k, and the normalization
 // constant C_uo of §3.3 (total candidates of the output node's descendant
@@ -62,10 +75,12 @@ func (p DiversifyParams) NormRel(rel float64) float64 {
 	return rel / float64(p.Cuo)
 }
 
-// diversityScale returns 2λ/(k−1), the scaling of the pairwise distance sum.
+// DiversityScale returns 2λ/(k−1), the scaling of the pairwise distance sum.
 // For k = 1 the distance sum is empty and the scale is irrelevant; 0 keeps
-// F well-defined (F degenerates to pure normalized relevance).
-func (p DiversifyParams) diversityScale() float64 {
+// F well-defined (F degenerates to pure normalized relevance). F consults its
+// distance callback only when the scale is nonzero, which callers that
+// precompute distances may rely on.
+func (p DiversifyParams) DiversityScale() float64 {
 	if p.K <= 1 {
 		return 0
 	}
@@ -86,12 +101,55 @@ func (p DiversifyParams) F(normRel []float64, dist func(i, j int) float64) float
 		sum += r
 	}
 	total := (1 - p.Lambda) * sum
-	scale := p.diversityScale()
+	scale := p.DiversityScale()
 	if scale != 0 {
 		dsum := 0.0
 		for i := 0; i < len(normRel); i++ {
 			for j := i + 1; j < len(normRel); j++ {
 				dsum += dist(i, j)
+			}
+		}
+		total += scale * dsum
+	}
+	return total
+}
+
+// FSwap evaluates F on a set given as memoized numbers, with one member
+// optionally swapped out: normRel holds the members' normalized relevances,
+// dist their pairwise distances as a row-major len(normRel)² matrix, and
+// member r (none when r < 0) is replaced by a candidate of normalized
+// relevance rel whose distance to member i is toNew[i]. FSwap adds exactly
+// the terms F would add on the substituted inputs, in F's order, so the two
+// results are bit-identical (a test holds it to that); it exists because the
+// swap selector of TopKDH evaluates k+1 of these per discovered match, and a
+// callback per term was most of that cost.
+func (p DiversifyParams) FSwap(normRel, dist []float64, r int, rel float64, toNew []float64) float64 {
+	k := len(normRel)
+	sum := 0.0
+	for i, x := range normRel {
+		if i == r {
+			x = rel
+		}
+		sum += x
+	}
+	total := (1 - p.Lambda) * sum
+	scale := p.DiversityScale()
+	if scale != 0 {
+		dsum := 0.0
+		for i := 0; i < k; i++ {
+			if i == r {
+				for _, d := range toNew[i+1 : k] {
+					dsum += d
+				}
+				continue
+			}
+			row := dist[i*k : i*k+k]
+			for j := i + 1; j < k; j++ {
+				d := row[j]
+				if j == r {
+					d = toNew[i]
+				}
+				dsum += d
 			}
 		}
 		total += scale * dsum

@@ -3,6 +3,7 @@ package ranking
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"divtopk/internal/bitset"
@@ -337,5 +338,65 @@ func TestRegistries(t *testing.T) {
 	}
 	if len(RelevanceNames()) != 4 || len(DistanceNames()) != 3 {
 		t.Errorf("registry sizes: %d relevance, %d distance", len(RelevanceNames()), len(DistanceNames()))
+	}
+}
+
+func TestFSwapBitIdenticalToF(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 400; trial++ {
+		k := 1 + rng.Intn(12)
+		p := DiversifyParams{Lambda: []float64{0, 0.3, 0.5, 1, rng.Float64()}[trial%5], K: k, Cuo: 1 + rng.Intn(50)}
+		if trial%11 == 0 {
+			p.K = k + 3 // a partial set under the full set's scaling
+		}
+		normRel, toNew := make([]float64, k), make([]float64, k)
+		dist := make([]float64, k*k)
+		for i := 0; i < k; i++ {
+			normRel[i], toNew[i] = p.NormRel(float64(rng.Intn(40))), rng.Float64()
+			for j := i + 1; j < k; j++ {
+				d := rng.Float64()
+				dist[i*k+j], dist[j*k+i] = d, d
+			}
+		}
+		rel := p.NormRel(float64(rng.Intn(40)))
+		for r := -1; r < k; r++ {
+			subst := append([]float64(nil), normRel...)
+			if r >= 0 {
+				subst[r] = rel
+			}
+			want := p.F(subst, func(i, j int) float64 {
+				switch r {
+				case i:
+					return toNew[j]
+				case j:
+					return toNew[i]
+				}
+				return dist[i*k+j]
+			})
+			if got := p.FSwap(normRel, dist, r, rel, toNew); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("k=%d λ=%v r=%d: FSwap = %v, F = %v", k, p.Lambda, r, got, want)
+			}
+		}
+	}
+}
+
+func TestDistanceSizedBitIdenticalToDistance(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(500)
+		a, b := bitset.New(n), bitset.New(n)
+		pa, pb := rng.Float64()*rng.Float64(), rng.Float64()*rng.Float64()
+		for i := 0; i < n; i++ {
+			if rng.Float64() < pa {
+				a.Add(i)
+			}
+			if rng.Float64() < pb {
+				b.Add(i)
+			}
+		}
+		got, want := DistanceSized(a, b, a.Count(), b.Count()), Distance(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%d: DistanceSized = %v, Distance = %v", n, got, want)
+		}
 	}
 }

@@ -43,8 +43,8 @@ func WithBatches(n int) Option {
 }
 
 // WithLooseBounds replaces the default cached label-count upper-bound index
-// by the cheapest overcounting variant (see the bounds ablation in
-// EXPERIMENTS.md).
+// by the cheapest overcounting variant (see the bounds ablation of
+// cmd/experiments, internal/bench.AblationBounds).
 func WithLooseBounds() Option {
 	return func(o *options) { o.engine.Bounds = core.BoundCheap }
 }
