@@ -17,8 +17,10 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
+# The uncached-query pair: the tracked benchmark's cold_paper inputs in
+# process, B/op = per-query allocation.
 bench:
-	$(GO) test -run '^$$' -bench Baseline -benchmem -benchtime 1x ./internal/bench/
+	$(GO) test -run '^$$' -bench 'Cold' -benchmem .
 
 # bench-smoke is the static and test gate of the tracked benchmark. benchmark/
 # is a module of its own (so the root module does not see it): the root

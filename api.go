@@ -294,24 +294,11 @@ func (g *Graph) Matches(p *Pattern) []int {
 // using the early-termination engine by default (see Options for the
 // baseline and the nopt variants).
 func TopK(g *Graph, p *Pattern, k int, opts ...Option) (*Result, error) {
-	o := buildOptions(opts)
-	var (
-		res *core.Result
-		err error
-	)
-	if o.baseline {
-		res, err = core.MatchBaselineOpts(g.g, p.p, k, true, o.engine)
-	} else {
-		eng := o.engine
-		if eng.Cache == nil && eng.Bounds != core.BoundTight {
-			eng.Cache = g.boundsCache()
-		}
-		res, err = core.TopK(g.g, p.p, k, eng)
-	}
+	a, err := evaluate(g, p, newQuery(false, k, 0, nil, opts), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return convertResult(g, res), nil
+	return a.val.(*Result), nil
 }
 
 // TopKDiversified returns a k-set of matches balancing relevance and
@@ -320,24 +307,99 @@ func TopK(g *Graph, p *Pattern, k int, opts ...Option) (*Result, error) {
 // early-termination heuristic TopKDH; WithApproximation selects the
 // 2-approximation TopKDiv instead.
 func TopKDiversified(g *Graph, p *Pattern, k int, lambda float64, opts ...Option) (*DiversifiedResult, error) {
-	o := buildOptions(opts)
-	var (
-		res *diversify.Result
-		err error
-	)
-	if o.approx {
-		res, err = diversify.TopKDivOpts(g.g, p.p, k, lambda, o.engine)
-	} else {
-		eng := o.engine
-		if eng.Cache == nil && eng.Bounds != core.BoundTight {
-			eng.Cache = g.boundsCache()
-		}
-		res, err = diversify.TopKDH(g.g, p.p, k, lambda, eng)
-	}
+	a, err := evaluate(g, p, newQuery(true, k, lambda, nil, opts), nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	return convertDiversified(g, res), nil
+	return a.val.(*DiversifiedResult), nil
+}
+
+// answer is what evaluate returns: the facade value (a *Result for the top-k
+// kinds, a *DiversifiedResult for the diversified ones) and, for the find-all
+// kinds, the core-level match pool behind it — the next evaluation's prev.
+type answer struct {
+	val  any
+	pool *core.Result
+}
+
+// evaluate is the one evaluation path: every query route runs the paper's
+// pipeline (candidates → product → fixpoint → relevance/bounds → select)
+// through here, and the routes differ only in where the stage inputs come
+// from. pre == nil computes everything cold (package-level calls, uncached
+// sessions). A non-nil pre supplies the candidate index, product CSR and
+// settled fixpoint of a maintained simulation.IncState for exactly (g, p) —
+// built at admission, possibly from containment-seeded candidates, or carried
+// across a commit by IncCompute; it only spares rebuilding them, the answer
+// is byte-identical. prev, passed by the commit-time advance pass when the
+// delta appended no nodes (see poolEqual), is the query's answer at the
+// previous version: when the freshly evaluated find-all pool equals prev's,
+// the previous value is returned as is — in particular TopKDiv's greedy scan
+// re-runs only when the match set changed.
+func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answer) (answer, error) {
+	// TopKDH and TopKDiv validate λ and k themselves, but TopKDiv only after
+	// its find-all half ran: check first so no route pays for, or reports an
+	// error from, an evaluation whose selection step cannot run.
+	if err := q.check(); err != nil {
+		return answer{}, err
+	}
+	eng := q.eng
+	eng.Prebuilt = pre
+	if q.kind.full() {
+		pool, err := core.MatchBaselineOpts(g.g, p.p, q.k, true, eng)
+		if err != nil {
+			return answer{}, err
+		}
+		if prev != nil && prev.pool != nil && poolEqual(prev.pool, pool) {
+			return answer{val: prev.val, pool: pool}, nil
+		}
+		if q.kind == kindMatch {
+			return answer{val: convertResult(g, pool), pool: pool}, nil
+		}
+		dres, err := diversify.TopKDivFromBase(pool, q.k, q.lambda, eng)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{val: convertDiversified(g, dres), pool: pool}, nil
+	}
+	// The early-termination kinds read their initial upper bounds from the
+	// graph's amortized descendant-label index unless the query asked for the
+	// per-query tight bounds.
+	if eng.Bounds != core.BoundTight {
+		eng.Cache = g.boundsCache()
+	}
+	if q.kind == kindTopK {
+		res, err := core.TopK(g.g, p.p, q.k, eng)
+		if err != nil {
+			return answer{}, err
+		}
+		return answer{val: convertResult(g, res)}, nil
+	}
+	dres, err := diversify.TopKDH(g.g, p.p, q.k, q.lambda, eng)
+	if err != nil {
+		return answer{}, err
+	}
+	return answer{val: convertDiversified(g, dres)}, nil
+}
+
+// poolEqual reports whether two evaluated match pools are identical —
+// node-for-node, relevance-for-relevance, set-for-set. Only meaningful when
+// the two evaluations share one candidate universe (no node appends between
+// them); evaluate's caller guards that, which also makes the relevant-set
+// bitsets directly comparable (same RelSpace layout).
+func poolEqual(a, b *core.Result) bool {
+	if len(a.All) != len(b.All) || a.GlobalMatch != b.GlobalMatch || a.Cuo != b.Cuo {
+		return false
+	}
+	for i := range a.All {
+		ma, mb := &a.All[i], &b.All[i]
+		if ma.Node != mb.Node || ma.Relevance != mb.Relevance {
+			return false
+		}
+		if (ma.R == nil) != (mb.R == nil) || (ma.R != nil && !ma.R.Equal(mb.R)) {
+			return false
+		}
+	}
+	return true
 }
 
 func convertDiversified(g *Graph, res *diversify.Result) *DiversifiedResult {

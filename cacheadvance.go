@@ -2,26 +2,27 @@ package divtopk
 
 import (
 	"bytes"
+	"slices"
 	"sync"
 
 	"divtopk/internal/core"
-	"divtopk/internal/diversify"
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
 	"divtopk/internal/simulation"
 )
 
 // This file is the warm result cache: the machinery that turns the session
-// cache's "invalidate on commit" into "advance on commit". A cached entry
-// for a hot pattern keeps the per-query incremental evaluation state
-// (simulation.IncState: candidate index, product CSR, settled fixpoint)
-// alongside the result. When a commit applies a delta, advanceWarm carries
-// every maintained state to the new snapshot with IncCompute — delta-
-// proportional work, same discipline as BoundsCache.Advance: advance against
-// the old snapshot off to the side, install atomically, fall back to
-// eviction past the work-share ratio (WithCacheAdvanceRatio) — and re-admits
-// each cached entry under its post-delta key, so the first post-commit query
-// for a hot pattern is a cache hit instead of a cold evaluation.
+// cache's "invalidate on commit" into "advance on commit". A hot pattern
+// keeps its incremental evaluation state (simulation.IncState: candidate
+// index, product CSR, settled fixpoint) in a registry beside the result
+// cache, and both evaluations of that pattern — the cache-miss loader and
+// the commit-time pass — hand it to evaluate as prebuilt stage inputs. When a
+// commit applies a delta, advanceWarm carries every maintained state to the
+// new snapshot with IncCompute — delta-proportional work, same discipline as
+// BoundsCache.Advance: advance against the old snapshot off to the side,
+// install atomically, fall back to eviction past the work-share ratio — and
+// re-admits each remembered query under its post-delta key, so the first
+// post-commit query for a hot pattern is a cache hit, not a cold evaluation.
 //
 // Admission is containment-aware: when a new pattern's nodes are subsumed by
 // a maintained pattern's (pattern.CondSubsumes — same label, subset
@@ -33,156 +34,140 @@ import (
 
 const (
 	// maxWarmPatterns bounds the pattern states a session maintains;
-	// maxWarmDescriptors bounds the cached query shapes riding each state.
-	// Past the state cap the least recently admitted state is replaced — the
-	// same recency discipline as the result LRU itself.
-	maxWarmPatterns    = 16
-	maxWarmDescriptors = 8
+	// maxWarmShapes bounds the remembered queries riding each state. Past
+	// either cap the least recently admitted one is replaced — the recency
+	// discipline of the result LRU itself. A result-cache hit never reaches
+	// the registry, so recency means evaluation: a displaced query still
+	// asked for misses once after the next commit and is re-admitted.
+	maxWarmPatterns = 16
+	maxWarmShapes   = 8
 )
 
 // warmRegistry holds the per-pattern incremental states behind a session's
-// warm result cache. Queries admit and read under mu; the commit path
-// snapshots the states under mu, advances them outside it (holding only
-// updateMu), and installs the results under mu again.
+// warm result cache. Everything in it that changes — which entries exist,
+// an entry's current state, its recency tick and its remembered queries — is
+// read and written under mu only: queries admit and remember under it; the
+// commit path snapshots entries and their shapes under it, advances outside
+// it (holding only updateMu), and installs the results under it again.
 type warmRegistry struct {
-	mu     sync.Mutex
-	states map[string]*patternState // canonical pattern text -> state
-	clock  uint64                   // admission/use ticks for LRU eviction
+	mu      sync.Mutex
+	entries map[string]*warmEntry // canonical pattern text -> entry
+	clock   uint64                // admission ticks for LRU replacement
+}
+
+// warmEntry is the registry's record of one hot pattern.
+type warmEntry struct {
+	st     *patternState
+	used   uint64
+	shapes []shape
 }
 
 // patternState is the maintained evaluation state of one hot pattern against
-// one graph snapshot, shared by every cached entry (any kind, k, λ, option
-// set) of that pattern. Immutable once registered: the advance pass builds a
-// replacement and swaps it in.
+// one graph snapshot, shared by every query (any kind, k, λ, option set) on
+// that pattern. Never modified after construction, so it is safe to read
+// outside the registry lock: the advance pass builds a successor and swaps
+// the entry over to it.
 type patternState struct {
-	text  string
-	p     *Pattern
-	inc   *simulation.IncState
-	descs map[string]*descriptor // version-less key identity -> descriptor
-	used  uint64
+	text string
+	p    *Pattern
+	inc  *simulation.IncState
 }
 
-// descriptor is one cached query shape riding a patternState: everything
-// needed to re-derive the entry's key and value at the next version.
-type descriptor struct {
-	kind   string
-	k      int
-	lambda float64
-	opts   []Option
-	// full marks the full-evaluation family (WithBaseline / WithApproximation):
-	// a pure function of the candidate index, product and fixpoint, so an
-	// unchanged state means an unchanged value. The early-termination family
-	// additionally depends on the bound index rows, so it is always re-run
-	// (seeded with the advanced state) after a commit.
-	full bool
-	// val is the cached facade value at the state's version; base, for the
-	// full family, the core-level match pool behind it — the input of the
-	// unchanged-pool comparison that skips the diversify greedy re-scan.
-	val  any
-	base *core.Result
+// prebuilt exposes the state as evaluate's stage inputs.
+func (st *patternState) prebuilt() *core.PrebuiltEval {
+	return &core.PrebuiltEval{CI: st.inc.CI, Prod: st.inc.Prod, Sim: st.inc.Res}
 }
 
-// putEntry is one advanced cache entry awaiting admission; the key is
-// derived at install time from the post-delta snapshot version.
-type putEntry struct {
-	kind   string
-	p      *Pattern
-	k      int
-	lambda float64
-	o      options
-	val    any
+// shape is one remembered query riding a warm entry — what the advance pass
+// re-derives a cache key and value from at the next version — with its
+// answer at the entry's current version.
+type shape struct {
+	id   string // q's cache key at version 0: its identity across versions
+	q    query
+	ans  answer
+	used uint64
 }
 
-func patternText(p *Pattern) (string, error) {
+// patternText is the canonical text of p: its deterministic serialization,
+// so structurally equal patterns share one text (and one registry entry, and
+// one cache key). Writing to a bytes.Buffer cannot fail.
+func patternText(p *Pattern) string {
 	var buf bytes.Buffer
-	if err := WritePattern(&buf, p); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+	_ = WritePattern(&buf, p)
+	return buf.String()
 }
 
-// warmLoad is the cache loader of a warm session: it resolves (admitting if
-// needed) the pattern's incremental state for the snapshot g and evaluates
-// the query seeded with it. The bool result reports containment seeding.
-func (m *Matcher) warmLoad(g *Graph, p *Pattern, kind string, k int, lambda float64, merged []Option) (any, bool, error) {
-	if k < 1 || p.p.Validate() != nil {
-		// Let the ordinary evaluation path produce the structured error.
-		return m.coldLoad(g, p, kind, k, lambda, merged)
+// load is the cache-miss loader of a caching session: evaluate, fed the
+// pattern's maintained state (admitting one if needed) and remembering the
+// query on it for the advance pass. The bool result reports containment
+// seeding. A query the evaluation will reject anyway (k < 1, invalid
+// pattern) admits nothing and lets evaluate produce the structured error.
+func (m *Matcher) load(g *Graph, p *Pattern, text string, q query) (any, bool, error) {
+	if q.k < 1 || p.p.Validate() != nil {
+		a, err := evaluate(g, p, q, nil, nil)
+		return a.val, false, err
 	}
-	o := buildOptions(merged)
-	// The version-less key identity: what makes two admissions of the same
-	// query shape refresh one descriptor instead of accumulating.
-	id, err := queryKey(kind, 0, p, k, lambda, o)
-	if err != nil {
-		return m.coldLoad(g, p, kind, k, lambda, merged)
-	}
-	st, registered, seeded := m.warmState(g, p)
-	if st == nil {
-		return m.coldLoad(g, p, kind, k, lambda, merged)
-	}
-	d := &descriptor{
-		kind: kind, k: k, lambda: lambda, opts: merged,
-		full: (kind == kindTopK && o.baseline) || (kind == kindDiversified && o.approx),
-	}
-	val, base, err := m.evalWarm(g, st.p, st.inc, d, nil, false)
+	st, seeded := m.warmState(g, p, text)
+	a, err := evaluate(g, p, q, st.prebuilt(), nil)
 	if err != nil {
 		return nil, false, err
 	}
-	if registered {
-		d.val, d.base = val, base
-		m.warm.mu.Lock()
-		if len(st.descs) < maxWarmDescriptors || st.descs[id] != nil {
-			st.descs[id] = d
-		}
-		m.warm.mu.Unlock()
-	}
-	return val, seeded, nil
+	m.warm.remember(st, q, a)
+	return a.val, seeded, nil
 }
 
-// coldLoad evaluates without warm-state maintenance (pattern or k invalid,
-// registry raced past this snapshot): the plain pre-warm-cache loader.
-func (m *Matcher) coldLoad(g *Graph, p *Pattern, kind string, k int, lambda float64, merged []Option) (any, bool, error) {
-	if kind == kindTopK {
-		res, err := TopK(g, p, k, merged...)
-		if err != nil {
-			return nil, false, err
+// remember records q and its answer on st's entry, replacing the least
+// recently admitted shape past the cap. It is a no-op unless st is still the
+// entry's current state: a transient state was never registered, and after a
+// commit advanced the entry an answer computed at the old version must not
+// sit among shapes the next advance will treat as current.
+func (w *warmRegistry) remember(st *patternState, q query, a answer) {
+	sh := shape{id: queryKey(q, 0, st.text), q: q, ans: a}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e := w.entries[st.text]
+	if e == nil || e.st != st {
+		return
+	}
+	w.clock++
+	sh.used = w.clock
+	slot := slices.IndexFunc(e.shapes, func(s shape) bool { return s.id == sh.id })
+	if slot < 0 && len(e.shapes) < maxWarmShapes {
+		e.shapes = append(e.shapes, sh)
+		return
+	}
+	if slot < 0 {
+		slot = 0
+		for i := range e.shapes {
+			if e.shapes[i].used < e.shapes[slot].used {
+				slot = i
+			}
 		}
-		return res, false, nil
 	}
-	res, err := TopKDiversified(g, p, k, lambda, merged...)
-	if err != nil {
-		return nil, false, err
-	}
-	return res, false, nil
+	e.shapes[slot] = sh
 }
 
-// warmState returns the registered pattern state for (g, p), admitting one
-// if absent — with containment-seeded candidate lists when a maintained
-// pattern subsumes p's nodes. registered is false when the state could not
-// be (or lost a race to be) registered; the returned state is then a
-// transient usable for this evaluation only. seeded reports containment
-// seeding. A nil state means warm evaluation is unavailable entirely.
-func (m *Matcher) warmState(g *Graph, p *Pattern) (st *patternState, registered, seeded bool) {
-	text, err := patternText(p)
-	if err != nil {
-		return nil, false, false
-	}
-	m.warm.mu.Lock()
-	if m.warm.states == nil {
-		m.warm.states = make(map[string]*patternState)
-	}
-	if cur := m.warm.states[text]; cur != nil && cur.inc.G == g.g {
-		m.warm.clock++
-		cur.used = m.warm.clock
-		m.warm.mu.Unlock()
-		return cur, true, false
+// warmState returns the maintained state of p (canonical text: text) at
+// snapshot g, admitting one if absent — with containment-seeded candidate
+// lists (seeded = true) when a maintained pattern subsumes p's nodes. When a
+// commit raced past g the returned state is a transient, good for this
+// evaluation only.
+func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState, seeded bool) {
+	w := &m.warm
+	w.mu.Lock()
+	if e := w.entries[text]; e != nil && e.st.inc.G == g.g {
+		w.clock++
+		e.used, st = w.clock, e.st
+		w.mu.Unlock()
+		return st, false
 	}
 	// Containment seeding: among the states at this snapshot, pick the donor
 	// covering the most of p's nodes (ties to the smallest pattern text, so
 	// the choice is deterministic; any donor yields identical results).
 	var seeds [][]graph.NodeID
 	bestCover, bestText := 0, ""
-	for _, donor := range m.warm.states {
+	for _, e := range w.entries {
+		donor := e.st
 		if donor.inc.G != g.g {
 			continue
 		}
@@ -198,243 +183,144 @@ func (m *Matcher) warmState(g *Graph, p *Pattern) (st *patternState, registered,
 			}
 		}
 	}
-	m.warm.mu.Unlock()
+	w.mu.Unlock()
 
 	var ci *simulation.CandidateIndex
-	if seeds != nil {
+	if seeded = seeds != nil; seeded {
 		ci = simulation.BuildCandidatesSeeded(g.g, p.p, seeds, m.workers)
-		seeded = true
 	} else {
 		ci = simulation.BuildCandidatesParallel(g.g, p.p, m.workers)
 	}
-	st = &patternState{
-		text:  text,
-		p:     p,
-		inc:   simulation.NewIncStateSeeded(g.g, p.p, ci, m.workers),
-		descs: make(map[string]*descriptor),
-	}
+	st = &patternState{text: text, p: p, inc: simulation.NewIncStateSeeded(g.g, p.p, ci, m.workers)}
 
-	m.warm.mu.Lock()
-	defer m.warm.mu.Unlock()
-	m.warm.clock++
-	st.used = m.warm.clock
-	if cur := m.warm.states[text]; cur != nil {
-		if cur.inc.G == g.g {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.clock++
+	if cur := w.entries[text]; cur != nil {
+		if cur.st.inc.G == g.g {
 			// Lost an admission race at the same snapshot: use the winner.
-			cur.used = m.warm.clock
-			return cur, true, seeded
+			cur.used = w.clock
+			return cur.st, seeded
 		}
-		if cur.inc.G.Version() > g.g.Version() {
+		if cur.st.inc.G.Version() > g.g.Version() {
 			// A commit advanced past this query's snapshot; don't clobber the
 			// newer state — evaluate with the transient one.
-			return st, false, seeded
+			return st, seeded
 		}
-	}
-	if m.warm.states[text] == nil && len(m.warm.states) >= maxWarmPatterns {
-		oldest, oldestUsed := "", uint64(0)
-		for t, s := range m.warm.states {
-			if oldest == "" || s.used < oldestUsed {
-				oldest, oldestUsed = t, s.used
+	} else if len(w.entries) >= maxWarmPatterns {
+		oldest := ""
+		for t, e := range w.entries {
+			if oldest == "" || e.used < w.entries[oldest].used {
+				oldest = t
 			}
 		}
-		delete(m.warm.states, oldest)
+		delete(w.entries, oldest)
 	}
-	m.warm.states[text] = st
-	return st, true, seeded
+	w.entries[text] = &warmEntry{st: st, used: w.clock}
+	return st, seeded
 }
 
-// evalWarm evaluates one cached query shape against gf seeded with the
-// settled state inc (candidates, product CSR, fixpoint — all for gf's exact
-// snapshot). It reproduces the facade dispatch of TopK/TopKDiversified
-// byte-for-byte; Options.Prebuilt only spares rebuilding what inc already
-// holds. prev, set by the advance pass, is the shape's previous descriptor:
-// when poolCmp additionally confirms the candidate universe is unchanged (no
-// node appends) and the evaluated match pool is identical to prev's, the
-// previous value is reused — in particular, TopKDiv's greedy scan re-runs
-// only when the advanced match set actually changed. The *core.Result return
-// is the evaluated pool (full-evaluation family only).
-func (m *Matcher) evalWarm(gf *Graph, p *Pattern, inc *simulation.IncState, d *descriptor, prev *descriptor, poolCmp bool) (any, *core.Result, error) {
-	o := buildOptions(d.opts)
-	eng := o.engine
-	eng.Prebuilt = &core.PrebuiltEval{CI: inc.CI, Prod: inc.Prod, Sim: inc.Res}
-	switch {
-	case d.kind == kindTopK && o.baseline:
-		base, err := core.MatchBaselineOpts(gf.g, p.p, d.k, true, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		if prev != nil && poolCmp && prev.base != nil && poolEqual(prev.base, base) {
-			return prev.val, base, nil
-		}
-		return convertResult(gf, base), base, nil
-	case d.kind == kindDiversified && o.approx:
-		base, err := core.MatchBaselineOpts(gf.g, p.p, d.k, true, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		if prev != nil && poolCmp && prev.base != nil && poolEqual(prev.base, base) {
-			return prev.val, base, nil
-		}
-		dres, err := diversify.TopKDivFromBase(base, d.k, d.lambda, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return convertDiversified(gf, dres), base, nil
-	case d.kind == kindTopK:
-		if eng.Cache == nil && eng.Bounds != core.BoundTight {
-			eng.Cache = gf.boundsCache()
-		}
-		res, err := core.TopK(gf.g, p.p, d.k, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return convertResult(gf, res), nil, nil
-	default:
-		if eng.Cache == nil && eng.Bounds != core.BoundTight {
-			eng.Cache = gf.boundsCache()
-		}
-		dres, err := diversify.TopKDH(gf.g, p.p, d.k, d.lambda, eng)
-		if err != nil {
-			return nil, nil, err
-		}
-		return convertDiversified(gf, dres), nil, nil
-	}
-}
-
-// poolEqual reports whether two evaluated match pools are identical —
-// node-for-node, relevance-for-relevance, set-for-set. Only meaningful when
-// the two evaluations share one candidate universe (no node appends between
-// them); the caller guards that, which also makes the relevant-set bitsets
-// directly comparable (same RelSpace layout).
-func poolEqual(a, b *core.Result) bool {
-	if len(a.All) != len(b.All) || a.GlobalMatch != b.GlobalMatch || a.Cuo != b.Cuo {
-		return false
-	}
-	for i := range a.All {
-		ma, mb := &a.All[i], &b.All[i]
-		if ma.Node != mb.Node || ma.Relevance != mb.Relevance {
-			return false
-		}
-		if (ma.R == nil) != (mb.R == nil) || (ma.R != nil && !ma.R.Equal(mb.R)) {
-			return false
-		}
-	}
-	return true
-}
-
-// advanceWarm carries every maintained pattern state and its cached entries
-// from the currently published snapshot to g2 (the caller — commitLocked,
-// holding updateMu — has applied merged to it but not yet published it).
-// States whose incremental advance trips the work-share ratio are evicted
-// instead (IncOptions.NoFallback): a commit never pays a full rebuild for
-// the cache's sake. Nothing is published here: the returned install function
-// swaps the advanced states in and admits the advanced entries under their
-// post-delta keys, and the caller runs it only after the commit's last
-// fallible step — entries for a version that is never published must never
-// become reachable, since a later commit could reuse the version number.
+// advanceWarm carries every maintained pattern state and its remembered
+// queries from the currently published snapshot to g2 (the caller —
+// commitLocked, holding updateMu — has applied merged to it but not yet
+// published it). States whose incremental advance trips the work-share ratio
+// are evicted instead (IncOptions.NoFallback): a commit never pays a full
+// rebuild for the cache's sake. Nothing is published here: the returned
+// install function swaps the advanced states in and admits the advanced
+// answers under their post-delta keys, and the caller runs it only after the
+// commit's last fallible step — entries for a version that is never
+// published must never become reachable, since a later commit could reuse
+// the version number.
 func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 	if m.cache == nil {
 		return func() {}
 	}
 	gOld := m.cur.Load() // pre-delta snapshot: publication happens after us
+	// One locked section takes everything the pass reads: the entries, the
+	// state each holds right now, and a copy of its shapes. Queries keep
+	// admitting and remembering meanwhile; install reconciles.
+	type advance struct {
+		e      *warmEntry
+		old    *patternState
+		new    *patternState // nil: evict
+		shapes []shape
+	}
 	m.warm.mu.Lock()
-	states := make([]*patternState, 0, len(m.warm.states))
-	for _, st := range m.warm.states {
-		states = append(states, st)
+	work := make([]advance, 0, len(m.warm.entries))
+	for _, e := range m.warm.entries {
+		work = append(work, advance{e: e, old: e.st, shapes: slices.Clone(e.shapes)})
 	}
 	m.warm.mu.Unlock()
-	if len(states) == 0 {
-		return func() {}
-	}
 
-	type swap struct {
-		old *patternState
-		new *patternState
-	}
-	var (
-		swaps   []swap
-		drops   []*patternState
-		puts    []putEntry
-		evicted uint64
-	)
+	var evicted uint64
 	noAppends := len(merged.NodeAppends) == 0
 	incOpts := simulation.IncOptions{
 		Workers:        m.workers,
 		RecomputeRatio: m.advanceRatio,
 		NoFallback:     true,
 	}
-	for _, st := range states {
-		if st.inc.G != gOld.g {
+	for i := range work {
+		a := &work[i]
+		if a.old.inc.G != gOld.g {
 			// Left behind by an earlier commit (admission race): unadvanceable.
-			drops, evicted = append(drops, st), evicted+1
+			evicted++
 			continue
 		}
-		inc2, ist, err := simulation.IncCompute(st.inc, g2.g, merged, incOpts)
+		inc2, ist, err := simulation.IncCompute(a.old.inc, g2.g, merged, incOpts)
 		if err != nil {
-			drops, evicted = append(drops, st), evicted+1
+			evicted++
 			continue
 		}
+		a.new = &patternState{text: a.old.text, p: a.old.p, inc: inc2}
 		// An untouched state (no candidate pair's adjacency changed, no
-		// appended nodes) is byte-identical to the old one, so full-family
-		// values carry over without any re-evaluation.
+		// appended nodes) is byte-identical to the old one, so find-all
+		// answers — pure functions of the state — carry over without any
+		// re-evaluation. The early-termination kinds also read the bound
+		// index rows, so they always re-run, fed the advanced state.
 		unchanged := noAppends && ist.TouchedPairs == 0
-		st2 := &patternState{
-			text: st.text, p: st.p, inc: inc2,
-			descs: make(map[string]*descriptor, len(st.descs)),
-			used:  st.used,
-		}
-		for id, d := range st.descs {
-			var (
-				val  any
-				base *core.Result
-			)
-			if d.full && unchanged {
-				val, base = d.val, d.base
-			} else {
-				val, base, err = m.evalWarm(g2, st.p, inc2, d, d, noAppends)
-				if err != nil {
+		pre := a.new.prebuilt()
+		kept := a.shapes[:0]
+		for _, sh := range a.shapes {
+			if !(unchanged && sh.q.kind.full()) {
+				var prev *answer
+				if noAppends {
+					prev = &sh.ans
+				}
+				if sh.ans, err = evaluate(g2, a.old.p, sh.q, pre, prev); err != nil {
 					continue // drop just this shape; the state stays useful
 				}
 			}
-			st2.descs[id] = &descriptor{
-				kind: d.kind, k: d.k, lambda: d.lambda, opts: d.opts,
-				full: d.full, val: val, base: base,
-			}
-			puts = append(puts, putEntry{
-				kind: d.kind, p: st.p, k: d.k, lambda: d.lambda,
-				o: buildOptions(d.opts), val: val,
-			})
+			kept = append(kept, sh)
 		}
-		swaps = append(swaps, swap{old: st, new: st2})
+		a.shapes = kept
 	}
 
 	return func() {
 		m.warm.mu.Lock()
-		for _, s := range swaps {
-			if cur, ok := m.warm.states[s.old.text]; !ok || cur == s.old {
-				m.warm.states[s.old.text] = s.new
-			}
-		}
-		for _, st := range drops {
-			if m.warm.states[st.text] == st {
-				delete(m.warm.states, st.text)
+		for _, a := range work {
+			switch {
+			case m.warm.entries[a.old.text] != a.e:
+				// Replaced (LRU, or a newer admission) while we advanced.
+			case a.new == nil:
+				delete(m.warm.entries, a.old.text)
+			default:
+				a.e.st, a.e.shapes = a.new, a.shapes
 			}
 		}
 		m.warm.mu.Unlock()
-		// Every advanced entry is re-keyed with the post-delta version: the
+		// Every advanced answer is re-keyed with the post-delta version: the
 		// old-version entries become unreachable the moment g2 is published,
 		// exactly as if they had been invalidated — except their successors
 		// are already warm.
 		ver := g2.Version()
-		for _, pe := range puts {
-			key, err := queryKey(pe.kind, ver, pe.p, pe.k, pe.lambda, pe.o)
-			if err != nil {
+		for _, a := range work {
+			if a.new == nil {
 				continue
 			}
-			m.cache.PutAdvanced(key, pe.val)
+			for _, sh := range a.shapes {
+				m.cache.PutAdvanced(queryKey(sh.q, ver, a.old.text), sh.ans.val)
+			}
 		}
-		if evicted > 0 {
-			m.advanceEvicted.Add(evicted)
-		}
+		m.advanceEvicted.Add(evicted)
 	}
 }

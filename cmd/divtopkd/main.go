@@ -28,21 +28,16 @@
 //
 //	divtopkd -listen :8372 -graph social=social.txt -data-dir /var/lib/divtopkd -fsync always
 //
-// Measure it (self-contained: generates a graph and a query workload,
-// serves on a loopback port, fires the load generator, prints throughput,
-// latency percentiles and cache hit rate):
-//
-//	divtopkd -loadgen -loadgen-requests 5000 -loadgen-concurrency 32
+// Measuring it is the tracked benchmark's job (benchmark/README.md): it
+// builds this command, spawns it as a child and drives it over loopback.
 package main
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -51,7 +46,6 @@ import (
 	"time"
 
 	"divtopk"
-	"divtopk/internal/bench"
 	"divtopk/internal/server"
 	"divtopk/internal/wal"
 )
@@ -78,17 +72,6 @@ func main() {
 	fsyncPolicy := flag.String("fsync", "always", "WAL fsync policy: always, interval or never")
 	fsyncInterval := flag.Duration("fsync-interval", 100*time.Millisecond, "flush interval for -fsync interval")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between WAL-to-checkpoint rotations (0 = default, negative = shutdown only)")
-
-	loadgen := flag.Bool("loadgen", false, "run the self-contained load generator instead of serving")
-	lgRequests := flag.Int("loadgen-requests", 5000, "loadgen: total requests")
-	lgConcurrency := flag.Int("loadgen-concurrency", 16, "loadgen: concurrent clients")
-	lgDistinct := flag.Int("loadgen-distinct", 8, "loadgen: distinct queries cycled through")
-	lgK := flag.Int("loadgen-k", 10, "loadgen: k per query")
-	lgLambda := flag.Float64("loadgen-lambda", 0.5, "loadgen: lambda for -loadgen-diversified")
-	lgDiversified := flag.Bool("loadgen-diversified", false, "loadgen: use /v1/query/diversified")
-	lgNodes := flag.Int("loadgen-nodes", 8_000, "loadgen: generated graph nodes")
-	lgEdges := flag.Int("loadgen-edges", 80_000, "loadgen: generated graph edges")
-	lgUpdateEvery := flag.Int("loadgen-update-every", 0, "loadgen: make every Nth request a graph update (0 = read-only workload)")
 	flag.Parse()
 
 	opts := []divtopk.Option{divtopk.Parallelism(*parallelism)}
@@ -101,11 +84,6 @@ func main() {
 		MaxConcurrent:  *maxConcurrent,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-	}
-
-	if *loadgen {
-		runLoadgen(cfg, opts, *lgRequests, *lgConcurrency, *lgDistinct, *lgK, *lgLambda, *lgDiversified, *lgNodes, *lgEdges, *lgUpdateEvery)
-		return
 	}
 
 	var reg *server.Registry
@@ -131,7 +109,7 @@ func main() {
 		reg = server.NewRegistry(opts...)
 	}
 	if len(graphs) == 0 && reg.Len() == 0 {
-		fmt.Fprintln(os.Stderr, "divtopkd: at least one -graph name=path is required (or -loadgen, or a -data-dir with recovered graphs)")
+		fmt.Fprintln(os.Stderr, "divtopkd: at least one -graph name=path is required (or a -data-dir with recovered graphs)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -188,69 +166,4 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
-}
-
-// runLoadgen generates a graph and a distinct-query workload, serves them
-// on a loopback port, and fires the bench load generator at it. With
-// updateEvery > 0 the workload is mixed: every Nth request applies a graph
-// delta through the updates endpoint.
-func runLoadgen(cfg server.Config, opts []divtopk.Option, requests, concurrency, distinct, k int, lambda float64, diversified bool, nodes, edges, updateEvery int) {
-	log.Printf("loadgen: generating graph (%d nodes, %d edges)", nodes, edges)
-	g := divtopk.NewYouTubeLike(nodes, edges, 1)
-	var patterns []string
-	for seed := int64(1); len(patterns) < distinct; seed++ {
-		// Bound the retries: on a degenerate graph (too small or too sparse
-		// to mine instances from) the generator fails for every seed, and an
-		// unbounded loop would hang the benchmark silently.
-		if seed > int64(8*distinct) {
-			log.Fatalf("loadgen: generated only %d of %d patterns after %d seeds; use a larger -loadgen-nodes/-loadgen-edges", len(patterns), distinct, seed-1)
-		}
-		q, err := divtopk.GeneratePattern(g, 4, 6, seed%2 == 0, false, seed)
-		if err != nil {
-			continue
-		}
-		var buf bytes.Buffer
-		if err := divtopk.WritePattern(&buf, q); err != nil {
-			log.Fatal(err)
-		}
-		patterns = append(patterns, buf.String())
-	}
-
-	start := time.Now()
-	reg := server.NewRegistry(opts...)
-	if err := reg.Add("bench", g); err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("loadgen: session warmed in %s", time.Since(start).Round(time.Millisecond))
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := &http.Server{Handler: server.New(reg, cfg).Handler()}
-	go func() {
-		if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	}()
-	defer srv.Close()
-
-	baseURL := "http://" + ln.Addr().String()
-	log.Printf("loadgen: %d requests, %d clients, %d distinct queries against %s",
-		requests, concurrency, len(patterns), baseURL)
-	rep, err := bench.ServeLoad(bench.ServingConfig{
-		BaseURL:     baseURL,
-		Graph:       "bench",
-		Patterns:    patterns,
-		K:           k,
-		Lambda:      lambda,
-		Diversified: diversified,
-		Requests:    requests,
-		Concurrency: concurrency,
-		UpdateEvery: updateEvery,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(rep)
 }

@@ -74,9 +74,9 @@
 // and swapped in atomically with the graph, and because the snapshot
 // version participates in every cache key, a result cached before an
 // update can never be served after it (hot entries are advanced to the new
-// version at commit time — see the Warm cache section). TopKWithVersion and
-// TopKDiversifiedWithVersion report the snapshot version behind each
-// answer; the serving layer exposes updates as
+// version at commit time — see the Warm cache section). TopKInfo and
+// TopKDiversifiedInfo report the snapshot version (and cache provenance)
+// behind each answer; the serving layer exposes updates as
 // POST /v1/graphs/{name}/updates and echoes the version in every response.
 //
 // Concurrent updates group-commit: Delta.Merge combines deltas sharing one
@@ -98,9 +98,8 @@
 // membership changes, ancestor closures of successor-set changes, and
 // cyclicity flips, masked against each label's reachability — running the
 // per-label partial recomputes in parallel, copying every unaffected row,
-// and falling back to a full rebuild of the warmed labels past an adaptive
-// recomputed-share ratio (default 0.25, WithIndexRebuildRatio). A
-// mismatched snapshot version is a hard error; the fresh-warm path remains
+// and falling back to a full rebuild of the warmed labels once the
+// recomputed share passes a quarter of the index. A mismatched snapshot version is a hard error; the fresh-warm path remains
 // the correctness oracle, enforced by randomized delta-chain fuzz for both
 // count modes. Matcher.UpdateWithStats (and the daemon's "index" response
 // object) reports the maintenance mode, batch width, affected share,
@@ -110,10 +109,9 @@
 // internal/simulation.IncCompute: it maintains the simulation fixpoint and
 // product CSR incrementally over the delta's affected area — sharing the
 // same closure-traversal helper (graph.Expand) and the same two-level
-// fallback discipline as the index advance — with the simdelta and
-// boundadv rows of the tracked baseline measuring both maintenance layers
-// against from-scratch recomputation. See the README's "Dynamic graphs"
-// section.
+// fallback discipline as the index advance — with the tracked benchmark's
+// simulation.inc_* and core.bounds_* layers timing both. See the README's
+// "Dynamic graphs" section.
 //
 // # Warm cache
 //
@@ -125,10 +123,14 @@
 // cached results from it, installing them under the new version's keys, so
 // the first post-commit query is a hit that reports provenance "advanced"
 // (TopKInfo/TopKDiversifiedInfo, and the daemon's "cache" response field)
-// rather than a cold evaluation. Past a work-share ratio
-// (WithCacheAdvanceRatio, default 0.25) the pass evicts instead — the knob
-// trades commit latency against post-commit query latency and never changes
-// answers. Admission is containment-aware: a pattern whose node conditions
+// rather than a cold evaluation. Once a delta's affected share of a
+// pattern's product passes a quarter the pass evicts instead — the
+// threshold trades commit latency against post-commit query latency and
+// never changes answers. All of it is one evaluation path: every query
+// route resolves into one query value and one evaluate function, and
+// "cold", "seeded" and "advanced" only name where that function's stage
+// inputs (candidates, product, fixpoint, previous answer) came from.
+// Admission is containment-aware: a pattern whose node conditions
 // are subsumed by a cached pattern's nodes (same label, predicate subset)
 // seeds its candidate lists from the cached superset's maintained lists and
 // reports "seeded". CacheStats counts advanced, seeded and advance-evicted
@@ -162,13 +164,12 @@
 // per query and shared by simulation refinement, relevant-set computation
 // (SCC condensation in reverse topological order, interior bitsets pooled
 // in a bitset.Arena, levels sharded over Parallelism workers) and the
-// incremental engine's propagation. The pre-CSR kernel is retained behind
-// an options knob as the frozen reference: determinism tests prove both
-// kernels byte-identical at every Parallelism setting, and
-// cmd/divtopk-bench measures them side by side on a fixed-seed 150k-node
-// generator graph, emitting the tracked baseline committed as
-// BENCH_PR9.json (see the README's "Performance" section for how to run
-// and read it).
+// incremental engine's propagation. The pre-CSR kernel is retained, frozen,
+// as a test oracle (internal/simulation/reference.go, internal/oracle):
+// determinism tests prove the shipped kernel byte-identical to it at every
+// Parallelism setting, and nothing outside tests can select it. End-to-end
+// and per-layer timings come from the tracked benchmark (BENCHMARK.json;
+// see benchmark/README.md for how to run and read it).
 //
 // # Static analysis
 //
@@ -206,6 +207,6 @@
 //	go build ./... && go test ./...
 //
 // See the examples/ directory for runnable end-to-end scenarios, README.md
-// for an overview, DESIGN.md for the architecture, and EXPERIMENTS.md for
-// the reproduction of the paper's evaluation.
+// for an overview and the architecture, and cmd/experiments for the
+// reproduction of the paper's evaluation.
 package divtopk

@@ -1,8 +1,6 @@
 package divtopk
 
 import (
-	"fmt"
-
 	"divtopk/internal/graph"
 	"divtopk/internal/ranking"
 )
@@ -11,16 +9,6 @@ import (
 // [0,1] — including NaN and ±Inf, which a naive "< 0 || > 1" check lets
 // through to silently produce NaN objective values. Match it with errors.Is.
 var ErrLambdaRange = ranking.ErrLambdaRange
-
-// validateLambda rejects λ ∉ [0,1] with the structured error. Written as a
-// negated conjunction so NaN (for which both λ < 0 and λ > 1 are false)
-// fails too.
-func validateLambda(lambda float64) error {
-	if !(lambda >= 0 && lambda <= 1) {
-		return fmt.Errorf("%w (got %v)", ErrLambdaRange, lambda)
-	}
-	return nil
-}
 
 // Delta is a batch of graph updates: node appends, edge inserts, edge
 // deletes. Build one with its methods and apply it with ApplyDelta or

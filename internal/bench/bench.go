@@ -2,10 +2,10 @@
 // figure of the paper's evaluation (§6, Fig. 4 and Fig. 5a-l), plus the
 // λ-sensitivity result stated in the text and two ablations (upper-bound
 // index modes, pattern shape). Each experiment returns a Figure whose rows
-// and series mirror the paper's plots; cmd/experiments prints them and
-// EXPERIMENTS.md records paper-vs-measured shapes.
+// and series mirror the paper's plots, with the paper's expected shape in
+// Figure.Notes; cmd/experiments prints both.
 //
-// Graphs are ~100× smaller than the paper's by default (see DESIGN.md §2.2);
+// Graphs are ~100× smaller than the paper's by default (see ScaleSmall);
 // the Scale presets control absolute sizes, and the claims checked are about
 // shape (who wins, by what rough factor, how trends move), not seconds.
 package bench
@@ -48,7 +48,7 @@ type Scale struct {
 // fewer nodes than the paper's graphs this restores the match multiplicity
 // regime its experiments operate in (hundreds of matches per query — e.g.
 // ≥180 for YouTube |Q|=(4,8), §6 Exp-1), which is what the MR and
-// early-termination dynamics depend on. See DESIGN.md §2.2.
+// early-termination dynamics depend on.
 var ScaleSmall = Scale{
 	Name:       "small",
 	YouTube:    [2]int{12_000, 120_000},
@@ -95,7 +95,7 @@ type Figure struct {
 	YLabel string
 	Series []string
 	Rows   []Row
-	// Notes records the paper's expected shape for EXPERIMENTS.md.
+	// Notes records the paper's expected shape, printed under the table.
 	Notes string
 }
 

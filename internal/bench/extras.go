@@ -38,9 +38,10 @@ func Lambda(sc Scale) *Figure {
 	return f
 }
 
-// AblationBounds compares the three upper-bound index modes (DESIGN.md
-// §2.3): the tight candidate-product bound against the label-count and
-// cheap descendant-sum bounds, in examined matches (MR) and time.
+// AblationBounds compares the three upper-bound index modes
+// (core.BoundMode): the tight candidate-product bound against the
+// label-count and cheap descendant-sum bounds, in examined matches (MR) and
+// time.
 func AblationBounds(sc Scale) *Figure {
 	d := newDatasets(sc)
 	n, m := sc.SynthBase[0]*2, sc.SynthBase[1]*2
@@ -221,7 +222,7 @@ func relSubgraphSize(g *graph.Graph, res *core.Result, m core.Match) int {
 // neighborhoods and MR settles near its 40-45%; at the ~100× smaller scales
 // this harness runs, one batch of leaf feeding supports most candidates and
 // MR saturates — this figure documents that trend honestly so the Fig. 5a-c
-// absolute values can be read in context (see EXPERIMENTS.md).
+// absolute values can be read in context.
 func MRScale(sc Scale) *Figure {
 	d := newDatasets(sc)
 	f := &Figure{

@@ -16,7 +16,7 @@ import (
 // evaluations — each miss runs the loader exactly once — while Coalesced
 // counts callers that piggybacked on an evaluation already in flight and
 // Hits counts callers served from a stored entry. Hits + Misses + Coalesced
-// equals the number of Do/DoStatus calls. Advanced counts entries installed
+// equals the number of DoStatus calls. Advanced counts entries installed
 // by the commit-time advance pass (PutAdvanced); Seeded counts admitted
 // evaluations that reported containment seeding.
 type Stats struct {
@@ -29,7 +29,7 @@ type Stats struct {
 	Entries   int
 }
 
-// Outcome describes how one Do/DoStatus call was served; the serving layer
+// Outcome describes how one DoStatus call was served; the serving layer
 // reports it verbatim in query responses.
 type Outcome string
 
@@ -90,25 +90,15 @@ func New(capacity int) *Cache {
 	}
 }
 
-// Do returns the value stored under key, evaluating fn on a miss. At most
-// one evaluation per key runs at a time: concurrent callers of a missing
-// key block until the leader's fn returns, then share its result. A
+// DoStatus returns the value stored under key, evaluating fn on a miss. At
+// most one evaluation per key runs at a time: concurrent callers of a
+// missing key block until the leader's fn returns, then share its result. A
 // successful value is stored (evicting the least recently used entry past
 // capacity); an error is delivered to the leader and every waiter but is
-// not cached, so the next caller retries.
-func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
-	//lint:allow verkey internal delegation: key discipline is the admission caller's, enforced at their call sites
-	v, _, err := c.DoStatus(key, func() (any, bool, error) {
-		v, err := fn()
-		return v, false, err
-	})
-	return v, err
-}
-
-// DoStatus is Do with provenance: the loader additionally reports whether
-// its evaluation was containment-seeded from a cached superset entry, and
-// the call returns how it was served (hit, miss, advanced or seeded).
-// Coalesced callers are reported with their leader's outcome.
+// not cached, so the next caller retries. The loader additionally reports
+// whether its evaluation was containment-seeded from a cached superset
+// entry, and the call returns how it was served (hit, miss, advanced or
+// seeded); coalesced callers are reported with their leader's outcome.
 func (c *Cache) DoStatus(key string, fn func() (any, bool, error)) (any, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {

@@ -10,15 +10,15 @@ import (
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	load := func(v string) func() (any, error) {
-		return func() (any, error) { return v, nil }
+	load := func(v string) func() (any, bool, error) {
+		return func() (any, bool, error) { return v, false, nil }
 	}
-	if v, _ := c.Do("a", load("va")); v != "va" {
+	if v, _, _ := c.DoStatus("a", load("va")); v != "va" {
 		t.Fatalf("got %v", v)
 	}
-	c.Do("b", load("vb"))
-	c.Do("a", load("never")) // refresh a: b is now the LRU entry
-	c.Do("c", load("vc"))    // evicts b
+	c.DoStatus("b", load("vb"))
+	c.DoStatus("a", load("never")) // refresh a: b is now the LRU entry
+	c.DoStatus("c", load("vc"))    // evicts b
 	s := c.Stats()
 	if s.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", s.Evictions)
@@ -26,14 +26,14 @@ func TestLRUEviction(t *testing.T) {
 	if s.Entries != 2 {
 		t.Fatalf("entries = %d, want 2", s.Entries)
 	}
-	// a survived the eviction because Do("a") refreshed its recency...
+	// a survived the eviction because the hit on "a" refreshed its recency...
 	evals := 0
-	c.Do("a", func() (any, error) { evals++; return nil, nil })
+	c.DoStatus("a", func() (any, bool, error) { evals++; return nil, false, nil })
 	if evals != 0 {
 		t.Fatal("a should still be cached")
 	}
 	// ...and b is the entry that went.
-	c.Do("b", func() (any, error) { evals++; return "vb2", nil })
+	c.DoStatus("b", func() (any, bool, error) { evals++; return "vb2", false, nil })
 	if evals != 1 {
 		t.Fatalf("b should have been evicted and re-evaluated, evals=%d", evals)
 	}
@@ -52,11 +52,11 @@ func TestSingleflightCoalesces(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = c.Do("k", func() (any, error) {
+			results[i], _, _ = c.DoStatus("k", func() (any, bool, error) {
 				once.Do(func() { close(started) })
 				<-gate
 				evals++
-				return 42, nil
+				return 42, false, nil
 			})
 		}(i)
 	}
@@ -83,11 +83,11 @@ func TestSingleflightCoalesces(t *testing.T) {
 func TestErrorsNotCached(t *testing.T) {
 	c := New(4)
 	boom := errors.New("boom")
-	if _, err := c.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := c.DoStatus("k", func() (any, bool, error) { return nil, false, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 	evals := 0
-	v, err := c.Do("k", func() (any, error) { evals++; return "ok", nil })
+	v, _, err := c.DoStatus("k", func() (any, bool, error) { evals++; return "ok", false, nil })
 	if err != nil || v != "ok" || evals != 1 {
 		t.Fatalf("error was cached: v=%v err=%v evals=%d", v, err, evals)
 	}
@@ -103,7 +103,7 @@ func TestPanickingLoaderDoesNotWedgeKey(t *testing.T) {
 				t.Error("leader's panic did not propagate")
 			}
 		}()
-		c.Do("k", func() (any, error) {
+		c.DoStatus("k", func() (any, bool, error) {
 			close(started)
 			<-started // already closed; just a visible ordering point
 			panic("boom")
@@ -112,20 +112,20 @@ func TestPanickingLoaderDoesNotWedgeKey(t *testing.T) {
 	<-started
 	// A caller coalescing onto the doomed flight must unblock with an
 	// error, not hang (we may also race past the flight teardown and become
-	// the next leader — either way Do must return).
+	// the next leader — either way DoStatus must return).
 	go func() {
-		_, err := c.Do("k", func() (any, error) { return "recovered", nil })
+		_, _, err := c.DoStatus("k", func() (any, bool, error) { return "recovered", false, nil })
 		waiterDone <- err
 	}()
 	select {
 	case <-waiterDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Do wedged after the loader panicked")
+		t.Fatal("DoStatus wedged after the loader panicked")
 	}
 	// The key is not poisoned: a fresh evaluation succeeds.
-	v, err := c.Do("k", func() (any, error) { return "ok", nil })
+	v, _, err := c.DoStatus("k", func() (any, bool, error) { return "ok", false, nil })
 	if err != nil || (v != "ok" && v != "recovered") {
-		t.Fatalf("post-panic Do = %v, %v", v, err)
+		t.Fatalf("post-panic DoStatus = %v, %v", v, err)
 	}
 }
 
@@ -138,9 +138,9 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				key := fmt.Sprintf("k%d", j%32)
-				v, err := c.Do(key, func() (any, error) { return key, nil })
+				v, _, err := c.DoStatus(key, func() (any, bool, error) { return key, false, nil })
 				if err != nil || v != key {
-					t.Errorf("Do(%s) = %v, %v", key, v, err)
+					t.Errorf("DoStatus(%s) = %v, %v", key, v, err)
 					return
 				}
 			}
@@ -172,12 +172,6 @@ func TestPutAdvancedOneShotOutcome(t *testing.T) {
 	v, out, _ = c.DoStatus("k", loader)
 	if v != "v2" || out != OutcomeAdvanced {
 		t.Fatalf("after re-advance = (%v, %v), want (v2, advanced)", v, out)
-	}
-	// A plain Do hit consumes the tag invisibly (Do discards the outcome)
-	// without disturbing the stored value.
-	c.PutAdvanced("k", "v3")
-	if v, err := c.Do("k", func() (any, error) { return nil, errors.New("no") }); err != nil || v != "v3" {
-		t.Fatalf("Do on advanced entry = (%v, %v)", v, err)
 	}
 }
 

@@ -11,6 +11,12 @@
 // discovered matches' smallest lower bound dominates every other live
 // candidate's upper bound — without computing the entire M(Q,G).
 //
+// There is one kernel: both the engine and the find-all baseline run over
+// the materialized product CSR, optionally handed pre-settled stage inputs
+// through Options.Prebuilt. The frozen pre-CSR implementation survives as a
+// test oracle only (simulation/reference.go, composed into a Result by
+// internal/oracle); nothing in this package can select it.
+//
 // # The engine and why its counters are sound
 //
 // The engine works on the candidate product graph (simulation.Product): one

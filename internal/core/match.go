@@ -21,11 +21,12 @@ func MatchBaseline(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool) (*R
 }
 
 // MatchBaselineOpts is MatchBaseline with engine options; only
-// Options.Parallelism and Options.Kernel are consulted (the baseline has no
-// feeding strategy or bounds to tune). Candidate computation fans out over
-// data-node shards, and with the default CSR kernel the product adjacency is
-// built once and shared between refinement and the relevant-set kernel; the
-// result is identical for every worker count and for both kernels.
+// Options.Parallelism and Options.Prebuilt are consulted (the baseline has
+// no feeding strategy or bounds to tune). Candidate computation fans out
+// over data-node shards, and the product adjacency is built once and shared
+// between refinement and the relevant-set kernel; the result is identical
+// for every worker count, and to the frozen reference kernel's
+// (internal/oracle, which the tests compare against).
 func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool, opts Options) (*Result, error) {
 	if err := validateInputs(g, k); err != nil {
 		return nil, err
@@ -46,22 +47,15 @@ func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool,
 		sim  *simulation.Result
 		prod *simulation.Product
 	)
-	if opts.Kernel == KernelReference {
-		// The reference kernel recomputes the fixpoint on purpose: it is the
-		// oracle side of the determinism tests, so it takes at most the
-		// candidate index from Prebuilt.
-		sim = simulation.ComputeReference(g, p, ci)
+	if opts.Prebuilt != nil && opts.Prebuilt.Prod != nil {
+		prod = opts.Prebuilt.Prod
 	} else {
-		if opts.Prebuilt != nil && opts.Prebuilt.Prod != nil {
-			prod = opts.Prebuilt.Prod
-		} else {
-			prod = simulation.BuildProduct(g, p, ci, opts.Workers())
-		}
-		if opts.Prebuilt != nil && opts.Prebuilt.Sim != nil {
-			sim = opts.Prebuilt.Sim
-		} else {
-			sim = simulation.ComputeWithProduct(prod)
-		}
+		prod = simulation.BuildProduct(g, p, ci, opts.Workers())
+	}
+	if opts.Prebuilt != nil && opts.Prebuilt.Sim != nil {
+		sim = opts.Prebuilt.Sim
+	} else {
+		sim = simulation.ComputeWithProduct(prod)
 	}
 	space := simulation.BuildRelSpace(g, p, sim.CI, an)
 	res := &Result{
@@ -77,12 +71,7 @@ func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool,
 		return res, nil
 	}
 
-	var rel *simulation.RelevantResult
-	if opts.Kernel == KernelReference {
-		rel = simulation.ComputeRelevantReference(g, p, ci, an, space, sim.InSim, p.Output(), keepSets)
-	} else {
-		rel = simulation.ComputeRelevant(prod, an, space, sim.InSim, p.Output(), keepSets, opts.Workers())
-	}
+	rel := simulation.ComputeRelevant(prod, an, space, sim.InSim, p.Output(), keepSets, opts.Workers())
 	lo, hi := sim.CI.PairRange(p.Output())
 	for q := lo; q < hi; q++ {
 		if !sim.InSim[q] {

@@ -1,4 +1,7 @@
-package core
+package core_test
+
+// An external test package: the reference side comes from internal/oracle,
+// which imports core.
 
 import (
 	"fmt"
@@ -6,7 +9,9 @@ import (
 	"reflect"
 	"testing"
 
+	"divtopk/internal/core"
 	"divtopk/internal/graph"
+	"divtopk/internal/oracle"
 	"divtopk/internal/pattern"
 	"divtopk/internal/simulation"
 )
@@ -40,22 +45,22 @@ func TestPrebuiltEvalDeltaChainKernelEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dict := graph.NewDict()
-			g := randomAdvGraph(rng, 24+rng.Intn(30), 90+rng.Intn(120), labels, dict)
+			g := core.RandomAdvGraph(rng, 24+rng.Intn(30), 90+rng.Intn(120), labels, dict)
 			p := randomPrebuiltPattern(rng, labels)
 			inc := simulation.NewIncState(g, p, 1)
 
 			check := func(step int) {
-				pre := &PrebuiltEval{CI: inc.CI, Prod: inc.Prod, Sim: inc.Res}
+				pre := &core.PrebuiltEval{CI: inc.CI, Prod: inc.Prod, Sim: inc.Res}
 				for _, workers := range []int{1, 8} {
-					warm, err := MatchBaselineOpts(g, p, 8, true, Options{Parallelism: workers, Prebuilt: pre})
+					warm, err := core.MatchBaselineOpts(g, p, 8, true, core.Options{Parallelism: workers, Prebuilt: pre})
 					if err != nil {
 						t.Fatalf("step %d w%d: %v", step, workers, err)
 					}
-					cold, err := MatchBaselineOpts(g, p, 8, true, Options{Parallelism: workers})
+					cold, err := core.MatchBaselineOpts(g, p, 8, true, core.Options{Parallelism: workers})
 					if err != nil {
 						t.Fatalf("step %d w%d: %v", step, workers, err)
 					}
-					ref, err := MatchBaselineOpts(g, p, 8, true, Options{Parallelism: workers, Kernel: KernelReference, Prebuilt: pre})
+					ref, err := oracle.MatchBaseline(g, p, 8, pre.CI)
 					if err != nil {
 						t.Fatalf("step %d w%d: %v", step, workers, err)
 					}
@@ -66,11 +71,11 @@ func TestPrebuiltEvalDeltaChainKernelEquivalence(t *testing.T) {
 
 					// The engine family consumes CI and product from Prebuilt
 					// but always re-runs propagation on its own counters.
-					eWarm, err := TopK(g, p, 5, Options{Parallelism: workers, Prebuilt: pre})
+					eWarm, err := core.TopK(g, p, 5, core.Options{Parallelism: workers, Prebuilt: pre})
 					if err != nil {
 						t.Fatalf("step %d w%d engine: %v", step, workers, err)
 					}
-					eCold, err := TopK(g, p, 5, Options{Parallelism: workers})
+					eCold, err := core.TopK(g, p, 5, core.Options{Parallelism: workers})
 					if err != nil {
 						t.Fatalf("step %d w%d engine: %v", step, workers, err)
 					}
@@ -82,7 +87,7 @@ func TestPrebuiltEvalDeltaChainKernelEquivalence(t *testing.T) {
 
 			check(-1)
 			for step := 0; step < 10; step++ {
-				d := randomAdvDelta(rng, g, labels)
+				d := core.RandomAdvDelta(rng, g, labels)
 				g2, err := graph.ApplyDelta(g, d)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
@@ -102,7 +107,7 @@ func TestPrebuiltEvalDeltaChainKernelEquivalence(t *testing.T) {
 // tolerating kernel-internal representation differences (the reference
 // kernel builds its relevant-set space in the same canonical order, so in
 // practice everything but private bitset backing arrays matches).
-func assertSameAnswers(t *testing.T, label string, a, b *Result) {
+func assertSameAnswers(t *testing.T, label string, a, b *core.Result) {
 	t.Helper()
 	if a.GlobalMatch != b.GlobalMatch {
 		t.Fatalf("%s: GlobalMatch %v vs %v", label, a.GlobalMatch, b.GlobalMatch)

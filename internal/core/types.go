@@ -61,32 +61,6 @@ func (b BoundMode) String() string {
 	}
 }
 
-// Kernel selects the evaluation kernel of the full-evaluation paths (the
-// find-all baseline and everything riding it, e.g. TopKDiv).
-type Kernel int
-
-const (
-	// KernelCSR is the default: refinement and relevant-set computation run
-	// over the materialized product CSR (simulation.Product) with the
-	// bitset-arena condensation kernel.
-	KernelCSR Kernel = iota
-	// KernelReference selects the frozen pre-CSR kernel (on-the-fly product
-	// edges through ci.Pair lookups, fresh bitsets per component). Results
-	// are byte-identical to KernelCSR — the determinism tests enforce it —
-	// so the knob exists only for A/B benchmarking (internal/bench) and as
-	// the oracle side of those tests. It is deliberately excluded from
-	// cache keys, like Parallelism.
-	KernelReference
-)
-
-// String names the kernel.
-func (k Kernel) String() string {
-	if k == KernelReference {
-		return "reference"
-	}
-	return "csr"
-}
-
 // Options tune the engine. The zero value is the paper's default
 // configuration (covering strategy, tight bounds, 16 feeding batches).
 type Options struct {
@@ -121,24 +95,20 @@ type Options struct {
 	// execution exactly. Results are identical for every setting — the
 	// parallel paths are deterministic by construction.
 	Parallelism int
-	// Kernel selects the evaluation kernel of the full-evaluation paths
-	// (default: the materialized product CSR). See Kernel.
-	Kernel Kernel
 	// Prebuilt, if non-nil, supplies evaluation state already settled for
 	// this exact (graph, pattern) snapshot — the candidate index and,
 	// optionally, the product CSR and simulation fixpoint — so the run skips
 	// rebuilding them. The matcher's warm result cache populates it from
 	// delta-advanced IncStates; results are byte-identical by construction,
-	// which is why Prebuilt, like Parallelism and Kernel, is excluded from
-	// cache keys. Supplied state is shared read-only and never mutated.
+	// which is why Prebuilt, like Parallelism, is excluded from cache
+	// keys. Supplied state is shared read-only and never mutated.
 	Prebuilt *PrebuiltEval
 }
 
 // PrebuiltEval carries settled evaluation state of one (graph, pattern)
 // snapshot for Options.Prebuilt. CI is required when the struct is supplied;
-// Prod and Sim are optional refinements consumed by the CSR-kernel
-// full-evaluation path (the reference kernel and the engine take CI, the
-// engine additionally Prod). Every field must have been computed against the
+// Prod and Sim are optional refinements: the find-all path consumes both,
+// the engine CI and Prod (it re-runs propagation on its own counters). Every field must have been computed against the
 // exact graph and pattern of the call — the caller owns that contract.
 type PrebuiltEval struct {
 	CI   *simulation.CandidateIndex

@@ -8,6 +8,7 @@ import (
 	"divtopk/internal/core"
 	"divtopk/internal/gen"
 	"divtopk/internal/graph"
+	"divtopk/internal/oracle"
 )
 
 // dynState tracks the logical node/edge content of an evolving graph so a
@@ -85,6 +86,23 @@ func TestDynamicGraphDiversifiedEquivalence(t *testing.T) {
 				t.Fatalf("pattern generation: %v", err)
 			}
 			p := ps[0]
+			// TopKDiv under the shipped CSR kernel and under the frozen
+			// reference kernel (the oracle's find-all pool, re-ranked).
+			kernels := []struct {
+				name    string
+				topKDiv func(g *graph.Graph, par int) (*Result, error)
+			}{
+				{"csr", func(g *graph.Graph, par int) (*Result, error) {
+					return TopKDivOpts(g, p, k, lambda, core.Options{Parallelism: par})
+				}},
+				{"reference", func(g *graph.Graph, par int) (*Result, error) {
+					base, err := oracle.MatchBaseline(g, p, k, nil)
+					if err != nil {
+						return nil, err
+					}
+					return TopKDivFromBase(base, k, lambda, core.Options{Parallelism: par})
+				}},
+			}
 
 			st := &dynState{edges: map[[2]graph.NodeID]bool{}}
 			for v := 0; v < g.NumNodes(); v++ {
@@ -106,16 +124,15 @@ func TestDynamicGraphDiversifiedEquivalence(t *testing.T) {
 				g = g2
 				rebuilt := st.rebuild()
 
-				for _, kernel := range []core.Kernel{core.KernelCSR, core.KernelReference} {
+				for _, kernel := range kernels {
 					for _, par := range []int{1, 8} {
-						opts := core.Options{Kernel: kernel, Parallelism: par}
-						label := fmt.Sprintf("step %d kernel %s par %d", step, kernel, par)
+						label := fmt.Sprintf("step %d kernel %s par %d", step, kernel.name, par)
 
-						inc, err := TopKDivOpts(g, p, k, lambda, opts)
+						inc, err := kernel.topKDiv(g, par)
 						if err != nil {
 							t.Fatalf("%s: delta graph: %v", label, err)
 						}
-						ora, err := TopKDivOpts(rebuilt, p, k, lambda, opts)
+						ora, err := kernel.topKDiv(rebuilt, par)
 						if err != nil {
 							t.Fatalf("%s: rebuilt graph: %v", label, err)
 						}

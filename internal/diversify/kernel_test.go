@@ -9,6 +9,7 @@ import (
 	"divtopk/internal/core"
 	"divtopk/internal/gen"
 	"divtopk/internal/graph"
+	"divtopk/internal/oracle"
 )
 
 // serializeMatches renders a match slice byte-exactly: node, bounds,
@@ -60,17 +61,13 @@ func TestKernelOracleProperty(t *testing.T) {
 		}
 		p := ps[0]
 
-		refBase, err := core.MatchBaselineOpts(g, p, k, true, core.Options{
-			Kernel: core.KernelReference, Parallelism: 1,
-		})
+		refBase, err := oracle.MatchBaseline(g, p, k, nil)
 		if err != nil {
 			t.Fatalf("seed %d: reference baseline: %v", seed, err)
 		}
 		wantBase := serializeBaseline(refBase)
 
-		refDiv, err := TopKDivOpts(g, p, k, lambda, core.Options{
-			Kernel: core.KernelReference, Parallelism: 1,
-		})
+		refDiv, err := TopKDivFromBase(refBase, k, lambda, core.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("seed %d: reference TopKDiv: %v", seed, err)
 		}

@@ -5,7 +5,7 @@
 // algorithms are sensitive to — directed scale-free topology via the
 // linkage/preferential-attachment model the paper itself uses for its
 // synthetic data [12], matching label alphabets, the attributes its
-// patterns filter on, and (for Citation) acyclicity. See DESIGN.md §2.
+// patterns filter on, and (for Citation) acyclicity.
 //
 // Pattern workloads are instance-guided: every generated pattern is carved
 // out of an actual subgraph of the target graph, which guarantees a

@@ -120,16 +120,16 @@ func snapshotResults(t *testing.T, m *divtopk.Matcher, ps []*divtopk.Pattern) re
 		out[tag] = raw
 	}
 	for i, p := range ps {
-		res, ver, err := m.TopKWithVersion(p, 5)
+		res, info, err := m.TopKInfo(p, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(fmt.Sprintf("topk:%d", i), server.NewQueryResponse(res, ver))
-		dres, dver, err := m.TopKDiversifiedWithVersion(p, 5, 0.5)
+		put(fmt.Sprintf("topk:%d", i), server.NewQueryResponse(res, info.Version))
+		dres, dinfo, err := m.TopKDiversifiedInfo(p, 5, 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		put(fmt.Sprintf("div:%d", i), server.NewDiversifiedResponse(dres, dver))
+		put(fmt.Sprintf("div:%d", i), server.NewDiversifiedResponse(dres, dinfo.Version))
 	}
 	return out
 }

@@ -184,7 +184,7 @@ type DiversifiedResponse struct {
 // NewQueryResponse converts a library Result to its wire form. Exported so
 // tests and clients can compare a direct Matcher call byte-for-byte with a
 // server response. version is the snapshot version the result came from
-// (Matcher.TopKWithVersion reports it).
+// (QueryInfo.Version of Matcher.TopKInfo).
 func NewQueryResponse(res *divtopk.Result, version uint64) QueryResponse {
 	return QueryResponse{
 		GlobalMatch: res.GlobalMatch,

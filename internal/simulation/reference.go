@@ -9,15 +9,12 @@ import (
 // This file freezes the pre-CSR evaluation kernel: refinement and
 // relevant-set computation that re-derive product edges on the fly through
 // ci.Pair lookups over g.Out/g.In, exactly as the code shipped before the
-// materialized Product existed. It serves two purposes and is not used on
-// any production path:
-//
-//   - It is the oracle of the kernel determinism tests: the product-CSR
-//     kernel must produce byte-identical results at every Parallelism
-//     setting (core.KernelReference selects it end to end).
-//   - It is the "before" side of the tracked benchmark baseline
-//     (internal/bench/baseline.go, BENCH_PR3.json): speedup claims are
-//     measured against this path, in-process, on the same data.
+// materialized Product existed. It is a test oracle and nothing else: no
+// shipped path and no option selects it. The kernel determinism tests
+// compare the product-CSR kernel against ComputeReference and
+// ComputeRelevantReference directly, or end to end through internal/oracle
+// (which composes the two into a find-all result) — byte-identical at every
+// Parallelism setting.
 //
 // The only deliberate deviation from the historical code is the dense
 // childSlot table below (the historical map[int]int32 was pure overhead in

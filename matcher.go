@@ -1,7 +1,6 @@
 package divtopk
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -37,18 +36,21 @@ import (
 // query fingerprint, with singleflight admission — the serving layer in
 // internal/server builds on exactly this.
 type Matcher struct {
-	cur        atomic.Pointer[Graph]
-	updateMu   sync.Mutex // serializes Update (queries never take it)
-	base       []Option
-	workers    int
-	cache      *cache.Cache
-	indexRatio float64 // adaptive fallback of the index advance
+	cur      atomic.Pointer[Graph]
+	updateMu sync.Mutex // serializes Update (queries never take it)
+	base     []Option
+	workers  int
+	cache    *cache.Cache
+	// indexRatio and advanceRatio are the work shares past which a commit
+	// rebuilds the bound index, and evicts a warm pattern state, instead of
+	// advancing them. Zero — what NewMatcher leaves — is the 0.25 default of
+	// core.AdvanceOptions and simulation.IncOptions: past a quarter, seeding
+	// the partial passes costs as much as starting over. Answers are the same
+	// either way; only the equivalence fuzzes set these, to force both sides.
+	indexRatio, advanceRatio float64
 	// warm holds the per-pattern incremental states behind the result cache;
-	// advanceRatio is their advance-vs-evict work-share threshold (see
-	// WithCacheAdvanceRatio) and advanceEvicted counts states evicted by the
-	// commit-time advance pass.
+	// advanceEvicted counts states the commit-time advance pass evicted.
 	warm           warmRegistry
-	advanceRatio   float64
 	advanceEvicted atomic.Uint64
 	// durability, when set, must acknowledge every delta before the snapshot
 	// it produced is published; guarded by updateMu like all update state.
@@ -85,15 +87,11 @@ func NewMatcher(g *Graph, opts ...Option) *Matcher {
 	// is synchronized but serializes cold computations, so a fully warmed
 	// cache is what keeps concurrent queries contention-free.
 	g.boundsCache().Warm(nil)
-	m := &Matcher{
-		base:         opts,
-		workers:      parallel.Workers(o.engine.Parallelism),
-		indexRatio:   o.indexRatio,
-		advanceRatio: o.advanceRatio,
-	}
+	m := &Matcher{base: opts, workers: parallel.Workers(o.engine.Parallelism)}
 	m.cur.Store(g)
 	if o.cacheEntries > 0 {
 		m.cache = cache.New(o.cacheEntries)
+		m.warm.entries = make(map[string]*warmEntry)
 	}
 	return m
 }
@@ -164,7 +162,7 @@ func (m *Matcher) Update(d *Delta) (*Graph, error) {
 // new snapshot's bound index is advanced from the previous snapshot's off
 // to the side — recomputing only the rows and labels the delta's frontier
 // covers, in parallel per-label shards, with an adaptive fallback to a full
-// rebuild (see WithIndexRebuildRatio) — and swapped in together with the
+// rebuild past a quarter of the index — and swapped in together with the
 // graph, so queries never hit a cold index and never observe a half-applied
 // update; queries running concurrently with the update finish on the old
 // snapshot (and are cached under the old version, where no future query
@@ -295,73 +293,40 @@ func (m *Matcher) CacheStats() CacheStats {
 	}
 }
 
-// merged layers per-call options over the session defaults.
-func (m *Matcher) merged(opts []Option) []Option {
-	if len(opts) == 0 {
-		return m.base
-	}
-	out := make([]Option, 0, len(m.base)+len(opts))
-	out = append(out, m.base...)
-	return append(out, opts...)
-}
-
-// Query kinds for cache-key derivation.
-const (
-	kindTopK        = "topk:"
-	kindDiversified = "div:"
-)
-
-// queryKey returns the canonical cache key of one query: a hash over the
-// graph snapshot version, the query kind, k, λ, every result-affecting
-// option, and the pattern's text serialization (deterministic, so
-// structurally equal patterns share a key). The version participates so
-// that entries cached before a graph update can never be served after it —
-// stale entries become unreachable rather than scanned and age out of the
-// LRU. Parallelism is deliberately excluded — every worker count returns
-// identical results — and for the full-evaluation algorithms (baseline,
-// TopKDiv) the engine knobs that only steer early termination are
-// normalized away, so e.g. WithBatches(8) and WithBatches(32) share the
-// baseline's entry.
-func queryKey(kind string, version uint64, p *Pattern, k int, lambda float64, o options) (string, error) {
-	// Each entry point consults only its own algorithm flag: TopK ignores
-	// approx and TopKDiversified ignores baseline, so the irrelevant flag is
-	// dropped from the key (a session default for one family must not split
-	// or collide the other family's entries).
-	baseline, approx := o.baseline, o.approx
-	var full bool
-	if kind == kindTopK {
-		approx = false
-		full = baseline
-	} else {
-		baseline = false
-		full = approx
-	}
-	strategy, seed, batches, bounds := o.engine.Strategy, o.engine.Seed, o.engine.NumBatches, o.engine.Bounds
+// queryKey returns the canonical cache key of q on the pattern with
+// canonical text text (see patternText) at one graph snapshot version: a
+// hash over the three. The version participates so that entries cached
+// before a graph update can never be served after it — stale entries become
+// unreachable rather than scanned and age out of the LRU. What cannot change
+// the answer is normalized away: Parallelism and Prebuilt are left out —
+// every worker count and every provenance of the stage inputs returns
+// identical results — a seed counts only under random selection, and the
+// find-all kinds never early-terminate, so the feeding and bound knobs are
+// dropped for them (WithBatches(8) and WithBatches(32) share the baseline's
+// entry).
+func queryKey(q query, version uint64, text string) string {
+	strategy, seed, batches, bounds := q.eng.Strategy, q.eng.Seed, q.eng.NumBatches, q.eng.Bounds
 	if batches <= 0 {
 		batches = 16
 	}
 	if strategy != core.StrategyRandom {
 		seed = 0
 	}
-	if full {
-		// The full-evaluation algorithms never early-terminate, so the
-		// feeding/bound knobs cannot affect their results.
+	if q.kind.full() {
 		strategy, seed, batches, bounds = 0, 0, 0, 0
 	}
-	var buf bytes.Buffer
-	fmt.Fprintf(&buf, "%sv=%d|k=%d|lambda=%g|baseline=%v|approx=%v|strategy=%d|seed=%d|batches=%d|bounds=%d\n",
-		kind, version, k, lambda, baseline, approx, strategy, seed, batches, bounds)
-	if err := WritePattern(&buf, p); err != nil {
-		return "", fmt.Errorf("divtopk: canonicalizing pattern for cache key: %w", err)
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return kind + hex.EncodeToString(sum[:]), nil
+	// Field by field: printing a struct with %+v walks it by reflection, on
+	// every query, cache hits included.
+	sum := sha256.Sum256(fmt.Appendf(nil, "v=%d|kind=%d|k=%d|lambda=%g|strategy=%d|seed=%d|batches=%d|bounds=%d\n%s",
+		version, q.kind, q.k, q.lambda, strategy, seed, batches, bounds, text))
+	return hex.EncodeToString(sum[:])
 }
 
 // QueryInfo reports how the session answered one query.
 type QueryInfo struct {
 	// Version is the graph snapshot version the answer was computed (or
-	// cached) against.
+	// cached) against. A query racing an Update is answered consistently by
+	// exactly one snapshot, the one whose version is reported.
 	Version uint64 `json:"version"`
 	// Cache is the result-cache provenance of the answer — "hit", "miss",
 	// "advanced" (served from an entry the commit-time advance pass
@@ -372,51 +337,76 @@ type QueryInfo struct {
 	Cache string `json:"cache,omitempty"`
 }
 
-// TopK answers one top-k query on the session; see the package-level TopK.
-// Safe to call from multiple goroutines. With WithCache the returned Result
-// may be shared with other callers and must be treated as read-only.
-func (m *Matcher) TopK(p *Pattern, k int, opts ...Option) (*Result, error) {
-	res, _, err := m.topK(p, k, m.merged(opts))
-	return res, err
-}
-
-// TopKWithVersion is TopK reporting the graph snapshot version the answer
-// was computed (or cached) against — what the serving layer echoes in its
-// responses. A query racing an Update is answered consistently by exactly
-// one snapshot, the one whose version is returned.
-func (m *Matcher) TopKWithVersion(p *Pattern, k int, opts ...Option) (*Result, uint64, error) {
-	res, info, err := m.topK(p, k, m.merged(opts))
-	return res, info.Version, err
-}
-
-// TopKInfo is TopK reporting the full per-query provenance (snapshot
-// version and cache status) the serving layer surfaces in its responses.
-func (m *Matcher) TopKInfo(p *Pattern, k int, opts ...Option) (*Result, QueryInfo, error) {
-	return m.topK(p, k, m.merged(opts))
-}
-
-// topK runs one top-k query with an already-merged option slice against the
-// current snapshot, consulting the session cache when present. The snapshot
-// is loaded once: evaluation and cache key agree on it even mid-Update.
-func (m *Matcher) topK(p *Pattern, k int, merged []Option) (*Result, QueryInfo, error) {
+// run answers one query against the current snapshot, consulting the session
+// cache when present. The snapshot is loaded once: evaluation and cache key
+// agree on it even mid-Update. The value is a *Result or *DiversifiedResult
+// by q.kind (runAs restores the type), nil on error.
+func (m *Matcher) run(p *Pattern, q query) (any, QueryInfo, error) {
 	g := m.cur.Load()
 	info := QueryInfo{Version: g.Version()}
 	if m.cache == nil {
-		res, err := TopK(g, p, k, merged...)
-		return res, info, err
+		a, err := evaluate(g, p, q, nil, nil)
+		return a.val, info, err
 	}
-	key, err := queryKey(kindTopK, info.Version, p, k, 0, buildOptions(merged))
-	if err != nil {
+	if err := q.check(); err != nil {
 		return nil, info, err
 	}
-	v, outcome, err := m.cache.DoStatus(key, func() (any, bool, error) {
-		return m.warmLoad(g, p, kindTopK, k, 0, merged)
-	})
+	text := patternText(p)
+	key := queryKey(q, info.Version, text)
+	v, outcome, err := m.cache.DoStatus(key, func() (any, bool, error) { return m.load(g, p, text, q) })
 	if err != nil {
 		return nil, info, err
 	}
 	info.Cache = string(outcome)
-	return v.(*Result), info, nil
+	return v, info, nil
+}
+
+// runAs is run with the answer's static type restored.
+func runAs[R any](m *Matcher, p *Pattern, q query) (res R, info QueryInfo, err error) {
+	v, info, err := m.run(p, q)
+	if err == nil {
+		res = v.(R)
+	}
+	return res, info, err
+}
+
+// runBatch answers q on every pattern concurrently over the session's
+// bounded worker pool and returns the results in input order. The pool
+// already runs one query per core, so per-query parallelism defaults to 1
+// inside a batch (no oversubscription) unless the caller set Parallelism
+// explicitly — n <= 0 is the documented "all cores" default, so any
+// non-positive setting counts as unset.
+func runBatch[R any](m *Matcher, patterns []*Pattern, q query) ([]R, error) {
+	if q.eng.Parallelism <= 0 {
+		q.eng.Parallelism = 1
+	}
+	results := make([]R, len(patterns))
+	errs := make([]error, len(patterns))
+	pool := parallel.NewPool(m.workers)
+	for i := range patterns {
+		pool.Go(func() { results[i], _, errs[i] = runAs[R](m, patterns[i], q) })
+	}
+	pool.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("divtopk: batch query %d: %w", i, err)
+		}
+	}
+	return results, nil
+}
+
+// TopK answers one top-k query on the session; see the package-level TopK.
+// Safe to call from multiple goroutines. With WithCache the returned Result
+// may be shared with other callers and must be treated as read-only.
+func (m *Matcher) TopK(p *Pattern, k int, opts ...Option) (*Result, error) {
+	res, _, err := m.TopKInfo(p, k, opts...)
+	return res, err
+}
+
+// TopKInfo is TopK reporting the per-query provenance (snapshot version and
+// cache status) the serving layer surfaces in its responses.
+func (m *Matcher) TopKInfo(p *Pattern, k int, opts ...Option) (*Result, QueryInfo, error) {
+	return runAs[*Result](m, p, newQuery(false, k, 0, m.base, opts))
 }
 
 // TopKDiversified answers one diversified top-k query on the session; see
@@ -424,104 +414,24 @@ func (m *Matcher) topK(p *Pattern, k int, merged []Option) (*Result, QueryInfo, 
 // With WithCache the returned DiversifiedResult may be shared with other
 // callers and must be treated as read-only.
 func (m *Matcher) TopKDiversified(p *Pattern, k int, lambda float64, opts ...Option) (*DiversifiedResult, error) {
-	res, _, err := m.topKDiversified(p, k, lambda, m.merged(opts))
+	res, _, err := m.TopKDiversifiedInfo(p, k, lambda, opts...)
 	return res, err
-}
-
-// TopKDiversifiedWithVersion is TopKWithVersion's diversified counterpart.
-func (m *Matcher) TopKDiversifiedWithVersion(p *Pattern, k int, lambda float64, opts ...Option) (*DiversifiedResult, uint64, error) {
-	res, info, err := m.topKDiversified(p, k, lambda, m.merged(opts))
-	return res, info.Version, err
 }
 
 // TopKDiversifiedInfo is TopKInfo's diversified counterpart.
 func (m *Matcher) TopKDiversifiedInfo(p *Pattern, k int, lambda float64, opts ...Option) (*DiversifiedResult, QueryInfo, error) {
-	return m.topKDiversified(p, k, lambda, m.merged(opts))
+	return runAs[*DiversifiedResult](m, p, newQuery(true, k, lambda, m.base, opts))
 }
 
-// topKDiversified is topK's counterpart for the diversified entry point. λ
-// is validated before the cache key is derived: a NaN must surface as the
-// structured ErrLambdaRange, not as a poisoned fingerprint.
-func (m *Matcher) topKDiversified(p *Pattern, k int, lambda float64, merged []Option) (*DiversifiedResult, QueryInfo, error) {
-	g := m.cur.Load()
-	info := QueryInfo{Version: g.Version()}
-	if err := validateLambda(lambda); err != nil {
-		return nil, info, err
-	}
-	if m.cache == nil {
-		res, err := TopKDiversified(g, p, k, lambda, merged...)
-		return res, info, err
-	}
-	key, err := queryKey(kindDiversified, info.Version, p, k, lambda, buildOptions(merged))
-	if err != nil {
-		return nil, info, err
-	}
-	v, outcome, err := m.cache.DoStatus(key, func() (any, bool, error) {
-		return m.warmLoad(g, p, kindDiversified, k, lambda, merged)
-	})
-	if err != nil {
-		return nil, info, err
-	}
-	info.Cache = string(outcome)
-	return v.(*DiversifiedResult), info, nil
-}
-
-// batchOptions prepares the option slice for one query of a batch: the
-// worker pool already runs one query per core, so per-query parallelism
-// defaults to 1 inside a batch (no oversubscription) unless the caller set
-// Parallelism explicitly.
-func (m *Matcher) batchOptions(opts []Option) []Option {
-	merged := m.merged(opts)
-	// n <= 0 is the documented "all cores" default, so any non-positive
-	// setting counts as unset here.
-	if buildOptions(merged).engine.Parallelism <= 0 {
-		merged = append(merged[:len(merged):len(merged)], Parallelism(1))
-	}
-	return merged
-}
-
-// BatchTopK answers one top-k query per pattern concurrently over the
-// session's bounded worker pool and returns the results in input order
-// (duplicate patterns share one evaluation when the session caches). On
-// error it reports the first failing query by position; queries that
-// already finished are discarded.
+// BatchTopK answers one top-k query per pattern concurrently (see runBatch);
+// duplicate patterns share one evaluation when the session caches. On error
+// it reports the first failing query by position; queries that already
+// finished are discarded.
 func (m *Matcher) BatchTopK(patterns []*Pattern, k int, opts ...Option) ([]*Result, error) {
-	merged := m.batchOptions(opts)
-	results := make([]*Result, len(patterns))
-	errs := make([]error, len(patterns))
-	pool := parallel.NewPool(m.workers)
-	for i := range patterns {
-		pool.Go(func() {
-			results[i], _, errs[i] = m.topK(patterns[i], k, merged)
-		})
-	}
-	pool.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("divtopk: batch query %d: %w", i, err)
-		}
-	}
-	return results, nil
+	return runBatch[*Result](m, patterns, newQuery(false, k, 0, m.base, opts))
 }
 
-// BatchTopKDiversified is BatchTopK for diversified queries: one
-// TopKDiversified call per pattern, fanned out over the session pool,
-// results in input order.
+// BatchTopKDiversified is BatchTopK for diversified queries.
 func (m *Matcher) BatchTopKDiversified(patterns []*Pattern, k int, lambda float64, opts ...Option) ([]*DiversifiedResult, error) {
-	merged := m.batchOptions(opts)
-	results := make([]*DiversifiedResult, len(patterns))
-	errs := make([]error, len(patterns))
-	pool := parallel.NewPool(m.workers)
-	for i := range patterns {
-		pool.Go(func() {
-			results[i], _, errs[i] = m.topKDiversified(patterns[i], k, lambda, merged)
-		})
-	}
-	pool.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("divtopk: batch query %d: %w", i, err)
-		}
-	}
-	return results, nil
+	return runBatch[*DiversifiedResult](m, patterns, newQuery(true, k, lambda, m.base, opts))
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -21,12 +22,12 @@ import (
 // worker counts 1 and 8, and all three advance policies.
 func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 	modes := []struct {
-		name string
-		opts []Option
+		name  string
+		ratio float64 // Matcher.advanceRatio: 0 = default, >= 1 never evicts
 	}{
-		{"adaptive", nil},
-		{"force-advance", []Option{WithCacheAdvanceRatio(1)}},
-		{"force-evict", []Option{WithCacheAdvanceRatio(1e-9)}},
+		{"adaptive", 0},
+		{"force-advance", 1},
+		{"force-evict", 1e-9},
 	}
 	type querySpec struct {
 		name string
@@ -72,10 +73,11 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			var sessions []session
 			for _, mode := range modes {
 				for _, par := range []int{1, 8} {
-					opts := append([]Option{WithCache(64), Parallelism(par)}, mode.opts...)
+					warm := NewMatcher(base, WithCache(64), Parallelism(par))
+					warm.advanceRatio = mode.ratio
 					sessions = append(sessions, session{
 						name: fmt.Sprintf("%s/p%d", mode.name, par),
-						warm: NewMatcher(base, opts...),
+						warm: warm,
 						ref:  NewMatcher(base, Parallelism(par)),
 						par:  par,
 					})
@@ -144,4 +146,197 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestWarmRegistryConcurrentQueriesAndCommits races queries that each
+// register a fresh shape (random k) on one hot pattern against a chain of
+// commits advancing that pattern's state. The registry's mutable parts —
+// which state an entry holds, its recency tick, its shapes — are touched
+// under its lock only, so this must be clean under -race (it was not while
+// queries wrote ticks and shapes into a state the advance pass was reading);
+// and every answer, during the race and after the last commit, must be
+// deeply equal to what a never-cached session answers at the version the
+// warm session reports.
+func TestWarmRegistryConcurrentQueriesAndCommits(t *testing.T) {
+	g := NewYouTubeLike(1_500, 12_000, 3)
+	q, err := GeneratePattern(g, 4, 6, true, false, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(g, WithCache(256))
+	ref := NewMatcher(g)
+	var (
+		snapMu sync.Mutex
+		snaps  = []*Graph{g} // never-cached session's snapshot per version
+	)
+	check := func(k int) error {
+		got, info, err := m.TopKInfo(q, k)
+		if err != nil {
+			return err
+		}
+		snapMu.Lock()
+		snap := snaps[info.Version]
+		snapMu.Unlock()
+		want, err := TopK(snap, q, k)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("k=%d at version %d (cache %q): warm session diverged from never-cached one", k, info.Version, info.Cache)
+		}
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := check(1 + rng.Intn(40)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(i)
+	}
+	rng := rand.New(rand.NewSource(99))
+	for step := 0; step < 40; step++ {
+		d := mineBatchDelta(rng, m.Graph(), step)
+		snap, err := ref.Update(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapMu.Lock()
+		snaps = append(snaps, snap)
+		snapMu.Unlock()
+		if _, err := m.Update(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	for k := 1; k <= 40; k++ {
+		if err := check(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestWarmRegistryCaps drives a caching session past both registry caps —
+// more distinct patterns than maxWarmPatterns, more distinct k on one
+// pattern than maxWarmShapes — and checks that neither cap is ever exceeded,
+// that the least recently admitted ones are the ones displaced (the others
+// answer the first post-commit ask as "advanced"; in particular a shape
+// arriving after the cap was reached is maintained), and that every answer
+// before and after the commit is deeply equal to a never-cached session's.
+func TestWarmRegistryCaps(t *testing.T) {
+	g := NewYouTubeLike(1_500, 12_000, 3)
+	d := mineBatchDelta(rand.New(rand.NewSource(7)), g, 0)
+
+	// ask runs one query on both sessions, checks the answers agree and the
+	// caps hold, and returns the warm session's cache provenance.
+	ask := func(t *testing.T, warm, ref *Matcher, q *Pattern, k int) string {
+		t.Helper()
+		got, info, err := warm.TopKInfo(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.TopK(q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d version %d (cache %q): warm session diverged from never-cached one", k, info.Version, info.Cache)
+		}
+		warm.warm.mu.Lock()
+		defer warm.warm.mu.Unlock()
+		if n := len(warm.warm.entries); n > maxWarmPatterns {
+			t.Fatalf("registry holds %d states, cap %d", n, maxWarmPatterns)
+		}
+		for text, e := range warm.warm.entries {
+			if n := len(e.shapes); n > maxWarmShapes {
+				t.Fatalf("pattern %q carries %d shapes, cap %d", text, n, maxWarmShapes)
+			}
+		}
+		return info.Cache
+	}
+	sessions := func() (warm, ref *Matcher) {
+		warm = NewMatcher(g, WithCache(1024))
+		warm.advanceRatio = 1 // never evict by work share: only the caps displace
+		return warm, NewMatcher(g)
+	}
+	commit := func(t *testing.T, ms ...*Matcher) {
+		t.Helper()
+		for _, m := range ms {
+			if _, err := m.Update(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	t.Run("patterns", func(t *testing.T) {
+		const n = maxWarmPatterns + 4
+		var patterns []*Pattern
+		seen := map[string]bool{}
+		for seed := int64(1); len(patterns) < n; seed++ {
+			q, err := GeneratePattern(g, 3, 3, false, false, seed)
+			if err != nil || seen[patternText(q)] {
+				continue
+			}
+			seen[patternText(q)] = true
+			patterns = append(patterns, q)
+		}
+		warm, ref := sessions()
+		for _, q := range patterns {
+			if c := ask(t, warm, ref, q, 5); c != "miss" && c != "seeded" {
+				t.Fatalf("first ask = %q, want an evaluation", c)
+			}
+		}
+		commit(t, warm, ref)
+		// The most recently admitted maxWarmPatterns were maintained; asking
+		// the displaced ones first would displace those in turn.
+		for i, q := range patterns[n-maxWarmPatterns:] {
+			if c := ask(t, warm, ref, q, 5); c != "advanced" {
+				t.Fatalf("recent pattern %d: first post-commit ask = %q, want advanced", i, c)
+			}
+		}
+		for i, q := range patterns[:n-maxWarmPatterns] {
+			if c := ask(t, warm, ref, q, 5); c != "miss" && c != "seeded" {
+				t.Fatalf("displaced pattern %d: first post-commit ask = %q, want an evaluation", i, c)
+			}
+		}
+	})
+
+	t.Run("shapes", func(t *testing.T) {
+		const n = maxWarmShapes + 2
+		q, err := GeneratePattern(g, 4, 6, true, false, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, ref := sessions()
+		for k := 1; k <= n; k++ {
+			if c := ask(t, warm, ref, q, k); c != "miss" {
+				t.Fatalf("k=%d: first ask = %q, want miss", k, c)
+			}
+		}
+		commit(t, warm, ref)
+		for k := n - maxWarmShapes + 1; k <= n; k++ {
+			if c := ask(t, warm, ref, q, k); c != "advanced" {
+				t.Fatalf("recent k=%d: first post-commit ask = %q, want advanced", k, c)
+			}
+		}
+		for k := 1; k <= n-maxWarmShapes; k++ {
+			if c := ask(t, warm, ref, q, k); c != "miss" {
+				t.Fatalf("displaced k=%d: first post-commit ask = %q, want miss", k, c)
+			}
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package divtopk
 
 import (
+	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -270,5 +272,86 @@ func TestContainmentSeededAdmission(t *testing.T) {
 	}
 	if _, info, err := m.TopKInfo(unrelated, 5); err != nil || info.Cache != "miss" {
 		t.Fatalf("unrelated query = %+v, %v, want a miss", info, err)
+	}
+}
+
+// TestQueryKeySoundness is key soundness as a property over the one query
+// type every route shares: for random option sets, equal keys imply deeply
+// equal answers from evaluate (so serving one query's cached answer for the
+// other is indistinguishable from evaluating it), and queries of different
+// kinds never share a key. The option space is every result-affecting or
+// deliberately key-excluded knob: WithBatches including the non-positive
+// "default" spellings, WithRandomSelection seeds, the three bound modes,
+// baseline/approximation as call option, and Parallelism.
+func TestQueryKeySoundness(t *testing.T) {
+	g, patterns := testGraphAndPatterns(t, 1)
+	p, text := patterns[0], patternText(patterns[0])
+	rng := rand.New(rand.NewSource(14))
+	randomQuery := func() query {
+		var opts []Option
+		if rng.Intn(2) == 0 {
+			opts = append(opts, WithBatches([]int{-3, 0, 1, 2, 16, 32}[rng.Intn(6)]))
+		}
+		if rng.Intn(3) == 0 {
+			opts = append(opts, WithRandomSelection(int64(1+rng.Intn(2))))
+		}
+		switch rng.Intn(3) {
+		case 1:
+			opts = append(opts, WithLooseBounds())
+		case 2:
+			opts = append(opts, WithTightBounds())
+		}
+		if rng.Intn(3) == 0 {
+			opts = append(opts, WithBaseline())
+		}
+		if rng.Intn(3) == 0 {
+			opts = append(opts, WithApproximation())
+		}
+		if rng.Intn(2) == 0 {
+			opts = append(opts, Parallelism(1+rng.Intn(8)))
+		}
+		// A random prefix plays the session defaults, the rest the call's.
+		cut := rng.Intn(len(opts) + 1)
+		return newQuery(rng.Intn(2) == 0, 3+2*rng.Intn(2), []float64{0, 0.3, 0.7}[rng.Intn(3)], opts[:cut], opts[cut:])
+	}
+
+	type class struct {
+		q   query
+		val any
+	}
+	classes := map[string]class{}
+	kinds := map[queryKind]bool{}
+	shared := 0
+	for i := 0; i < 400; i++ {
+		q := randomQuery()
+		if !q.kind.diversified() {
+			q.lambda = 0 // what the top-k entry points pass
+		}
+		kinds[q.kind] = true
+		a, err := evaluate(g, p, q, nil, nil)
+		if err != nil {
+			t.Fatalf("%+v: %v", q, err)
+		}
+		key := queryKey(q, 0, text)
+		first, ok := classes[key]
+		if !ok {
+			classes[key] = class{q, a.val}
+			continue
+		}
+		shared++
+		if first.q.kind != q.kind {
+			t.Fatalf("kinds %d and %d share a key:\n%+v\n%+v", first.q.kind, q.kind, first.q, q)
+		}
+		if !reflect.DeepEqual(first.val, a.val) {
+			t.Fatalf("equal keys, different answers:\n%+v\n%+v", first.q, q)
+		}
+	}
+	// The property must not hold vacuously: all four algorithms drawn, many
+	// key classes, and most draws landing in a class someone else opened.
+	if len(kinds) != 4 || len(classes) < 40 || shared < 100 {
+		t.Fatalf("weak sample: %d kinds, %d key classes, %d draws sharing a key", len(kinds), len(classes), shared)
+	}
+	if q := newQuery(false, 3, 0, nil, nil); queryKey(q, 0, text) == queryKey(q, 1, text) {
+		t.Fatal("the snapshot version does not participate in the key")
 	}
 }

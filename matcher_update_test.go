@@ -32,12 +32,12 @@ func TestMatcherUpdateVersionedCacheKeys(t *testing.T) {
 	m := NewMatcher(g, WithCache(64))
 	q := patterns[0]
 
-	before, ver, err := m.TopKWithVersion(q, 10)
+	before, info, err := m.TopKInfo(q, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != 0 || m.Version() != 0 {
-		t.Fatalf("fresh session version = %d/%d, want 0", ver, m.Version())
+	if info.Version != 0 || m.Version() != 0 {
+		t.Fatalf("fresh session version = %d/%d, want 0", info.Version, m.Version())
 	}
 	if _, err := m.TopK(q, 10); err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestMatcherUpdateVersionedCacheKeys(t *testing.T) {
 
 	// Diversified results are keyed by version — and advanced across commits
 	// — the same way.
-	if _, _, err := m.TopKDiversifiedWithVersion(q, 5, 0.5); err != nil {
+	if _, _, err := m.TopKDiversifiedInfo(q, 5, 0.5); err != nil {
 		t.Fatal(err)
 	}
 	adv := m.CacheStats().Advanced
@@ -163,7 +163,7 @@ func TestMatcherConcurrentUpdatesAndQueries(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				if _, _, err := m.TopKWithVersion(q, 10); err != nil {
+				if _, _, err := m.TopKInfo(q, 10); err != nil {
 					errc <- err
 					return
 				}
@@ -244,9 +244,11 @@ func TestMatcherUpdateWithStats(t *testing.T) {
 	q := patterns[0]
 	sessions := map[string]*Matcher{
 		"adaptive":    NewMatcher(g),
-		"incremental": NewMatcher(g, WithIndexRebuildRatio(1)),
-		"rebuild":     NewMatcher(g, WithIndexRebuildRatio(1e-12)),
+		"incremental": NewMatcher(g),
+		"rebuild":     NewMatcher(g),
 	}
+	sessions["incremental"].indexRatio = 1
+	sessions["rebuild"].indexRatio = 1e-12
 
 	for step := 0; step < 3; step++ {
 		var d Delta

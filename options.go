@@ -1,6 +1,9 @@
 package divtopk
 
-import "divtopk/internal/core"
+import (
+	"divtopk/internal/core"
+	"divtopk/internal/ranking"
+)
 
 // Option tunes TopK and TopKDiversified.
 type Option func(*options)
@@ -10,17 +13,19 @@ type options struct {
 	baseline     bool
 	approx       bool
 	cacheEntries int
-	indexRatio   float64
-	advanceRatio float64
 }
 
-func buildOptions(opts []Option) options {
+// buildOptions applies the option lists in order: session defaults first,
+// per-call options on top of them.
+func buildOptions(layers ...[]Option) options {
 	var o options
 	// The facade defaults to the amortized per-graph label-count index (the
 	// paper's design); WithTightBounds restores the per-query tight bound.
 	o.engine.Bounds = core.BoundLabelCount
-	for _, f := range opts {
-		f(&o)
+	for _, opts := range layers {
+		for _, f := range opts {
+			f(&o)
+		}
 	}
 	return o
 }
@@ -87,40 +92,6 @@ func WithCache(entries int) Option {
 	return func(o *options) { o.cacheEntries = entries }
 }
 
-// WithIndexRebuildRatio tunes the adaptive fallback of the incremental
-// bound-index maintenance a Matcher performs on Update: the index advances
-// with the graph by recomputing, per label, only the frontier rows the
-// delta's touch points actually reach (the per-node frontier diff of
-// internal/graph.ComputeFrontier — membership changes, ancestor closures
-// of successor-set changes, and cyclicity flips, masked per label), and
-// falls back to a full rebuild of the warmed labels once the recomputed
-// cells' share of the whole index exceeds r (default 0.25 — past a
-// quarter of the index, seeding the partial passes costs as much as
-// starting over). r = 1 never falls back; a tiny positive r effectively
-// always rebuilds (useful to A/B the two paths). Results are identical
-// either way — the fallback trades wall-clock time only. The option is
-// consulted by NewMatcher; the package-level functions never advance an
-// index.
-func WithIndexRebuildRatio(r float64) Option {
-	return func(o *options) { o.indexRatio = r }
-}
-
-// WithCacheAdvanceRatio tunes the adaptive fallback of the commit-time
-// result-cache advance pass a Matcher with WithCache performs on Update:
-// warm entries advance with the graph via incremental simulation
-// maintenance, and fall back to eviction (the next query re-evaluates cold)
-// once the delta's affected share of the product graph exceeds r (default
-// 0.25 — past a quarter of the product, advancing costs as much as
-// re-evaluating). r >= 1 never falls back (forced advance); a tiny positive
-// r effectively always evicts (useful to A/B the two paths). Results are
-// identical either way — an advanced entry is byte-identical to a cold
-// evaluation at the new version; the knob trades commit-time work against
-// first-post-commit-query latency only. Consulted by NewMatcher; without
-// WithCache there is nothing to advance.
-func WithCacheAdvanceRatio(r float64) Option {
-	return func(o *options) { o.advanceRatio = r }
-}
-
 // Parallelism bounds the number of worker goroutines a query (and a
 // Matcher's batch APIs) may use. n <= 0 — the default — means
 // runtime.NumCPU(); 1 runs fully sequentially, reproducing the
@@ -130,4 +101,63 @@ func WithCacheAdvanceRatio(r float64) Option {
 // trades wall-clock time only.
 func Parallelism(n int) Option {
 	return func(o *options) { o.engine.Parallelism = n }
+}
+
+// queryKind names the paper's four algorithms: two families (find-all and
+// early termination) for each of the two problems (top-k and diversified
+// top-k).
+type queryKind uint8
+
+const (
+	kindTopK    queryKind = iota // early-termination engine (§4.1)
+	kindMatch                    // find-all Match (§4): WithBaseline
+	kindTopKDH                   // early-termination heuristic (§5.2)
+	kindTopKDiv                  // find-all 2-approximation (§5.1): WithApproximation
+)
+
+// full reports the find-all family: a pure function of candidates, product
+// and fixpoint, with no feeding strategy or bounds to steer.
+func (k queryKind) full() bool { return k == kindMatch || k == kindTopKDiv }
+
+func (k queryKind) diversified() bool { return k == kindTopKDH || k == kindTopKDiv }
+
+// query is one fully resolved question: which algorithm, k, λ (0 for the
+// top-k kinds) and the engine options. Every query route — package-level
+// call, session, cache loader, commit-time advance — builds one and hands it
+// to evaluate; queryKey derives the cache identity from the same value.
+type query struct {
+	kind   queryKind
+	k      int
+	lambda float64
+	eng    core.Options
+}
+
+// newQuery resolves an entry point (diversified or not) and its options (a
+// session's defaults, then the call's). Each entry point consults only its
+// own algorithm flag: TopK ignores WithApproximation and TopKDiversified
+// ignores WithBaseline, so a session default for one problem neither splits
+// nor collides the other's cache entries.
+func newQuery(diversified bool, k int, lambda float64, base, opts []Option) query {
+	o := buildOptions(base, opts)
+	q := query{kind: kindTopK, k: k, lambda: lambda, eng: o.engine}
+	switch {
+	case diversified && o.approx:
+		q.kind = kindTopKDiv
+	case diversified:
+		q.kind = kindTopKDH
+	case o.baseline:
+		q.kind = kindMatch
+	}
+	return q
+}
+
+// check rejects a λ or k the diversified algorithms cannot run with — before
+// any evaluation work and before a cache key is derived, so that a NaN
+// surfaces as the structured ErrLambdaRange and not as a poisoned
+// fingerprint.
+func (q query) check() error {
+	if !q.kind.diversified() {
+		return nil
+	}
+	return ranking.DiversifyParams{Lambda: q.lambda, K: q.k}.Validate()
 }

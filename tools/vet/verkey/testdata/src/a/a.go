@@ -17,10 +17,10 @@ func queryKey(version uint64, q string) string {
 }
 
 // good flows the snapshot version through a local into the key.
-func good(c *cache.Cache, g *graph, q string) (any, error) {
+func good(c *cache.Cache, g *graph, q string) (any, string, error) {
 	ver := g.Version()
 	key := queryKey(ver, q)
-	return c.Do(key, func() (any, error) { return q, nil })
+	return c.DoStatus(key, func() (any, bool, error) { return q, false, nil })
 }
 
 // goodInline derives the key in the argument itself.
@@ -30,9 +30,9 @@ func goodInline(c *cache.Cache, g *graph, q string) {
 
 // bad builds a key from the query alone: after a graph update the entry is
 // still reachable and a stale result gets served.
-func bad(c *cache.Cache, q string) (any, error) {
+func bad(c *cache.Cache, q string) (any, string, error) {
 	key := fmt.Sprintf("q|%s", q)
-	return c.Do(key, func() (any, error) { return q, nil }) // want `does not flow from the graph snapshot version`
+	return c.DoStatus(key, func() (any, bool, error) { return q, false, nil }) // want `does not flow from the graph snapshot version`
 }
 
 // badGet is the lookup-side variant of the same bug.
@@ -58,15 +58,4 @@ func goodAdvanced(c *cache.Cache, g2 *graph, q string, val any) {
 // keeps serving its pre-delta value after every later commit.
 func badAdvanced(c *cache.Cache, q string, val any) {
 	c.PutAdvanced("warm:"+q, val) // want `does not flow from the graph snapshot version`
-}
-
-// goodDoStatus is the provenance-reporting admission with a versioned key.
-func goodDoStatus(c *cache.Cache, g *graph, q string) (any, string, error) {
-	key := queryKey(g.Version(), q)
-	return c.DoStatus(key, func() (any, bool, error) { return q, false, nil })
-}
-
-// badDoStatus is the provenance-reporting admission without one.
-func badDoStatus(c *cache.Cache, q string) (any, string, error) {
-	return c.DoStatus("q:"+q, func() (any, bool, error) { return q, false, nil }) // want `does not flow from the graph snapshot version`
 }

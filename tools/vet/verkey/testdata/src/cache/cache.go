@@ -6,17 +6,6 @@ type Cache struct{ m map[string]any }
 
 func New() *Cache { return &Cache{m: make(map[string]any)} }
 
-func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
-	if v, ok := c.m[key]; ok {
-		return v, nil
-	}
-	v, err := fn()
-	if err == nil {
-		c.m[key] = v
-	}
-	return v, err
-}
-
 func (c *Cache) Get(key string) (any, bool) {
 	v, ok := c.m[key]
 	return v, ok

@@ -9,9 +9,10 @@
 // silently re-introduces stale-result serving.
 //
 // The check is a conservative per-function taint walk: the key argument of
-// Cache.Do/Get/Add must (transitively, through local assignments and call
-// arguments) contain a Version() call, a version field/variable, or a value
-// derived from one — the shape queryKey and every call site in the tree use.
+// Cache.DoStatus/PutAdvanced/Get/Add must (transitively, through local
+// assignments and call arguments) contain a Version() call, a version
+// field/variable, or a value derived from one — the shape queryKey and every
+// call site in the tree use.
 package verkey
 
 import (
@@ -31,11 +32,10 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // cacheMethods are the admission/lookup entry points of the cache package.
-// PutAdvanced and DoStatus joined with the warm result cache: an advanced
-// entry installed under an unversioned key would keep serving a pre-delta
-// result after later commits exactly like a stale Do admission.
+// PutAdvanced joined with the warm result cache: an advanced entry installed
+// under an unversioned key would keep serving a pre-delta result after later
+// commits exactly like a stale DoStatus admission.
 var cacheMethods = map[string]bool{
-	"Do":          true,
 	"Get":         true,
 	"Add":         true,
 	"DoStatus":    true,

@@ -67,15 +67,16 @@ func mineBatchDelta(rng *rand.Rand, g *Graph, tag int) *Delta {
 // forced-rebuild).
 func TestMatcherUpdateBatchEquivalenceFuzz(t *testing.T) {
 	configs := []struct {
-		name string
-		opts []Option
+		name  string
+		ratio float64 // Matcher.indexRatio: 0 = default, 1 never rebuilds
+		par   int
 	}{
-		{"adaptive/p1", []Option{Parallelism(1)}},
-		{"adaptive/p8", []Option{Parallelism(8)}},
-		{"incremental/p1", []Option{WithIndexRebuildRatio(1), Parallelism(1)}},
-		{"incremental/p8", []Option{WithIndexRebuildRatio(1), Parallelism(8)}},
-		{"rebuild/p1", []Option{WithIndexRebuildRatio(1e-12), Parallelism(1)}},
-		{"rebuild/p8", []Option{WithIndexRebuildRatio(1e-12), Parallelism(8)}},
+		{"adaptive/p1", 0, 1},
+		{"adaptive/p8", 0, 8},
+		{"incremental/p1", 1, 1},
+		{"incremental/p8", 1, 8},
+		{"rebuild/p1", 1e-12, 1},
+		{"rebuild/p8", 1e-12, 8},
 	}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -89,7 +90,8 @@ func TestMatcherUpdateBatchEquivalenceFuzz(t *testing.T) {
 			type pair struct{ seq, batch *Matcher }
 			sessions := make([]pair, len(configs))
 			for i, c := range configs {
-				sessions[i] = pair{NewMatcher(base, c.opts...), NewMatcher(base, c.opts...)}
+				sessions[i] = pair{NewMatcher(base, Parallelism(c.par)), NewMatcher(base, Parallelism(c.par))}
+				sessions[i].seq.indexRatio, sessions[i].batch.indexRatio = c.ratio, c.ratio
 			}
 
 			tag := 0
