@@ -17,10 +17,12 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The uncached-query pair: the tracked benchmark's cold_paper inputs in
-# process, B/op = per-query allocation.
+# The in-process numbers beside the tracked benchmark: the uncached-query
+# pair (cold_paper's inputs, B/op = per-query allocation) and the warm commit
+# path (serve_zipf's shape: ms, bytes, answers re-evaluated and carried per
+# commit).
 bench:
-	$(GO) test -run '^$$' -bench 'Cold' -benchmem .
+	$(GO) test -run '^$$' -bench 'CommitWarm|Cold' -benchmem .
 
 # bench-smoke is the static and test gate of the tracked benchmark. benchmark/
 # is a module of its own (so the root module does not see it): the root

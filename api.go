@@ -330,11 +330,13 @@ type answer struct {
 // settled fixpoint of a maintained simulation.IncState for exactly (g, p) —
 // built at admission, possibly from containment-seeded candidates, or carried
 // across a commit by IncCompute; it only spares rebuilding them, the answer
-// is byte-identical. prev, passed by the commit-time advance pass when the
-// delta appended no nodes (see poolEqual), is the query's answer at the
-// previous version: when the freshly evaluated find-all pool equals prev's,
-// the previous value is returned as is — in particular TopKDiv's greedy scan
-// re-runs only when the match set changed.
+// is byte-identical; the advance pass also hands back, as pre.Pool, the
+// find-all pool the first such query on a state computed, so the others riding
+// it skip the relevance pass. prev, passed by the commit-time advance pass when
+// the delta grew no candidate list of the pattern (see poolEqual), is the
+// query's answer at the previous version: when the find-all pool equals
+// prev's, the previous value is returned as is — in particular TopKDiv's
+// greedy scan re-runs only when the match set changed.
 func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answer) (answer, error) {
 	// TopKDH and TopKDiv validate λ and k themselves, but TopKDiv only after
 	// its find-all half ran: check first so no route pays for, or reports an
@@ -383,9 +385,9 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 
 // poolEqual reports whether two evaluated match pools are identical —
 // node-for-node, relevance-for-relevance, set-for-set. Only meaningful when
-// the two evaluations share one candidate universe (no node appends between
-// them); evaluate's caller guards that, which also makes the relevant-set
-// bitsets directly comparable (same RelSpace layout).
+// the two evaluations share one candidate universe (no appended node entered
+// a candidate list between them); evaluate's caller guards that, which also
+// makes the relevant-set bitsets directly comparable (same RelSpace layout).
 func poolEqual(a, b *core.Result) bool {
 	if len(a.All) != len(b.All) || a.GlobalMatch != b.GlobalMatch || a.Cuo != b.Cuo {
 		return false

@@ -13,6 +13,8 @@ package divtopk
 // (cmd/experiments -scale medium prints the full tables).
 
 import (
+	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -271,4 +273,57 @@ func BenchmarkTopKDHCold(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkCommitWarm is the commit path of a caching session in process, on
+// the tracked benchmark's serve_zipf shape: a synthetic 10k/70k graph with 24
+// labels, maxWarmPatterns mined patterns each maintained with the four
+// algorithms (k = 10, λ = 0.5), and the benchmark's 60/20/20
+// append/insert/delete plan aimed at the label edges of the eight hottest.
+// One iteration is one commit — graph apply, bound-index advance and the warm
+// advance pass — followed by a read of the four shapes of one pattern in turn
+// (cache hits: microseconds beside the commit's milliseconds), so that every
+// shape is read once in maxWarmPatterns commits and none ages out of the pass
+// (maxWarmIdle). Beside ms/commit and B/commit it reports what the pass did
+// per commit: answers re-evaluated and carried, and its own share of the time.
+func BenchmarkCommitWarm(b *testing.B) {
+	g := NewSynthetic(10_000, 70_000, 24, 1)
+	patterns := minedDistinct(b, g, maxWarmPatterns, 1)
+	m := NewMatcher(g, WithCache(4096))
+	for _, q := range patterns {
+		for _, kind := range allKinds {
+			if _, _, err := askKind(m, q, kind, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	plan := newChurnPlan(rand.New(rand.NewSource(1)), g, patterns[:8])
+	plan.aimedOnly = true
+
+	var reevals, carried, warmUs int
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := m.UpdateWithStats(plan.next())
+		if err != nil {
+			b.Fatal(err)
+		}
+		reevals += st.WarmReevaluated
+		carried += st.WarmCarried
+		warmUs += int(st.WarmMicros)
+		for _, kind := range allKinds {
+			if _, _, err := askKind(m, patterns[i%len(patterns)], kind, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/n, "ms/commit")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/commit")
+	b.ReportMetric(float64(reevals)/n, "reevals/commit")
+	b.ReportMetric(float64(carried)/n, "carried/commit")
+	b.ReportMetric(float64(warmUs)/1e3/n, "warm-ms/commit")
 }

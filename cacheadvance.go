@@ -24,6 +24,26 @@ import (
 // re-admits each remembered query under its post-delta key, so the first
 // post-commit query for a hot pattern is a cache hit, not a cold evaluation.
 //
+// What the pass re-runs follows from what an answer depends on (internal/core
+// documents the contract): the pattern's state {CI, Prod, Sim}, and — for the
+// early-termination kinds reading the bound index — the output node's bound
+// vector (core.BoundsCache.OutputBounds), kept on the patternState. Matches by
+// simulation are local, so a delta usually reaches no candidate pair of most
+// maintained patterns: IncCompute reports TouchedPairs == 0, the state is the
+// old one re-pointed at the new snapshot, and every answer riding it is
+// carried — re-keyed and installed like a re-evaluated one — unless it reads
+// the index and the bound vector moved. Only the states the delta reaches
+// re-evaluate, and those compute their find-all pool once for all the shapes
+// riding it. A commit costs what its delta reaches, not what the cache holds.
+//
+// Nor what the cache was once asked: an answer is re-evaluated before the ack
+// on the bet that somebody reads it before the next change. One that
+// maxWarmIdle commits in a row installed and nobody read has lost that bet
+// often enough — it is still carried while carrying is free, and forgotten
+// the first time it would cost an evaluation. Without this the commits of a
+// session pay, until sixteen newer patterns happen to displace them, for
+// every shape that was ever asked once.
+//
 // Admission is containment-aware: when a new pattern's nodes are subsumed by
 // a maintained pattern's (pattern.CondSubsumes — same label, subset
 // predicates), its candidate lists are seeded from the donor's instead of
@@ -35,12 +55,19 @@ import (
 const (
 	// maxWarmPatterns bounds the pattern states a session maintains;
 	// maxWarmShapes bounds the remembered queries riding each state. Past
-	// either cap the least recently admitted one is replaced — the recency
-	// discipline of the result LRU itself. A result-cache hit never reaches
-	// the registry, so recency means evaluation: a displaced query still
-	// asked for misses once after the next commit and is re-admitted.
+	// either cap the least recently used one is replaced — the recency
+	// discipline of the result LRU itself. Use means an evaluation, or the
+	// first hit on an entry the advance pass installed (touch): plain hits
+	// never reach the registry, so without the second a pattern served from
+	// its advanced entries alone would look idle and lose its slot to the
+	// first one-off miss. A state that has proven itself that way since the
+	// last commit is not displaced at all (see warmState).
 	maxWarmPatterns = 16
 	maxWarmShapes   = 8
+	// maxWarmIdle bounds how long the advance pass keeps re-evaluating an
+	// answer nobody reads: the number of consecutive commits a shape may be
+	// installed by without an evaluation or a first hit in between.
+	maxWarmIdle = 16
 )
 
 // warmRegistry holds the per-pattern incremental states behind a session's
@@ -55,10 +82,13 @@ type warmRegistry struct {
 	clock   uint64                // admission ticks for LRU replacement
 }
 
-// warmEntry is the registry's record of one hot pattern.
+// warmEntry is the registry's record of one hot pattern. proven: an answer
+// the last advance pass installed for it has been served — the state earned
+// its slot at the current version.
 type warmEntry struct {
 	st     *patternState
 	used   uint64
+	proven bool
 	shapes []shape
 }
 
@@ -71,6 +101,20 @@ type patternState struct {
 	text string
 	p    *Pattern
 	inc  *simulation.IncState
+	// bounds is the one thing an early-termination answer reads beside inc:
+	// the initial upper bounds of the output node's candidates under the
+	// snapshot's bound index. Equal vectors on an untouched state mean equal
+	// answers, which is what the advance pass compares.
+	bounds []int32
+}
+
+// newPatternState wraps inc, the evaluation state of p at snapshot g, and
+// reads its bound vector from g's index.
+func newPatternState(g *Graph, text string, p *Pattern, inc *simulation.IncState) *patternState {
+	cands := inc.CI.Lists[p.p.Output()]
+	st := &patternState{text: text, p: p, inc: inc, bounds: make([]int32, len(cands))}
+	g.boundsCache().OutputBounds(st.bounds, cands, pattern.Analyze(p.p).DescLabels)
+	return st
 }
 
 // prebuilt exposes the state as evaluate's stage inputs.
@@ -80,12 +124,15 @@ func (st *patternState) prebuilt() *core.PrebuiltEval {
 
 // shape is one remembered query riding a warm entry — what the advance pass
 // re-derives a cache key and value from at the next version — with its
-// answer at the entry's current version.
+// answer at the entry's current version. idle counts the commits that
+// installed the answer since it was last used (evaluated, or read for the
+// first time after an install).
 type shape struct {
 	id   string // q's cache key at version 0: its identity across versions
 	q    query
 	ans  answer
 	used uint64
+	idle int
 }
 
 // patternText is the canonical text of p: its deterministic serialization,
@@ -147,11 +194,33 @@ func (w *warmRegistry) remember(st *patternState, q query, a answer) {
 	e.shapes[slot] = sh
 }
 
+// touch records that q on the pattern with canonical text text was just
+// answered from an entry the advance pass installed: the state and the shape
+// are in use, though no evaluation ran, and the shape's run of unread installs
+// ends. Called once per shape per commit (the cache reports OutcomeAdvanced on
+// the first hit only).
+func (w *warmRegistry) touch(text string, q query) {
+	id := queryKey(q, 0, text)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	e := w.entries[text]
+	if e == nil {
+		return
+	}
+	w.clock++
+	e.used, e.proven = w.clock, true
+	if i := slices.IndexFunc(e.shapes, func(s shape) bool { return s.id == id }); i >= 0 {
+		e.shapes[i].used, e.shapes[i].idle = w.clock, 0
+	}
+}
+
 // warmState returns the maintained state of p (canonical text: text) at
 // snapshot g, admitting one if absent — with containment-seeded candidate
 // lists (seeded = true) when a maintained pattern subsumes p's nodes. When a
-// commit raced past g the returned state is a transient, good for this
-// evaluation only.
+// commit raced past g, or the registry is full of states that have each
+// served an advanced answer since the last commit (a one-off miss must not
+// cost a pattern in use its slot), the returned state is a transient, good
+// for this evaluation only.
 func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState, seeded bool) {
 	w := &m.warm
 	w.mu.Lock()
@@ -191,7 +260,7 @@ func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState
 	} else {
 		ci = simulation.BuildCandidatesParallel(g.g, p.p, m.workers)
 	}
-	st = &patternState{text: text, p: p, inc: simulation.NewIncStateSeeded(g.g, p.p, ci, m.workers)}
+	st = newPatternState(g, text, p, simulation.NewIncStateSeeded(g.g, p.p, ci, m.workers))
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -210,9 +279,12 @@ func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState
 	} else if len(w.entries) >= maxWarmPatterns {
 		oldest := ""
 		for t, e := range w.entries {
-			if oldest == "" || e.used < w.entries[oldest].used {
+			if !e.proven && (oldest == "" || e.used < w.entries[oldest].used) {
 				oldest = t
 			}
+		}
+		if oldest == "" {
+			return st, seeded
 		}
 		delete(w.entries, oldest)
 	}
@@ -223,15 +295,15 @@ func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState
 // advanceWarm carries every maintained pattern state and its remembered
 // queries from the currently published snapshot to g2 (the caller —
 // commitLocked, holding updateMu — has applied merged to it but not yet
-// published it). States whose incremental advance trips the work-share ratio
-// are evicted instead (IncOptions.NoFallback): a commit never pays a full
-// rebuild for the cache's sake. Nothing is published here: the returned
-// install function swaps the advanced states in and admits the advanced
-// answers under their post-delta keys, and the caller runs it only after the
-// commit's last fallible step — entries for a version that is never
-// published must never become reachable, since a later commit could reuse
-// the version number.
-func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
+// published it), and counts what that took into stats' Warm fields. States
+// whose incremental advance trips the work-share ratio are evicted instead
+// (IncOptions.NoFallback): a commit never pays a full rebuild for the
+// cache's sake. Nothing is published here: the returned install function
+// swaps the advanced states in and admits the advanced answers under their
+// post-delta keys, and the caller runs it only after the commit's last
+// fallible step — entries for a version that is never published must never
+// become reachable, since a later commit could reuse the version number.
+func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta, stats *IndexStats) func() {
 	if m.cache == nil {
 		return func() {}
 	}
@@ -252,8 +324,7 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 	}
 	m.warm.mu.Unlock()
 
-	var evicted uint64
-	noAppends := len(merged.NodeAppends) == 0
+	stats.WarmStates = len(work)
 	incOpts := simulation.IncOptions{
 		Workers:        m.workers,
 		RecomputeRatio: m.advanceRatio,
@@ -263,32 +334,60 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 		a := &work[i]
 		if a.old.inc.G != gOld.g {
 			// Left behind by an earlier commit (admission race): unadvanceable.
-			evicted++
+			stats.WarmEvicted++
 			continue
 		}
 		inc2, ist, err := simulation.IncCompute(a.old.inc, g2.g, merged, incOpts)
+		if ist.TouchedPairs > 0 {
+			stats.WarmTouched++
+		}
 		if err != nil {
-			evicted++
+			stats.WarmEvicted++
 			continue
 		}
-		a.new = &patternState{text: a.old.text, p: a.old.p, inc: inc2}
-		// An untouched state (no candidate pair's adjacency changed, no
-		// appended nodes) is byte-identical to the old one, so find-all
-		// answers — pure functions of the state — carry over without any
-		// re-evaluation. The early-termination kinds also read the bound
-		// index rows, so they always re-run, fed the advanced state.
-		unchanged := noAppends && ist.TouchedPairs == 0
+		a.new = newPatternState(g2, a.old.text, a.old.p, inc2)
+		// The carry-over contract. An untouched state (the delta changed no
+		// candidate pair's adjacency and appended no candidate: TouchedPairs
+		// counts both) is the old one re-pointed at g2, so every answer that
+		// is a function of the state alone — the find-all kinds, and the
+		// early-termination kinds under per-query tight bounds — is the old
+		// answer. The early-termination kinds otherwise also read the bound
+		// index, through the output node's bound vector and nothing else: they
+		// carry over exactly when that vector did not move. A touched state
+		// re-evaluates everything riding it.
+		untouched := ist.TouchedPairs == 0
+		sameBounds := untouched && slices.Equal(a.new.bounds, a.old.bounds)
+		// The previous answer can short-cut a find-all re-evaluation whenever
+		// the candidate universe is the one it was computed over (poolEqual).
+		sameUniverse := inc2.CI.NumPairs() == a.old.inc.CI.NumPairs()
 		pre := a.new.prebuilt()
 		kept := a.shapes[:0]
 		for _, sh := range a.shapes {
-			if !(unchanged && sh.q.kind.full()) {
-				var prev *answer
-				if noAppends {
-					prev = &sh.ans
-				}
-				if sh.ans, err = evaluate(g2, a.old.p, sh.q, pre, prev); err != nil {
-					continue // drop just this shape; the state stays useful
-				}
+			sh.idle++
+			if untouched && (sh.q.kind.full() || sh.q.eng.Bounds == core.BoundTight || sameBounds) {
+				stats.WarmCarried++
+				kept = append(kept, sh)
+				continue
+			}
+			if sh.idle > maxWarmIdle {
+				// Nobody read the last maxWarmIdle installs of this answer:
+				// the writer does not wait for another. The state stays, so
+				// the next ask evaluates on it and is remembered again.
+				stats.WarmDropped++
+				continue
+			}
+			var prev *answer
+			if sameUniverse {
+				prev = &sh.ans
+			}
+			stats.WarmReevaluated++
+			if sh.ans, err = evaluate(g2, a.old.p, sh.q, pre, prev); err != nil {
+				continue // drop just this shape; the state stays useful
+			}
+			if pre.Pool == nil {
+				// The first find-all shape pays for the state's match pool;
+				// the others riding it (any k, match or topkdiv) reuse it.
+				pre.Pool = sh.ans.pool
 			}
 			kept = append(kept, sh)
 		}
@@ -304,14 +403,14 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 			case a.new == nil:
 				delete(m.warm.entries, a.old.text)
 			default:
-				a.e.st, a.e.shapes = a.new, a.shapes
+				a.e.st, a.e.shapes, a.e.proven = a.new, a.shapes, false
 			}
 		}
 		m.warm.mu.Unlock()
-		// Every advanced answer is re-keyed with the post-delta version: the
-		// old-version entries become unreachable the moment g2 is published,
-		// exactly as if they had been invalidated — except their successors
-		// are already warm.
+		// Every advanced answer, carried or re-evaluated, is re-keyed with the
+		// post-delta version: the old-version entries become unreachable the
+		// moment g2 is published, exactly as if they had been invalidated —
+		// except their successors are already warm.
 		ver := g2.Version()
 		for _, a := range work {
 			if a.new == nil {
@@ -321,6 +420,8 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta) func() {
 				m.cache.PutAdvanced(queryKey(sh.q, ver, a.old.text), sh.ans.val)
 			}
 		}
-		m.advanceEvicted.Add(evicted)
+		m.advanceEvicted.Add(uint64(stats.WarmEvicted))
+		m.carried.Add(uint64(stats.WarmCarried))
+		m.reevaluated.Add(uint64(stats.WarmReevaluated))
 	}
 }

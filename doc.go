@@ -119,11 +119,22 @@
 // version's cache entries — it advances the hot ones. Each cached pattern
 // retains its incremental evaluation state (the IncCompute simulation state
 // and product CSR); after the delta is durable and before the new snapshot
-// is published, the commit advances that state and re-derives the pattern's
-// cached results from it, installing them under the new version's keys, so
-// the first post-commit query is a hit that reports provenance "advanced"
+// is published, the commit advances that state and installs the pattern's
+// cached results under the new version's keys, so the first post-commit
+// query is a hit that reports provenance "advanced"
 // (TopKInfo/TopKDiversifiedInfo, and the daemon's "cache" response field)
-// rather than a cold evaluation. Once a delta's affected share of a
+// rather than a cold evaluation. The pass re-runs only what the delta can
+// have changed: an answer depends on the pattern's state and, for the
+// early-termination algorithms under index bounds, on the output node's
+// bound vector, so on a state the delta reaches no candidate pair of —
+// most states, simulation being local — every answer whose bound vector
+// also stood still is carried over unevaluated, and a reached state
+// computes its find-all pool once for all the queries riding it. An answer
+// that sixteen commits in a row installed and nobody read is carried while
+// that is free and forgotten by the first commit that would have to
+// evaluate it: the writer waits for answers in use, not for every query
+// ever asked. IndexStats' Warm fields (and the daemon's update responses)
+// report the split per commit, CacheStats cumulatively. Once a delta's affected share of a
 // pattern's product passes a quarter the pass evicts instead — the
 // threshold trades commit latency against post-commit query latency and
 // never changes answers. All of it is one evaluation path: every query
@@ -133,10 +144,10 @@
 // Admission is containment-aware: a pattern whose node conditions
 // are subsumed by a cached pattern's nodes (same label, predicate subset)
 // seeds its candidate lists from the cached superset's maintained lists and
-// reports "seeded". CacheStats counts advanced, seeded and advance-evicted
-// entries; a randomized delta-chain fuzz pins every warm answer
-// byte-identical to a never-cached session at every version. See the
-// README's "Warm cache" section.
+// reports "seeded". CacheStats counts advanced, seeded, advance-evicted,
+// carried and re-evaluated entries; randomized delta-chain fuzzes pin every
+// warm answer byte-identical to a never-cached session at every version.
+// See the README's "Warm cache" section.
 //
 // # Durability
 //

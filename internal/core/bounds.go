@@ -147,7 +147,6 @@ func computeUpperBounds(out []int32, prod *simulation.Product, an *pattern.Analy
 	g, p, ci := prod.G, prod.P, prod.CI
 	mode, cache := opts.Bounds, opts.Cache
 	uo := p.Output()
-	lo, _ := ci.PairRange(uo)
 
 	if cache == nil && mode == BoundTight {
 		rel := simulation.ComputeRelevant(prod, an, space, nil, uo, false, opts.Workers())
@@ -158,14 +157,27 @@ func computeUpperBounds(out []int32, prod *simulation.Product, an *pattern.Analy
 	if cache == nil {
 		cache = NewBoundsCache(g, mode != BoundCheap)
 	}
+	cache.OutputBounds(out, ci.Lists[uo], an.DescLabels)
+}
+
+// OutputBounds fills out — one entry per node of cands, the output node's
+// candidate list — with the index's initial upper bounds: h(uo,v) = Σ over
+// descLabels (pattern.Analysis.DescLabels, the labels of the query nodes the
+// output node reaches) of v's distinct-descendant count under that label,
+// clamped to int32. This vector is everything an early-termination run reads
+// from the index: computeUpperBounds calls it and nothing else touches the
+// count rows, which is what lets the matcher's commit pass decide from the
+// vector alone whether a cached answer survives a delta (see the package
+// documentation, "What an answer depends on"). Cost O(|cands|·|descLabels|)
+// over warm labels; a label the cache has not seen fills on the way.
+func (c *BoundsCache) OutputBounds(out []int32, cands []graph.NodeID, descLabels []string) {
 	var labelCounts [][]int32
-	for _, name := range an.DescLabels {
-		if id, ok := g.Dict().ID(name); ok {
-			labelCounts = append(labelCounts, cache.countsFor(id))
+	for _, name := range descLabels {
+		if id, ok := c.g.Dict().ID(name); ok {
+			labelCounts = append(labelCounts, c.countsFor(id))
 		}
 	}
-	for i := range out {
-		v := ci.V[int(lo)+i]
+	for i, v := range cands {
 		total := int64(0)
 		for _, cs := range labelCounts {
 			total += int64(cs[v])

@@ -66,6 +66,28 @@
 // finalization makes both exact. checkTermination is Proposition 3 on those
 // bounds.
 //
+// # What an answer depends on
+//
+// Every run here is a pure function of its inputs, and the inputs are few.
+// The find-all path (MatchBaselineOpts, and TopKDiv on top of it) reads the
+// pattern's evaluation state and nothing else: the candidate index, the
+// product CSR over it and the simulation fixpoint — PrebuiltEval's
+// {CI, Prod, Sim}, or the same three rebuilt from (graph, pattern). The
+// early-termination engine (TopK, and TopKDH through its hook) reads the
+// candidate index and the product, plus the initial upper bounds of the
+// output node's candidates. Under BoundTight those come from the product
+// too; under a BoundsCache they are one vector — BoundsCache.OutputBounds,
+// Σ over the output node's DescLabels of the count rows at the output node's
+// candidates — and computeUpperBounds, its only caller in the engine, is the
+// single place a run touches the index. The graph itself is consulted for
+// its node count and label dictionary only. That is the carry-over contract
+// the matcher's commit pass rests on: when a delta leaves a pattern's state
+// untouched (simulation.IncCompute reports TouchedPairs == 0), a find-all
+// answer is still the answer, and an early-termination answer is too if it
+// ran under BoundTight or if OutputBounds on the advanced index returns the
+// vector it returned before. Anything that makes a run read more — a second
+// use of the index, a graph scan — must extend that comparison with it.
+//
 // # Scratch lifecycle
 //
 // Every mutable per-run array of the engine — pair status and counters, the

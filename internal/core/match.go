@@ -26,13 +26,19 @@ func MatchBaseline(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool) (*R
 // over data-node shards, and the product adjacency is built once and shared
 // between refinement and the relevant-set kernel; the result is identical
 // for every worker count, and to the frozen reference kernel's
-// (internal/oracle, which the tests compare against).
+// (internal/oracle, which the tests compare against). A supplied
+// Prebuilt.Pool is that result already: k only selects the Matches prefix.
 func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool, opts Options) (*Result, error) {
 	if err := validateInputs(g, k); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if opts.Prebuilt != nil && opts.Prebuilt.Pool != nil {
+		res := *opts.Prebuilt.Pool
+		res.Matches = res.All[:min(k, len(res.All))]
+		return &res, nil
 	}
 
 	var ci *simulation.CandidateIndex
@@ -93,10 +99,6 @@ func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool,
 		return res.All[i].Node < res.All[j].Node
 	})
 	res.Stats.MatchesFound = len(res.All)
-	top := k
-	if top > len(res.All) {
-		top = len(res.All)
-	}
-	res.Matches = res.All[:top]
+	res.Matches = res.All[:min(k, len(res.All))]
 	return res, nil
 }

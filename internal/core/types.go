@@ -108,12 +108,18 @@ type Options struct {
 // PrebuiltEval carries settled evaluation state of one (graph, pattern)
 // snapshot for Options.Prebuilt. CI is required when the struct is supplied;
 // Prod and Sim are optional refinements: the find-all path consumes both,
-// the engine CI and Prod (it re-runs propagation on its own counters). Every field must have been computed against the
-// exact graph and pattern of the call — the caller owns that contract.
+// the engine CI and Prod (it re-runs propagation on its own counters). Pool,
+// the last stage, is a find-all result already computed from exactly this
+// state with keepSets (MatchBaselineOpts' own return value): the find-all
+// path then only cuts the top-k prefix for the call's k, which is how several
+// find-all queries riding one state share one relevance pass. Every field
+// must have been computed against the exact graph and pattern of the call —
+// the caller owns that contract.
 type PrebuiltEval struct {
 	CI   *simulation.CandidateIndex
 	Prod *simulation.Product
 	Sim  *simulation.Result
+	Pool *Result
 }
 
 // Workers returns the normalized worker count for the options (see

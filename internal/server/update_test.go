@@ -33,6 +33,13 @@ type updateResponse struct {
 		LabelsCopied     int     `json:"labels_copied"`
 		WallMicros       int64   `json:"wall_us"`
 		ShardWallMicros  int64   `json:"shard_wall_us"`
+		WarmStates       *int    `json:"warm_states"`
+		WarmTouched      *int    `json:"warm_touched"`
+		WarmReevaluated  *int    `json:"warm_reevaluated"`
+		WarmCarried      *int    `json:"warm_carried"`
+		WarmDropped      *int    `json:"warm_dropped"`
+		WarmEvicted      *int    `json:"warm_evicted"`
+		WarmMicros       *int64  `json:"warm_us"`
 	} `json:"index"`
 }
 
@@ -130,6 +137,16 @@ func TestUpdateEndpointAndVersionedInvalidation(t *testing.T) {
 	}
 	if ur.Index.WallMicros < 0 {
 		t.Fatalf("index wall_us %d negative", ur.Index.WallMicros)
+	}
+	// So do the warm cache's: one maintained state, whose one remembered
+	// query the pass either carried or re-ran (the appended node carries the
+	// label of node 0, which the mined pattern may or may not use).
+	ix := ur.Index
+	if ix.WarmStates == nil || ix.WarmTouched == nil || ix.WarmReevaluated == nil || ix.WarmCarried == nil || ix.WarmDropped == nil || ix.WarmEvicted == nil || ix.WarmMicros == nil {
+		t.Fatalf("update response lacks a warm_* field: %s", body)
+	}
+	if *ix.WarmStates != 1 || *ix.WarmEvicted != 0 || *ix.WarmDropped != 0 || *ix.WarmReevaluated+*ix.WarmCarried != 1 || *ix.WarmTouched > 1 || *ix.WarmMicros < 0 {
+		t.Fatalf("warm counters of a commit over one maintained query: %s", body)
 	}
 
 	// The commit's advance pass installed the hot entry under version 1, so

@@ -31,7 +31,10 @@ type CandidateIndex struct {
 
 	// pos[u][v] is 1 + the position of v within Lists[u], or 0 when v is not
 	// a candidate of u. Dense per-query-node arrays make the inner loops of
-	// refinement and propagation branch-light.
+	// refinement and propagation branch-light. A table may stop short of the
+	// graph's node count: IncCompute carries an index across a delta whose
+	// appended nodes entered no candidate list without regrowing the tables,
+	// so a node past the end is a non-candidate (see Pair).
 	pos [][]int32
 }
 
@@ -178,8 +181,10 @@ func (ci *CandidateIndex) NumPairs() int { return len(ci.U) }
 
 // Pair returns the pair ID of (u, v), or -1 when v is not a candidate of u.
 func (ci *CandidateIndex) Pair(u int, v graph.NodeID) int32 {
-	if p := ci.pos[u][v]; p != 0 {
-		return ci.Offsets[u] + p - 1
+	if pos := ci.pos[u]; uint(v) < uint(len(pos)) {
+		if p := pos[v]; p != 0 {
+			return ci.Offsets[u] + p - 1
+		}
 	}
 	return -1
 }

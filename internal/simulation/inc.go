@@ -134,14 +134,36 @@ type IncStats struct {
 // RecomputeRatio the call falls back to full recomputation (checked twice:
 // against the touched share before any product work, and against the
 // closure share before the seeded cascade).
+//
+// A delta that reaches no candidate pair at all (see untouched) costs
+// O(|d|·|Vp|): the state carries over whole, re-pointed at gNew.
 func IncCompute(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions) (*IncState, IncStats, error) {
 	nOld := st.G.NumNodes()
 	if gNew.NumNodes() != nOld+len(d.NodeAppends) {
 		return nil, IncStats{}, fmt.Errorf("simulation: IncCompute: graph has %d nodes, want %d (old %d + %d appends) — gNew must be ApplyDelta(st.G, d)",
 			gNew.NumNodes(), nOld+len(d.NodeAppends), nOld, len(d.NodeAppends))
 	}
-	workers := parallel.Workers(opts.Workers)
+	if untouched(st, gNew, d) {
+		// Candidates, product, fixpoint and counters are what a from-scratch
+		// evaluation of gNew would build: share them. Only the product names
+		// its graph, and the successor must not pin the superseded snapshot,
+		// so it gets a shallow copy pointing at gNew.
+		prod := *st.Prod
+		prod.G = gNew
+		return &IncState{G: gNew, P: st.P, CI: st.CI, Prod: &prod, Res: st.Res, cnt: st.cnt},
+			IncStats{TotalPairs: st.CI.NumPairs()}, nil
+	}
+	return incAdvance(st, gNew, d, opts)
+}
+
+// incAdvance is IncCompute past its guard and its untouched shortcut: the
+// affected-area maintenance proper. It is correct for every delta — on an
+// untouched one it rebuilds, pair by pair, exactly what the shortcut shares,
+// which inc_test.go holds it to.
+func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions) (*IncState, IncStats, error) {
+	nOld := st.G.NumNodes()
 	p, nq := st.P, st.P.NumNodes()
+	workers := parallel.Workers(opts.Workers)
 
 	// Candidacy depends only on node labels and attributes, which an
 	// edge-only delta cannot touch: the old index is shared as-is (states
@@ -325,6 +347,37 @@ func IncCompute(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 
 	res := &Result{CI: ci, InSim: inSim, Matched: matched(ci, inSim, nq)}
 	return &IncState{G: gNew, P: p, CI: ci, Prod: prod, Res: res, cnt: cnt}, stats, nil
+}
+
+// untouched reports whether d reaches no candidate pair of st — exactly the
+// deltas for which IncCompute's TouchedPairs is 0: no appended node satisfies
+// a query node's search condition (so every candidate list stays as it is),
+// and no inserted or deleted edge leaves a candidate (so every pair keeps its
+// product slots; an edge out of a non-candidate, or out of an appended node
+// that is none, is no product edge whatever it points at). Decided through the
+// candidate index from the delta's entries alone, O(|d|·|Vp|): nothing here
+// is sized by the graph or by the candidate space.
+func untouched(st *IncState, gNew *graph.Graph, d *graph.Delta) bool {
+	nq, nOld := st.P.NumNodes(), st.G.NumNodes()
+	for i := range d.NodeAppends {
+		for u := 0; u < nq; u++ {
+			if st.P.MatchesNode(gNew, u, graph.NodeID(nOld+i)) {
+				return false
+			}
+		}
+	}
+	for _, edges := range [2][][2]graph.NodeID{d.EdgeInserts, d.EdgeDeletes} {
+		for _, e := range edges {
+			// An appended source is past every pos table: no candidate, as
+			// the loop above just established.
+			for u := 0; u < nq; u++ {
+				if st.CI.Pair(u, e[0]) >= 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // extendCandidates derives the candidate index of the new snapshot from the

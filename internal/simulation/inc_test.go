@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
@@ -105,8 +107,18 @@ func assertCandidatesEqual(t *testing.T, label string, got, want *CandidateIndex
 	if !reflect.DeepEqual(got.U, want.U) || !reflect.DeepEqual(got.V, want.V) {
 		t.Fatalf("%s: pair arrays differ", label)
 	}
-	if !reflect.DeepEqual(got.pos, want.pos) {
-		t.Fatalf("%s: pos arrays differ", label)
+	// pos tables are prefix tables: one may stop short of the node count when
+	// the nodes past its end are appended non-candidates (IncCompute's
+	// untouched path does not regrow them), so the tails must be zero and the
+	// common prefixes equal — every Pair lookup agrees.
+	for u := range want.pos {
+		g, w := got.pos[u], want.pos[u]
+		if len(g) > len(w) {
+			g, w = w, g
+		}
+		if !reflect.DeepEqual(g, w[:len(g)]) || slices.IndexFunc(w[len(g):], func(p int32) bool { return p != 0 }) >= 0 {
+			t.Fatalf("%s: pos table of query node %d differs", label, u)
+		}
 	}
 }
 
@@ -223,5 +235,130 @@ func TestIncComputeRejectsMismatchedGraph(t *testing.T) {
 	d.AddNode("L0", nil)
 	if _, _, err := IncCompute(st, g, &d, IncOptions{}); err == nil {
 		t.Fatal("IncCompute accepted a graph whose node count does not match the delta")
+	}
+}
+
+// reaches reports whether target is reachable from root through pointers,
+// slices, arrays, structs, maps and interfaces, unexported fields included.
+// Pointers in stop are not entered.
+func reaches(root any, target unsafe.Pointer, stop ...unsafe.Pointer) bool {
+	seen := map[unsafe.Pointer]bool{}
+	for _, p := range stop {
+		seen[p] = true
+	}
+	var walk func(v reflect.Value) bool
+	walk = func(v reflect.Value) bool {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				return false
+			}
+			p := v.UnsafePointer()
+			if p == target {
+				return true
+			}
+			if seen[p] {
+				return false
+			}
+			seen[p] = true
+			return walk(v.Elem())
+		case reflect.Interface:
+			return !v.IsNil() && walk(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if walk(v.Field(i)) {
+					return true
+				}
+			}
+		case reflect.Slice, reflect.Array:
+			switch v.Type().Elem().Kind() {
+			case reflect.Pointer, reflect.Interface, reflect.Struct, reflect.Slice, reflect.Array, reflect.Map:
+				for i := 0; i < v.Len(); i++ {
+					if walk(v.Index(i)) {
+						return true
+					}
+				}
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				if walk(it.Key()) || walk(it.Value()) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	return walk(reflect.ValueOf(root))
+}
+
+// TestIncComputeUntouchedShortcut holds the untouched shortcut of IncCompute
+// to the path it skips: over the delta-sequence fuzz's own generators — at its
+// label count, where most deltas reach the pattern, and at a sparser one,
+// where most miss it — every step's state must equal, array for array, what
+// incAdvance alone makes of the same delta and what NewIncState builds from
+// scratch on the new snapshot (candidates, product, fixpoint, the settled
+// counters of alive pairs), the two must agree on TouchedPairs, and a state
+// that took the shortcut must share its predecessor's arrays while holding no
+// path back to the superseded graph. The chain continues from the shortcut's
+// states, so their short pos tables feed the later advances.
+func TestIncComputeUntouchedShortcut(t *testing.T) {
+	shortcuts := 0
+	for _, labels := range []int{4, 16} {
+		for seed := int64(1); seed <= 12; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			dict := graph.NewDict()
+			g := randomDynGraph(rng, 24+rng.Intn(30), 90+rng.Intn(120), labels, dict)
+			p := randomDynPattern(rng, labels)
+			st := NewIncState(g, p, 1)
+			for step := 0; step < 10; step++ {
+				label := fmt.Sprintf("labels %d seed %d step %d", labels, seed, step)
+				d := randomDelta(rng, g, labels)
+				gNew, err := graph.ApplyDelta(g, d)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				opts := IncOptions{Workers: 1, RecomputeRatio: 1}
+				fast, fstats, err := IncCompute(st, gNew, d, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				slow, sstats, err := incAdvance(st, gNew, d, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if fstats.TouchedPairs != sstats.TouchedPairs || fstats.TotalPairs != sstats.TotalPairs {
+					t.Fatalf("%s: stats %+v, the full path's %+v", label, fstats, sstats)
+				}
+				fresh := NewIncState(gNew, p, 1)
+				for _, want := range []*IncState{slow, fresh} {
+					assertCandidatesEqual(t, label, fast.CI, want.CI)
+					assertProductsEqual(t, label, fast.Prod, want.Prod)
+					if !reflect.DeepEqual(fast.Res.InSim, want.Res.InSim) || fast.Res.Matched != want.Res.Matched {
+						t.Fatalf("%s: fixpoint differs", label)
+					}
+					for q, alive := range fast.Res.InSim {
+						if alive && !reflect.DeepEqual(fast.cnt[fast.Prod.Base[q]:fast.Prod.Base[q+1]], want.cnt[want.Prod.Base[q]:want.Prod.Base[q+1]]) {
+							t.Fatalf("%s: counters of alive pair %d differ", label, q)
+						}
+					}
+				}
+				if fast.G != gNew || fast.Prod.G != gNew || fast.Prod.CI != fast.CI || fast.Res.CI != fast.CI {
+					t.Fatalf("%s: state is not wired to the new snapshot", label)
+				}
+				if fstats.TouchedPairs == 0 && fstats.TotalPairs > 0 && d.Size() > 0 {
+					shortcuts++
+					if fast.CI != st.CI || fast.Res != st.Res || &fast.Prod.Base[0] != &st.Prod.Base[0] {
+						t.Fatalf("%s: an untouched delta rebuilt the state", label)
+					}
+					if reaches(fast, unsafe.Pointer(g), unsafe.Pointer(gNew)) {
+						t.Fatalf("%s: the carried state still references the superseded graph", label)
+					}
+				}
+				g, st = gNew, fast
+			}
+		}
+	}
+	if shortcuts < 20 {
+		t.Fatalf("only %d steps took the untouched shortcut: the fuzz no longer exercises it", shortcuts)
 	}
 }

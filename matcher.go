@@ -49,9 +49,10 @@ type Matcher struct {
 	// either way; only the equivalence fuzzes set these, to force both sides.
 	indexRatio, advanceRatio float64
 	// warm holds the per-pattern incremental states behind the result cache;
-	// advanceEvicted counts states the commit-time advance pass evicted.
-	warm           warmRegistry
-	advanceEvicted atomic.Uint64
+	// advanceEvicted counts states the commit-time advance pass evicted,
+	// carried and reevaluated the answers it carried over and re-ran.
+	warm                                 warmRegistry
+	advanceEvicted, carried, reevaluated atomic.Uint64
 	// durability, when set, must acknowledge every delta before the snapshot
 	// it produced is published; guarded by updateMu like all update state.
 	durability DurabilitySink
@@ -64,8 +65,10 @@ type Matcher struct {
 // installed, Seeded counts evaluations whose candidate lists were
 // containment-seeded from a cached superset pattern, and AdvanceEvicted
 // counts maintained pattern states the advance pass evicted instead of
-// advancing (work share above the ratio). All counters are zero for a
-// Matcher built without WithCache.
+// advancing (work share above the ratio). Carried and Reevaluated split the
+// advanced entries by how the pass produced them: carried over because the
+// delta provably left their inputs alone, or re-run on the advanced state.
+// All counters are zero for a Matcher built without WithCache.
 type CacheStats struct {
 	Hits           uint64 `json:"hits"`
 	Misses         uint64 `json:"misses"`
@@ -74,6 +77,8 @@ type CacheStats struct {
 	Advanced       uint64 `json:"advanced"`
 	Seeded         uint64 `json:"seeded"`
 	AdvanceEvicted uint64 `json:"advance_evicted"`
+	Carried        uint64 `json:"carried"`
+	Reevaluated    uint64 `json:"reevaluated"`
 	Entries        int    `json:"entries"`
 }
 
@@ -146,6 +151,23 @@ type IndexStats struct {
 	// shard section inside it.
 	WallMicros      int64 `json:"wall_us"`
 	ShardWallMicros int64 `json:"shard_wall_us"`
+	// The warm result cache's share of the commit (all zero without
+	// WithCache): WarmStates maintained pattern states went through the
+	// advance pass, the delta reached a candidate pair of WarmTouched of
+	// them, and WarmEvicted were dropped instead of advanced; of the answers
+	// riding the surviving states, WarmReevaluated were re-run on the
+	// advanced state and WarmCarried carried over unevaluated, because the
+	// delta provably left their inputs alone; WarmDropped needed an
+	// evaluation and were forgotten instead, because nobody had read what
+	// the last commits installed for them. WarmMicros is the wall time of
+	// the pass plus the installation of its results.
+	WarmStates      int   `json:"warm_states"`
+	WarmTouched     int   `json:"warm_touched"`
+	WarmReevaluated int   `json:"warm_reevaluated"`
+	WarmCarried     int   `json:"warm_carried"`
+	WarmDropped     int   `json:"warm_dropped"`
+	WarmEvicted     int   `json:"warm_evicted"`
+	WarmMicros      int64 `json:"warm_us"`
 }
 
 // Update applies d to the session's current snapshot and atomically swaps
@@ -245,11 +267,14 @@ func (m *Matcher) commitLocked(merged *graph.Delta, parts []*Delta) (*Graph, Ind
 	// The warm result cache advances with the same off-to-the-side
 	// discipline as the bound index: maintained per-pattern states are
 	// carried to g2 by delta-proportional IncCompute (or evicted past the
-	// work-share ratio) and each cached entry is recomputed from the
-	// advanced state — but nothing is installed until the commit is past its
-	// last fallible step, because entries keyed to a version that is never
-	// published could collide with a later commit's use of the same number.
-	installWarm := m.advanceWarm(g2, merged)
+	// work-share ratio) and each cached entry the delta can have changed is
+	// recomputed from the advanced state — but nothing is installed until
+	// the commit is past its last fallible step, because entries keyed to a
+	// version that is never published could collide with a later commit's
+	// use of the same number.
+	t0 = time.Now()
+	installWarm := m.advanceWarm(g2, merged, &stats)
+	stats.WarmMicros = time.Since(t0).Microseconds()
 	// Durability is the last fallible step: once the sink acknowledges the
 	// deltas the swap below is unconditional, and if it refuses, nothing was
 	// published — queries keep seeing the old snapshot, which is exactly the
@@ -269,7 +294,9 @@ func (m *Matcher) commitLocked(merged *graph.Delta, parts []*Delta) (*Graph, Ind
 	// Install the advanced entries before publishing g2: their keys carry
 	// g2's version, so they are unreachable until the store below — the
 	// first post-commit query already finds them warm.
+	t0 = time.Now()
 	installWarm()
+	stats.WarmMicros += time.Since(t0).Microseconds()
 	m.cur.Store(g2)
 	return g2, stats, nil
 }
@@ -289,6 +316,8 @@ func (m *Matcher) CacheStats() CacheStats {
 		Advanced:       s.Advanced,
 		Seeded:         s.Seeded,
 		AdvanceEvicted: m.advanceEvicted.Load(),
+		Carried:        m.carried.Load(),
+		Reevaluated:    m.reevaluated.Load(),
 		Entries:        s.Entries,
 	}
 }
@@ -356,6 +385,11 @@ func (m *Matcher) run(p *Pattern, q query) (any, QueryInfo, error) {
 	v, outcome, err := m.cache.DoStatus(key, func() (any, bool, error) { return m.load(g, p, text, q) })
 	if err != nil {
 		return nil, info, err
+	}
+	if outcome == cache.OutcomeAdvanced {
+		// The registry's recency means use, and this is the one use that
+		// reaches it without an evaluation; plain hits stay off its lock.
+		m.warm.touch(text, q)
 	}
 	info.Cache = string(outcome)
 	return v, info, nil
