@@ -34,17 +34,17 @@ bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# vet-tool builds the custom analyzer suite. tools/vet is a nested module
-# (so the root module stays dependency-free), hence the cd: the root
-# ./... patterns do not reach it.
+# vet-tool builds the divtopk-vet binary, the suite's one driver.
+# tools/vet is a nested module (so the root module stays dependency-free),
+# hence the cd: the root ./... patterns do not reach it.
 vet-tool:
 	cd tools/vet && $(GO) build -o ../../$(VET_BIN) ./cmd/divtopk-vet
 
 # lint is the single local entry point for every static gate CI enforces:
 # formatting, stock go vet, the analyzer suite's own tests (race detector
-# on — the suite exercises the engine's concurrency shapes), and the
-# divtopk-vet invariant checks over the repository AND over the analyzer
-# suite itself, with the per-analyzer finding/suppression/stale summary.
+# on, shuffled), and the divtopk-vet checks (curload, lockhold) over the
+# repository AND over the analyzer suite itself, with the per-analyzer
+# finding/suppression/stale summary.
 # The gofmt sweep skips testdata trees: analyzer corpora are fixtures whose
 # layout (want-comment alignment) is part of the test, and their src dirs
 # are not packages of any module here.
@@ -57,7 +57,7 @@ lint: vet-tool
 	./$(VET_BIN) -summary ./...
 	./$(VET_BIN) -summary -dir tools/vet ./...
 
-# lint-custom runs only the divtopk-vet invariant checks (fast inner loop).
+# lint-custom runs only the divtopk-vet checks (fast inner loop).
 lint-custom: vet-tool
 	./$(VET_BIN) -summary ./...
 	./$(VET_BIN) -summary -dir tools/vet ./...

@@ -184,34 +184,19 @@
 //
 // # Static analysis
 //
-// The invariants the sections above rely on — snapshot immutability, the
-// single-load discipline on a session's current snapshot, version-keyed
-// result caching, arena Get/Put pairing, no heavy work under a write lock,
-// and map-order-free kernel results — are machine-checked by divtopk-vet,
-// a custom analyzer suite in tools/vet (a nested module, so this module
-// stays dependency-free). Each analyzer encodes a bug class an earlier
-// change made possible: snapmut guards the immutable snapshots dynamic
-// graphs depend on (PR 4), curload and verkey guard the atomic
-// snapshot/version swap and cache invalidation (PRs 2 and 4), arenapair
-// guards the pooled bitsets of the CSR kernel (PR 3), lockhold guards the
-// serving layer's claim/release/compute/publish locking discipline
-// (PRs 2 and 5), and detorder guards the byte-identical determinism the
-// parallel kernels promise (PR 3). Three analyzers reason over paths and
-// package boundaries on the suite's dataflow core (a CFG engine plus
-// cross-package facts carried through go vet's .vetx channel): detflow
-// proves the deterministic kernels free of wall-clock and unseeded-random
-// calls through any helper chain, errflow proves the error of every
-// versioned mutation (ApplyDelta, ApplyDeltaVersionStep, Advance,
-// IncCompute) is checked on every path before the updated state is trusted
-// — and the same for every durability call (wal.Log.Append/AppendBatch/
-// Sync, durable.Store's Seed/Append/AppendBatch/Checkpoint, snapshot.Write,
-// the AppendDelta/AppendBatch sink hooks, matched by qualified name), which
-// in the group-commit coalescer means before any caller of a batch is
-// acknowledged — and swapver proves a published
-// snapshot and its swapped-in derived state always originate from the same
-// version source. Run `make lint`, or see tools/vet's package
-// documentation for the suppression syntax, the fact catalog and the
-// vet-tool protocol.
+// The tests check every answer as a function of (G, Q) alone, which is what
+// catches the bugs that change one; divtopk-vet, a custom analyzer suite in
+// tools/vet (a nested module, so this module stays dependency-free), covers
+// the two bug classes that leave every answer right. curload enforces the
+// single-load discipline on a session's current snapshot — a second load
+// can pair one snapshot with another's version across a concurrent Update
+// (PRs 4 and 7) — and lockhold keeps heavy work (traversals, candidate and
+// state builds, evaluation, delta application) out of write-locked
+// sections, the serving layer's claim/release/compute/publish discipline
+// (PRs 2 and 5). Both reason over paths on a CFG engine and across package
+// boundaries through per-function facts. Run `make lint`, or see tools/vet's
+// package documentation for the suppression syntax, the fact catalog and
+// the mutants only these analyzers catch.
 //
 // The module builds and tests with the standard toolchain:
 //

@@ -183,12 +183,10 @@ func (c *BoundsCache) Advance(gNew *graph.Graph, sum *graph.DeltaSummary, opts A
 	rebuild := func() (*BoundsCache, AdvanceStats, error) {
 		nc := fresh()
 		rows := make([][]int32, len(ids))
-		//lint:allow detflow wall-clock feeds the ShardWallMicros observability stat only, never a result
 		t0 := time.Now()
 		parallel.ForEach(len(ids), workers, func(i int) {
 			rows[i] = graph.DescendantLabelCounts(gNew, ids[i:i+1], c.mode)[0]
 		})
-		//lint:allow detflow wall-clock feeds the ShardWallMicros observability stat only, never a result
 		stats.ShardWallMicros = time.Since(t0).Microseconds()
 		for i, id := range ids {
 			nc.counts[id] = rows[i]
@@ -305,7 +303,6 @@ func (c *BoundsCache) Advance(gNew *graph.Graph, sum *graph.DeltaSummary, opts A
 	// per call, so any worker count is byte-identical to the sequential
 	// oracle. The shared map is filled after the joins.
 	rows := make([][]int32, len(ids))
-	//lint:allow detflow wall-clock feeds the ShardWallMicros observability stat only, never a result
 	t0 := time.Now()
 	parallel.ForEach(len(ids), workers, func(i int) {
 		old := warm[ids[i]]
@@ -322,7 +319,6 @@ func (c *BoundsCache) Advance(gNew *graph.Graph, sum *graph.DeltaSummary, opts A
 			rows[i] = row
 		}
 	})
-	//lint:allow detflow wall-clock feeds the ShardWallMicros observability stat only, never a result
 	stats.ShardWallMicros = time.Since(t0).Microseconds()
 	nc := fresh()
 	for i, id := range ids {

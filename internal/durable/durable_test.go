@@ -259,6 +259,52 @@ func TestAppendFailureDegradesPermanently(t *testing.T) {
 	_ = s.Close()
 }
 
+// TestFailedRotationKeepsTheWAL: a checkpoint that fails to publish degrades
+// the store, but the append that triggered it is acknowledged and its version
+// is already in the WAL — so the WAL must not be truncated onto a checkpoint
+// that does not exist. Recovery lands on the last acknowledged version.
+func TestFailedRotationKeepsTheWAL(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	gs, ds := lineage(t, 2)
+	fault := fsx.NewFault(fsx.OS())
+	// SyncNever: WAL appends do not fsync, so the only sync the injected
+	// failure can hit is the checkpoint file's.
+	s, _, err := Open(dir, Options{FS: fault, Policy: wal.SyncNever, CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Seed(gs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(gs[1], ds[0]); err != nil {
+		t.Fatal(err)
+	}
+	inj := errors.New("disk detached")
+	fault.FailSyncs(inj)
+	if err := s.Append(gs[2], ds[1]); err != nil {
+		t.Fatalf("append whose rotation failed = %v, want nil (the WAL holds it)", err)
+	}
+	if err := s.Err(); !errors.Is(err, inj) {
+		t.Fatalf("Err after failed rotation = %v, want the injected error", err)
+	}
+	fault.FailSyncs(nil)
+	_ = s.Close()
+
+	s2, rec, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if rec.Base == nil || rec.Base.Version() != 0 || len(rec.Records) != 2 {
+		t.Fatalf("recovery after failed rotation = base %v, %d records; want base 0 and versions 1-2",
+			rec.Base, len(rec.Records))
+	}
+	if v, _ := s2.DurableVersion(); v != 2 {
+		t.Fatalf("DurableVersion = %d, want 2", v)
+	}
+}
+
 // TestCrashMidAppendRecoversPrefix kills the "process" partway through a WAL
 // append: the torn record is truncated on restart and recovery lands exactly
 // on the last acknowledged version.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -239,6 +240,36 @@ func TestCondenseAgainstReachabilityReference(t *testing.T) {
 			}
 			if cond.Rank[c] != want {
 				t.Fatalf("trial %d: rank(%d) = %d, want %d", trial, c, cond.Rank[c], want)
+			}
+		}
+	}
+}
+
+// TestCondensationConcurrentFirstUse: a snapshot is shared by concurrent
+// queries, so its lazily cached condensation must be filled exactly once —
+// every concurrent first caller gets the same one, and (under -race) no
+// caller reads the cache while another writes it.
+func TestCondensationConcurrentFirstUse(t *testing.T) {
+	const callers = 4
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 8; round++ {
+		g := randomGraph(rng, 3000, 9000, []string{"a", "b"})
+		start := make(chan struct{})
+		got := make([]*Condensation, callers)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				got[i] = g.Condensation()
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i := range got {
+			if got[i] != got[0] || got[i] != g.Condensation() {
+				t.Fatalf("round %d: concurrent first callers got different condensations", round)
 			}
 		}
 	}

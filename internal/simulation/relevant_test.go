@@ -2,6 +2,7 @@ package simulation
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"divtopk/internal/graph"
@@ -189,6 +190,62 @@ func TestRelevantAgainstNaiveProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// ladder builds a product whose condensation has about levels ranks: a b-node
+// spine v0 → … → v_levels, one side node s_i → v_i per spine node, and one
+// a-node → v0. Over the pattern a → b ⇄ b every side pair is a component no
+// other component reads, one per rank, so it is released at the rank it is
+// computed in.
+func ladder(levels int) (*Product, *pattern.Analysis, *RelSpace) {
+	b := graph.NewBuilder()
+	a := b.AddNode("a", nil)
+	spine := b.AddNode("b", nil)
+	_ = b.AddEdge(a, spine)
+	for i := 0; i < levels; i++ {
+		next := b.AddNode("b", nil)
+		side := b.AddNode("b", nil)
+		_ = b.AddEdge(spine, next)
+		_ = b.AddEdge(side, next)
+		spine = next
+	}
+	g := b.Build()
+	p := pattern.New()
+	out, u1, u2 := p.AddNode("a"), p.AddNode("b"), p.AddNode("b")
+	for _, e := range [][2]int{{out, u1}, {u1, u2}, {u2, u1}} {
+		if err := p.AddEdge(e[0], e[1]); err != nil {
+			panic(err)
+		}
+	}
+	if err := p.SetOutput(out); err != nil {
+		panic(err)
+	}
+	ci := BuildCandidates(g, p)
+	an := pattern.Analyze(p)
+	return BuildProduct(g, p, ci, 1), an, BuildRelSpace(g, p, ci, an)
+}
+
+// TestComputeRelevantRecyclesArenaSets pins ComputeRelevant's release
+// bookkeeping: every interior set goes back to the arena once its last reader
+// has consumed it, so the arena stays as wide as the condensation's frontier
+// and the bytes allocated stay linear in the product. A set that is never Put
+// — answers unchanged — costs a fresh universe-wide set per rank here, which
+// is quadratic and breaks the budget of less than one such set per rank.
+func TestComputeRelevantRecyclesArenaSets(t *testing.T) {
+	const levels = 8000
+	prod, an, space := ladder(levels)
+	run := func() { ComputeRelevant(prod, an, space, nil, prod.P.Output(), false, 1) }
+	run()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	setBytes := uint64(space.Size()+63) / 64 * 8
+	if got, budget := after.TotalAlloc-before.TotalAlloc, levels*setBytes; got > budget {
+		t.Fatalf("ComputeRelevant over %d condensation ranks allocated %d bytes, want <= %d "+
+			"(one %d-byte relevant set per rank): interior arena sets are not being recycled",
+			levels, got, budget, setBytes)
 	}
 }
 

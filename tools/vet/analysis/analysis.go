@@ -22,29 +22,20 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) (any, error)
-	// FactTypes declares the fact types this analyzer may export (see the
-	// facts package); drivers register them before decoding any .vetx input.
-	// An analyzer without fact types takes part in no cross-package flow.
-	FactTypes []facts.Fact
 }
 
 // Pass carries one package's syntax and type information to an analyzer's
 // Run function.
 type Pass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	// PkgPath is the import path the package was loaded under. For packages
-	// of the main module it equals Pkg.Path(); analysistest packages get
-	// their testdata-relative path (e.g. "a").
-	PkgPath   string
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
-	// FactSet is the session's cross-package fact store, shared by every
-	// analyzer and package of one driver run; nil when the driver carries no
-	// facts. Analyzers use the Export/Import methods below, never the set
-	// directly.
+	// FactSet is the run's cross-package fact store, shared by every
+	// analyzer and package of one driver run. Analyzers use the
+	// Export/Import methods below, never the set directly.
 	FactSet *facts.Set
 }
 
@@ -53,39 +44,14 @@ type Pass struct {
 // with ImportObjectFact. Only package-level funcs/methods can carry facts;
 // exports on other objects are dropped.
 func (p *Pass) ExportObjectFact(obj types.Object, fact facts.Fact) {
-	if p.FactSet != nil && obj != nil {
-		p.FactSet.PutObject(p.Analyzer.Name, obj, fact)
-	}
+	p.FactSet.PutObject(p.Analyzer.Name, obj, fact)
 }
 
 // ImportObjectFact copies the fact attached to obj by this analyzer (in this
 // package or any dependency analyzed earlier) into fact, reporting whether
 // one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, fact facts.Fact) bool {
-	return p.FactSet != nil && obj != nil && p.FactSet.GetObject(p.Analyzer.Name, obj, fact)
-}
-
-// ExportPackageFact attaches fact to the package being analyzed.
-func (p *Pass) ExportPackageFact(fact facts.Fact) {
-	if p.FactSet != nil {
-		p.FactSet.PutPackage(p.Analyzer.Name, p.Pkg.Path(), fact)
-	}
-}
-
-// ImportPackageFact copies the fact attached to pkg by this analyzer into
-// fact, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact facts.Fact) bool {
-	return p.FactSet != nil && pkg != nil && p.FactSet.GetPackage(p.Analyzer.Name, pkg.Path(), fact)
-}
-
-// RegisterFactTypes registers every analyzer's declared fact types with the
-// facts wire codec; drivers call it once before decoding .vetx input.
-func RegisterFactTypes(analyzers []*Analyzer) {
-	for _, a := range analyzers {
-		if len(a.FactTypes) > 0 {
-			facts.Register(a.Name, a.FactTypes...)
-		}
-	}
+	return p.FactSet.GetObject(p.Analyzer.Name, obj, fact)
 }
 
 // Reportf reports a diagnostic at pos with a formatted message.

@@ -2,7 +2,7 @@
 // and checks its diagnostics against // want comments, mirroring the
 // golang.org/x/tools/go/analysis/analysistest contract:
 //
-//	s = append(s, k) // want `appended in map-range order`
+//	Warm() // want `call to Warm in bad while s\.mu is locked`
 //
 // Each quoted string is a regexp that must match exactly one diagnostic
 // reported on that line; diagnostics not claimed by any want, and wants not
@@ -57,7 +57,6 @@ type loader struct {
 	// dependencies before their importers — which is the order the analyzer
 	// must visit them for facts to flow forward.
 	order []*loaded
-	infos []*types.Info
 }
 
 func (l *loader) Import(path string) (*types.Package, error) {
@@ -107,21 +106,19 @@ func (l *loader) load(path string) (*loaded, error) {
 	p := &loaded{path: path, files: files, types: tpkg, info: info}
 	l.pkgs[path] = p
 	l.order = append(l.order, p)
-	l.infos = append(l.infos, info)
 	return p, nil
 }
 
 // Run applies a to each named testdata package under dir/src and verifies
 // the diagnostics against the // want comments of that package's files.
 //
-// Facts flow the way they do in the real drivers: every testdata package a
+// Facts flow the way they do in the real driver: every testdata package a
 // named package (transitively) imports is analyzed first, facts-only — its
 // diagnostics are discarded and its files carry no want expectations — so a
 // fact produced in testdata package "g" is visible while analyzing a named
 // package that imports "g".
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	analysis.RegisterFactTypes([]*analysis.Analyzer{a})
 	l := &loader{
 		srcdir: filepath.Join(dir, "src"),
 		fset:   token.NewFileSet(),
@@ -139,7 +136,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 			Fset:      l.fset,
 			Files:     p.files,
 			Pkg:       p.types,
-			PkgPath:   p.path,
 			TypesInfo: p.info,
 			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 			FactSet:   factSet,

@@ -12,8 +12,7 @@
 // Exit block, so "state at function exit" is one join. defer statements are
 // not placed in any block: their calls run at every exit in LIFO order, so
 // they are collected on the Graph for analyses to apply against the Exit
-// state (lockhold treats a deferred Unlock as holding to the end; arenapair
-// treats a deferred Put as releasing at exit).
+// state (lockhold treats a deferred Unlock as holding to the end).
 //
 // Function literals are deliberately not descended into: a FuncLit body is a
 // separate execution context (a goroutine, a deferred cleanup, a callback)

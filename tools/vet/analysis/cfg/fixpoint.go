@@ -20,8 +20,8 @@ type Flow struct {
 	// before it.
 	Transfer func(b *Block, in State) State
 	// Join merges the states of two converging paths: set intersection for a
-	// must-analysis (lock held on every path), set union for a may-analysis
-	// (arena set outstanding on some path).
+	// must-analysis (lock held on every path), max for a worst-path count
+	// (snapshot loads on some path).
 	Join func(a, b State) State
 	// Equal reports whether two states are equal; the fixpoint has been
 	// reached when every reachable block's in-state stops changing.

@@ -1,69 +1,35 @@
 // Package facts carries analyzer facts — knowledge an analyzer derives
-// about a package's objects and publishes for the analysis of importing
+// about a package's functions and publishes for the analysis of importing
 // packages — across package boundaries for the divtopk-vet suite. It is the
 // stdlib-only counterpart of the go/analysis fact mechanism: an analyzer
-// declares its fact types (Analyzer.FactTypes), attaches facts to objects or
-// packages during its Run (Pass.ExportObjectFact), and reads facts the same
-// analyzer produced for dependencies (Pass.ImportObjectFact).
+// attaches facts to functions during its Run (Pass.ExportObjectFact) and
+// reads facts the same analyzer produced for dependencies
+// (Pass.ImportObjectFact).
 //
-// Two transports feed the same in-memory Set:
-//
-//   - Standalone, packages are analyzed in dependency order (go list -deps
-//     emits dependencies before their importers) against one shared Set, so
-//     imports are plain map lookups.
-//   - Under cmd/go's -vettool protocol, each compilation unit decodes the
-//     .vetx files of its direct imports (cfg.PackageVetx) into its Set and
-//     encodes the full Set — imported facts included, which is what makes
-//     fact flow transitive with only direct-import loading — to
-//     cfg.VetxOutput.
-//
-// Facts are keyed by a stable object key (package path plus the receiver-
-// qualified function name) rather than by export-data object identity, so
-// the serialized form is a small, inspectable JSON document instead of a
-// binary object graph. Only package-level functions and methods can carry
-// object facts; that is the only granularity the suite's analyzers need.
+// The driver analyzes packages in dependency order (go list -deps emits
+// dependencies before their importers) against one shared Set, so importing
+// a fact is a map lookup. Facts are keyed by a stable object key (package
+// path plus the receiver-qualified function name) rather than by object
+// identity, because each package is type-checked against export data and an
+// imported function is a different *types.Func than the one its own package
+// saw. Only package-level functions and methods can carry facts; that is the
+// only granularity the suite's analyzers need.
 package facts
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // Fact is a marker interface for analyzer fact types, mirroring
-// analysis.Fact upstream: a fact type is a pointer to a JSON-serializable
-// struct with an AFact method.
+// analysis.Fact upstream: a fact type is a pointer to a struct with an AFact
+// method.
 type Fact interface{ AFact() }
 
-// registry maps analyzer name -> fact type name -> concrete type, filled by
-// Register from each analyzer's FactTypes declaration. Decoding uses it to
-// rebuild concrete fact values.
-var registry = map[string]map[string]reflect.Type{}
-
-// Register declares the fact types analyzer name may produce. Calling it
-// twice for the same analyzer is harmless; prototypes must be pointers to
-// structs.
-func Register(analyzer string, prototypes ...Fact) {
-	m := registry[analyzer]
-	if m == nil {
-		m = map[string]reflect.Type{}
-		registry[analyzer] = m
-	}
-	for _, p := range prototypes {
-		t := reflect.TypeOf(p)
-		if t == nil || t.Kind() != reflect.Pointer {
-			panic(fmt.Sprintf("facts.Register(%s): prototype %T is not a pointer", analyzer, p))
-		}
-		m[t.Elem().Name()] = t.Elem()
-	}
-}
-
-// ObjectKey returns the stable serialization key of obj, or "" if the object
-// cannot carry facts (only package-level funcs and methods can). Methods are
-// keyed through their receiver's named type, so the key is reconstructible
-// from export data on the importing side.
+// ObjectKey returns the stable key of obj, or "" if the object cannot carry
+// facts (only package-level funcs and methods can). Methods are keyed through
+// their receiver's named type, so the key is the same on both sides of an
+// import.
 func ObjectKey(obj types.Object) string {
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
@@ -87,174 +53,43 @@ func ObjectKey(obj types.Object) string {
 	return fn.Pkg().Path() + ":" + fn.Name()
 }
 
-// entry is one stored fact.
-type entry struct {
-	analyzer string
-	typeName string
-	fact     Fact
-}
-
-// Set is the fact store of one analysis session (standalone) or one
-// compilation unit (vet tool). It is not safe for concurrent use; the
-// drivers are single-threaded.
+// Set is the fact store of one driver run. It is not safe for concurrent
+// use; the driver is single-threaded.
 type Set struct {
-	obj map[string]map[string]entry // objectKey -> analyzer -> entry
-	pkg map[string]map[string]entry // pkgPath -> analyzer -> entry
+	obj map[string]map[string]Fact // objectKey -> analyzer -> fact
 }
 
 // NewSet returns an empty fact set.
 func NewSet() *Set {
-	return &Set{
-		obj: map[string]map[string]entry{},
-		pkg: map[string]map[string]entry{},
-	}
-}
-
-func put(m map[string]map[string]entry, key, analyzer string, f Fact) {
-	inner := m[key]
-	if inner == nil {
-		inner = map[string]entry{}
-		m[key] = inner
-	}
-	inner[analyzer] = entry{analyzer: analyzer, typeName: reflect.TypeOf(f).Elem().Name(), fact: f}
-}
-
-// get copies the stored fact (if any) into out, which must be a pointer of
-// the stored fact's concrete type.
-func get(m map[string]map[string]entry, key, analyzer string, out Fact) bool {
-	e, ok := m[key][analyzer]
-	if !ok {
-		return false
-	}
-	ov := reflect.ValueOf(out)
-	ev := reflect.ValueOf(e.fact)
-	if ov.Type() != ev.Type() {
-		return false
-	}
-	ov.Elem().Set(ev.Elem())
-	return true
+	return &Set{obj: map[string]map[string]Fact{}}
 }
 
 // PutObject attaches f to obj for analyzer. Objects that cannot carry facts
 // are silently skipped (matching upstream's tolerance for local objects).
 func (s *Set) PutObject(analyzer string, obj types.Object, f Fact) {
-	if key := ObjectKey(obj); key != "" {
-		put(s.obj, key, analyzer, f)
-	}
-}
-
-// GetObject copies analyzer's fact for obj into out and reports whether one
-// was found.
-func (s *Set) GetObject(analyzer string, obj types.Object, out Fact) bool {
 	key := ObjectKey(obj)
-	return key != "" && get(s.obj, key, analyzer, out)
-}
-
-// PutPackage attaches f to package pkgPath for analyzer.
-func (s *Set) PutPackage(analyzer, pkgPath string, f Fact) {
-	put(s.pkg, pkgPath, analyzer, f)
-}
-
-// GetPackage copies analyzer's fact for pkgPath into out and reports whether
-// one was found.
-func (s *Set) GetPackage(analyzer, pkgPath string, out Fact) bool {
-	return get(s.pkg, pkgPath, analyzer, out)
-}
-
-// Len returns the number of stored facts (objects and packages).
-func (s *Set) Len() int {
-	n := 0
-	for _, m := range s.obj {
-		n += len(m)
+	if key == "" {
+		return
 	}
-	for _, m := range s.pkg {
-		n += len(m)
+	inner := s.obj[key]
+	if inner == nil {
+		inner = map[string]Fact{}
+		s.obj[key] = inner
 	}
-	return n
+	inner[analyzer] = f
 }
 
-// wireFact is the serialized form of one fact.
-type wireFact struct {
-	Analyzer string          `json:"analyzer"`
-	Type     string          `json:"type"`
-	Value    json.RawMessage `json:"value"`
-}
-
-// wireSet is the .vetx document: format-versioned so a future layout change
-// fails loudly instead of decoding garbage.
-type wireSet struct {
-	Version  int                   `json:"divtopk_vetx"`
-	Objects  map[string][]wireFact `json:"objects,omitempty"`
-	Packages map[string][]wireFact `json:"packages,omitempty"`
-}
-
-const wireVersion = 1
-
-func encodeSide(m map[string]map[string]entry) map[string][]wireFact {
-	if len(m) == 0 {
-		return nil
+// GetObject copies analyzer's fact for obj into out, which must be a pointer
+// of the stored fact's concrete type, and reports whether one was found.
+func (s *Set) GetObject(analyzer string, obj types.Object, out Fact) bool {
+	f, ok := s.obj[ObjectKey(obj)][analyzer]
+	if !ok {
+		return false
 	}
-	out := make(map[string][]wireFact, len(m))
-	for key, inner := range m {
-		fs := make([]wireFact, 0, len(inner))
-		for _, e := range inner {
-			raw, err := json.Marshal(e.fact)
-			if err != nil {
-				continue // unmarshalable facts are dropped, not fatal
-			}
-			fs = append(fs, wireFact{Analyzer: e.analyzer, Type: e.typeName, Value: raw})
-		}
-		sort.Slice(fs, func(i, j int) bool { return fs[i].Analyzer < fs[j].Analyzer })
-		out[key] = fs
+	ov, fv := reflect.ValueOf(out), reflect.ValueOf(f)
+	if ov.Type() != fv.Type() {
+		return false
 	}
-	return out
-}
-
-// Encode serializes the whole set — own and imported facts alike, so a
-// package's .vetx transitively carries everything its importers need.
-func (s *Set) Encode() ([]byte, error) {
-	return json.Marshal(wireSet{
-		Version:  wireVersion,
-		Objects:  encodeSide(s.obj),
-		Packages: encodeSide(s.pkg),
-	})
-}
-
-func decodeSide(dst map[string]map[string]entry, src map[string][]wireFact) {
-	for key, fs := range src {
-		for _, wf := range fs {
-			t, ok := registry[wf.Analyzer][wf.Type]
-			if !ok {
-				continue // unknown analyzer or type: stale file, skip
-			}
-			v := reflect.New(t)
-			if err := json.Unmarshal(wf.Value, v.Interface()); err != nil {
-				continue
-			}
-			f, ok := v.Interface().(Fact)
-			if !ok {
-				continue
-			}
-			put(dst, key, wf.Analyzer, f)
-		}
-	}
-}
-
-// Decode merges the facts serialized in data into s. Empty input (the stub
-// vetx files earlier versions of the tool wrote) is accepted and adds
-// nothing. Facts of unregistered analyzers or types are skipped.
-func (s *Set) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var ws wireSet
-	if err := json.Unmarshal(data, &ws); err != nil {
-		return fmt.Errorf("facts: decoding vetx: %v", err)
-	}
-	if ws.Version != wireVersion {
-		return fmt.Errorf("facts: vetx format version %d, want %d", ws.Version, wireVersion)
-	}
-	decodeSide(s.obj, ws.Objects)
-	decodeSide(s.pkg, ws.Packages)
-	return nil
+	ov.Elem().Set(fv.Elem())
+	return true
 }

@@ -10,8 +10,8 @@ import (
 )
 
 type testFact struct {
-	Kind string `json:"kind"`
-	N    int    `json:"n"`
+	Kind string
+	N    int
 }
 
 func (*testFact) AFact() {}
@@ -57,72 +57,38 @@ var V int
 	}
 }
 
-func TestRoundTrip(t *testing.T) {
-	Register("det", new(testFact))
-	Register("oth", new(otherFact))
-
-	pkg := checkPkg(t, "example.com/g", `package g
+// TestPutGetAcrossTypeChecks stores a fact on one type-check's *types.Func
+// and reads it back through another's — the situation of an importer, which
+// sees the function through export data, not the defining package's object.
+func TestPutGetAcrossTypeChecks(t *testing.T) {
+	const src = `package g
 func F() {}
-`)
-	obj := pkg.Scope().Lookup("F")
+var V int
+`
+	def := checkPkg(t, "example.com/g", src).Scope().Lookup("F")
+	use := checkPkg(t, "example.com/g", src).Scope().Lookup("F")
 
 	s := NewSet()
-	s.PutObject("det", obj, &testFact{Kind: "deterministic", N: 7})
-	s.PutPackage("det", "example.com/g", &testFact{Kind: "pkg", N: 1})
-	s.PutPackage("oth", "example.com/g", &otherFact{S: "x"})
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
+	s.PutObject("det", def, &testFact{Kind: "deterministic", N: 7})
+	s.PutObject("oth", def, &otherFact{S: "x"})
+	s.PutObject("det", checkPkg(t, "example.com/g", src).Scope().Lookup("V"), &testFact{})
 
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) == 0 {
-		t.Fatal("Encode produced empty output")
-	}
-
-	s2 := NewSet()
-	if err := s2.Decode(data); err != nil {
-		t.Fatal(err)
-	}
 	var got testFact
-	if !s2.GetObject("det", obj, &got) || got.Kind != "deterministic" || got.N != 7 {
-		t.Errorf("object fact after round trip = %+v, found=%v", got, s2.GetObject("det", obj, &got))
-	}
-	var gp testFact
-	if !s2.GetPackage("det", "example.com/g", &gp) || gp.Kind != "pkg" {
-		t.Errorf("package fact after round trip = %+v", gp)
+	if !s.GetObject("det", use, &got) || got.Kind != "deterministic" || got.N != 7 {
+		t.Errorf("GetObject(det, F) = %+v", got)
 	}
 	var oth otherFact
-	if !s2.GetPackage("oth", "example.com/g", &oth) || oth.S != "x" {
-		t.Errorf("second analyzer's package fact after round trip = %+v", oth)
+	if !s.GetObject("oth", use, &oth) || oth.S != "x" {
+		t.Errorf("GetObject(oth, F) = %+v", oth)
 	}
 	// Wrong analyzer name and wrong concrete type both miss.
-	if s2.GetObject("oth", obj, &got) {
-		t.Error("GetObject with wrong analyzer succeeded")
+	if s.GetObject("none", use, &got) {
+		t.Error("GetObject with an analyzer that exported nothing succeeded")
 	}
-	if s2.GetObject("det", obj, &oth) {
+	if s.GetObject("det", use, &oth) {
 		t.Error("GetObject into wrong concrete type succeeded")
 	}
-}
-
-func TestDecodeEmptyAndUnknown(t *testing.T) {
-	s := NewSet()
-	if err := s.Decode(nil); err != nil {
-		t.Errorf("Decode(nil) = %v, want nil (PR6 wrote empty vetx stubs)", err)
-	}
-	if err := s.Decode([]byte{}); err != nil {
-		t.Errorf("Decode(empty) = %v, want nil", err)
-	}
-	// Facts of analyzers this binary does not know are skipped, not fatal.
-	if err := s.Decode([]byte(`{"divtopk_vetx":1,"objects":{"p:F":[{"analyzer":"nope","type":"gone","value":{}}]}}`)); err != nil {
-		t.Errorf("Decode(unknown analyzer) = %v, want nil", err)
-	}
-	if s.Len() != 0 {
-		t.Errorf("Len = %d after skipped decodes, want 0", s.Len())
-	}
-	if err := s.Decode([]byte(`{"divtopk_vetx":99}`)); err == nil {
-		t.Error("Decode of future format version succeeded, want error")
+	if len(s.obj) != 1 {
+		t.Errorf("set holds facts for %d objects, want 1 (vars cannot carry facts)", len(s.obj))
 	}
 }

@@ -28,7 +28,6 @@ import (
 // Package is one type-checked target package.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -39,7 +38,6 @@ type Package struct {
 type listPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
 	Export     string
 	Standard   bool
@@ -111,7 +109,6 @@ func Packages(dir string, patterns []string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: t.ImportPath,
-			Dir:        t.Dir,
 			Fset:       fset,
 			Files:      files,
 			Types:      tpkg,

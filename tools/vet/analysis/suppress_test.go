@@ -11,7 +11,7 @@ import (
 const suppressSrc = `package p
 
 func a() {
-	//lint:allow arenapair set escapes to the caller
+	//lint:allow lockhold cold startup path
 	x := 1
 	_ = x
 }
@@ -46,7 +46,7 @@ func TestSuppressionsParse(t *testing.T) {
 		t.Fatalf("got %d well-formed suppressions, want 1: %+v", len(sups), sups)
 	}
 	s := sups[0]
-	if s.Analyzer != "arenapair" || s.Reason != "set escapes to the caller" {
+	if s.Analyzer != "lockhold" || s.Reason != "cold startup path" {
 		t.Errorf("parsed suppression = %+v", s)
 	}
 	if len(bad) != 2 {
@@ -63,7 +63,7 @@ func TestFilterSuppressed(t *testing.T) {
 	fset, files := parse(t)
 	sups, _ := Suppressions(fset, files)
 	// The suppression in func a sits on line 4; it must cover diagnostics on
-	// its own line and the next, for analyzer arenapair only.
+	// its own line and the next, for analyzer lockhold only.
 	pos := func(line int) token.Pos {
 		return fset.File(files[0].Pos()).LineStart(line)
 	}
@@ -71,9 +71,9 @@ func TestFilterSuppressed(t *testing.T) {
 		{Pos: pos(5), Message: "on suppressed line"},
 		{Pos: pos(6), Message: "past the suppressed line"},
 	}
-	kept := FilterSuppressed(fset, sups, "arenapair", diags)
+	kept := FilterSuppressed(fset, sups, "lockhold", diags)
 	if len(kept) != 1 || kept[0].Message != "past the suppressed line" {
-		t.Errorf("arenapair filter kept %+v, want only the line-6 diagnostic", kept)
+		t.Errorf("lockhold filter kept %+v, want only the line-6 diagnostic", kept)
 	}
 	kept = FilterSuppressed(fset, sups, "curload", diags)
 	if len(kept) != 2 {
@@ -90,13 +90,13 @@ func TestStaleSuppressions(t *testing.T) {
 	if len(stale) != 1 {
 		t.Fatalf("Stale before filtering = %d diagnostics, want 1", len(stale))
 	}
-	if msg := stale[0].Message; !strings.Contains(msg, "arenapair") || !strings.Contains(msg, "set escapes to the caller") {
+	if msg := stale[0].Message; !strings.Contains(msg, "lockhold") || !strings.Contains(msg, "cold startup path") {
 		t.Errorf("stale diagnostic %q should name the analyzer and quote the reason", msg)
 	}
 
 	// A suppression that actually dropped a diagnostic is not stale.
 	pos := fset.File(files[0].Pos()).LineStart(5)
-	FilterSuppressed(fset, sups, "arenapair", []Diagnostic{{Pos: pos, Message: "covered"}})
+	FilterSuppressed(fset, sups, "lockhold", []Diagnostic{{Pos: pos, Message: "covered"}})
 	if stale = Stale(sups); len(stale) != 0 {
 		t.Errorf("Stale after a matching finding = %+v, want none", stale)
 	}

@@ -1,22 +1,16 @@
 // Command divtopk-vet is the multichecker binary for the divtopk analyzer
-// suite: it machine-checks the engine's concurrency and versioning
-// invariants (see the analyzer packages under tools/vet for the rules and
-// the PRs whose bugs motivated them).
+// suite: it machine-checks the engine's snapshot-load and lock discipline
+// (see the analyzer packages under tools/vet for the rules and the PRs whose
+// bugs motivated them).
 //
-// Standalone (run from the repository root; -dir resolves the patterns):
+// Run from the repository root; -dir resolves the patterns:
 //
 //	divtopk-vet ./...
 //	divtopk-vet -dir /path/to/repo ./internal/...
 //
-// As a cmd/go vet tool (the binary also speaks the vet config protocol):
-//
-//	go vet -vettool=$(pwd)/bin/divtopk-vet ./...
-//
-// Both drivers thread analyzer facts across package boundaries: standalone
-// runs analyze packages in dependency order against one shared fact set,
-// and vet-tool runs decode the .vetx files of the unit's direct imports and
-// encode the full set for their importers — so a fact-driven analyzer sees
-// a helper's effects even when the helper lives in an imported package.
+// Packages are analyzed in dependency order against one shared fact set, so
+// a fact-driven analyzer sees a helper's effects even when the helper lives
+// in an imported package.
 //
 // Exit status: 0 clean, 1 tool failure, 2 findings.
 package main
@@ -33,53 +27,23 @@ import (
 	"divtopk/tools/vet/analysis"
 	"divtopk/tools/vet/analysis/facts"
 	"divtopk/tools/vet/analysis/load"
-	"divtopk/tools/vet/arenapair"
 	"divtopk/tools/vet/curload"
-	"divtopk/tools/vet/detflow"
-	"divtopk/tools/vet/detorder"
-	"divtopk/tools/vet/errflow"
 	"divtopk/tools/vet/lockhold"
-	"divtopk/tools/vet/snapmut"
-	"divtopk/tools/vet/swapver"
-	"divtopk/tools/vet/verkey"
 )
 
 // analyzers is the full suite.
 var analyzers = []*analysis.Analyzer{
-	snapmut.Analyzer,
 	curload.Analyzer,
-	verkey.Analyzer,
-	arenapair.Analyzer,
 	lockhold.Analyzer,
-	detorder.Analyzer,
-	detflow.Analyzer,
-	errflow.Analyzer,
-	swapver.Analyzer,
 }
 
 func main() {
-	// cmd/go version handshake: `divtopk-vet -V=full` must print a
-	// "name version ..." line for the build cache key.
-	for _, a := range os.Args[1:] {
-		if a == "-V=full" || a == "-V" {
-			fmt.Printf("divtopk-vet version %s\n", version())
-			return
-		}
-		// cmd/go flag discovery: respond with the (empty) set of tool
-		// flags it may forward, as a JSON array.
-		if a == "-flags" {
-			fmt.Println("[]")
-			return
-		}
-	}
-	analysis.RegisterFactTypes(analyzers)
-
 	fs := flag.NewFlagSet("divtopk-vet", flag.ExitOnError)
 	dir := fs.String("dir", ".", "directory to resolve package patterns in")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	sum := fs.Bool("summary", false, "print per-analyzer finding/suppression counts after the run")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: divtopk-vet [-dir d] [-summary] packages...\n       divtopk-vet unit.cfg  (cmd/go vet tool protocol)\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: divtopk-vet [-dir d] [-summary] packages...\n\nanalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -95,12 +59,6 @@ func main() {
 		return
 	}
 	args := fs.Args()
-
-	// A single .cfg argument is cmd/go invoking us as -vettool.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		unitCheck(args[0])
-		return
-	}
 	if len(args) == 0 {
 		fs.Usage()
 		os.Exit(1)
@@ -115,14 +73,13 @@ func main() {
 	// dependency order (go list -deps emits dependencies first), so facts
 	// a package exports are in the set before its importers are analyzed.
 	factSet := facts.NewSet()
-	stats := newSummary()
+	stats := summary{}
 	exit := 0
 	for _, p := range pkgs {
 		diags := runSuite(&analysis.Pass{
 			Fset:      p.Fset,
 			Files:     p.Files,
 			Pkg:       p.Types,
-			PkgPath:   p.ImportPath,
 			TypesInfo: p.Info,
 			FactSet:   factSet,
 		}, stats)
@@ -153,12 +110,7 @@ type outcome struct {
 	findings, suppressed, stale int
 }
 
-func newSummary() summary { return summary{} }
-
 func (s summary) row(name string) *outcome {
-	if s == nil {
-		return &outcome{}
-	}
 	o := s[name]
 	if o == nil {
 		o = &outcome{}
@@ -185,7 +137,7 @@ func (s summary) print(w *os.File) {
 // findings in stable position order, including lintstale findings for
 // suppressions no analyzer used. Test files are exempt: the invariants
 // guard production code, and tests deliberately drive the raw primitives
-// (unversioned cache keys, never-returned arena sets) to exercise them.
+// (repeated snapshot loads, work under a held lock) to exercise them.
 func runSuite(base *analysis.Pass, stats summary) []diagRecord {
 	var files []*ast.File
 	for _, f := range base.Files {

@@ -36,7 +36,6 @@ import (
 
 	"divtopk/tools/vet/analysis"
 	"divtopk/tools/vet/analysis/cfg"
-	"divtopk/tools/vet/analysis/facts"
 	"divtopk/tools/vet/internal/typeutil"
 )
 
@@ -44,8 +43,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "curload",
 	Doc: "flag repeated cur.Load() or mixed cur.Load()/Version() on one " +
 		"path of a function (torn snapshot/version pairs)",
-	Run:       run,
-	FactTypes: []facts.Fact{new(LoadsCur)},
+	Run: run,
 }
 
 // LoadsCur is the object fact for zero-parameter accessor methods whose
@@ -53,10 +51,10 @@ var Analyzer = &analysis.Analyzer{
 type LoadsCur struct {
 	// Loads is the number of snapshot loads one call performs on some path
 	// (clamped at 2).
-	Loads int `json:"loads"`
+	Loads int
 }
 
-// AFact marks LoadsCur as a serializable analyzer fact.
+// AFact marks LoadsCur as an analyzer fact.
 func (*LoadsCur) AFact() {}
 
 // maxCount clamps the lattice: 0, 1, "2 or more". Clamping bounds the

@@ -1,40 +1,28 @@
-// Package vet anchors the divtopk-vet static-analysis suite: a set of
-// repo-specific analyzers that machine-check the concurrency and versioning
-// invariants the divtopk engine's correctness rests on. Each analyzer
-// encodes one rule that was once only written down in comments (and, in
-// several cases, was violated and fixed in an earlier PR):
+// Package vet anchors the divtopk-vet static-analysis suite: two
+// repo-specific analyzers for bug classes the test suite cannot see, because
+// the bug leaves every answer right and breaks only an interleaving or a
+// latency:
 //
-//   - snapmut: published graph snapshots are immutable — no writes to
-//     graph.Graph fields or their CSR/dict backing slices outside the
-//     whitelisted construction paths (New*/Build/ApplyDelta*/Read) and
-//     sync.Once-guarded lazy caches.
 //   - curload: one atomic snapshot load per function — a second cur.Load(),
 //     or mixing cur.Load() with Version(), can observe a torn
-//     snapshot/version pair across a concurrent Update.
-//   - verkey: every query-result cache admission must flow the graph
-//     snapshot version into its key, so entries cached against an older
-//     snapshot are unreachable rather than stale.
-//   - arenapair: a bitset.Arena.Get needs a matching Put in the same
-//     function (deferred counts), or a reviewed justification — the arena's
-//     zero-alloc steady state depends on sets coming back.
-//   - lockhold: no heavy computation (Compute*/Warm*/Condensation/...)
-//     and no channel sends while a sync.Mutex/RWMutex write lock acquired
-//     in the same function is held.
-//   - detorder: no ordered result slice may be built by appending in map
-//     iteration order inside the deterministic kernels — the guarantee
-//     behind the Parallelism-1..8 byte-identical tests.
-//   - detflow: the deterministic kernels must not call nondeterministic
-//     functions — time.Now, unseeded math/rand, crypto/rand — directly or
-//     through any chain of helpers, in this package or an imported one
-//     (tracked by Determinism facts over the call graph).
-//   - errflow: the error of a versioned mutation (ApplyDelta, Advance,
-//     IncCompute, and fact-carrying wrappers) must be checked on every
-//     path before the updated state is trusted — not discarded, not
-//     overwritten by the next mutation.
-//   - swapver: a stored snapshot and the derived state swapped in with it
-//     must originate from the same version source — no mixing pre- and
-//     post-delta values in one publish, no re-storing the pre-delta
-//     pointer after a delta was applied.
+//     snapshot/version pair across a concurrent Update. It alone kills the
+//     mutant where Matcher.run keys its cache entry with m.Version() after
+//     loading g: the window is a few instructions wide, and three -race runs
+//     of the concurrency tests pass with it.
+//   - lockhold: no heavy computation (Compute*/Warm*, condensation, candidate
+//     and product builds, incremental advance, evaluate, delta application)
+//     and no channel send while a sync.Mutex/RWMutex write lock acquired in
+//     the same function is held. It alone kills the mutants where
+//     BoundsCache.countsFor fills a label under c.mu and where warmState
+//     builds a pattern state under warm.mu: both answer correctly and only
+//     serialize every other query behind one traversal.
+//
+// Each analyzer stays because a mutant of its class survives the tests. The
+// suite once had seven more (snapmut, verkey, arenapair, detorder, detflow,
+// errflow, swapver); they were deleted when mutation testing showed the tests
+// kill every result-changing mutant of their classes anyway — every answer
+// is checked as a function of (G, Q) alone. A new analyzer has to clear the
+// same bar: a seeded mutant that only it catches.
 //
 // The module is nested under tools/vet so the main divtopk module stays
 // dependency-free. The build environment is offline, so instead of
@@ -44,8 +32,7 @@
 //
 // # Dataflow engine
 //
-// The path-sensitive analyzers (lockhold, arenapair, curload, detflow,
-// errflow, swapver) run on a shared dataflow core:
+// Both analyzers are path-sensitive, on a shared dataflow core:
 //
 // analysis/cfg builds an intraprocedural control-flow graph per function
 // body: basic blocks of statement/expression nodes, edges for
@@ -55,51 +42,38 @@
 // re-emit the key/value idents as top-level definition nodes, which is
 // what lets analyzers reset per-object state on loop rebinding instead of
 // dragging facts around the back edge. On top of the graph, cfg.Fixpoint
-// runs a forward worklist iteration with a caller-supplied join: each
-// analyzer chooses its own lattice — detflow and errflow join by union
-// (a fact on any path counts), curload joins by max (the worst path
-// counts), swapver keeps agreeing version tags and drops conflicting
-// ones. Transfer functions are pure; after the fixpoint converges each
-// analyzer replays every reachable block once more with reporting hooks
-// enabled, so diagnostics land at the first statement where the invariant
-// actually breaks on some path.
+// runs a forward worklist iteration with a caller-supplied join: lockhold
+// joins by intersection (a lock is held only if held on every path),
+// curload by max (the worst path counts). Transfer functions are pure;
+// after the fixpoint converges each analyzer replays every reachable block
+// once more with reporting hooks enabled, so diagnostics land at the first
+// statement where the invariant actually breaks on some path.
 //
-// analysis/facts carries results across package boundaries. A fact is a
-// small JSON-encodable value attached to a *types.Func (or a package),
-// registered per analyzer and keyed by "pkgpath:Func" /
-// "pkgpath:Type.Method". The current catalog:
+// analysis/facts carries per-function summaries across package boundaries.
+// A fact is a small value attached to a *types.Func and keyed by
+// "pkgpath:Func" / "pkgpath:Type.Method". The catalog:
 //
-//   - detflow.Determinism{Det, Reason} — every analyzed function gets one;
-//     Det:false carries a human-readable chain ("calls time.Now (wall
-//     clock)") so a two-hop violation names its root cause.
-//   - curload.LoadsCur{} — zero-arg accessors that perform a cur.Load()
-//     internally; call sites count them as loads.
-//   - errflow.ErrVersioning{} — helpers whose last result is the error of
-//     a versioned mutation; call sites must check it like the mutation
-//     itself.
-//   - swapver.DerivesVersion{Kind} — zero-arg accessors whose result
-//     carries a version tag ("load" or "delta") to their callers.
-//   - lockhold.Heavy{}, arenapair.{Gets,Puts} — helper summaries for the
-//     lock-discipline and arena-pairing checks.
+//   - curload.LoadsCur{Loads} — zero-arg accessors that perform a
+//     cur.Load() internally; call sites count them as loads.
+//   - lockhold.LockEffects{Sets, Clears} — methods that leave a
+//     receiver-rooted lock held for their caller, or release one the caller
+//     holds.
 //
-// Facts flow through two channels. Standalone (./bin/divtopk-vet ./...),
-// one facts.Set is shared across packages analyzed in dependency order.
-// Under go vet -vettool, cmd/go hands each package its direct imports'
-// .vetx files; the driver decodes them into the set, runs the suite, and
-// encodes the full set (own + imported, so facts flow transitively) back
-// out. Both channels are covered by a two-package round-trip test.
+// One driver: ./bin/divtopk-vet analyzes packages in dependency order
+// against one shared facts.Set, so a package's facts are in the set before
+// its importers are analyzed. A two-package test drives the real binary
+// over a LoadsCur finding that exists only if the fact crosses the import.
 //
-// To write a fact-driven analyzer: declare the fact type and list a
-// prototype in the Analyzer's FactTypes (drivers register the types via
-// analysis.RegisterFactTypes); in Run, phase 1 walks
-// FuncDecls exporting facts with pass.ExportObjectFact, iterated to a
-// fixpoint so same-package helpers resolve in any declaration order;
-// phase 2 builds a cfg per body (and per FuncLit), runs Fixpoint with the
-// analyzer's join, and replays reachable blocks with report hooks,
-// consuming callee facts via pass.ImportObjectFact where a call's effect
-// depends on them. analysistest places each testdata/src directory on a
-// GOPATH-style loader, analyzes dependencies facts-only, and checks
-// diagnostics against // want comments.
+// To write a fact-driven analyzer: declare the fact type (a pointer to a
+// struct with an AFact method); in Run, phase 1 walks FuncDecls exporting
+// facts with pass.ExportObjectFact, iterated to a fixpoint so same-package
+// helpers resolve in any declaration order; phase 2 builds a cfg per body
+// (and per FuncLit), runs Fixpoint with the analyzer's join, and replays
+// reachable blocks with report hooks, consuming callee facts via
+// pass.ImportObjectFact where a call's effect depends on them.
+// analysistest places each testdata/src directory on a GOPATH-style
+// loader, analyzes dependencies facts-only, and checks diagnostics against
+// // want comments.
 //
 // Run the whole suite from the repository root with:
 //
@@ -110,18 +84,15 @@
 //	go -C tools/vet build -o ../../bin/divtopk-vet ./cmd/divtopk-vet
 //	./bin/divtopk-vet ./...
 //
-// The binary also speaks the cmd/go vet-tool protocol:
-//
-//	go vet -vettool=$(pwd)/bin/divtopk-vet ./...
-//
 // A diagnostic can be suppressed with a reviewed, justified comment on the
 // flagged line or the line directly above it:
 //
 //	//lint:allow <analyzer> <justification>
 //
-// The justification is mandatory; a bare //lint:allow is itself a finding.
+// The justification is mandatory; a bare //lint:allow is itself a finding,
+// and one that no longer suppresses anything is reported as stale.
 //
 // Test files (_test.go) are exempt from all analyzers: the invariants guard
-// production code, and tests deliberately drive the raw primitives —
-// unversioned cache keys, never-returned arena sets — to exercise them.
+// production code, and tests deliberately drive the raw primitives to
+// exercise them.
 package vet

@@ -81,32 +81,3 @@ func FuncFor(decl *ast.FuncDecl) string {
 	}
 	return decl.Name.Name
 }
-
-// Terminates reports whether a statement definitely transfers control out
-// of the enclosing block: return, branch (break/continue/goto), panic, or
-// a bare block ending in one of those.
-func Terminates(s ast.Stmt) bool {
-	switch st := s.(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		if n := len(st.List); n > 0 {
-			return Terminates(st.List[n-1])
-		}
-	}
-	return false
-}
-
-// BlockTerminates reports whether the last statement of a block terminates.
-func BlockTerminates(b *ast.BlockStmt) bool {
-	if b == nil || len(b.List) == 0 {
-		return false
-	}
-	return Terminates(b.List[len(b.List)-1])
-}

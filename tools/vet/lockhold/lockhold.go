@@ -7,9 +7,10 @@
 // exactly this bug — BoundsCache.Warm computed descendant-label counts
 // under the write lock, serializing every concurrent query behind a cold
 // fill; the fixed countsFor claims a flight under the lock, releases it,
-// and computes outside. The analyzer enforces that shape: between Lock()
-// and Unlock() (a deferred Unlock holds to the end of the function) no
-// Compute*/Warm*/Condensation-class call and no channel send may appear.
+// and computes outside; the warm registry's warmState does the same around
+// building a pattern's maintained state. The analyzer enforces that shape:
+// between Lock() and Unlock() (a deferred Unlock holds to the end of the
+// function) no call in the heavy class below and no channel send may appear.
 //
 // The analysis is a path-sensitive must-analysis over the cfg package's
 // control-flow graph: the abstract state is the set of mutex expressions
@@ -44,7 +45,6 @@ import (
 
 	"divtopk/tools/vet/analysis"
 	"divtopk/tools/vet/analysis/cfg"
-	"divtopk/tools/vet/analysis/facts"
 	"divtopk/tools/vet/internal/typeutil"
 )
 
@@ -52,8 +52,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockhold",
 	Doc: "flag heavy compute or channel sends while holding a mutex write " +
 		"lock acquired in the same function (directly or via a helper)",
-	Run:       run,
-	FactTypes: []facts.Fact{new(LockEffects)},
+	Run: run,
 }
 
 // LockEffects is the object fact exported for a method that changes its
@@ -63,13 +62,13 @@ var Analyzer = &analysis.Analyzer{
 type LockEffects struct {
 	// Sets lists the locks held on every return path, net of deferred
 	// unlocks: what the method acquires for its caller.
-	Sets []string `json:"sets,omitempty"`
+	Sets []string
 	// Clears lists the locks the method releases without having acquired
 	// them itself: what it releases for its caller.
-	Clears []string `json:"clears,omitempty"`
+	Clears []string
 }
 
-// AFact marks LockEffects as a serializable analyzer fact.
+// AFact marks LockEffects as an analyzer fact.
 func (*LockEffects) AFact() {}
 
 // heavyRE / heavyNames define the "heavy computation" class: the engine's
@@ -78,13 +77,20 @@ func (*LockEffects) AFact() {}
 var heavyRE = regexp.MustCompile(`^(Compute|Warm)`)
 
 var heavyNames = map[string]bool{
-	"Condensation":          true,
-	"CondenseCSR":           true,
-	"DescendantLabelCounts": true,
-	"BuildProduct":          true,
-	"ApplyDelta":            true,
-	"ApplyDeltaWithSummary": true,
-	"NewMatcher":            true, // warms the whole bound index
+	"Condensation":            true,
+	"CondenseCSR":             true,
+	"DescendantLabelCounts":   true,
+	"BuildProduct":            true,
+	"BuildCandidatesParallel": true,
+	"BuildCandidatesSeeded":   true,
+	"NewIncStateSeeded":       true,
+	"IncCompute":              true,
+	"ApplyDelta":              true,
+	"ApplyDeltaWithSummary":   true,
+	"ApplyDeltaVersionStep":   true,
+	"Advance":                 true, // the bound index across a delta
+	"evaluate":                true, // the one query evaluation route
+	"NewMatcher":              true, // warms the whole bound index
 }
 
 func isHeavy(name string) bool { return heavyNames[name] || heavyRE.MatchString(name) }

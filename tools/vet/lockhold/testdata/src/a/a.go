@@ -166,3 +166,46 @@ func (s *store) badChain() {
 	Warm() // want `call to Warm in badChain while s\.mu is locked`
 	s.mu.Unlock()
 }
+
+// --- the warm registry's admission (warmState in cacheadvance.go) ---
+
+type incState struct{}
+
+func BuildCandidatesParallel(n int) []int  { return make([]int, n) }
+func NewIncStateSeeded(ci []int) *incState { return &incState{} }
+
+type registry struct {
+	mu      sync.Mutex
+	entries map[string]*incState
+}
+
+// badWarmState builds a pattern's maintained state while holding the
+// registry lock: every query and every commit's warm pass waits behind one
+// candidate scan.
+func (w *registry) badWarmState(text string) *incState {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if st := w.entries[text]; st != nil {
+		return st
+	}
+	ci := BuildCandidatesParallel(len(text)) // want `call to BuildCandidatesParallel in badWarmState while w\.mu is locked`
+	st := NewIncStateSeeded(ci)              // want `call to NewIncStateSeeded in badWarmState while w\.mu is locked`
+	w.entries[text] = st
+	return st
+}
+
+// goodWarmState is the shipped shape: look up under the lock, build outside
+// it, re-lock to admit.
+func (w *registry) goodWarmState(text string) *incState {
+	w.mu.Lock()
+	if st := w.entries[text]; st != nil {
+		w.mu.Unlock()
+		return st
+	}
+	w.mu.Unlock()
+	st := NewIncStateSeeded(BuildCandidatesParallel(len(text)))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.entries[text] = st
+	return st
+}
