@@ -1,7 +1,6 @@
 GO ?= go
-VET_BIN := bin/divtopk-vet
 
-.PHONY: all build test race bench bench-smoke lint lint-custom vet-tool clean
+.PHONY: all build test race bench bench-smoke lint
 
 all: build lint test
 
@@ -34,33 +33,9 @@ bench-smoke:
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
 
-# vet-tool builds the divtopk-vet binary, the suite's one driver.
-# tools/vet is a nested module (so the root module stays dependency-free),
-# hence the cd: the root ./... patterns do not reach it.
-vet-tool:
-	cd tools/vet && $(GO) build -o ../../$(VET_BIN) ./cmd/divtopk-vet
-
-# lint is the single local entry point for every static gate CI enforces:
-# formatting, stock go vet, the analyzer suite's own tests (race detector
-# on, shuffled), and the divtopk-vet checks (curload, lockhold) over the
-# repository AND over the analyzer suite itself, with the per-analyzer
-# finding/suppression/stale summary.
-# The gofmt sweep skips testdata trees: analyzer corpora are fixtures whose
-# layout (want-comment alignment) is part of the test, and their src dirs
-# are not packages of any module here.
-lint: vet-tool
-	@out=$$(find . -path ./bin -prune -o -name '*.go' -not -path '*/testdata/*' -print | xargs gofmt -l); \
-		if [ -n "$$out" ]; then \
+# lint is the single local entry point for the static gates CI enforces:
+# formatting (benchmark/ included) and stock go vet.
+lint:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
-	cd tools/vet && $(GO) test -race -shuffle=on ./...
-	./$(VET_BIN) -summary ./...
-	./$(VET_BIN) -summary -dir tools/vet ./...
-
-# lint-custom runs only the divtopk-vet checks (fast inner loop).
-lint-custom: vet-tool
-	./$(VET_BIN) -summary ./...
-	./$(VET_BIN) -summary -dir tools/vet ./...
-
-clean:
-	rm -rf bin

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"slices"
 	"sync"
+	"sync/atomic"
 
+	"divtopk/internal/cache"
 	"divtopk/internal/core"
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
@@ -70,12 +72,37 @@ const (
 	maxWarmIdle = 16
 )
 
+// warmCache is a session's warm result cache: the result LRU, the registry of
+// maintained pattern states behind it, and the advance pass's counters. A
+// session without WithCache holds a nil one, on which run evaluates directly
+// and advanceWarm does nothing. The type has no path to the published
+// snapshot: its methods take the one their caller loaded, so a cache key
+// (queryKey reads the version off it) and the answer it names cannot come
+// from two snapshots.
+type warmCache struct {
+	lru  *cache.Cache
+	warm warmRegistry
+	// workers is the session's worker count. advanceRatio is the work share
+	// past which a commit evicts a warm pattern state instead of advancing
+	// it; zero is the 0.25 default of simulation.IncOptions, and only the
+	// equivalence fuzzes set it, to force both sides.
+	workers      int
+	advanceRatio float64
+	// advanceEvicted counts states the commit-time advance pass evicted,
+	// carried and reevaluated the answers it carried over and re-ran.
+	advanceEvicted, carried, reevaluated atomic.Uint64
+}
+
 // warmRegistry holds the per-pattern incremental states behind a session's
 // warm result cache. Everything in it that changes — which entries exist,
 // an entry's current state, its recency tick and its remembered queries — is
 // read and written under mu only: queries admit and remember under it; the
 // commit path snapshots entries and their shapes under it, advances outside
 // it (holding only updateMu), and installs the results under it again.
+//
+// The rule that keeps this true: once a slice is published into a warmEntry,
+// nothing outside mu reads it. Whoever needs one after unlocking — the
+// advance pass's snapshot, its install step's re-keying — works on a copy.
 type warmRegistry struct {
 	mu      sync.Mutex
 	entries map[string]*warmEntry // canonical pattern text -> entry
@@ -128,7 +155,7 @@ func (st *patternState) prebuilt() *core.PrebuiltEval {
 // installed the answer since it was last used (evaluated, or read for the
 // first time after an install).
 type shape struct {
-	id   string // q's cache key at version 0: its identity across versions
+	id   string // shapeID(q, text): its identity across versions
 	q    query
 	ans  answer
 	used uint64
@@ -144,22 +171,47 @@ func patternText(p *Pattern) string {
 	return buf.String()
 }
 
-// load is the cache-miss loader of a caching session: evaluate, fed the
-// pattern's maintained state (admitting one if needed) and remembering the
-// query on it for the advance pass. The bool result reports containment
-// seeding. A query the evaluation will reject anyway (k < 1, invalid
-// pattern) admits nothing and lets evaluate produce the structured error.
-func (m *Matcher) load(g *Graph, p *Pattern, text string, q query) (any, bool, error) {
+// run answers q on p at snapshot g: through the LRU and the registry, or,
+// on a nil cache, by evaluating directly.
+func (c *warmCache) run(g *Graph, p *Pattern, q query) (any, QueryInfo, error) {
+	info := QueryInfo{Version: g.Version()}
+	if c == nil {
+		a, err := evaluate(g, p, q, nil, nil)
+		return a.val, info, err
+	}
+	if err := q.check(); err != nil {
+		return nil, info, err
+	}
+	text := patternText(p)
+	v, outcome, err := c.lru.DoStatus(queryKey(q, g, text), func() (any, bool, error) { return c.load(g, p, text, q) })
+	if err != nil {
+		return nil, info, err
+	}
+	if outcome == cache.OutcomeAdvanced {
+		// The registry's recency means use, and this is the one use that
+		// reaches it without an evaluation; plain hits stay off its lock.
+		c.warm.touch(text, q)
+	}
+	info.Cache = string(outcome)
+	return v, info, nil
+}
+
+// load is the cache-miss loader: evaluate, fed the pattern's maintained
+// state at g (admitting one if needed) and remembering the query on it for
+// the advance pass. The bool result reports containment seeding. A query the
+// evaluation will reject anyway (k < 1, invalid pattern) admits nothing and
+// lets evaluate produce the structured error.
+func (c *warmCache) load(g *Graph, p *Pattern, text string, q query) (any, bool, error) {
 	if q.k < 1 || p.p.Validate() != nil {
 		a, err := evaluate(g, p, q, nil, nil)
 		return a.val, false, err
 	}
-	st, seeded := m.warmState(g, p, text)
+	st, seeded := c.warmState(g, p, text)
 	a, err := evaluate(g, p, q, st.prebuilt(), nil)
 	if err != nil {
 		return nil, false, err
 	}
-	m.warm.remember(st, q, a)
+	c.warm.remember(st, q, a)
 	return a.val, seeded, nil
 }
 
@@ -169,7 +221,7 @@ func (m *Matcher) load(g *Graph, p *Pattern, text string, q query) (any, bool, e
 // commit advanced the entry an answer computed at the old version must not
 // sit among shapes the next advance will treat as current.
 func (w *warmRegistry) remember(st *patternState, q query, a answer) {
-	sh := shape{id: queryKey(q, 0, st.text), q: q, ans: a}
+	sh := shape{id: shapeID(q, st.text), q: q, ans: a}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	e := w.entries[st.text]
@@ -200,7 +252,7 @@ func (w *warmRegistry) remember(st *patternState, q query, a answer) {
 // ends. Called once per shape per commit (the cache reports OutcomeAdvanced on
 // the first hit only).
 func (w *warmRegistry) touch(text string, q query) {
-	id := queryKey(q, 0, text)
+	id := shapeID(q, text)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	e := w.entries[text]
@@ -221,8 +273,8 @@ func (w *warmRegistry) touch(text string, q query) {
 // served an advanced answer since the last commit (a one-off miss must not
 // cost a pattern in use its slot), the returned state is a transient, good
 // for this evaluation only.
-func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState, seeded bool) {
-	w := &m.warm
+func (c *warmCache) warmState(g *Graph, p *Pattern, text string) (st *patternState, seeded bool) {
+	w := &c.warm
 	w.mu.Lock()
 	if e := w.entries[text]; e != nil && e.st.inc.G == g.g {
 		w.clock++
@@ -254,13 +306,8 @@ func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState
 	}
 	w.mu.Unlock()
 
-	var ci *simulation.CandidateIndex
-	if seeded = seeds != nil; seeded {
-		ci = simulation.BuildCandidatesSeeded(g.g, p.p, seeds, m.workers)
-	} else {
-		ci = simulation.BuildCandidatesParallel(g.g, p.p, m.workers)
-	}
-	st = newPatternState(g, text, p, simulation.NewIncStateSeeded(g.g, p.p, ci, m.workers))
+	seeded = seeds != nil
+	st = buildPatternState(g, text, p, seeds, c.workers)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -292,22 +339,35 @@ func (m *Matcher) warmState(g *Graph, p *Pattern, text string) (st *patternState
 	return st, seeded
 }
 
+// buildPatternState is warmState's heavy step: the candidate scan (seeded
+// from a donor's lists when seeds is non-nil), the product and the settled
+// fixpoint of p at g. A variable so that a test can park it and check that
+// warmState runs it without holding the registry lock.
+var buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID, workers int) *patternState {
+	var ci *simulation.CandidateIndex
+	if seeds != nil {
+		ci = simulation.BuildCandidatesSeeded(g.g, p.p, seeds, workers)
+	} else {
+		ci = simulation.BuildCandidatesParallel(g.g, p.p, workers)
+	}
+	return newPatternState(g, text, p, simulation.NewIncStateSeeded(g.g, p.p, ci, workers))
+}
+
 // advanceWarm carries every maintained pattern state and its remembered
-// queries from the currently published snapshot to g2 (the caller —
-// commitLocked, holding updateMu — has applied merged to it but not yet
-// published it), and counts what that took into stats' Warm fields. States
-// whose incremental advance trips the work-share ratio are evicted instead
-// (IncOptions.NoFallback): a commit never pays a full rebuild for the
+// queries from gOld, the published snapshot, to g2 (the caller —
+// commitLocked, holding updateMu — has applied merged to gOld but not yet
+// published the result), and counts what that took into stats' Warm fields.
+// States whose incremental advance trips the work-share ratio are evicted
+// instead (IncOptions.NoFallback): a commit never pays a full rebuild for the
 // cache's sake. Nothing is published here: the returned install function
 // swaps the advanced states in and admits the advanced answers under their
 // post-delta keys, and the caller runs it only after the commit's last
 // fallible step — entries for a version that is never published must never
 // become reachable, since a later commit could reuse the version number.
-func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta, stats *IndexStats) func() {
-	if m.cache == nil {
+func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *IndexStats) func() {
+	if c == nil {
 		return func() {}
 	}
-	gOld := m.cur.Load() // pre-delta snapshot: publication happens after us
 	// One locked section takes everything the pass reads: the entries, the
 	// state each holds right now, and a copy of its shapes. Queries keep
 	// admitting and remembering meanwhile; install reconciles.
@@ -317,17 +377,17 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta, stats *IndexStats)
 		new    *patternState // nil: evict
 		shapes []shape
 	}
-	m.warm.mu.Lock()
-	work := make([]advance, 0, len(m.warm.entries))
-	for _, e := range m.warm.entries {
+	c.warm.mu.Lock()
+	work := make([]advance, 0, len(c.warm.entries))
+	for _, e := range c.warm.entries {
 		work = append(work, advance{e: e, old: e.st, shapes: slices.Clone(e.shapes)})
 	}
-	m.warm.mu.Unlock()
+	c.warm.mu.Unlock()
 
 	stats.WarmStates = len(work)
 	incOpts := simulation.IncOptions{
-		Workers:        m.workers,
-		RecomputeRatio: m.advanceRatio,
+		Workers:        c.workers,
+		RecomputeRatio: c.advanceRatio,
 		NoFallback:     true,
 	}
 	for i := range work {
@@ -395,33 +455,33 @@ func (m *Matcher) advanceWarm(g2 *Graph, merged *graph.Delta, stats *IndexStats)
 	}
 
 	return func() {
-		m.warm.mu.Lock()
+		c.warm.mu.Lock()
 		for _, a := range work {
 			switch {
-			case m.warm.entries[a.old.text] != a.e:
+			case c.warm.entries[a.old.text] != a.e:
 				// Replaced (LRU, or a newer admission) while we advanced.
 			case a.new == nil:
-				delete(m.warm.entries, a.old.text)
+				delete(c.warm.entries, a.old.text)
 			default:
-				a.e.st, a.e.shapes, a.e.proven = a.new, a.shapes, false
+				// A copy: the loop below reads a.shapes outside the lock.
+				a.e.st, a.e.shapes, a.e.proven = a.new, slices.Clone(a.shapes), false
 			}
 		}
-		m.warm.mu.Unlock()
+		c.warm.mu.Unlock()
 		// Every advanced answer, carried or re-evaluated, is re-keyed with the
 		// post-delta version: the old-version entries become unreachable the
 		// moment g2 is published, exactly as if they had been invalidated —
 		// except their successors are already warm.
-		ver := g2.Version()
 		for _, a := range work {
 			if a.new == nil {
 				continue
 			}
 			for _, sh := range a.shapes {
-				m.cache.PutAdvanced(queryKey(sh.q, ver, a.old.text), sh.ans.val)
+				c.lru.PutAdvanced(queryKey(sh.q, g2, a.old.text), sh.ans.val)
 			}
 		}
-		m.advanceEvicted.Add(uint64(stats.WarmEvicted))
-		m.carried.Add(uint64(stats.WarmCarried))
-		m.reevaluated.Add(uint64(stats.WarmReevaluated))
+		c.advanceEvicted.Add(uint64(stats.WarmEvicted))
+		c.carried.Add(uint64(stats.WarmCarried))
+		c.reevaluated.Add(uint64(stats.WarmReevaluated))
 	}
 }

@@ -182,21 +182,17 @@
 // and per-layer timings come from the tracked benchmark (BENCHMARK.json;
 // see benchmark/README.md for how to run and read it).
 //
-// # Static analysis
+// # Concurrency invariants
 //
 // The tests check every answer as a function of (G, Q) alone, which is what
-// catches the bugs that change one; divtopk-vet, a custom analyzer suite in
-// tools/vet (a nested module, so this module stays dependency-free), covers
-// the two bug classes that leave every answer right. curload enforces the
-// single-load discipline on a session's current snapshot — a second load
-// can pair one snapshot with another's version across a concurrent Update
-// (PRs 4 and 7) — and lockhold keeps heavy work (traversals, candidate and
-// state builds, evaluation, delta application) out of write-locked
-// sections, the serving layer's claim/release/compute/publish discipline
-// (PRs 2 and 5). Both reason over paths on a CFG engine and across package
-// boundaries through per-function facts. Run `make lint`, or see tools/vet's
-// package documentation for the suppression syntax, the fact catalog and
-// the mutants only these analyzers catch.
+// catches the bugs that change one. Two bug classes leave every answer right.
+// A torn snapshot/version pair is not expressible: the warm result cache has
+// no path to the session's published snapshot, so a query loads it once in
+// Matcher.run and its cache key and evaluation read the same one. Heavy work
+// under a lock — a bound-index label fill under BoundsCache.mu, a pattern
+// state build under the warm registry's lock, a session warm under the
+// server registry's lock — fails a liveness test per lock, which parks the
+// build and checks that the lock stays free and a reader completes.
 //
 // The module builds and tests with the standard toolchain:
 //

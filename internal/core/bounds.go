@@ -78,6 +78,10 @@ func (c *BoundsCache) Warm(labels []string) {
 // Graph returns the snapshot this cache indexes.
 func (c *BoundsCache) Graph() *graph.Graph { return c.g }
 
+// descendantLabelCounts is countsFor's fill, a variable so that a test can
+// park it and check that countsFor runs it without holding c.mu.
+var descendantLabelCounts = graph.DescendantLabelCounts
+
 func (c *BoundsCache) countsFor(l graph.LabelID) []int32 {
 	for {
 		c.mu.RLock()
@@ -117,7 +121,7 @@ func (c *BoundsCache) countsFor(l graph.LabelID) []int32 {
 			close(ch)
 		}()
 
-		cs = graph.DescendantLabelCounts(c.g, []graph.LabelID{l}, c.mode)[0]
+		cs = descendantLabelCounts(c.g, []graph.LabelID{l}, c.mode)[0]
 		settled = true
 
 		c.mu.Lock()

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"divtopk/internal/graph"
 	"divtopk/internal/testutil"
@@ -30,6 +32,52 @@ func TestBoundsCacheWarmAndLazy(t *testing.T) {
 	id, _ := g.Dict().ID("ST")
 	if part.countsFor(id) == nil {
 		t.Fatal("partial warm lost labels")
+	}
+}
+
+// TestBoundsCacheFillLeavesLockFree pins that countsFor fills a cold label
+// outside c.mu: while the fill is parked, the lock is free and a reader of a
+// warm label completes.
+func TestBoundsCacheFillLeavesLockFree(t *testing.T) {
+	g, _ := testutil.Figure1()
+	c := NewBoundsCache(g, true)
+	warm, _ := g.Dict().ID("PM")
+	cold, _ := g.Dict().ID("ST")
+	c.countsFor(warm)
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	fill := descendantLabelCounts
+	descendantLabelCounts = func(g *graph.Graph, labels []graph.LabelID, mode graph.DescMode) [][]int32 {
+		if labels[0] == cold {
+			close(entered)
+			<-release
+		}
+		return fill(g, labels, mode)
+	}
+	defer func() { descendantLabelCounts = fill }()
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(release)
+	wg.Add(1)
+	go func() { defer wg.Done(); c.countsFor(cold) }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the fill of the cold label never started")
+	}
+	if !c.mu.TryLock() {
+		t.Error("c.mu is held while a label fills")
+	} else {
+		c.mu.Unlock()
+	}
+	read := make(chan struct{})
+	wg.Add(1)
+	go func() { defer wg.Done(); c.countsFor(warm); close(read) }()
+	select {
+	case <-read:
+	case <-time.After(5 * time.Second):
+		t.Error("a reader of a warm label did not complete while another label filled")
 	}
 }
 

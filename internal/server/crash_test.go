@@ -248,7 +248,7 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 			if !ok {
 				t.Fatalf("graph lost after crash at offset %d (acked %d)", offset, acked)
 			}
-			v := m2.Version()
+			v := m2.Graph().Version()
 			if v != uint64(acked) {
 				t.Fatalf("recovered version %d, acknowledged %d", v, acked)
 			}
@@ -305,8 +305,8 @@ func TestCleanShutdownRestart(t *testing.T) {
 	if !ok {
 		t.Fatal("graph lost across clean restart")
 	}
-	if m2.Version() != uint64(len(deltas)) {
-		t.Fatalf("restarted version = %d, want %d", m2.Version(), len(deltas))
+	if m2.Graph().Version() != uint64(len(deltas)) {
+		t.Fatalf("restarted version = %d, want %d", m2.Graph().Version(), len(deltas))
 	}
 	assertSameResults(t, snapshotResults(t, m2, patterns), want, "clean restart")
 
@@ -421,7 +421,7 @@ func TestCrashRecoveryBatchFuzz(t *testing.T) {
 			if !ok {
 				t.Fatalf("graph lost after crash at offset %d (acked %d)", offset, acked)
 			}
-			v := m2.Version()
+			v := m2.Graph().Version()
 			// Durability may exceed the acks: a crash after the batch's WAL
 			// write but before the acknowledgment leaves complete unacked
 			// records, which recovery legitimately replays. It must never

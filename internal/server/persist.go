@@ -234,7 +234,7 @@ func (r *Registry) Health() Health {
 		h.Fsync = r.persist.Policy.String()
 	}
 	for name, m := range r.sessions {
-		gh := GraphHealth{Name: name, ServedVersion: m.Version()}
+		gh := GraphHealth{Name: name, ServedVersion: m.Graph().Version()}
 		if cs := m.CacheStats(); cs != (divtopk.CacheStats{}) {
 			gh.Cache = &cs
 		}

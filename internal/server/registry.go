@@ -84,7 +84,7 @@ func (r *Registry) Add(name string, g *divtopk.Graph) error {
 	}()
 	// Warm outside the lock: index construction is the expensive part and
 	// must not block serving traffic on other graphs.
-	m := divtopk.NewMatcher(g, r.opts...)
+	m := newMatcher(g, r.opts...)
 	// In persistent mode the graph is durable before it is queryable: the
 	// store seeds an initial checkpoint (version 0 survives a crash from
 	// here on) and every future update goes through the WAL.
@@ -100,6 +100,10 @@ func (r *Registry) Add(name string, g *divtopk.Graph) error {
 	r.mu.Unlock()
 	return nil
 }
+
+// newMatcher is Add's warm, a variable so that a test can park it and check
+// that Add runs it without holding r.mu.
+var newMatcher = divtopk.NewMatcher
 
 // LoadFile reads a graph in the text format from path and registers it.
 func (r *Registry) LoadFile(name, path string) error {

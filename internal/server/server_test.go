@@ -125,7 +125,7 @@ func TestServerResponsesByteIdenticalToDirectCalls(t *testing.T) {
 			if err := json.Unmarshal(body, &gotResp); err != nil {
 				t.Fatal(err)
 			}
-			wantResp := server.NewQueryResponse(res, direct.Version())
+			wantResp := server.NewQueryResponse(res, direct.Graph().Version())
 			wantResp.Cache = checkCache(gotResp.Cache)
 			want, err := json.Marshal(wantResp)
 			if err != nil {
@@ -149,7 +149,7 @@ func TestServerResponsesByteIdenticalToDirectCalls(t *testing.T) {
 			if err := json.Unmarshal(body, &gotDiv); err != nil {
 				t.Fatal(err)
 			}
-			wantDiv := server.NewDiversifiedResponse(dres, direct.Version())
+			wantDiv := server.NewDiversifiedResponse(dres, direct.Graph().Version())
 			wantDiv.Cache = checkCache(gotDiv.Cache)
 			want, err = json.Marshal(wantDiv)
 			if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,23 +37,19 @@ import (
 // query fingerprint, with singleflight admission — the serving layer in
 // internal/server builds on exactly this.
 type Matcher struct {
+	// cur is loaded in Graph, run and the commit entry points only.
 	cur      atomic.Pointer[Graph]
 	updateMu sync.Mutex // serializes Update (queries never take it)
 	base     []Option
 	workers  int
-	cache    *cache.Cache
-	// indexRatio and advanceRatio are the work shares past which a commit
-	// rebuilds the bound index, and evicts a warm pattern state, instead of
-	// advancing them. Zero — what NewMatcher leaves — is the 0.25 default of
-	// core.AdvanceOptions and simulation.IncOptions: past a quarter, seeding
-	// the partial passes costs as much as starting over. Answers are the same
-	// either way; only the equivalence fuzzes set these, to force both sides.
-	indexRatio, advanceRatio float64
-	// warm holds the per-pattern incremental states behind the result cache;
-	// advanceEvicted counts states the commit-time advance pass evicted,
-	// carried and reevaluated the answers it carried over and re-ran.
-	warm                                 warmRegistry
-	advanceEvicted, carried, reevaluated atomic.Uint64
+	// indexRatio is the work share past which a commit rebuilds the bound
+	// index instead of advancing it. Zero — what NewMatcher leaves — is the
+	// 0.25 default of core.AdvanceOptions: past a quarter, seeding the partial
+	// passes costs as much as starting over. Answers are the same either way;
+	// only the equivalence fuzzes set it, to force both sides.
+	indexRatio float64
+	// cache is the warm result cache, nil without WithCache.
+	cache *warmCache
 	// durability, when set, must acknowledge every delta before the snapshot
 	// it produced is published; guarded by updateMu like all update state.
 	durability DurabilitySink
@@ -95,8 +92,8 @@ func NewMatcher(g *Graph, opts ...Option) *Matcher {
 	m := &Matcher{base: opts, workers: parallel.Workers(o.engine.Parallelism)}
 	m.cur.Store(g)
 	if o.cacheEntries > 0 {
-		m.cache = cache.New(o.cacheEntries)
-		m.warm.entries = make(map[string]*warmEntry)
+		m.cache = &warmCache{lru: cache.New(o.cacheEntries), workers: m.workers,
+			warm: warmRegistry{entries: make(map[string]*warmEntry)}}
 	}
 	return m
 }
@@ -105,9 +102,6 @@ func NewMatcher(g *Graph, opts ...Option) *Matcher {
 // returned snapshot keeps working — it is immutable — but no longer receives
 // queries routed through the session.
 func (m *Matcher) Graph() *Graph { return m.cur.Load() }
-
-// Version returns the current snapshot's version (see Graph.Version).
-func (m *Matcher) Version() uint64 { return m.cur.Load().Version() }
 
 // ErrIndexMaintenance wraps a failure to advance the bound index during
 // Update. The session builds the advance inputs itself, so this is an
@@ -195,7 +189,7 @@ func (m *Matcher) Update(d *Delta) (*Graph, error) {
 func (m *Matcher) UpdateWithStats(d *Delta) (*Graph, IndexStats, error) {
 	m.updateMu.Lock()
 	defer m.updateMu.Unlock()
-	return m.commitLocked(&d.d, []*Delta{d})
+	return m.commitLocked(m.cur.Load(), &d.d, []*Delta{d})
 }
 
 // UpdateMerged is the group-commit entry point: merged must be the Merge of
@@ -210,7 +204,7 @@ func (m *Matcher) UpdateWithStats(d *Delta) (*Graph, IndexStats, error) {
 func (m *Matcher) UpdateMerged(merged *Delta, parts []*Delta) (*Graph, IndexStats, error) {
 	m.updateMu.Lock()
 	defer m.updateMu.Unlock()
-	return m.commitLocked(&merged.d, parts)
+	return m.commitLocked(m.cur.Load(), &merged.d, parts)
 }
 
 // UpdateBatch merges ds under the update lock and commits the result as one
@@ -232,13 +226,13 @@ func (m *Matcher) UpdateBatch(ds []*Delta) (*Graph, IndexStats, error) {
 			return nil, IndexStats{}, fmt.Errorf("divtopk: batch update %d: %w", i, err)
 		}
 	}
-	return m.commitLocked(&merged, ds)
+	return m.commitLocked(g, &merged, ds)
 }
 
 // commitLocked applies one already-merged delta spanning len(parts)
-// versions and publishes the result; the caller holds updateMu.
-func (m *Matcher) commitLocked(merged *graph.Delta, parts []*Delta) (*Graph, IndexStats, error) {
-	g := m.cur.Load()
+// versions to g and publishes the result. The caller holds updateMu and
+// loaded g, the published snapshot, once under it.
+func (m *Matcher) commitLocked(g *Graph, merged *graph.Delta, parts []*Delta) (*Graph, IndexStats, error) {
 	g2raw, sum, err := graph.ApplyDeltaVersionStep(g.g, merged, uint64(len(parts)))
 	if err != nil {
 		return nil, IndexStats{}, err
@@ -273,7 +267,7 @@ func (m *Matcher) commitLocked(merged *graph.Delta, parts []*Delta) (*Graph, Ind
 	// version that is never published could collide with a later commit's
 	// use of the same number.
 	t0 = time.Now()
-	installWarm := m.advanceWarm(g2, merged, &stats)
+	installWarm := m.cache.advanceWarm(g, g2, merged, &stats)
 	stats.WarmMicros = time.Since(t0).Microseconds()
 	// Durability is the last fallible step: once the sink acknowledges the
 	// deltas the swap below is unconditional, and if it refuses, nothing was
@@ -304,10 +298,11 @@ func (m *Matcher) commitLocked(merged *graph.Delta, parts []*Delta) (*Graph, Ind
 // CacheStats returns a snapshot of the session result-cache counters (the
 // zero value when the Matcher was built without WithCache).
 func (m *Matcher) CacheStats() CacheStats {
-	if m.cache == nil {
+	c := m.cache
+	if c == nil {
 		return CacheStats{}
 	}
-	s := m.cache.Stats()
+	s := c.lru.Stats()
 	return CacheStats{
 		Hits:           s.Hits,
 		Misses:         s.Misses,
@@ -315,25 +310,31 @@ func (m *Matcher) CacheStats() CacheStats {
 		Evictions:      s.Evictions,
 		Advanced:       s.Advanced,
 		Seeded:         s.Seeded,
-		AdvanceEvicted: m.advanceEvicted.Load(),
-		Carried:        m.carried.Load(),
-		Reevaluated:    m.reevaluated.Load(),
+		AdvanceEvicted: c.advanceEvicted.Load(),
+		Carried:        c.carried.Load(),
+		Reevaluated:    c.reevaluated.Load(),
 		Entries:        s.Entries,
 	}
 }
 
 // queryKey returns the canonical cache key of q on the pattern with
-// canonical text text (see patternText) at one graph snapshot version: a
-// hash over the three. The version participates so that entries cached
-// before a graph update can never be served after it — stale entries become
-// unreachable rather than scanned and age out of the LRU. What cannot change
-// the answer is normalized away: Parallelism and Prebuilt are left out —
-// every worker count and every provenance of the stage inputs returns
-// identical results — a seed counts only under random selection, and the
-// find-all kinds never early-terminate, so the feeding and bound knobs are
-// dropped for them (WithBatches(8) and WithBatches(32) share the baseline's
-// entry).
-func queryKey(q query, version uint64, text string) string {
+// canonical text text (see patternText) at snapshot g: the shape's identity
+// at g's version. The version participates so that entries cached before a
+// graph update can never be served after it — stale entries become
+// unreachable rather than scanned and age out of the LRU. It is read off the
+// snapshot the answer is evaluated on, so key and answer cannot disagree.
+func queryKey(q query, g *Graph, text string) string {
+	return shapeID(q, text) + "@" + strconv.FormatUint(g.Version(), 10)
+}
+
+// shapeID returns the identity of q on the pattern with canonical text text
+// across snapshot versions: a hash over the two. What cannot change the
+// answer is normalized away: Parallelism and Prebuilt are left out — every
+// worker count and every provenance of the stage inputs returns identical
+// results — a seed counts only under random selection, and the find-all
+// kinds never early-terminate, so the feeding and bound knobs are dropped for
+// them (WithBatches(8) and WithBatches(32) share the baseline's entry).
+func shapeID(q query, text string) string {
 	strategy, seed, batches, bounds := q.eng.Strategy, q.eng.Seed, q.eng.NumBatches, q.eng.Bounds
 	if batches <= 0 {
 		batches = 16
@@ -346,8 +347,8 @@ func queryKey(q query, version uint64, text string) string {
 	}
 	// Field by field: printing a struct with %+v walks it by reflection, on
 	// every query, cache hits included.
-	sum := sha256.Sum256(fmt.Appendf(nil, "v=%d|kind=%d|k=%d|lambda=%g|strategy=%d|seed=%d|batches=%d|bounds=%d\n%s",
-		version, q.kind, q.k, q.lambda, strategy, seed, batches, bounds, text))
+	sum := sha256.Sum256(fmt.Appendf(nil, "kind=%d|k=%d|lambda=%g|strategy=%d|seed=%d|batches=%d|bounds=%d\n%s",
+		q.kind, q.k, q.lambda, strategy, seed, batches, bounds, text))
 	return hex.EncodeToString(sum[:])
 }
 
@@ -366,33 +367,12 @@ type QueryInfo struct {
 	Cache string `json:"cache,omitempty"`
 }
 
-// run answers one query against the current snapshot, consulting the session
-// cache when present. The snapshot is loaded once: evaluation and cache key
-// agree on it even mid-Update. The value is a *Result or *DiversifiedResult
-// by q.kind (runAs restores the type), nil on error.
+// run answers one query against the current snapshot, loaded once here and
+// handed to the cache layer, which has no way to load another: evaluation and
+// cache key agree on it even mid-Update. The value is a *Result or
+// *DiversifiedResult by q.kind (runAs restores the type), nil on error.
 func (m *Matcher) run(p *Pattern, q query) (any, QueryInfo, error) {
-	g := m.cur.Load()
-	info := QueryInfo{Version: g.Version()}
-	if m.cache == nil {
-		a, err := evaluate(g, p, q, nil, nil)
-		return a.val, info, err
-	}
-	if err := q.check(); err != nil {
-		return nil, info, err
-	}
-	text := patternText(p)
-	key := queryKey(q, info.Version, text)
-	v, outcome, err := m.cache.DoStatus(key, func() (any, bool, error) { return m.load(g, p, text, q) })
-	if err != nil {
-		return nil, info, err
-	}
-	if outcome == cache.OutcomeAdvanced {
-		// The registry's recency means use, and this is the one use that
-		// reaches it without an evaluation; plain hits stay off its lock.
-		m.warm.touch(text, q)
-	}
-	info.Cache = string(outcome)
-	return v, info, nil
+	return m.cache.run(m.cur.Load(), p, q)
 }
 
 // runAs is run with the answer's static type restored.

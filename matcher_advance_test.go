@@ -4,9 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"divtopk/internal/graph"
 )
 
 // TestWarmCacheAdvanceEquivalenceFuzz is the correctness bar of the warm
@@ -74,7 +79,7 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			for _, mode := range modes {
 				for _, par := range []int{1, 8} {
 					warm := NewMatcher(base, WithCache(64), Parallelism(par))
-					warm.advanceRatio = mode.ratio
+					warm.cache.advanceRatio = mode.ratio
 					sessions = append(sessions, session{
 						name: fmt.Sprintf("%s/p%d", mode.name, par),
 						warm: warm,
@@ -230,6 +235,120 @@ func TestWarmRegistryConcurrentQueriesAndCommits(t *testing.T) {
 	}
 }
 
+// TestWarmRegistryTouchDuringInstall pins the registry's rule: once a slice
+// is published into a warmEntry, nothing outside warm.mu reads it. A commit's
+// install step publishes the advanced shapes and re-keys them into the LRU
+// after unlocking; touch writes the published shapes under the lock. With 16
+// patterns × 8 shapes maintained, a toucher sweeps every shape after each
+// commit, so under -race this fails unless the install published a copy.
+func TestWarmRegistryTouchDuringInstall(t *testing.T) {
+	g := NewYouTubeLike(1_500, 12_000, 3)
+	m := NewMatcher(g, WithCache(4096))
+	m.cache.advanceRatio = 1 // only the caps displace
+	type shapeRef struct {
+		text string
+		q    query
+	}
+	var shapes []shapeRef
+	for _, p := range minedDistinct(t, g, maxWarmPatterns, 7) {
+		for k := 1; k <= maxWarmShapes; k++ {
+			if _, err := m.TopK(p, k); err != nil {
+				t.Fatal(err)
+			}
+			shapes = append(shapes, shapeRef{patternText(p), newQuery(false, k, 0, m.base, nil)})
+		}
+	}
+	m.cache.warm.mu.Lock()
+	for _, e := range m.cache.warm.entries {
+		if len(e.shapes) != maxWarmShapes {
+			t.Errorf("an entry carries %d shapes, want %d", len(e.shapes), maxWarmShapes)
+		}
+	}
+	m.cache.warm.mu.Unlock()
+
+	// The toucher shares nothing with the committer but the registry lock:
+	// the sweep counter only flows toucher → committer.
+	var sweeps atomic.Int64
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			for _, s := range shapes {
+				m.cache.warm.touch(s.text, s.q)
+			}
+			sweeps.Add(1)
+		}
+	}()
+	const commits = 4
+	for i := 0; i < commits; i++ {
+		var d Delta
+		d.AddNode("untouched") // no pattern's label: every shape is carried
+		if _, err := m.Update(&d); err != nil {
+			t.Fatal(err)
+		}
+		for until := sweeps.Load() + 2; sweeps.Load() < until; {
+			runtime.Gosched()
+		}
+	}
+	stop.Store(true)
+	<-done
+	if cs := m.CacheStats(); cs.Carried != commits*uint64(len(shapes)) {
+		t.Fatalf("%d answers carried over %d commits of %d shapes", cs.Carried, commits, len(shapes))
+	}
+}
+
+// TestWarmStateBuildLeavesLockFree pins that warmState builds a pattern state
+// outside warm.mu: while one admission's build is parked, the lock is free
+// and a new query on an already-warm pattern completes.
+func TestWarmStateBuildLeavesLockFree(t *testing.T) {
+	g := NewYouTubeLike(1_500, 12_000, 3)
+	patterns := minedDistinct(t, g, 2, 3)
+	warm, cold := patterns[0], patterns[1]
+	m := NewMatcher(g, WithCache(64))
+	if _, err := m.TopK(warm, 5); err != nil {
+		t.Fatal(err)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	build := buildPatternState
+	buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID, workers int) *patternState {
+		if text == patternText(cold) {
+			close(entered)
+			<-release
+		}
+		return build(g, text, p, seeds, workers)
+	}
+	defer func() { buildPatternState = build }()
+
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(release)
+	wg.Add(1)
+	go func() { defer wg.Done(); _, _ = m.TopK(cold, 5) }()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pattern state build never started")
+	}
+	if !m.cache.warm.mu.TryLock() {
+		t.Error("warm.mu is held while a pattern state is built")
+	} else {
+		m.cache.warm.mu.Unlock()
+	}
+	read := make(chan error, 1)
+	wg.Add(1)
+	go func() { defer wg.Done(); _, err := m.TopK(warm, 6); read <- err }()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a query on a warm pattern did not complete while another pattern's state was built")
+	}
+}
+
 // TestWarmRegistryCaps drives a caching session past both registry caps —
 // more distinct patterns than maxWarmPatterns, more distinct k on one
 // pattern than maxWarmShapes — and checks that neither cap is ever exceeded,
@@ -256,12 +375,12 @@ func TestWarmRegistryCaps(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("k=%d version %d (cache %q): warm session diverged from never-cached one", k, info.Version, info.Cache)
 		}
-		warm.warm.mu.Lock()
-		defer warm.warm.mu.Unlock()
-		if n := len(warm.warm.entries); n > maxWarmPatterns {
+		warm.cache.warm.mu.Lock()
+		defer warm.cache.warm.mu.Unlock()
+		if n := len(warm.cache.warm.entries); n > maxWarmPatterns {
 			t.Fatalf("registry holds %d states, cap %d", n, maxWarmPatterns)
 		}
-		for text, e := range warm.warm.entries {
+		for text, e := range warm.cache.warm.entries {
 			if n := len(e.shapes); n > maxWarmShapes {
 				t.Fatalf("pattern %q carries %d shapes, cap %d", text, n, maxWarmShapes)
 			}
@@ -270,7 +389,7 @@ func TestWarmRegistryCaps(t *testing.T) {
 	}
 	sessions := func() (warm, ref *Matcher) {
 		warm = NewMatcher(g, WithCache(1024))
-		warm.advanceRatio = 1 // never evict by work share: only the caps displace
+		warm.cache.advanceRatio = 1 // never evict by work share: only the caps displace
 		return warm, NewMatcher(g)
 	}
 	commit := func(t *testing.T, ms ...*Matcher) {
@@ -807,7 +926,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 	all := minedDistinct(t, g, maxWarmPatterns+40, 11)
 	session := func(t *testing.T) (m *Matcher, ask func(q *Pattern) string, commit func(i int)) {
 		m = NewMatcher(g, WithCache(4096))
-		m.advanceRatio = 1 // only the caps displace
+		m.cache.advanceRatio = 1 // only the caps displace
 		rng := rand.New(rand.NewSource(5))
 		ask = func(q *Pattern) string {
 			t.Helper()
@@ -856,10 +975,10 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 				}
 			}
 		}
-		m.warm.mu.Lock()
-		defer m.warm.mu.Unlock()
+		m.cache.warm.mu.Lock()
+		defer m.cache.warm.mu.Unlock()
 		for j, q := range hot {
-			if m.warm.entries[patternText(q)] == nil {
+			if m.cache.warm.entries[patternText(q)] == nil {
 				t.Errorf("hot pattern %d is no longer maintained", j)
 			}
 		}
@@ -893,9 +1012,9 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 				t.Fatalf("hot pattern %d lost its slot to a one-off: first ask answered %q", j, c)
 			}
 		}
-		m.warm.mu.Lock()
-		defer m.warm.mu.Unlock()
-		if m.warm.entries[patternText(stale)] != nil || m.warm.entries[patternText(oneOff)] == nil {
+		m.cache.warm.mu.Lock()
+		defer m.cache.warm.mu.Unlock()
+		if m.cache.warm.entries[patternText(stale)] != nil || m.cache.warm.entries[patternText(oneOff)] == nil {
 			t.Errorf("the one-off should have replaced the stale pattern")
 		}
 	})

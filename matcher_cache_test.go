@@ -332,7 +332,7 @@ func TestQueryKeySoundness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
-		key := queryKey(q, 0, text)
+		key := shapeID(q, text)
 		first, ok := classes[key]
 		if !ok {
 			classes[key] = class{q, a.val}
@@ -351,7 +351,12 @@ func TestQueryKeySoundness(t *testing.T) {
 	if len(kinds) != 4 || len(classes) < 40 || shared < 100 {
 		t.Fatalf("weak sample: %d kinds, %d key classes, %d draws sharing a key", len(kinds), len(classes), shared)
 	}
-	if q := newQuery(false, 3, 0, nil, nil); queryKey(q, 0, text) == queryKey(q, 1, text) {
+	var noop Delta
+	g1, err := ApplyDelta(g, &noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q := newQuery(false, 3, 0, nil, nil); queryKey(q, g, text) == queryKey(q, g1, text) {
 		t.Fatal("the snapshot version does not participate in the key")
 	}
 }

@@ -36,8 +36,8 @@ func TestMatcherUpdateVersionedCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Version != 0 || m.Version() != 0 {
-		t.Fatalf("fresh session version = %d/%d, want 0", info.Version, m.Version())
+	if info.Version != 0 || m.Graph().Version() != 0 {
+		t.Fatalf("fresh session version = %d/%d, want 0", info.Version, m.Graph().Version())
 	}
 	if _, err := m.TopK(q, 10); err != nil {
 		t.Fatal(err)
@@ -56,8 +56,8 @@ func TestMatcherUpdateVersionedCacheKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Version() != 1 || m.Version() != 1 {
-		t.Fatalf("post-update version = %d/%d, want 1", g2.Version(), m.Version())
+	if g2.Version() != 1 || m.Graph().Version() != 1 {
+		t.Fatalf("post-update version = %d/%d, want 1", g2.Version(), m.Graph().Version())
 	}
 
 	// The commit advanced the hot entry: the same query hits it under the
@@ -135,7 +135,7 @@ func TestMatcherUpdateFailureLeavesSessionIntact(t *testing.T) {
 	if _, err := m.Update(&bad); err == nil {
 		t.Fatal("bad delta accepted")
 	}
-	if m.Version() != 0 || m.Graph() != g {
+	if m.Graph().Version() != 0 || m.Graph() != g {
 		t.Fatal("failed update swapped the session graph")
 	}
 	if _, err := m.TopK(patterns[0], 5); err != nil {
@@ -195,8 +195,8 @@ func TestMatcherConcurrentUpdatesAndQueries(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if m.Version() != updates {
-		t.Fatalf("version = %d, want %d", m.Version(), updates)
+	if m.Graph().Version() != updates {
+		t.Fatalf("version = %d, want %d", m.Graph().Version(), updates)
 	}
 }
 

@@ -118,9 +118,9 @@ func TestMatcherUpdateBatchEquivalenceFuzz(t *testing.T) {
 					if stats.BatchWidth != k {
 						t.Fatalf("round %d (%s): batch width %d, want %d", round, configs[ci].name, stats.BatchWidth, k)
 					}
-					if g2.Version() != sessions[ci].seq.Version() {
+					if g2.Version() != sessions[ci].seq.Graph().Version() {
 						t.Fatalf("round %d (%s): batch landed on version %d, sequential on %d",
-							round, configs[ci].name, g2.Version(), sessions[ci].seq.Version())
+							round, configs[ci].name, g2.Version(), sessions[ci].seq.Graph().Version())
 					}
 				}
 
