@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke lint
+.PHONY: all build test race bench bench-smoke lint examples
 
-all: build lint test
+all: build lint test examples
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,15 @@ bench-smoke:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet -C benchmark ./...
 	$(GO) test -C benchmark ./...
+
+# examples runs every program under examples/: they are consumers of the
+# facade like cmd/divtopkd and benchmark/, so a facade change that breaks
+# one, or makes it fail at run time, fails here (~1 s warm).
+examples:
+	@for d in examples/*/; do \
+		echo "$(GO) run ./$$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # lint is the single local entry point for the static gates CI enforces:
 # formatting (benchmark/ included) and stock go vet.

@@ -36,7 +36,7 @@ func (g *Graph) boundsCache() *core.BoundsCache {
 }
 
 // adoptBounds installs an already-built bound index into a facade Graph
-// that has never been queried — the Matcher.Update path, which advances the
+// that has never been queried — the commit path, which advances the
 // previous snapshot's index off to the side and hands the result to the new
 // snapshot instead of letting it warm a cold cache from scratch. The index
 // must cover g's underlying snapshot; adoption is a no-op if something
@@ -53,19 +53,6 @@ func (g *Graph) NumEdges() int { return g.g.NumEdges() }
 
 // Label returns the label of node v.
 func (g *Graph) Label(v int) string { return g.g.Label(graph.NodeID(v)) }
-
-// Successors returns the out-neighbors of v.
-func (g *Graph) Successors(v int) []int {
-	out := g.g.Out(graph.NodeID(v))
-	res := make([]int, len(out))
-	for i, w := range out {
-		res[i] = int(w)
-	}
-	return res
-}
-
-// Stats returns a human-readable structural summary.
-func (g *Graph) Stats() string { return graph.ComputeStats(g.g).String() }
 
 // Attr returns node v's attribute under key, rendered as a string
 // (integers in decimal), and whether it exists.
@@ -291,8 +278,8 @@ func (g *Graph) Matches(p *Pattern) []int {
 }
 
 // TopK returns the k most relevant matches of the output node of p in g,
-// using the early-termination engine by default (see Options for the
-// baseline and the nopt variants).
+// using the early-termination engine by default (WithBaseline selects the
+// find-all Match instead).
 func TopK(g *Graph, p *Pattern, k int, opts ...Option) (*Result, error) {
 	a, err := evaluate(g, p, newQuery(false, k, 0, nil, opts), nil, nil)
 	if err != nil {
@@ -344,8 +331,7 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 	if err := q.check(); err != nil {
 		return answer{}, err
 	}
-	eng := q.eng
-	eng.Prebuilt = pre
+	eng := core.Options{Parallelism: q.workers, Prebuilt: pre}
 	if q.kind.full() {
 		pool, err := core.MatchBaselineOpts(g.g, p.p, q.k, true, eng)
 		if err != nil {
@@ -364,11 +350,9 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 		return answer{val: convertDiversified(g, dres), pool: pool}, nil
 	}
 	// The early-termination kinds read their initial upper bounds from the
-	// graph's amortized descendant-label index unless the query asked for the
-	// per-query tight bounds.
-	if eng.Bounds != core.BoundTight {
-		eng.Cache = g.boundsCache()
-	}
+	// graph's amortized descendant-label index (the paper's design). Without
+	// it the engine would compute the per-query tight bounds instead.
+	eng.Cache = g.boundsCache()
 	if q.kind == kindTopK {
 		res, err := core.TopK(g.g, p.p, q.k, eng)
 		if err != nil {
@@ -464,24 +448,9 @@ func convertMatchWithSpace(g *Graph, m core.Match, space *simulation.RelSpace) M
 	return out
 }
 
-// InducedSubgraph returns the subgraph of g induced by the given nodes,
-// plus the mapping from new IDs to original ones — the "graph induced by a
-// relevant set" of the paper's case study.
-func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	keep := make([]graph.NodeID, len(nodes))
-	for i, v := range nodes {
-		keep[i] = graph.NodeID(v)
-	}
-	sub, orig := graph.InducedSubgraph(g.g, keep)
-	back := make([]int, len(orig))
-	for i, v := range orig {
-		back[i] = int(v)
-	}
-	return &Graph{g: sub}, back
-}
-
 // Unwrap exposes the internal graph to sibling packages inside this module
-// (the bench harness); external users have no use for it.
+// (the serving layer's durability adapter, the tracked benchmark); external
+// users have no use for it.
 func (g *Graph) Unwrap() any { return g.g }
 
 // UnwrapPattern exposes the internal pattern to sibling packages inside

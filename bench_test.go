@@ -141,27 +141,6 @@ func BenchmarkTopKDivParallel(b *testing.B)   { benchTopKDiv(b, 0) }
 // metrics.
 func BenchmarkParallelScaling(b *testing.B) { reportFigure(b, bench.ParallelScaling) }
 
-// BenchmarkBatchTopK measures Matcher.BatchTopK throughput: many concurrent
-// queries sharing one warmed session, the serving-path scenario.
-func BenchmarkBatchTopK(b *testing.B) {
-	g := NewYouTubeLike(12_000, 120_000, 1)
-	var patterns []*Pattern
-	for seed := int64(1); seed <= 16; seed++ {
-		q, err := GeneratePattern(g, 4, 8, true, true, seed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		patterns = append(patterns, q)
-	}
-	m := NewMatcher(g)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.BatchTopK(patterns, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkQueryTopK measures a single early-termination query end to end
 // on a prebuilt graph (the per-query latency a library user sees).
 func BenchmarkQueryTopK(b *testing.B) {

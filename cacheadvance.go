@@ -27,16 +27,17 @@ import (
 // post-commit query for a hot pattern is a cache hit, not a cold evaluation.
 //
 // What the pass re-runs follows from what an answer depends on (internal/core
-// documents the contract): the pattern's state {CI, Prod, Sim}, and — for the
-// early-termination kinds reading the bound index — the output node's bound
-// vector (core.BoundsCache.OutputBounds), kept on the patternState. Matches by
-// simulation are local, so a delta usually reaches no candidate pair of most
-// maintained patterns: IncCompute reports TouchedPairs == 0, the state is the
-// old one re-pointed at the new snapshot, and every answer riding it is
-// carried — re-keyed and installed like a re-evaluated one — unless it reads
-// the index and the bound vector moved. Only the states the delta reaches
-// re-evaluate, and those compute their find-all pool once for all the shapes
-// riding it. A commit costs what its delta reaches, not what the cache holds.
+// documents the contract): the pattern's state {CI, Prod, Sim}, and — for
+// the early-termination kinds, which read the bound index — the output node's
+// bound vector (core.BoundsCache.OutputBounds), kept on the patternState.
+// Matches by simulation are local, so a delta usually reaches no candidate
+// pair of most maintained patterns: IncCompute reports TouchedPairs == 0, the
+// state is the old one re-pointed at the new snapshot, and every answer riding
+// it is carried — re-keyed and installed like a re-evaluated one — unless it
+// is an early-termination answer and the bound vector moved. Only the states
+// the delta reaches re-evaluate, and those compute their find-all pool once
+// for all the shapes riding it. A commit costs what its delta reaches, not
+// what the cache holds.
 //
 // Nor what the cache was once asked: an answer is re-evaluated before the ack
 // on the bet that somebody reads it before the next change. One that
@@ -120,10 +121,10 @@ type warmEntry struct {
 }
 
 // patternState is the maintained evaluation state of one hot pattern against
-// one graph snapshot, shared by every query (any kind, k, λ, option set) on
-// that pattern. Never modified after construction, so it is safe to read
-// outside the registry lock: the advance pass builds a successor and swaps
-// the entry over to it.
+// one graph snapshot, shared by every query (any kind, k, λ) on that pattern.
+// Never modified after construction, so it is safe to read outside the
+// registry lock: the advance pass builds a successor and swaps the entry over
+// to it.
 type patternState struct {
 	text string
 	p    *Pattern
@@ -409,11 +410,10 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 		// The carry-over contract. An untouched state (the delta changed no
 		// candidate pair's adjacency and appended no candidate: TouchedPairs
 		// counts both) is the old one re-pointed at g2, so every answer that
-		// is a function of the state alone — the find-all kinds, and the
-		// early-termination kinds under per-query tight bounds — is the old
-		// answer. The early-termination kinds otherwise also read the bound
-		// index, through the output node's bound vector and nothing else: they
-		// carry over exactly when that vector did not move. A touched state
+		// is a function of the state alone — the find-all kinds — is the old
+		// answer. The early-termination kinds also read the bound index,
+		// through the output node's bound vector and nothing else: they carry
+		// over exactly when that vector did not move. A touched state
 		// re-evaluates everything riding it.
 		untouched := ist.TouchedPairs == 0
 		sameBounds := untouched && slices.Equal(a.new.bounds, a.old.bounds)
@@ -424,7 +424,7 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 		kept := a.shapes[:0]
 		for _, sh := range a.shapes {
 			sh.idle++
-			if untouched && (sh.q.kind.full() || sh.q.eng.Bounds == core.BoundTight || sameBounds) {
+			if untouched && (sh.q.kind.full() || sameBounds) {
 				stats.WarmCarried++
 				kept = append(kept, sh)
 				continue

@@ -1,8 +1,9 @@
 // Command divtopkd is the query-serving daemon: it loads named graphs,
 // warms a Matcher session (full bound index + result cache) per graph, and
-// serves (diversified) top-k queries over an HTTP JSON API with
-// per-request timeouts, k/parallelism caps, and singleflight-deduplicated
-// caching.
+// serves the paper's four algorithms over an HTTP JSON API with per-request
+// timeouts, a k cap, and singleflight-deduplicated caching: /v1/query runs
+// TopK (Match with "baseline":true), /v1/query/diversified runs TopKDH
+// (TopKDiv with "approx":true).
 //
 // Serve two graphs:
 //
@@ -64,7 +65,6 @@ func main() {
 	cacheEntries := flag.Int("cache", 4096, "result-cache entries per graph session (0 disables caching)")
 	parallelism := flag.Int("parallelism", 0, "session worker goroutines (0 = all cores)")
 	maxK := flag.Int("max-k", 1000, "cap on the requested k")
-	maxParallelism := flag.Int("max-parallelism", 0, "cap on per-request parallelism (0 = all cores)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "evaluation worker pool size (0 = 2x cores)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request timeout")
 	maxTimeout := flag.Duration("max-timeout", time.Minute, "cap on the per-request timeout")
@@ -80,7 +80,6 @@ func main() {
 	}
 	cfg := server.Config{
 		MaxK:           *maxK,
-		MaxParallelism: *maxParallelism,
 		MaxConcurrent:  *maxConcurrent,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,

@@ -42,24 +42,29 @@
 //
 // A Matcher is a reusable, concurrency-safe query session: it warms the
 // graph's descendant-label bound index once at construction and then serves
-// any number of concurrent queries, including whole batches over a bounded
-// worker pool:
+// any number of concurrent queries from any number of goroutines:
 //
 //	m := divtopk.NewMatcher(g)
-//	results, _ := m.BatchTopK(patterns, 10)
+//	res, _ := m.TopK(q, 10)
 //
 // Single queries also parallelize internally (candidate computation, the
 // diversified greedy scans). The Parallelism option controls the worker
-// count for both layers: the default uses all cores, Parallelism(1)
-// reproduces the sequential engine exactly, and every setting returns
-// identical results — the parallel sections are deterministic.
+// count: the default uses all cores, Parallelism(1) reproduces the
+// sequential engine exactly, and every setting returns identical results —
+// the parallel sections are deterministic.
+//
+// The query surface is the paper's four algorithms and nothing else: TopK
+// (§4.1) and, WithBaseline, the find-all Match (§4); TopKDiversified runs the
+// heuristic TopKDH (§5.2) and, WithApproximation, the 2-approximation TopKDiv
+// (§5.1). The §6 baselines (random leaf order, other upper bounds) are
+// reproduced by cmd/experiments, not selectable here.
 //
 // # Serving
 //
 // WithCache equips a Matcher with a result cache (LRU keyed by a canonical
 // query fingerprint, singleflight admission), and cmd/divtopkd builds the
 // full serving layer on top: named graphs behind an HTTP JSON API with
-// per-request timeouts, k/parallelism caps and structured errors. Because
+// per-request timeouts, a k cap and structured errors. Because
 // the engines are deterministic, a cached response is byte-identical to a
 // fresh evaluation. See internal/server and the README's "Serving"
 // section.
@@ -69,11 +74,11 @@
 // Graphs are immutable snapshots; dynamic workloads advance through
 // deltas. A Delta batches node appends, edge inserts and edge deletes;
 // ApplyDelta derives the next snapshot in one merge pass over the old
-// adjacency and bumps its Version. Matcher.Update applies a delta to a live
-// session: the previous snapshot's bound index is advanced off to the side
-// and swapped in atomically with the graph, and because the snapshot
-// version participates in every cache key, a result cached before an
-// update can never be served after it (hot entries are advanced to the new
+// adjacency and bumps its Version. Matcher.UpdateWithStats applies a delta
+// to a live session: the previous snapshot's bound index is advanced off to
+// the side and swapped in atomically with the graph, and because the
+// snapshot version participates in every cache key, a result cached before
+// an update can never be served after it (hot entries are advanced to the new
 // version at commit time — see the Warm cache section). TopKInfo and
 // TopKDiversifiedInfo report the snapshot version (and cache provenance)
 // behind each answer; the serving layer exposes updates as
@@ -81,9 +86,9 @@
 //
 // Concurrent updates group-commit: Delta.Merge combines deltas sharing one
 // base snapshot (deletes before inserts, duplicate inserts collapse,
-// insert-then-delete cancels), Matcher.UpdateBatch and UpdateMerged apply
-// the merged delta in one maintenance pass while stepping the version once
-// per constituent, and the serving layer's per-graph coalescer queues
+// insert-then-delete cancels), Matcher.UpdateMerged applies the merged
+// delta in one maintenance pass while stepping the version once per
+// constituent, and the serving layer's per-graph coalescer queues
 // overlapping POSTs into such batches — each caller acknowledged with its
 // own version, durability logging the per-request deltas so WAL contiguity
 // survives. Edge endpoints in the wire protocol may name a request's own
@@ -152,7 +157,7 @@
 // # Durability
 //
 // A Matcher session can be made durable by attaching a DurabilitySink
-// (SetDurability): inside Update, the delta is handed to the sink after the
+// (SetDurability): inside a commit, the delta is handed to the sink after the
 // new snapshot and its advanced index are built but before they are
 // published, so the served state never runs ahead of what is persisted; a
 // sink failure returns ErrDurabilityUnavailable and leaves the session on
@@ -162,7 +167,7 @@
 // binary CSR checkpoints (internal/snapshot, atomic publish) and rotates
 // the log into a checkpoint periodically — and server.NewPersistentRegistry
 // recovers every graph on boot by loading the newest valid checkpoint and
-// replaying the WAL tail through this same Update path. cmd/divtopkd
+// replaying the WAL tail through UpdateWithStats. cmd/divtopkd
 // enables it with -data-dir/-fsync/-checkpoint-every; a kill-and-recover
 // fuzz over injected filesystem faults (internal/fsx) proves recovered
 // query results byte-identical to a never-crashed run. See the README's

@@ -26,7 +26,7 @@ type DurabilitySink interface {
 	AppendBatch(g *Graph, ds []*Delta) error
 }
 
-// ErrDurabilityUnavailable wraps a DurabilitySink failure during Update: the
+// ErrDurabilityUnavailable wraps a DurabilitySink failure during a commit: the
 // delta could not be made durable, so it was not applied. The session keeps
 // answering queries at its current (fully durable) version; the serving
 // layer maps this to a 503, not a 400 — retrying cannot help until the
@@ -39,7 +39,8 @@ var ErrDurabilityUnavailable = errors.New("divtopk: durability unavailable, upda
 // only sees deltas applied after this call, so attaching it to a session
 // that already diverged from the sink's state violates the sink's version
 // contiguity. The serving layer attaches the store right after replaying its
-// recovered WAL tail through Update — at that point both sides agree.
+// recovered WAL tail through UpdateWithStats — at that point both sides
+// agree.
 func (m *Matcher) SetDurability(s DurabilitySink) {
 	m.updateMu.Lock()
 	defer m.updateMu.Unlock()

@@ -12,8 +12,8 @@ var ErrLambdaRange = ranking.ErrLambdaRange
 
 // Delta is a batch of graph updates: node appends, edge inserts, edge
 // deletes. Build one with its methods and apply it with ApplyDelta or
-// Matcher.Update; deletes are applied before inserts, inserting an existing
-// edge is a no-op, and deleting a missing edge fails the whole delta.
+// Matcher.UpdateWithStats; deletes are applied before inserts, inserting an
+// existing edge is a no-op, and deleting a missing edge fails the whole delta.
 type Delta struct {
 	d graph.Delta
 }
@@ -54,9 +54,6 @@ func (d *Delta) Merge(base *Graph, other *Delta) error {
 	return d.d.Merge(base.g, &other.d)
 }
 
-// Empty reports whether the delta carries no updates.
-func (d *Delta) Empty() bool { return d.d.Empty() }
-
 // Size returns the number of individual updates in the delta.
 func (d *Delta) Size() int { return d.d.Size() }
 
@@ -72,8 +69,8 @@ func (g *Graph) Version() uint64 { return g.g.Version() }
 // one linear pass, and the result's Version is the input's plus one. The
 // input graph is untouched and keeps serving queries; the snapshots share
 // the label dictionary and all unchanged per-node data. The new snapshot's
-// bound index is built lazily on first use; Matcher.Update instead advances
-// the previous snapshot's index incrementally (see Matcher.UpdateWithStats).
+// bound index is built lazily on first use; Matcher.UpdateWithStats instead
+// advances the previous snapshot's index incrementally.
 func ApplyDelta(g *Graph, d *Delta) (*Graph, error) {
 	g2, err := graph.ApplyDelta(g.g, &d.d)
 	if err != nil {

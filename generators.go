@@ -13,12 +13,6 @@ func NewSynthetic(n, m, labels int, seed int64) *Graph {
 	return &Graph{g: gen.Synthetic(gen.SynthConfig{N: n, M: m, Labels: labels, Seed: seed})}
 }
 
-// NewAmazonLike generates a co-purchase-style cyclic graph (product groups,
-// salesrank attribute) standing in for the paper's Amazon dataset.
-func NewAmazonLike(n, m int, seed int64) *Graph {
-	return &Graph{g: gen.AmazonLike(n, m, seed)}
-}
-
 // NewCitationLike generates a citation-style DAG (venue areas, year
 // attribute) standing in for the paper's Citation dataset.
 func NewCitationLike(n, m int, seed int64) *Graph {
@@ -54,26 +48,6 @@ func CaseStudyQ1() *Pattern { return &Pattern{p: gen.Fig4Q1()} }
 // Fig. 4(b).
 func CaseStudyQ2() *Pattern { return &Pattern{p: gen.Fig4Q2()} }
 
-// TopKMulti answers one top-k query per designated output node (the
-// multiple-output-node extension of the paper's §2.2): the returned map is
-// keyed by output node index. All runs share g's bound index.
-func TopKMulti(g *Graph, p *Pattern, outputs []int, k int, opts ...Option) (map[int]*Result, error) {
-	o := buildOptions(opts)
-	eng := o.engine
-	if eng.Cache == nil && eng.Bounds != core.BoundTight {
-		eng.Cache = g.boundsCache()
-	}
-	raw, err := core.TopKMulti(g.g, p.p, outputs, k, eng)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]*Result, len(raw))
-	for uo, r := range raw {
-		out[uo] = convertResult(g, r)
-	}
-	return out, nil
-}
-
 // TopKByRelevanceFunc ranks the full match set of the output node under one
 // of the generalized relevance functions of §3.4, selected by name:
 // "relevant-set-size" (the default δr), "preference-attachment",
@@ -96,7 +70,3 @@ func TopKByRelevanceFunc(g *Graph, p *Pattern, k int, relevance string) (*Result
 	}
 	return res, scores, nil
 }
-
-// RelevanceFuncNames lists the generalized relevance functions available to
-// TopKByRelevanceFunc.
-func RelevanceFuncNames() []string { return ranking.RelevanceNames() }

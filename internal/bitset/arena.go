@@ -14,7 +14,7 @@ package bitset
 // union work concurrently (see simulation.ComputeRelevant).
 //
 // Sets obtained from Get are ordinary *Set values: every in-place operation
-// (UnionWith, IntersectWith, Add, ...) works on them unchanged, and a set
+// (UnionWith, DifferenceWith, Add, ...) works on them unchanged, and a set
 // that must outlive the arena can simply never be Put back (its words keep
 // the owning chunk alive) or be detached via Clone.
 type Arena struct {
@@ -46,9 +46,6 @@ func NewArena(bits int) *Arena {
 	}
 	return &Arena{bits: bits, words: w, chunkWords: cw}
 }
-
-// Bits returns the universe size of the arena's sets.
-func (a *Arena) Bits() int { return a.bits }
 
 // Get returns an empty set over the arena's universe, reusing a returned set
 // when one is available. The caller owns the set until Put. Get performs no

@@ -97,14 +97,6 @@ func (s *Set) UnionWith(t *Set) bool {
 	return UnionWords(s.words, t.words)
 }
 
-// IntersectWith removes from s every element not in t.
-func (s *Set) IntersectWith(t *Set) {
-	s.compat(t)
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
 // DifferenceWith removes from s every element of t.
 func (s *Set) DifferenceWith(t *Set) {
 	s.compat(t)
@@ -146,17 +138,6 @@ func (s *Set) Equal(t *Set) bool {
 	return true
 }
 
-// SubsetOf reports whether every element of s is in t.
-func (s *Set) SubsetOf(t *Set) bool {
-	s.compat(t)
-	for i, w := range s.words {
-		if w&^t.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls f for each element in ascending order. If f returns false the
 // iteration stops early.
 func (s *Set) ForEach(f func(i int) bool) {
@@ -170,9 +151,6 @@ func (s *Set) ForEach(f func(i int) bool) {
 		}
 	}
 }
-
-// WordLen returns the number of 64-bit words backing the set.
-func (s *Set) WordLen() int { return len(s.words) }
 
 // UnionRange ORs t's words in the half-open word range [lo, hi) into s.
 // Both sets must have the same capacity and the range must be within it.

@@ -157,18 +157,10 @@ func TestQuickAgainstMapReference(t *testing.T) {
 		if (c.Count() != sa.Count()) != changed || c.Count() != len(union) {
 			return false
 		}
-		// IntersectWith and DifferenceWith against the reference.
-		ci := sa.Clone()
-		ci.IntersectWith(sb)
-		if ci.Count() != inter {
-			return false
-		}
+		// DifferenceWith against the reference.
 		cd := sa.Clone()
 		cd.DifferenceWith(sb)
 		if cd.Count() != len(ra)-inter {
-			return false
-		}
-		if !sa.SubsetOf(c) || !sb.SubsetOf(c) {
 			return false
 		}
 		return true

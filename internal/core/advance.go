@@ -97,36 +97,6 @@ func (s AdvanceStats) Mode() string {
 	return "rebuild"
 }
 
-// RowsEqual reports whether the two caches hold identical warmed state:
-// the same label set with byte-identical count rows. It is the oracle
-// comparison of the maintenance benchmarks and tests — an advanced cache
-// must satisfy RowsEqual against a fresh NewBoundsCache+Warm of the same
-// snapshot. The first divergence is described in the error.
-func (c *BoundsCache) RowsEqual(other *BoundsCache) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	other.mu.RLock()
-	defer other.mu.RUnlock()
-	if len(c.counts) != len(other.counts) {
-		return fmt.Errorf("%d warmed labels vs %d", len(c.counts), len(other.counts))
-	}
-	for id, row := range c.counts {
-		orow, ok := other.counts[id]
-		if !ok {
-			return fmt.Errorf("label %d warmed on one side only", id)
-		}
-		if len(row) != len(orow) {
-			return fmt.Errorf("label %d: %d rows vs %d", id, len(row), len(orow))
-		}
-		for v := range row {
-			if row[v] != orow[v] {
-				return fmt.Errorf("label %d row %d: %d vs %d", id, v, row[v], orow[v])
-			}
-		}
-	}
-	return nil
-}
-
 // Advance derives the bound index of gNew from this cache without touching
 // it: gNew must be a successor of the cache's snapshot in one update
 // lineage — typically the immediate next version, or several versions ahead

@@ -95,7 +95,7 @@ func assertCachesEqual(t *testing.T, label string, got, want *BoundsCache) {
 // the new snapshot — for both descendant-count modes, under the adaptive
 // fallback as well as a forced-incremental and a forced-rebuild path,
 // which must also agree with each other. Labels a delta introduces are
-// filled by the post-advance Warm (the Matcher.Update discipline) and
+// filled by the post-advance Warm (the Matcher commit discipline) and
 // compared too.
 func TestBoundsAdvanceDeltaChainFuzz(t *testing.T) {
 	const labels = 4
@@ -238,7 +238,7 @@ func TestBoundsAdvanceVersionMismatch(t *testing.T) {
 }
 
 // TestBoundsAdvanceConcurrentWithReads advances a cache while the old
-// snapshot keeps serving index reads — the exact overlap Matcher.Update
+// snapshot keeps serving index reads — the exact overlap a Matcher commit
 // creates — and must be race-clean.
 func TestBoundsAdvanceConcurrentWithReads(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))

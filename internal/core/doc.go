@@ -81,12 +81,13 @@
 // candidates — and computeUpperBounds, its only caller in the engine, is the
 // single place a run touches the index. The graph itself is consulted for
 // its node count and label dictionary only. That is the carry-over contract
-// the matcher's commit pass rests on: when a delta leaves a pattern's state
-// untouched (simulation.IncCompute reports TouchedPairs == 0), a find-all
-// answer is still the answer, and an early-termination answer is too if it
-// ran under BoundTight or if OutputBounds on the advanced index returns the
-// vector it returned before. Anything that makes a run read more — a second
-// use of the index, a graph scan — must extend that comparison with it.
+// the matcher's commit pass rests on (the matcher runs the engine under its
+// snapshot's BoundsCache, never BoundTight): when a delta leaves a pattern's
+// state untouched (simulation.IncCompute reports TouchedPairs == 0), a
+// find-all answer is still the answer, and an early-termination answer is
+// too if OutputBounds on the advanced index returns the vector it returned
+// before. Anything that makes a run read more — a second use of the index, a
+// graph scan — must extend that comparison with it.
 //
 // # Scratch lifecycle
 //

@@ -9,45 +9,6 @@ import (
 	"divtopk/internal/simulation"
 )
 
-// TopKMulti implements the multiple-output-node extension sketched in §2.2
-// and detailed in the paper's full version [1]: given several designated
-// output nodes, return a top-k match set for each. Each output is answered
-// by the early-termination engine on a re-targeted copy of the pattern; the
-// global-match condition is shared (simulation semantics do not depend on
-// the output node), so if G does not match Q every entry is empty.
-//
-// The per-output runs share the caller's BoundsCache (pass one via opts for
-// the amortized index). A fused single-pass engine for all outputs is
-// possible — match propagation is output-independent and only the relevance
-// machinery is per-output — and left as future work; this formulation keeps
-// every early-termination guarantee per output.
-func TopKMulti(g *graph.Graph, p *pattern.Pattern, outputs []int, k int, opts Options) (map[int]*Result, error) {
-	if err := validateInputs(g, k); err != nil {
-		return nil, err
-	}
-	results := make(map[int]*Result, len(outputs))
-	for _, uo := range outputs {
-		q := p.Clone()
-		if err := q.SetOutput(uo); err != nil {
-			return nil, err
-		}
-		res, err := TopK(g, q, k, opts)
-		if err != nil {
-			return nil, err
-		}
-		results[uo] = res
-		// Simulation's global condition is shared: one empty answer means
-		// M(Q,G) = ∅ and every other answer is empty too — stop early.
-		if !res.GlobalMatch {
-			for _, other := range outputs {
-				results[other] = &Result{Space: res.Space, Stats: res.Stats}
-			}
-			break
-		}
-	}
-	return results, nil
-}
-
 // GeneralizedResult is a find-all answer re-ranked under a generalized
 // relevance function of §3.4 (the constructive content of Prop. 4's
 // find-all form). Scores is aligned with All.

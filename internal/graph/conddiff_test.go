@@ -152,7 +152,7 @@ func TestDeltaSummaryEndpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.OldNodes != 4 || sum.NewNodes != 5 || sum.Appended() != 1 {
+	if sum.OldNodes != 4 || sum.NewNodes != 5 {
 		t.Fatalf("node counts %+v", sum)
 	}
 	if want := []NodeID{0, 1, 3}; !slices.Equal(sum.TouchedSources, want) {

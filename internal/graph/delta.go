@@ -328,9 +328,6 @@ type DeltaSummary struct {
 	DeleteHeads []NodeID
 }
 
-// Appended reports the number of nodes the delta appended.
-func (s *DeltaSummary) Appended() int { return s.NewNodes - s.OldNodes }
-
 // endpointSet extracts one endpoint column of an edge list, sorted unique.
 func endpointSet(edges [][2]NodeID, col int) []NodeID {
 	if len(edges) == 0 {
@@ -363,51 +360,6 @@ func (d *Delta) summarize(nOld int) *DeltaSummary {
 		InsertHeads:    endpointSet(d.EdgeInserts, 1),
 		DeleteHeads:    endpointSet(d.EdgeDeletes, 1),
 	}
-}
-
-// MergeSummaries combines the affected-area summaries of two consecutively
-// applied deltas into the summary of their sequential composition: b must
-// describe a delta applied to the graph a produced (b.OldNodes ==
-// a.NewNodes). The touch-point sets union; the union over-approximates the
-// merged delta's own summary only where an insert and its cancelling delete
-// met (both heads stay listed), which is sound for every consumer — the
-// seed sets bound what may have changed, they never assert that it did.
-func MergeSummaries(a, b *DeltaSummary) (*DeltaSummary, error) {
-	if b.OldNodes != a.NewNodes {
-		return nil, fmt.Errorf("graph: summary merge mismatch: first ends at %d nodes, second starts at %d", a.NewNodes, b.OldNodes)
-	}
-	return &DeltaSummary{
-		OldNodes:       a.OldNodes,
-		NewNodes:       b.NewNodes,
-		TouchedSources: unionSorted(a.TouchedSources, b.TouchedSources),
-		InsertHeads:    unionSorted(a.InsertHeads, b.InsertHeads),
-		DeleteHeads:    unionSorted(a.DeleteHeads, b.DeleteHeads),
-	}, nil
-}
-
-// unionSorted merges two sorted unique NodeID slices into a fresh sorted
-// unique slice.
-func unionSorted(a, b []NodeID) []NodeID {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 // ApplyDelta derives a new immutable graph snapshot from g and d; see

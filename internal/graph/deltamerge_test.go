@@ -193,7 +193,7 @@ func TestDeltaMergeAppendOffsets(t *testing.T) {
 func TestMergeSummaries(t *testing.T) {
 	a := &DeltaSummary{OldNodes: 10, NewNodes: 11, TouchedSources: []NodeID{1, 3}, InsertHeads: []NodeID{2}, DeleteHeads: []NodeID{5}}
 	b := &DeltaSummary{OldNodes: 11, NewNodes: 11, TouchedSources: []NodeID{3, 4}, InsertHeads: []NodeID{2, 9}, DeleteHeads: nil}
-	m, err := MergeSummaries(a, b)
+	m, err := mergeSummaries(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestMergeSummaries(t *testing.T) {
 	if len(m.InsertHeads) != 2 || len(m.DeleteHeads) != 1 {
 		t.Fatalf("head sets %v %v", m.InsertHeads, m.DeleteHeads)
 	}
-	if _, err := MergeSummaries(b, a); err == nil {
+	if _, err := mergeSummaries(b, a); err == nil {
 		t.Fatal("accepted summaries out of sequence")
 	}
 }
@@ -265,7 +265,7 @@ func TestDeltaMergeRandomizedEquivalence(t *testing.T) {
 					}
 					if seqSum == nil {
 						seqSum = sum
-					} else if seqSum, err = MergeSummaries(seqSum, sum); err != nil {
+					} else if seqSum, err = mergeSummaries(seqSum, sum); err != nil {
 						t.Fatalf("round %d step %d: summary merge: %v", round, i, err)
 					}
 				}
@@ -326,4 +326,51 @@ func randomMergeDelta(rng *rand.Rand, g *Graph, delCap int) *Delta {
 		}
 	}
 	return &d
+}
+
+// mergeSummaries is the oracle the randomized merge fuzz checks a merged
+// delta's summary against. It combines the affected-area summaries of two
+// consecutively applied deltas into the summary of their sequential
+// composition: b must
+// describe a delta applied to the graph a produced (b.OldNodes ==
+// a.NewNodes). The touch-point sets union; the union over-approximates the
+// merged delta's own summary only where an insert and its cancelling delete
+// met (both heads stay listed), which is sound for every consumer — the
+// seed sets bound what may have changed, they never assert that it did.
+func mergeSummaries(a, b *DeltaSummary) (*DeltaSummary, error) {
+	if b.OldNodes != a.NewNodes {
+		return nil, fmt.Errorf("graph: summary merge mismatch: first ends at %d nodes, second starts at %d", a.NewNodes, b.OldNodes)
+	}
+	return &DeltaSummary{
+		OldNodes:       a.OldNodes,
+		NewNodes:       b.NewNodes,
+		TouchedSources: unionSorted(a.TouchedSources, b.TouchedSources),
+		InsertHeads:    unionSorted(a.InsertHeads, b.InsertHeads),
+		DeleteHeads:    unionSorted(a.DeleteHeads, b.DeleteHeads),
+	}, nil
+}
+
+// unionSorted merges two sorted unique NodeID slices into a fresh sorted
+// unique slice.
+func unionSorted(a, b []NodeID) []NodeID {
+	if len(a) == 0 && len(b) == 0 {
+		return nil
+	}
+	out := make([]NodeID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j >= len(b) || (i < len(a) && a[i] < b[j]):
+			out = append(out, a[i])
+			i++
+		case i >= len(a) || b[j] < a[i]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
 }

@@ -149,7 +149,7 @@ func TestCondenseChainRanks(t *testing.T) {
 		t.Fatalf("NumComps = %d, want 4", cond.NumComps)
 	}
 	for i := 0; i < 4; i++ {
-		if got := cond.NodeRank(NodeID(i)); got != int32(3-i) {
+		if got := cond.Rank[cond.Comp[i]]; got != int32(3-i) {
 			t.Fatalf("rank(%d) = %d, want %d", i, got, 3-i)
 		}
 	}
@@ -272,45 +272,6 @@ func TestCondensationConcurrentFirstUse(t *testing.T) {
 				t.Fatalf("round %d: concurrent first callers got different condensations", round)
 			}
 		}
-	}
-}
-
-func TestReachableAgainstReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(20)
-		g := randomGraph(rng, n, rng.Intn(3*n), []string{"a"})
-		closure := reachClosure(g)
-		for v := 0; v < n; v++ {
-			got := Reachable(g, NodeID(v))
-			for w := 0; w < n; w++ {
-				if got.Contains(w) != closure[v][w] {
-					t.Fatalf("Reachable(%d) disagrees at %d", v, w)
-				}
-			}
-		}
-	}
-}
-
-func TestBFSDistAndDistance(t *testing.T) {
-	// 0 -> 1 -> 2, 0 -> 2, 3 isolated.
-	b := NewBuilder()
-	for i := 0; i < 4; i++ {
-		b.AddNode("a", nil)
-	}
-	mustEdge(t, b, 0, 1)
-	mustEdge(t, b, 1, 2)
-	mustEdge(t, b, 0, 2)
-	g := b.Build()
-	d := BFSDist(g, 0)
-	want := []int32{0, 1, 1, -1}
-	for i, w := range want {
-		if d[i] != w {
-			t.Fatalf("BFSDist[%d] = %d, want %d", i, d[i], w)
-		}
-	}
-	if Distance(g, 0, 2) != 1 || Distance(g, 2, 0) != -1 || Distance(g, 1, 1) != 0 {
-		t.Fatal("Distance wrong")
 	}
 }
 

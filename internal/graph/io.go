@@ -17,8 +17,8 @@ import (
 //
 // Node IDs must be dense (0..n-1) but may appear in any order; values are
 // stored as integers when they parse as such, strings otherwise (the format
-// is deliberately simple and unquoted). This is the on-disk format of
-// cmd/graphgen and cmd/topkmatch.
+// is deliberately simple and unquoted). This is the on-disk format
+// cmd/graphgen writes and cmd/divtopkd -graph loads.
 //
 // Because the format is whitespace-delimited with '='-separated attributes,
 // not every in-memory graph is encodable: labels and attribute keys must be

@@ -34,9 +34,6 @@ type Condensation struct {
 	Nontrivial []bool
 }
 
-// NodeRank returns the topological rank of the SCC containing node v.
-func (c *Condensation) NodeRank(v int32) int32 { return c.Rank[c.Comp[v]] }
-
 // tarjanFrame is an explicit stack frame for the iterative Tarjan DFS.
 type tarjanFrame struct {
 	v    int32

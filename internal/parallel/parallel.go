@@ -1,7 +1,6 @@
 // Package parallel provides the shared concurrency primitives behind the
-// engine's intra-query parallelism and the Matcher's batch API: a worker
-// normalization rule, deterministic range sharding, a dynamic-scheduling
-// parallel for-loop, and a bounded worker pool.
+// engine's intra-query parallelism: a worker normalization rule,
+// deterministic range sharding and a dynamic-scheduling parallel for-loop.
 //
 // Every helper degrades to plain inline execution when asked for a single
 // worker, so sequential behavior (Parallelism(1)) runs exactly the code it
@@ -86,33 +85,3 @@ func ForEach(n, workers int, fn func(i int)) {
 	}
 	wg.Wait()
 }
-
-// Pool is a bounded worker pool: at most the configured number of submitted
-// tasks run concurrently, and Go blocks the submitter once the bound is
-// reached (backpressure instead of unbounded goroutine growth). The zero
-// Pool is not usable; construct with NewPool.
-type Pool struct {
-	sem chan struct{}
-	wg  sync.WaitGroup
-}
-
-// NewPool returns a pool running at most Workers(workers) tasks at once.
-func NewPool(workers int) *Pool {
-	return &Pool{sem: make(chan struct{}, Workers(workers))}
-}
-
-// Go schedules fn on the pool, blocking while the pool is saturated.
-func (p *Pool) Go(fn func()) {
-	p.wg.Add(1)
-	p.sem <- struct{}{}
-	go func() {
-		defer func() {
-			<-p.sem
-			p.wg.Done()
-		}()
-		fn()
-	}()
-}
-
-// Wait blocks until every task scheduled so far has finished.
-func (p *Pool) Wait() { p.wg.Wait() }

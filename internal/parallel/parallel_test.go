@@ -74,25 +74,3 @@ func TestForEachInlineWhenSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestPoolBoundsConcurrency(t *testing.T) {
-	const bound = 3
-	p := NewPool(bound)
-	var cur, peak atomic.Int32
-	for i := 0; i < 50; i++ {
-		p.Go(func() {
-			c := cur.Add(1)
-			for {
-				old := peak.Load()
-				if c <= old || peak.CompareAndSwap(old, c) {
-					break
-				}
-			}
-			cur.Add(-1)
-		})
-	}
-	p.Wait()
-	if got := peak.Load(); got > bound {
-		t.Fatalf("peak concurrency %d exceeds bound %d", got, bound)
-	}
-}

@@ -264,17 +264,3 @@ func Analyze(p *Pattern) *Analysis {
 	}
 	return a
 }
-
-// OutputReachesAll reports whether the output node reaches every other query
-// node, i.e. whether uo is a "root" in the paper's sense (§4.1). The
-// algorithms support non-root outputs too; this is exposed for diagnostics
-// and tests.
-func OutputReachesAll(p *Pattern) bool {
-	a := Analyze(p)
-	for u := 0; u < p.NumNodes(); u++ {
-		if u != p.Output() && !a.OutputDesc[u] {
-			return false
-		}
-	}
-	return true
-}

@@ -5,16 +5,12 @@ import (
 	"sort"
 
 	"divtopk/internal/bitset"
-	"divtopk/internal/graph"
 )
 
-// This file implements the generalized relevance and distance functions of
-// §3.4. Each concrete function from the paper's table is provided:
-//
-//	relevance: relevant-set size (default δr), preference attachment [24],
-//	           common neighbours [22], Jaccard coefficient [28]
-//	distance:  relevant-set Jaccard (default δd), neighbourhood diversity
-//	           [23], distance-based diversity [36]
+// This file implements the generalized relevance functions of §3.4. Each
+// concrete function from the paper's table is provided: relevant-set size
+// (default δr), preference attachment [24], common neighbours [22], Jaccard
+// coefficient [28].
 //
 // A RelevanceInput packages the quantities the formulations are defined
 // over: R(u) (the descendant query nodes of u), R*(u,v) (the generalized
@@ -37,25 +33,6 @@ type RelevanceInput struct {
 type RelevanceFunc interface {
 	Name() string
 	Score(in RelevanceInput) float64
-}
-
-// DistanceInput carries the per-pair quantities for generalized distances.
-type DistanceInput struct {
-	R1, R2 *bitset.Set
-	V1, V2 graph.NodeID
-	// NumNodes is |V| of the data graph (neighbourhood diversity divides by
-	// it).
-	NumNodes int
-	// Graph gives distance-based diversity access to BFS; nil for functions
-	// that do not need it.
-	Graph *graph.Graph
-}
-
-// DistanceFunc measures dissimilarity of two matches; must be a metric for
-// TopKDiv's approximation guarantee to carry over (all functions below are).
-type DistanceFunc interface {
-	Name() string
-	Dist(in DistanceInput) float64
 }
 
 // --- relevance functions ---
@@ -102,64 +79,13 @@ func (JaccardCoefficient) Score(in RelevanceInput) float64 {
 	return bitset.Jaccard(in.DescMatches, in.RSet)
 }
 
-// --- distance functions ---
-
-// RelSetJaccard is the paper's default δd = 1 − |R1∩R2|/|R1∪R2|.
-type RelSetJaccard struct{}
-
-// Name implements DistanceFunc.
-func (RelSetJaccard) Name() string { return "relevant-set-jaccard" }
-
-// Dist implements DistanceFunc.
-func (RelSetJaccard) Dist(in DistanceInput) float64 { return Distance(in.R1, in.R2) }
-
-// NeighborhoodDiversity is 1 − |R*(u,v1) ∩ R*(u,v2)| / |V| [23].
-type NeighborhoodDiversity struct{}
-
-// Name implements DistanceFunc.
-func (NeighborhoodDiversity) Name() string { return "neighborhood-diversity" }
-
-// Dist implements DistanceFunc.
-func (NeighborhoodDiversity) Dist(in DistanceInput) float64 {
-	if in.NumNodes == 0 {
-		return 1
-	}
-	return 1 - float64(in.R1.IntersectCount(in.R2))/float64(in.NumNodes)
-}
-
-// DistanceDiversity is 1 − 1/d(v1,v2), or 1 when d = ∞ [36]. d is the
-// directed shortest-path distance; d(v,v) = 0 yields distance 0 so the
-// function stays a metric on distinct matches. Requires DistanceInput.Graph.
-type DistanceDiversity struct{}
-
-// Name implements DistanceFunc.
-func (DistanceDiversity) Name() string { return "distance-diversity" }
-
-// Dist implements DistanceFunc.
-func (DistanceDiversity) Dist(in DistanceInput) float64 {
-	if in.V1 == in.V2 {
-		return 0
-	}
-	d := graph.Distance(in.Graph, in.V1, in.V2)
-	if d <= 0 {
-		return 1
-	}
-	return 1 - 1/float64(d)
-}
-
-// Registries so CLIs and options can select functions by name.
+// The registry selects a function by name (divtopk.TopKByRelevanceFunc).
 
 var relevanceFuncs = map[string]RelevanceFunc{
 	RelSetSize{}.Name():           RelSetSize{},
 	PreferenceAttachment{}.Name(): PreferenceAttachment{},
 	CommonNeighbors{}.Name():      CommonNeighbors{},
 	JaccardCoefficient{}.Name():   JaccardCoefficient{},
-}
-
-var distanceFuncs = map[string]DistanceFunc{
-	RelSetJaccard{}.Name():         RelSetJaccard{},
-	NeighborhoodDiversity{}.Name(): NeighborhoodDiversity{},
-	DistanceDiversity{}.Name():     DistanceDiversity{},
 }
 
 // RelevanceByName returns the registered relevance function with that name.
@@ -171,24 +97,10 @@ func RelevanceByName(name string) (RelevanceFunc, error) {
 	return f, nil
 }
 
-// DistanceByName returns the registered distance function with that name.
-func DistanceByName(name string) (DistanceFunc, error) {
-	f, ok := distanceFuncs[name]
-	if !ok {
-		return nil, fmt.Errorf("ranking: unknown distance function %q (have %v)", name, DistanceNames())
-	}
-	return f, nil
-}
-
 // RelevanceNames lists the registered relevance functions, sorted.
-func RelevanceNames() []string { return sortedKeys(relevanceFuncs) }
-
-// DistanceNames lists the registered distance functions, sorted.
-func DistanceNames() []string { return sortedKeys(distanceFuncs) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
+func RelevanceNames() []string {
+	out := make([]string, 0, len(relevanceFuncs))
+	for k := range relevanceFuncs {
 		out = append(out, k)
 	}
 	sort.Strings(out)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"divtopk/internal/bitset"
-	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
 	"divtopk/internal/simulation"
 	"divtopk/internal/testutil"
@@ -276,68 +275,17 @@ func TestGeneralizedRelevanceFuncs(t *testing.T) {
 	}
 }
 
-func TestGeneralizedDistanceFuncs(t *testing.T) {
-	r1 := bitset.New(10)
-	r1.Add(1)
-	r1.Add(2)
-	r2 := bitset.New(10)
-	r2.Add(2)
-	r2.Add(3)
-
-	in := DistanceInput{R1: r1, R2: r2, NumNodes: 10}
-	if got := (RelSetJaccard{}).Dist(in); math.Abs(got-(1-1.0/3.0)) > eps {
-		t.Errorf("RelSetJaccard = %v", got)
-	}
-	if got := (NeighborhoodDiversity{}).Dist(in); math.Abs(got-0.9) > eps {
-		t.Errorf("NeighborhoodDiversity = %v, want 0.9", got)
-	}
-
-	// Distance diversity over a path 0 -> 1 -> 2.
-	b := graph.NewBuilder()
-	for i := 0; i < 3; i++ {
-		b.AddNode("a", nil)
-	}
-	if err := b.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Build()
-	dd := DistanceDiversity{}
-	if got := dd.Dist(DistanceInput{V1: 0, V2: 2, Graph: g}); math.Abs(got-0.5) > eps {
-		t.Errorf("DistanceDiversity(0,2) = %v, want 0.5 (d=2)", got)
-	}
-	if got := dd.Dist(DistanceInput{V1: 2, V2: 0, Graph: g}); got != 1 {
-		t.Errorf("DistanceDiversity(2,0) = %v, want 1 (unreachable)", got)
-	}
-	if got := dd.Dist(DistanceInput{V1: 1, V2: 1, Graph: g}); got != 0 {
-		t.Errorf("DistanceDiversity(1,1) = %v, want 0", got)
-	}
-	if got := dd.Dist(DistanceInput{V1: 0, V2: 1, Graph: g}); got != 0 {
-		t.Errorf("DistanceDiversity(0,1) = %v, want 0 (d=1 → 1-1/1)", got)
-	}
-}
-
 func TestRegistries(t *testing.T) {
 	for _, n := range RelevanceNames() {
 		if _, err := RelevanceByName(n); err != nil {
 			t.Errorf("RelevanceByName(%q): %v", n, err)
 		}
 	}
-	for _, n := range DistanceNames() {
-		if _, err := DistanceByName(n); err != nil {
-			t.Errorf("DistanceByName(%q): %v", n, err)
-		}
-	}
 	if _, err := RelevanceByName("nope"); err == nil {
 		t.Error("unknown relevance name accepted")
 	}
-	if _, err := DistanceByName("nope"); err == nil {
-		t.Error("unknown distance name accepted")
-	}
-	if len(RelevanceNames()) != 4 || len(DistanceNames()) != 3 {
-		t.Errorf("registry sizes: %d relevance, %d distance", len(RelevanceNames()), len(DistanceNames()))
+	if len(RelevanceNames()) != 4 {
+		t.Errorf("registry size: %d relevance functions, want 4", len(RelevanceNames()))
 	}
 }
 

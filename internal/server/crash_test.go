@@ -171,7 +171,7 @@ func runPersistentUntilCrash(t *testing.T, dir string, fs fsx.FS, base *divtopk.
 	m, _ := reg.Get("g")
 	acked := 0
 	for _, d := range deltas {
-		if _, err := m.Update(d); err != nil {
+		if _, _, err := m.UpdateWithStats(d); err != nil {
 			if !errors.Is(err, divtopk.ErrDurabilityUnavailable) {
 				t.Fatalf("update failed with a non-durability error: %v", err)
 			}
@@ -200,7 +200,7 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 	m := divtopk.NewMatcher(base)
 	ref[0] = snapshotResults(t, m, patterns)
 	for _, d := range deltas {
-		g, err := m.Update(d)
+		g, _, err := m.UpdateWithStats(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestCrashRecoveryFuzz(t *testing.T) {
 			// The recovered session keeps going: the remaining updates apply
 			// and land on the reference end state.
 			for _, d := range deltas[v:] {
-				if _, err := m2.Update(d); err != nil {
+				if _, _, err := m2.UpdateWithStats(d); err != nil {
 					t.Fatalf("update after recovery: %v", err)
 				}
 			}
@@ -287,7 +287,7 @@ func TestCleanShutdownRestart(t *testing.T) {
 	}
 	m, _ := reg.Get("g")
 	for _, d := range deltas {
-		if _, err := m.Update(d); err != nil {
+		if _, _, err := m.UpdateWithStats(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,8 +320,23 @@ func TestCleanShutdownRestart(t *testing.T) {
 	}
 }
 
+// updateBatch commits ds as one group commit the way the coalescer does:
+// folded with Delta.Merge against the session's current snapshot, then
+// applied through UpdateMerged. The caller must be the session's only
+// updater.
+func updateBatch(m *divtopk.Matcher, ds []*divtopk.Delta) (*divtopk.Graph, divtopk.IndexStats, error) {
+	base := m.Graph()
+	var merged divtopk.Delta
+	for i, d := range ds {
+		if err := merged.Merge(base, d); err != nil {
+			return nil, divtopk.IndexStats{}, fmt.Errorf("batch update %d: %w", i, err)
+		}
+	}
+	return m.UpdateMerged(&merged, ds)
+}
+
 // runPersistentBatchesUntilCrash is runPersistentUntilCrash for group
-// commits: deltas are applied through Matcher.UpdateBatch in the given batch
+// commits: deltas are applied through updateBatch in the given batch
 // widths, so a crash can land inside a multi-record WAL write. Returns the
 // number of acknowledged *versions* (every delta of an acked batch), or -1
 // if registration itself crashed.
@@ -337,7 +352,7 @@ func runPersistentBatchesUntilCrash(t *testing.T, dir string, fs fsx.FS, base *d
 	m, _ := reg.Get("g")
 	acked := 0
 	for _, batch := range batches {
-		if _, _, err := m.UpdateBatch(batch); err != nil {
+		if _, _, err := updateBatch(m, batch); err != nil {
 			if !errors.Is(err, divtopk.ErrDurabilityUnavailable) {
 				t.Fatalf("batch update failed with a non-durability error: %v", err)
 			}
@@ -377,7 +392,7 @@ func TestCrashRecoveryBatchFuzz(t *testing.T) {
 	m := divtopk.NewMatcher(base)
 	ref[0] = snapshotResults(t, m, patterns)
 	for _, d := range deltas {
-		g, err := m.Update(d)
+		g, _, err := m.UpdateWithStats(d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -439,7 +454,7 @@ func TestCrashRecoveryBatchFuzz(t *testing.T) {
 			// The recovered session finishes the chain (one batch per
 			// remaining delta suffix) and lands on the reference end state.
 			if rest := deltas[v:]; len(rest) > 0 {
-				if _, _, err := m2.UpdateBatch(rest); err != nil {
+				if _, _, err := updateBatch(m2, rest); err != nil {
 					t.Fatalf("batch update after recovery: %v", err)
 				}
 			}

@@ -59,11 +59,11 @@ var graphName = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9._-]{0,127}$`)
 // each Add seeds a durability store under p.Dir/<name> and attaches it to
 // the session, and this constructor recovers every graph a previous process
 // left there — newest valid checkpoint plus the WAL tail, replayed through
-// the same Matcher.Update path that produced the records, so a recovered
-// session (graph, advanced index, version) is indistinguishable from one
-// that never crashed. Recovery is all-or-nothing per process: a graph whose
-// acknowledged updates cannot be reconstructed fails the boot rather than
-// silently serving less than was acknowledged.
+// Matcher.UpdateWithStats, the commit path that produced the records, so a
+// recovered session (graph, advanced index, version) is indistinguishable
+// from one that never crashed. Recovery is all-or-nothing per process: a
+// graph whose acknowledged updates cannot be reconstructed fails the boot
+// rather than silently serving less than was acknowledged.
 func NewPersistentRegistry(p PersistOptions, opts ...divtopk.Option) (*Registry, error) {
 	if p.FS == nil {
 		p.FS = fsx.OS()

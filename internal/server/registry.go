@@ -1,6 +1,6 @@
 // Package server implements the query-serving subsystem behind cmd/divtopkd:
 // a registry of named, warmed Matcher sessions; an HTTP JSON API with
-// per-request timeouts, k/parallelism caps and structured errors; and the
+// per-request timeouts, a k cap and structured errors; and the
 // admission machinery — a bounded worker pool in front of each session's
 // result cache (LRU + singleflight) — that lets one daemon serve heavy
 // repeated traffic at one engine evaluation per distinct query. Because
@@ -31,7 +31,7 @@ type GraphInfo struct {
 // warmed at registration (NewMatcher builds the full bound index), so a
 // registered graph serves concurrent queries immediately. Safe for
 // concurrent use; graphs can be added at runtime but sessions are never
-// replaced — a graph evolves in place through Matcher.Update, whose
+// replaced — a graph evolves in place through the Matcher's commits, whose
 // versioned cache keys keep every cached result tied to the snapshot that
 // produced it.
 type Registry struct {

@@ -19,9 +19,6 @@ import (
 type Config struct {
 	// MaxK caps the requested k (default 1000).
 	MaxK int
-	// MaxParallelism caps the per-query worker count a request may ask for
-	// (default runtime.NumCPU()); 0 in a request means the session default.
-	MaxParallelism int
 	// DefaultTimeout applies when a request carries no timeout_ms (default
 	// 10s).
 	DefaultTimeout time.Duration
@@ -41,9 +38,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxK <= 0 {
 		c.MaxK = 1000
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.NumCPU()
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 10 * time.Second
@@ -107,7 +101,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// QueryRequest is the body of POST /v1/query and /v1/query/diversified.
+// QueryRequest is the body of POST /v1/query and /v1/query/diversified: the
+// paper's four algorithms are /v1/query (TopK, or Match with baseline) and
+// /v1/query/diversified (TopKDH, or TopKDiv with approx). A field not listed
+// here is a 400, like every unknown field of every request body.
 type QueryRequest struct {
 	// Graph names a registered graph.
 	Graph string `json:"graph"`
@@ -121,17 +118,6 @@ type QueryRequest struct {
 	Approx bool `json:"approx,omitempty"`
 	// Baseline selects the find-all baseline engine (top-k only).
 	Baseline bool `json:"baseline,omitempty"`
-	// Strategy is "" or "covering" (default) or "random".
-	Strategy string `json:"strategy,omitempty"`
-	// Seed drives the random strategy.
-	Seed int64 `json:"seed,omitempty"`
-	// Batches overrides the engine's leaf-feeding batch count.
-	Batches int `json:"batches,omitempty"`
-	// Bounds is "" or "label-count" (default) or "tight" or "loose".
-	Bounds string `json:"bounds,omitempty"`
-	// Parallelism bounds this query's workers (0 = session default,
-	// capped at Config.MaxParallelism).
-	Parallelism int `json:"parallelism,omitempty"`
 	// TimeoutMS is the per-request budget in milliseconds (0 = server
 	// default, capped at Config.MaxTimeout).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -265,10 +251,13 @@ const statusClientClosedRequest = 499
 // decodeBody decodes a JSON request body bounded by limit bytes, mapping an
 // exceeded limit to 413 body_too_large instead of the generic decode 400:
 // "shrink your request" and "fix your request" are different client bugs
-// and deserve different stable codes. Returns false after writing the error.
+// and deserve different stable codes. An unknown field is a 400 too: a
+// misspelt "lamda" must not run λ = 0 and answer 200. Returns false after
+// writing the error.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, codeBodyTooLarge,
@@ -514,8 +503,8 @@ func (s *Server) requestTimeout(ms int64) time.Duration {
 	return d
 }
 
-// buildOptions validates the per-query knobs and converts them to library
-// options. It returns a user-facing message on invalid input.
+// buildOptions validates k, λ and the algorithm flags and converts them to
+// library options. It returns a user-facing message on invalid input.
 func (s *Server) buildOptions(req *QueryRequest, diversified bool) ([]divtopk.Option, string) {
 	var opts []divtopk.Option
 	if req.K < 1 {
@@ -523,34 +512,6 @@ func (s *Server) buildOptions(req *QueryRequest, diversified bool) ([]divtopk.Op
 	}
 	if req.K > s.cfg.MaxK {
 		return nil, fmt.Sprintf("k %d exceeds the server cap %d", req.K, s.cfg.MaxK)
-	}
-	if req.Parallelism < 0 || req.Parallelism > s.cfg.MaxParallelism {
-		return nil, fmt.Sprintf("parallelism %d outside [0, %d]", req.Parallelism, s.cfg.MaxParallelism)
-	}
-	if req.Parallelism > 0 {
-		opts = append(opts, divtopk.Parallelism(req.Parallelism))
-	}
-	switch req.Strategy {
-	case "", "covering":
-	case "random":
-		opts = append(opts, divtopk.WithRandomSelection(req.Seed))
-	default:
-		return nil, fmt.Sprintf("unknown strategy %q (covering, random)", req.Strategy)
-	}
-	if req.Batches < 0 {
-		return nil, fmt.Sprintf("batches must be >= 0 (got %d)", req.Batches)
-	}
-	if req.Batches > 0 {
-		opts = append(opts, divtopk.WithBatches(req.Batches))
-	}
-	switch req.Bounds {
-	case "", "label-count":
-	case "tight":
-		opts = append(opts, divtopk.WithTightBounds())
-	case "loose":
-		opts = append(opts, divtopk.WithLooseBounds())
-	default:
-		return nil, fmt.Sprintf("unknown bounds %q (label-count, tight, loose)", req.Bounds)
 	}
 	if diversified {
 		// Negated conjunction, not "< 0 || > 1": NaN fails both comparisons

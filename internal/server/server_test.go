@@ -219,23 +219,37 @@ func TestConcurrentIdenticalQueriesSingleEvaluation(t *testing.T) {
 }
 
 // TestValidationAndErrors covers the caps and the structured error paths.
+// Every request body is decoded strictly: a field the endpoint does not
+// define — a misspelling, or a knob the wire does not carry — is a 400, never
+// a silently ignored key.
 func TestValidationAndErrors(t *testing.T) {
-	ts, _, patterns := newTestServer(t, "yt", server.Config{MaxK: 50, MaxParallelism: 4})
+	ts, _, patterns := newTestServer(t, "yt", server.Config{MaxK: 50})
+	query := func(extra map[string]any) map[string]any {
+		body := map[string]any{"graph": "yt", "pattern": patterns[0], "k": 5}
+		for k, v := range extra {
+			body[k] = v
+		}
+		return body
+	}
 	cases := []struct {
 		name   string
 		url    string
-		req    server.QueryRequest
+		req    any
 		status int
 		code   string
 	}{
 		{"k too small", "/v1/query", server.QueryRequest{Graph: "yt", Pattern: patterns[0], K: 0}, 400, "bad_request"},
 		{"k over cap", "/v1/query", server.QueryRequest{Graph: "yt", Pattern: patterns[0], K: 51}, 400, "bad_request"},
-		{"parallelism over cap", "/v1/query", server.QueryRequest{Graph: "yt", Pattern: patterns[0], K: 5, Parallelism: 8}, 400, "bad_request"},
+		{"parallelism over cap", "/v1/query", query(map[string]any{"parallelism": 8}), 400, "bad_request"},
 		{"unknown graph", "/v1/query", server.QueryRequest{Graph: "nope", Pattern: patterns[0], K: 5}, 404, "unknown_graph"},
 		{"bad pattern", "/v1/query", server.QueryRequest{Graph: "yt", Pattern: "node 0", K: 5}, 400, "bad_pattern"},
 		{"bad lambda", "/v1/query/diversified", server.QueryRequest{Graph: "yt", Pattern: patterns[0], K: 5, Lambda: 1.5}, 400, "bad_request"},
-		{"bad strategy", "/v1/query", server.QueryRequest{Graph: "yt", Pattern: patterns[0], K: 5, Strategy: "magic"}, 400, "bad_request"},
+		{"misspelt lambda", "/v1/query/diversified", query(map[string]any{"lamda": 0.5}), 400, "bad_request"},
+		{"bad strategy", "/v1/query", query(map[string]any{"strategy": "magic"}), 400, "bad_request"},
+		{"removed bounds knob", "/v1/query", query(map[string]any{"bounds": "tight"}), 400, "bad_request"},
 		{"baseline on diversified", "/v1/query/diversified", server.QueryRequest{Graph: "yt", Pattern: patterns[0], K: 5, Baseline: true}, 400, "bad_request"},
+		{"unknown field on update", "/v1/graphs/yt/updates", map[string]any{"add_nodes": []any{}, "remove_edges": [][2]int{{0, 1}}}, 400, "bad_request"},
+		{"unknown field on add graph", "/v1/graphs", map[string]any{"name": "g2", "graph": "", "format": "text"}, 400, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

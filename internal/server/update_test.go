@@ -285,13 +285,12 @@ func TestUpdateEndpointErrors(t *testing.T) {
 	}
 }
 
+// hasEdge reports whether g has the edge (u, v): whether deleting it applies.
 func hasEdge(g *divtopk.Graph, u, v int) bool {
-	for _, w := range g.Successors(u) {
-		if w == v {
-			return true
-		}
-	}
-	return false
+	var d divtopk.Delta
+	d.DeleteEdge(u, v)
+	_, err := divtopk.ApplyDelta(g, &d)
+	return err == nil
 }
 
 func graphVersion(t *testing.T, baseURL, name string) uint64 {

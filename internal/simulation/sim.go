@@ -148,18 +148,3 @@ func (r *Result) Contains(u int, v graph.NodeID) bool {
 	id := r.CI.Pair(u, v)
 	return id >= 0 && r.InSim[id]
 }
-
-// NumMatches returns |M(Q,G)|, the total number of matched pairs (0 when G
-// does not match Q).
-func (r *Result) NumMatches() int {
-	if !r.Matched {
-		return 0
-	}
-	n := 0
-	for _, ok := range r.InSim {
-		if ok {
-			n++
-		}
-	}
-	return n
-}

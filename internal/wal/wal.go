@@ -411,14 +411,6 @@ func (l *Log) Reset() error {
 	return l.syncLocked()
 }
 
-// LastVersion returns the version of the newest record ever appended or
-// recovered, and whether there is one.
-func (l *Log) LastVersion() (uint64, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.lastVer, l.hasVer
-}
-
 // Size returns the current byte size of the log file.
 func (l *Log) Size() int64 {
 	l.mu.Lock()

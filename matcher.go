@@ -22,9 +22,9 @@ import (
 // after which the Matcher is safe for concurrent use from many goroutines:
 // every query path reads the warmed, immutable index.
 //
-// A Matcher also serves dynamic graphs: Update applies a Delta, advances
-// the previous snapshot's bound index off to the side — recomputing only
-// what the delta's affected area covers instead of rebuilding the index
+// A Matcher also serves dynamic graphs: UpdateWithStats applies a Delta,
+// advances the previous snapshot's bound index off to the side — recomputing
+// only what the delta's affected area covers instead of rebuilding the index
 // per update — and atomically swaps graph and index in together, so
 // queries always run against one consistent snapshot (graph + index)
 // and never observe a half-applied update. The snapshot version is part of
@@ -39,7 +39,7 @@ import (
 type Matcher struct {
 	// cur is loaded in Graph, run and the commit entry points only.
 	cur      atomic.Pointer[Graph]
-	updateMu sync.Mutex // serializes Update (queries never take it)
+	updateMu sync.Mutex // serializes commits (queries never take it)
 	base     []Option
 	workers  int
 	// indexRatio is the work share past which a commit rebuilds the bound
@@ -80,7 +80,7 @@ type CacheStats struct {
 }
 
 // NewMatcher builds the session indexes of g and returns a Matcher.
-// Parallelism given here bounds the batch worker pool as well as the
+// Parallelism given here bounds the commit-time maintenance as well as the
 // per-query parallel sections (default: all cores); WithCache sizes the
 // session result cache (default: none).
 func NewMatcher(g *Graph, opts ...Option) *Matcher {
@@ -89,7 +89,7 @@ func NewMatcher(g *Graph, opts ...Option) *Matcher {
 	// is synchronized but serializes cold computations, so a fully warmed
 	// cache is what keeps concurrent queries contention-free.
 	g.boundsCache().Warm(nil)
-	m := &Matcher{base: opts, workers: parallel.Workers(o.engine.Parallelism)}
+	m := &Matcher{base: opts, workers: parallel.Workers(o.parallelism)}
 	m.cur.Store(g)
 	if o.cacheEntries > 0 {
 		m.cache = &warmCache{lru: cache.New(o.cacheEntries), workers: m.workers,
@@ -98,19 +98,19 @@ func NewMatcher(g *Graph, opts ...Option) *Matcher {
 	return m
 }
 
-// Graph returns the session's current graph snapshot. After an Update the
+// Graph returns the session's current graph snapshot. After a commit the
 // returned snapshot keeps working — it is immutable — but no longer receives
 // queries routed through the session.
 func (m *Matcher) Graph() *Graph { return m.cur.Load() }
 
-// ErrIndexMaintenance wraps a failure to advance the bound index during
-// Update. The session builds the advance inputs itself, so this is an
+// ErrIndexMaintenance wraps a failure to advance the bound index during a
+// commit. The session builds the advance inputs itself, so this is an
 // internal invariant violation — a bug — never a problem with the caller's
 // delta; the serving layer maps it to a 500, not a 400. Match it with
 // errors.Is.
 var ErrIndexMaintenance = errors.New("divtopk: bound-index maintenance failed")
 
-// IndexStats describes how one Update (or one group commit) maintained the
+// IndexStats describes how one commit (one delta or one group) maintained the
 // descendant-label bound index: whether the incremental advance held or the
 // adaptive fallback rebuilt the warmed labels, how much of the index the
 // delta's frontier actually covered, and what the maintenance cost in wall
@@ -120,7 +120,7 @@ type IndexStats struct {
 	// or "rebuild" (the fallback recomputed every warmed label).
 	Mode string `json:"mode"`
 	// BatchWidth is the number of per-request deltas this commit carried:
-	// 1 for a plain Update, the group size for a batch commit.
+	// 1 for UpdateWithStats, the group size for UpdateMerged.
 	BatchWidth int `json:"batch_width"`
 	// AffectedRows is the widest per-label affected row set (the union over
 	// the frontier's change groups); TotalRows is the snapshot's node count.
@@ -164,14 +164,6 @@ type IndexStats struct {
 	WarmMicros      int64 `json:"warm_us"`
 }
 
-// Update applies d to the session's current snapshot and atomically swaps
-// the session to the result; see UpdateWithStats, which it wraps when the
-// caller has no use for the index-maintenance stats.
-func (m *Matcher) Update(d *Delta) (*Graph, error) {
-	g, _, err := m.UpdateWithStats(d)
-	return g, err
-}
-
 // UpdateWithStats applies d to the session's current snapshot and
 // atomically swaps the session to the result, returning the new snapshot
 // (its Version is the old one plus 1) and the index-maintenance stats. The
@@ -205,28 +197,6 @@ func (m *Matcher) UpdateMerged(merged *Delta, parts []*Delta) (*Graph, IndexStat
 	m.updateMu.Lock()
 	defer m.updateMu.Unlock()
 	return m.commitLocked(m.cur.Load(), &merged.d, parts)
-}
-
-// UpdateBatch merges ds under the update lock and commits the result as one
-// group commit; each delta must be valid against the snapshot applying the
-// deltas before it would produce (the sequential chain). All-or-nothing: if
-// any delta fails to merge, the session is unchanged and the failing
-// delta's position is in the error. The serving layer's coalescer instead
-// drops the failing request and retries, via Delta.Merge plus UpdateMerged.
-func (m *Matcher) UpdateBatch(ds []*Delta) (*Graph, IndexStats, error) {
-	m.updateMu.Lock()
-	defer m.updateMu.Unlock()
-	if len(ds) == 0 {
-		return nil, IndexStats{}, errors.New("divtopk: empty update batch")
-	}
-	g := m.cur.Load()
-	var merged graph.Delta
-	for i, d := range ds {
-		if err := merged.Merge(g.g, &d.d); err != nil {
-			return nil, IndexStats{}, fmt.Errorf("divtopk: batch update %d: %w", i, err)
-		}
-	}
-	return m.commitLocked(g, &merged, ds)
 }
 
 // commitLocked applies one already-merged delta spanning len(parts)
@@ -328,34 +298,19 @@ func queryKey(q query, g *Graph, text string) string {
 }
 
 // shapeID returns the identity of q on the pattern with canonical text text
-// across snapshot versions: a hash over the two. What cannot change the
-// answer is normalized away: Parallelism and Prebuilt are left out — every
-// worker count and every provenance of the stage inputs returns identical
-// results — a seed counts only under random selection, and the find-all
-// kinds never early-terminate, so the feeding and bound knobs are dropped for
-// them (WithBatches(8) and WithBatches(32) share the baseline's entry).
+// across snapshot versions: a hash over the algorithm, k, λ and the text. The
+// worker count is left out: every setting returns identical results.
 func shapeID(q query, text string) string {
-	strategy, seed, batches, bounds := q.eng.Strategy, q.eng.Seed, q.eng.NumBatches, q.eng.Bounds
-	if batches <= 0 {
-		batches = 16
-	}
-	if strategy != core.StrategyRandom {
-		seed = 0
-	}
-	if q.kind.full() {
-		strategy, seed, batches, bounds = 0, 0, 0, 0
-	}
 	// Field by field: printing a struct with %+v walks it by reflection, on
 	// every query, cache hits included.
-	sum := sha256.Sum256(fmt.Appendf(nil, "kind=%d|k=%d|lambda=%g|strategy=%d|seed=%d|batches=%d|bounds=%d\n%s",
-		q.kind, q.k, q.lambda, strategy, seed, batches, bounds, text))
+	sum := sha256.Sum256(fmt.Appendf(nil, "kind=%d|k=%d|lambda=%g\n%s", q.kind, q.k, q.lambda, text))
 	return hex.EncodeToString(sum[:])
 }
 
 // QueryInfo reports how the session answered one query.
 type QueryInfo struct {
 	// Version is the graph snapshot version the answer was computed (or
-	// cached) against. A query racing an Update is answered consistently by
+	// cached) against. A query racing a commit is answered consistently by
 	// exactly one snapshot, the one whose version is reported.
 	Version uint64 `json:"version"`
 	// Cache is the result-cache provenance of the answer — "hit", "miss",
@@ -369,7 +324,7 @@ type QueryInfo struct {
 
 // run answers one query against the current snapshot, loaded once here and
 // handed to the cache layer, which has no way to load another: evaluation and
-// cache key agree on it even mid-Update. The value is a *Result or
+// cache key agree on it even mid-commit. The value is a *Result or
 // *DiversifiedResult by q.kind (runAs restores the type), nil on error.
 func (m *Matcher) run(p *Pattern, q query) (any, QueryInfo, error) {
 	return m.cache.run(m.cur.Load(), p, q)
@@ -382,31 +337,6 @@ func runAs[R any](m *Matcher, p *Pattern, q query) (res R, info QueryInfo, err e
 		res = v.(R)
 	}
 	return res, info, err
-}
-
-// runBatch answers q on every pattern concurrently over the session's
-// bounded worker pool and returns the results in input order. The pool
-// already runs one query per core, so per-query parallelism defaults to 1
-// inside a batch (no oversubscription) unless the caller set Parallelism
-// explicitly — n <= 0 is the documented "all cores" default, so any
-// non-positive setting counts as unset.
-func runBatch[R any](m *Matcher, patterns []*Pattern, q query) ([]R, error) {
-	if q.eng.Parallelism <= 0 {
-		q.eng.Parallelism = 1
-	}
-	results := make([]R, len(patterns))
-	errs := make([]error, len(patterns))
-	pool := parallel.NewPool(m.workers)
-	for i := range patterns {
-		pool.Go(func() { results[i], _, errs[i] = runAs[R](m, patterns[i], q) })
-	}
-	pool.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("divtopk: batch query %d: %w", i, err)
-		}
-	}
-	return results, nil
 }
 
 // TopK answers one top-k query on the session; see the package-level TopK.
@@ -435,17 +365,4 @@ func (m *Matcher) TopKDiversified(p *Pattern, k int, lambda float64, opts ...Opt
 // TopKDiversifiedInfo is TopKInfo's diversified counterpart.
 func (m *Matcher) TopKDiversifiedInfo(p *Pattern, k int, lambda float64, opts ...Option) (*DiversifiedResult, QueryInfo, error) {
 	return runAs[*DiversifiedResult](m, p, newQuery(true, k, lambda, m.base, opts))
-}
-
-// BatchTopK answers one top-k query per pattern concurrently (see runBatch);
-// duplicate patterns share one evaluation when the session caches. On error
-// it reports the first failing query by position; queries that already
-// finished are discarded.
-func (m *Matcher) BatchTopK(patterns []*Pattern, k int, opts ...Option) ([]*Result, error) {
-	return runBatch[*Result](m, patterns, newQuery(false, k, 0, m.base, opts))
-}
-
-// BatchTopKDiversified is BatchTopK for diversified queries.
-func (m *Matcher) BatchTopKDiversified(patterns []*Pattern, k int, lambda float64, opts ...Option) ([]*DiversifiedResult, error) {
-	return runBatch[*DiversifiedResult](m, patterns, newQuery(true, k, lambda, m.base, opts))
 }

@@ -117,10 +117,10 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			for step := 0; step < 10; step++ {
 				d := mineBatchDelta(rng, sessions[0].warm.Graph(), int(seed)*100+step)
 				for _, s := range sessions {
-					if _, err := s.warm.Update(d); err != nil {
+					if _, _, err := s.warm.UpdateWithStats(d); err != nil {
 						t.Fatalf("step %d %s (warm): %v", step, s.name, err)
 					}
-					if _, err := s.ref.Update(d); err != nil {
+					if _, _, err := s.ref.UpdateWithStats(d); err != nil {
 						t.Fatalf("step %d %s (ref): %v", step, s.name, err)
 					}
 				}
@@ -215,14 +215,14 @@ func TestWarmRegistryConcurrentQueriesAndCommits(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for step := 0; step < 40; step++ {
 		d := mineBatchDelta(rng, m.Graph(), step)
-		snap, err := ref.Update(d)
+		snap, _, err := ref.UpdateWithStats(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		snapMu.Lock()
 		snaps = append(snaps, snap)
 		snapMu.Unlock()
-		if _, err := m.Update(d); err != nil {
+		if _, _, err := m.UpdateWithStats(d); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -284,7 +284,7 @@ func TestWarmRegistryTouchDuringInstall(t *testing.T) {
 	for i := 0; i < commits; i++ {
 		var d Delta
 		d.AddNode("untouched") // no pattern's label: every shape is carried
-		if _, err := m.Update(&d); err != nil {
+		if _, _, err := m.UpdateWithStats(&d); err != nil {
 			t.Fatal(err)
 		}
 		for until := sweeps.Load() + 2; sweeps.Load() < until; {
@@ -395,7 +395,7 @@ func TestWarmRegistryCaps(t *testing.T) {
 	commit := func(t *testing.T, ms ...*Matcher) {
 		t.Helper()
 		for _, m := range ms {
-			if _, err := m.Update(d); err != nil {
+			if _, _, err := m.UpdateWithStats(d); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -571,16 +571,16 @@ func minedDistinct(t testing.TB, g *Graph, n int, seed int64) []*Pattern {
 }
 
 // askKind answers one of the paper's four algorithms on m.
-func askKind(m *Matcher, q *Pattern, kind queryKind, k int, opts ...Option) (any, QueryInfo, error) {
+func askKind(m *Matcher, q *Pattern, kind queryKind, k int) (any, QueryInfo, error) {
 	switch kind {
 	case kindMatch:
-		return m.TopKInfo(q, k, append(opts, WithBaseline())...)
+		return m.TopKInfo(q, k, WithBaseline())
 	case kindTopKDH:
-		return m.TopKDiversifiedInfo(q, k, 0.5, opts...)
+		return m.TopKDiversifiedInfo(q, k, 0.5)
 	case kindTopKDiv:
-		return m.TopKDiversifiedInfo(q, k, 0.5, append(opts, WithApproximation())...)
+		return m.TopKDiversifiedInfo(q, k, 0.5, WithApproximation())
 	}
-	return m.TopKInfo(q, k, opts...)
+	return m.TopKInfo(q, k)
 }
 
 var allKinds = []queryKind{kindTopK, kindMatch, kindTopKDH, kindTopKDiv}
@@ -589,13 +589,11 @@ var allKinds = []queryKind{kindTopK, kindMatch, kindTopKDH, kindTopKDiv}
 // the traffic it was made for: chains of group commits (1–4 merged deltas) in
 // the benchmark's append/insert/delete mix, aimed at and away from the
 // maintained patterns' labels. After every commit every maintained shape —
-// all four algorithms, k ∈ {1, 10}, under the default index bounds in one
-// session and under per-query tight bounds in another — must be deeply equal
-// to a never-cached session's answer at the version the warm session reports,
-// whether the pass carried it, re-ran it or evicted its state. The chain must
-// also exercise the rule: both sessions carry and re-evaluate answers, the
-// tight-bounds one (whose answers depend on the state alone) never re-runs
-// anything on an untouched state, and per commit the counters add up.
+// all four algorithms, k ∈ {1, 10} — must be deeply equal to a never-cached
+// session's answer at the version the warm session reports, whether the pass
+// carried it, re-ran it or evicted its state. The chain must also exercise
+// the rule: the session carries and re-evaluates answers, and per commit the
+// counters add up.
 func TestWarmCacheCarryOverFuzz(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -607,21 +605,19 @@ func TestWarmCacheCarryOverFuzz(t *testing.T) {
 			sessions := []struct {
 				name string
 				m    *Matcher
-				opts []Option
 			}{
-				{"index-bounds", NewMatcher(base, WithCache(1024)), nil},
-				{"tight-bounds", NewMatcher(base, WithCache(1024)), []Option{WithTightBounds()}},
+				{"index-bounds", NewMatcher(base, WithCache(1024))},
 			}
 			check := func(step int) {
 				for _, s := range sessions {
 					for pi, q := range patterns {
 						for _, kind := range allKinds {
 							for _, k := range []int{1, 10} {
-								got, info, err := askKind(s.m, q, kind, k, s.opts...)
+								got, info, err := askKind(s.m, q, kind, k)
 								if err != nil {
 									t.Fatalf("step %d %s pattern %d kind %d k=%d (warm): %v", step, s.name, pi, kind, k, err)
 								}
-								want, refInfo, err := askKind(ref, q, kind, k, s.opts...)
+								want, refInfo, err := askKind(ref, q, kind, k)
 								if err != nil {
 									t.Fatalf("step %d %s pattern %d kind %d k=%d (ref): %v", step, s.name, pi, kind, k, err)
 								}
@@ -643,11 +639,11 @@ func TestWarmCacheCarryOverFuzz(t *testing.T) {
 				for i := range batch {
 					batch[i] = plan.next()
 				}
-				if _, _, err := ref.UpdateBatch(batch); err != nil {
+				if _, _, err := updateBatch(ref, batch); err != nil {
 					t.Fatalf("step %d (ref): %v", step, err)
 				}
 				for _, s := range sessions {
-					_, st, err := s.m.UpdateBatch(batch)
+					_, st, err := updateBatch(s.m, batch)
 					if err != nil {
 						t.Fatalf("step %d %s: %v", step, s.name, err)
 					}
@@ -657,10 +653,6 @@ func TestWarmCacheCarryOverFuzz(t *testing.T) {
 					if shapes := (st.WarmStates - st.WarmEvicted) * len(allKinds) * 2; st.WarmCarried+st.WarmReevaluated != shapes {
 						t.Fatalf("step %d %s: %d carried + %d re-evaluated, want %d answers accounted for: %+v",
 							step, s.name, st.WarmCarried, st.WarmReevaluated, shapes, st)
-					}
-					if untouched := st.WarmStates - st.WarmTouched; s.opts != nil && st.WarmCarried != untouched*len(allKinds)*2 {
-						t.Fatalf("step %d %s: %d untouched states but %d answers carried — tight-bounds answers depend on the state alone: %+v",
-							step, s.name, untouched, st.WarmCarried, st)
 					}
 				}
 				check(step)
@@ -938,7 +930,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 		}
 		commit = func(i int) {
 			t.Helper()
-			if _, err := m.Update(mineBatchDelta(rng, m.Graph(), i)); err != nil {
+			if _, _, err := m.UpdateWithStats(mineBatchDelta(rng, m.Graph(), i)); err != nil {
 				t.Fatal(err)
 			}
 		}

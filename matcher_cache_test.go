@@ -70,47 +70,46 @@ func TestMatcherCacheHitsAndKeying(t *testing.T) {
 // TestCacheKeyCrossFamilyFlags pins the key's flag scoping: each entry
 // point keys only on its own algorithm flag. An irrelevant session default
 // (approx for TopK, baseline for TopKDiversified) must neither collapse the
-// family's engine knobs into one entry (wrong cached results) nor split
+// family's two algorithms into one entry (wrong cached results) nor split
 // entries that evaluate identically.
 func TestCacheKeyCrossFamilyFlags(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 1)
 	q := patterns[0]
 
-	// approx is diversified-only: with it as a session default, TopK calls
-	// with different engine knobs still need distinct entries...
+	// approx is diversified-only: with it as a session default, TopK and
+	// Match still need distinct entries...
 	m := NewMatcher(g, WithCache(64), WithApproximation())
 	if _, err := m.TopK(q, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TopK(q, 10, WithBatches(2)); err != nil {
+	if _, err := m.TopK(q, 10, WithBaseline()); err != nil {
 		t.Fatal(err)
 	}
 	if s := m.CacheStats(); s.Misses != 2 {
-		t.Fatalf("approx default collapsed TopK knob variants: %+v", s)
+		t.Fatalf("approx default collapsed TopK and Match: %+v", s)
 	}
-	// ...while the approx diversified calls ignore the knobs and share one.
+	// ...while the diversified calls ignore baseline and share one.
 	if _, err := m.TopKDiversified(q, 6, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TopKDiversified(q, 6, 0.5, WithBatches(2)); err != nil {
+	if _, err := m.TopKDiversified(q, 6, 0.5, WithBaseline()); err != nil {
 		t.Fatal(err)
 	}
 	if s := m.CacheStats(); s.Misses != 3 {
-		t.Fatalf("approx diversified variants should share one entry: %+v", s)
+		t.Fatalf("baseline split the approx diversified entry: %+v", s)
 	}
 
-	// baseline is top-k-only: with it as a session default, TopKDH (the
-	// non-approx diversified path, which does consult the knobs) still
-	// needs distinct entries per knob setting.
+	// baseline is top-k-only: with it as a session default, TopKDH and
+	// TopKDiv still need distinct entries.
 	m2 := NewMatcher(g, WithCache(64), WithBaseline())
 	if _, err := m2.TopKDiversified(q, 6, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.TopKDiversified(q, 6, 0.5, WithBatches(2)); err != nil {
+	if _, err := m2.TopKDiversified(q, 6, 0.5, WithApproximation()); err != nil {
 		t.Fatal(err)
 	}
 	if s := m2.CacheStats(); s.Misses != 2 {
-		t.Fatalf("baseline default collapsed TopKDH knob variants: %+v", s)
+		t.Fatalf("baseline default collapsed TopKDH and TopKDiv: %+v", s)
 	}
 }
 
@@ -168,29 +167,6 @@ func TestMatcherCacheSingleflight(t *testing.T) {
 	for i := 1; i < n; i++ {
 		if results[i] != results[0] {
 			t.Fatalf("caller %d got a different Result pointer", i)
-		}
-	}
-}
-
-// TestBatchTopKSharesCache asserts the batch entry points thread through
-// the session cache: a batch of duplicate patterns costs one evaluation.
-func TestBatchTopKSharesCache(t *testing.T) {
-	g, patterns := testGraphAndPatterns(t, 1)
-	m := NewMatcher(g, WithCache(16))
-	batch := make([]*Pattern, 12)
-	for i := range batch {
-		batch[i] = patterns[0]
-	}
-	results, err := m.BatchTopK(batch, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := m.CacheStats(); s.Misses != 1 {
-		t.Fatalf("batch of identical queries cost %d evaluations, want 1", s.Misses)
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i] != results[0] {
-			t.Fatalf("batch result %d not shared", i)
 		}
 	}
 }
@@ -280,27 +256,14 @@ func TestContainmentSeededAdmission(t *testing.T) {
 // equal answers from evaluate (so serving one query's cached answer for the
 // other is indistinguishable from evaluating it), and queries of different
 // kinds never share a key. The option space is every result-affecting or
-// deliberately key-excluded knob: WithBatches including the non-positive
-// "default" spellings, WithRandomSelection seeds, the three bound modes,
-// baseline/approximation as call option, and Parallelism.
+// deliberately key-excluded option: baseline and approximation, and
+// Parallelism, each drawn as a session default or a call option.
 func TestQueryKeySoundness(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 1)
 	p, text := patterns[0], patternText(patterns[0])
 	rng := rand.New(rand.NewSource(14))
 	randomQuery := func() query {
 		var opts []Option
-		if rng.Intn(2) == 0 {
-			opts = append(opts, WithBatches([]int{-3, 0, 1, 2, 16, 32}[rng.Intn(6)]))
-		}
-		if rng.Intn(3) == 0 {
-			opts = append(opts, WithRandomSelection(int64(1+rng.Intn(2))))
-		}
-		switch rng.Intn(3) {
-		case 1:
-			opts = append(opts, WithLooseBounds())
-		case 2:
-			opts = append(opts, WithTightBounds())
-		}
 		if rng.Intn(3) == 0 {
 			opts = append(opts, WithBaseline())
 		}
@@ -346,9 +309,10 @@ func TestQueryKeySoundness(t *testing.T) {
 			t.Fatalf("equal keys, different answers:\n%+v\n%+v", first.q, q)
 		}
 	}
-	// The property must not hold vacuously: all four algorithms drawn, many
-	// key classes, and most draws landing in a class someone else opened.
-	if len(kinds) != 4 || len(classes) < 40 || shared < 100 {
+	// The property must not hold vacuously: all four algorithms drawn, every
+	// key class — 2 top-k kinds × 2 ks, 2 diversified kinds × 2 ks × 3 λs —
+	// opened, and most draws landing in a class someone else opened.
+	if len(kinds) != 4 || len(classes) != 16 || shared < 300 {
 		t.Fatalf("weak sample: %d kinds, %d key classes, %d draws sharing a key", len(kinds), len(classes), shared)
 	}
 	var noop Delta

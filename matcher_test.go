@@ -87,62 +87,6 @@ func TestParallelismIdenticalResults(t *testing.T) {
 	}
 }
 
-// TestMatcherBatchTopK checks BatchTopK against one-at-a-time queries:
-// input order preserved, identical answers.
-func TestMatcherBatchTopK(t *testing.T) {
-	g, patterns := testGraphAndPatterns(t, 6)
-	m := NewMatcher(g, Parallelism(4))
-	batch, err := m.BatchTopK(patterns, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(patterns) {
-		t.Fatalf("batch returned %d results for %d queries", len(batch), len(patterns))
-	}
-	for i, q := range patterns {
-		want, err := TopK(g, q, 5, Parallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsIdentical(t, "batch", want, batch[i])
-	}
-}
-
-// TestMatcherBatchTopKDiversified checks the diversified batch path the
-// same way.
-func TestMatcherBatchTopKDiversified(t *testing.T) {
-	g, patterns := testGraphAndPatterns(t, 4)
-	m := NewMatcher(g, Parallelism(4))
-	batch, err := m.BatchTopKDiversified(patterns, 4, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range patterns {
-		want, err := TopKDiversified(g, q, 4, 0.5, Parallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := batch[i]
-		if want.F != got.F || len(want.Matches) != len(got.Matches) {
-			t.Fatalf("query %d: F/|S| %v/%d vs %v/%d", i, want.F, len(want.Matches), got.F, len(got.Matches))
-		}
-		for j := range want.Matches {
-			if want.Matches[j].Node != got.Matches[j].Node {
-				t.Fatalf("query %d: selection differs at %d", i, j)
-			}
-		}
-	}
-}
-
-// TestMatcherBatchError: a failing query surfaces with its position.
-func TestMatcherBatchError(t *testing.T) {
-	g, patterns := testGraphAndPatterns(t, 2)
-	m := NewMatcher(g)
-	if _, err := m.BatchTopK(patterns, 0); err == nil {
-		t.Fatal("k=0 batch should fail")
-	}
-}
-
 // TestMatcherConcurrentQueries hammers one warmed session from many
 // goroutines; run under -race this is the data-race test for the shared
 // bound index and the parallel engine sections.

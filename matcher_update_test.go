@@ -52,7 +52,7 @@ func TestMatcherUpdateVersionedCacheKeys(t *testing.T) {
 	nn := g.NumNodes() + idx
 	d.InsertEdge(0, nn)
 	d.InsertEdge(nn, 1)
-	g2, err := m.Update(&d)
+	g2, _, err := m.UpdateWithStats(&d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMatcherUpdateVersionedCacheKeys(t *testing.T) {
 	adv := m.CacheStats().Advanced
 	var d2 Delta
 	d2.DeleteEdge(0, nn)
-	if _, err := m.Update(&d2); err != nil {
+	if _, _, err := m.UpdateWithStats(&d2); err != nil {
 		t.Fatal(err)
 	}
 	dres, dinfo, err := m.TopKDiversifiedInfo(q, 5, 0.5)
@@ -132,7 +132,7 @@ func TestMatcherUpdateFailureLeavesSessionIntact(t *testing.T) {
 	}
 	var bad Delta
 	bad.InsertEdge(0, 10_000_000)
-	if _, err := m.Update(&bad); err == nil {
+	if _, _, err := m.UpdateWithStats(&bad); err == nil {
 		t.Fatal("bad delta accepted")
 	}
 	if m.Graph().Version() != 0 || m.Graph() != g {
@@ -184,7 +184,7 @@ func TestMatcherConcurrentUpdatesAndQueries(t *testing.T) {
 			idx := d.AddNode(fmt.Sprintf("dyn-%d", i))
 			nn := m.Graph().NumNodes() + idx
 			d.InsertEdge(0, nn)
-			if _, err := m.Update(&d); err != nil {
+			if _, _, err := m.UpdateWithStats(&d); err != nil {
 				errc <- err
 				return
 			}
@@ -218,9 +218,6 @@ func TestLambdaValidationLibraryLayer(t *testing.T) {
 		if _, err := m.TopKDiversified(q, 5, bad); !errors.Is(err, ErrLambdaRange) {
 			t.Errorf("Matcher.TopKDiversified(λ=%v) err = %v, want ErrLambdaRange", bad, err)
 		}
-		if _, err := m.BatchTopKDiversified(patterns, 5, bad); !errors.Is(err, ErrLambdaRange) {
-			t.Errorf("BatchTopKDiversified(λ=%v) err = %v, want ErrLambdaRange", bad, err)
-		}
 	}
 	// The cache holds no entry for any rejected λ.
 	if s := m.CacheStats(); s.Entries != 0 || s.Misses != 0 {
@@ -234,7 +231,7 @@ func TestLambdaValidationLibraryLayer(t *testing.T) {
 	}
 }
 
-// TestMatcherUpdateWithStats pins the index-maintenance surface of Update:
+// TestMatcherUpdateWithStats pins the index-maintenance surface of a commit:
 // the stats describe a real maintenance step, query results after an
 // advanced index are byte-identical to a cold session over the updated
 // graph, and both forced maintenance paths (never fall back / always

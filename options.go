@@ -1,15 +1,12 @@
 package divtopk
 
-import (
-	"divtopk/internal/core"
-	"divtopk/internal/ranking"
-)
+import "divtopk/internal/ranking"
 
 // Option tunes TopK and TopKDiversified.
 type Option func(*options)
 
 type options struct {
-	engine       core.Options
+	parallelism  int
 	baseline     bool
 	approx       bool
 	cacheEntries int
@@ -19,47 +16,12 @@ type options struct {
 // per-call options on top of them.
 func buildOptions(layers ...[]Option) options {
 	var o options
-	// The facade defaults to the amortized per-graph label-count index (the
-	// paper's design); WithTightBounds restores the per-query tight bound.
-	o.engine.Bounds = core.BoundLabelCount
 	for _, opts := range layers {
 		for _, f := range opts {
 			f(&o)
 		}
 	}
 	return o
-}
-
-// WithRandomSelection switches the engine to the paper's non-optimized leaf
-// selection (the TopKnopt/TopKDAGnopt baselines): unvisited leaf candidates
-// are fed in seeded random order instead of the covering heuristic.
-func WithRandomSelection(seed int64) Option {
-	return func(o *options) {
-		o.engine.Strategy = core.StrategyRandom
-		o.engine.Seed = seed
-	}
-}
-
-// WithBatches sets the number of leaf feeding batches (default 16): more
-// batches mean finer-grained early-termination checks at slightly more
-// bookkeeping.
-func WithBatches(n int) Option {
-	return func(o *options) { o.engine.NumBatches = n }
-}
-
-// WithLooseBounds replaces the default cached label-count upper-bound index
-// by the cheapest overcounting variant (see the bounds ablation of
-// cmd/experiments, internal/bench.AblationBounds).
-func WithLooseBounds() Option {
-	return func(o *options) { o.engine.Bounds = core.BoundCheap }
-}
-
-// WithTightBounds computes the per-query candidate-product upper bounds —
-// the tightest index, reproducing the h values of the paper's Examples 7-8
-// exactly — instead of the amortized per-graph label-count index. Tighter
-// bounds terminate earlier but cost a product traversal per query.
-func WithTightBounds() Option {
-	return func(o *options) { o.engine.Bounds = core.BoundTight }
 }
 
 // WithBaseline evaluates the query with the find-all Match algorithm
@@ -78,29 +40,28 @@ func WithApproximation() Option {
 
 // WithCache equips a Matcher with a result cache of the given capacity (in
 // entries): an LRU keyed by a canonical fingerprint of (graph snapshot
-// version, pattern, k, λ, algorithm options) with singleflight admission,
-// so N concurrent identical queries cost one evaluation and repeated
-// queries cost none. Because every engine is deterministic, a cached result
-// is identical to a fresh evaluation; callers share the stored Result and
-// must treat it as read-only. The snapshot version in the key is what makes
-// caching sound for dynamic graphs: after Matcher.Update, entries cached
-// against the previous snapshot are unreachable (they age out of the LRU
-// instead of being scanned). The option is consulted by NewMatcher only —
-// the package-level TopK/TopKDiversified never cache — and entries <= 0
-// disables caching.
+// version, pattern, algorithm, k, λ) with singleflight admission, so N
+// concurrent identical queries cost one evaluation and repeated queries cost
+// none. Because every engine is deterministic, a cached result is identical
+// to a fresh evaluation; callers share the stored Result and must treat it as
+// read-only. The snapshot version in the key is what makes caching sound for
+// dynamic graphs: after a commit, entries cached against the previous
+// snapshot are unreachable (they age out of the LRU instead of being
+// scanned). The option is consulted by NewMatcher only — the package-level
+// TopK/TopKDiversified never cache — and entries <= 0 disables caching.
 func WithCache(entries int) Option {
 	return func(o *options) { o.cacheEntries = entries }
 }
 
 // Parallelism bounds the number of worker goroutines a query (and a
-// Matcher's batch APIs) may use. n <= 0 — the default — means
+// Matcher's commit-time maintenance) may use. n <= 0 — the default — means
 // runtime.NumCPU(); 1 runs fully sequentially, reproducing the
 // single-threaded engine bit-for-bit. Any value returns identical results:
 // the parallel sections (candidate computation, the diversified greedy
-// scans, batch fan-out) are deterministic by construction, so this knob
-// trades wall-clock time only.
+// scans) are deterministic by construction, so this knob trades wall-clock
+// time only.
 func Parallelism(n int) Option {
-	return func(o *options) { o.engine.Parallelism = n }
+	return func(o *options) { o.parallelism = n }
 }
 
 // queryKind names the paper's four algorithms: two families (find-all and
@@ -116,20 +77,20 @@ const (
 )
 
 // full reports the find-all family: a pure function of candidates, product
-// and fixpoint, with no feeding strategy or bounds to steer.
+// and fixpoint, with no bound index to read.
 func (k queryKind) full() bool { return k == kindMatch || k == kindTopKDiv }
 
 func (k queryKind) diversified() bool { return k == kindTopKDH || k == kindTopKDiv }
 
 // query is one fully resolved question: which algorithm, k, λ (0 for the
-// top-k kinds) and the engine options. Every query route — package-level
-// call, session, cache loader, commit-time advance — builds one and hands it
-// to evaluate; queryKey derives the cache identity from the same value.
+// top-k kinds) and the worker count. Every query route — package-level call,
+// session, cache loader, commit-time advance — builds one and hands it to
+// evaluate; queryKey derives the cache identity from the same value.
 type query struct {
-	kind   queryKind
-	k      int
-	lambda float64
-	eng    core.Options
+	kind    queryKind
+	k       int
+	lambda  float64
+	workers int
 }
 
 // newQuery resolves an entry point (diversified or not) and its options (a
@@ -139,7 +100,7 @@ type query struct {
 // nor collides the other's cache entries.
 func newQuery(diversified bool, k int, lambda float64, base, opts []Option) query {
 	o := buildOptions(base, opts)
-	q := query{kind: kindTopK, k: k, lambda: lambda, eng: o.engine}
+	q := query{kind: kindTopK, k: k, lambda: lambda, workers: o.parallelism}
 	switch {
 	case diversified && o.approx:
 		q.kind = kindTopKDiv

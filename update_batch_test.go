@@ -4,7 +4,25 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"divtopk/internal/graph"
 )
+
+// updateBatch commits ds as one group commit: it folds them with Delta.Merge
+// against the session's current snapshot, each valid against the snapshot
+// applying the ones before it would produce, and applies the result through
+// UpdateMerged — the coalescer's path without its per-request bookkeeping.
+// The caller must be the session's only updater.
+func updateBatch(m *Matcher, ds []*Delta) (*Graph, IndexStats, error) {
+	base := m.Graph()
+	var merged Delta
+	for i, d := range ds {
+		if err := merged.Merge(base, d); err != nil {
+			return nil, IndexStats{}, fmt.Errorf("batch update %d: %w", i, err)
+		}
+	}
+	return m.UpdateMerged(&merged, ds)
+}
 
 // batchFuzzGraph builds a small random cyclic graph through the public
 // builder, so the fuzz exercises exactly the surface a library user has.
@@ -43,9 +61,9 @@ func mineBatchDelta(rng *rand.Rand, g *Graph, tag int) *Delta {
 	}
 	var dels []edge
 	for v := 0; v < n; v++ {
-		for _, w := range g.Successors(v) {
+		for _, w := range g.g.Out(graph.NodeID(v)) {
 			if rng.Intn(12) == 0 {
-				dels = append(dels, edge{v, w})
+				dels = append(dels, edge{v, int(w)})
 			}
 		}
 	}
@@ -59,8 +77,8 @@ func mineBatchDelta(rng *rand.Rand, g *Graph, tag int) *Delta {
 }
 
 // TestMatcherUpdateBatchEquivalenceFuzz is the group-commit acceptance
-// criterion at the session layer: applying K random deltas one Update at a
-// time and applying them as one UpdateBatch must land on the same version
+// criterion at the session layer: applying K random deltas one commit at a
+// time and applying them as one group commit must land on the same version
 // and answer every query byte-identically — across both query kernels
 // (TopK and TopKDiversified), sequential and parallel shard maintenance,
 // and all three maintenance policies (adaptive, forced-incremental,
@@ -105,13 +123,13 @@ func TestMatcherUpdateBatchEquivalenceFuzz(t *testing.T) {
 					tag++
 					parts = append(parts, d)
 					for ci := range sessions {
-						if _, err := sessions[ci].seq.Update(d); err != nil {
+						if _, _, err := sessions[ci].seq.UpdateWithStats(d); err != nil {
 							t.Fatalf("round %d part %d (%s): %v", round, i, configs[ci].name, err)
 						}
 					}
 				}
 				for ci := range sessions {
-					g2, stats, err := sessions[ci].batch.UpdateBatch(parts)
+					g2, stats, err := updateBatch(sessions[ci].batch, parts)
 					if err != nil {
 						t.Fatalf("round %d batch (%s): %v", round, configs[ci].name, err)
 					}
