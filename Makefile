@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke lint examples
+.PHONY: all build test race bench bench-smoke lint examples paper
 
 all: build lint test examples
 
@@ -22,6 +22,15 @@ race:
 # commit).
 bench:
 	$(GO) test -run '^$$' -bench 'CommitWarm|Cold' -benchmem .
+
+# paper runs the reproduction of the paper's §6 (internal/bench) and prints
+# its tables: the deterministic claims `make test` already checks, plus the
+# wall-clock claims at PAPER_SCALE (small, ~30 s; medium, ~6 min), each the
+# median of interleaved repetitions. CI does not run it: wall-clock gates
+# need a quiet machine.
+PAPER_SCALE ?= small
+paper:
+	DIVTOPK_PAPER=$(PAPER_SCALE) $(GO) test -count=1 -v -timeout 30m ./internal/bench
 
 # bench-smoke is the static and test gate of the tracked benchmark. benchmark/
 # is a module of its own (so the root module does not see it): the root

@@ -213,8 +213,8 @@ func TestPublicCaseStudyPatterns(t *testing.T) {
 }
 
 // TestInducedSubgraph materializes the graph induced by a top-k answer's
-// relevant set — the case study's Fig. 4 step, which internal/bench.Fig4
-// runs — from what the facade returns.
+// relevant set — the subgraphs the case study draws in Fig. 4 — from what
+// the facade returns.
 func TestInducedSubgraph(t *testing.T) {
 	g, _ := figure1(t)
 	p := figure1Pattern(t)

@@ -1,87 +1,31 @@
 package divtopk
 
-// Benchmark harness entry points: one benchmark per table/figure of the
-// paper's evaluation (Fig. 5a-l), the Fig. 4 case study, the λ-sensitivity
-// result, the two ablations, and the supplementary MR-vs-scale trend.
-//
-// Effectiveness figures (MR, F) are exposed through b.ReportMetric as custom
-// benchmark metrics ("MR%", "F") next to the timing ones, so a single
-//
-//	go test -bench=. -benchmem
-//
-// regenerates every number of the paper-figure tables at the small scale
-// (cmd/experiments -scale medium prints the full tables).
+// In-process benchmarks of the facade: the sequential and parallel sections
+// of one query, single-query latency of each algorithm, the uncached-query
+// pair on the tracked benchmark's cold_paper inputs, and the warm commit
+// path on its serve_zipf shape. The paper's figures are reproduced as tests
+// in internal/bench (go test ./internal/bench -v; DIVTOPK_PAPER=small|medium
+// adds the wall-clock claims).
 
 import (
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
-	"divtopk/internal/bench"
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
 	"divtopk/internal/simulation"
 )
 
-// reportFigure runs one harness experiment per benchmark iteration and
-// reports the last row's series as metrics (the full tables come from
-// cmd/experiments; benchmarks track regressions).
-func reportFigure(b *testing.B, run func(bench.Scale) *bench.Figure) {
-	b.Helper()
-	var fig *bench.Figure
-	for i := 0; i < b.N; i++ {
-		fig = run(bench.ScaleSmall)
-	}
-	if fig == nil || len(fig.Rows) == 0 {
-		b.Fatal("empty figure")
-	}
-	// Average each series across rows and report it under the series name
-	// (units must be whitespace-free for ReportMetric).
-	for si, name := range fig.Series {
-		sum := 0.0
-		for _, r := range fig.Rows {
-			sum += r.Vals[si]
-		}
-		b.ReportMetric(sum/float64(len(fig.Rows)), strings.ReplaceAll(name, " ", "_"))
-	}
-}
-
-func BenchmarkFig5a(b *testing.B) { reportFigure(b, bench.Fig5a) }
-func BenchmarkFig5b(b *testing.B) { reportFigure(b, bench.Fig5b) }
-func BenchmarkFig5c(b *testing.B) { reportFigure(b, bench.Fig5c) }
-func BenchmarkFig5d(b *testing.B) { reportFigure(b, bench.Fig5d) }
-func BenchmarkFig5e(b *testing.B) { reportFigure(b, bench.Fig5e) }
-func BenchmarkFig5f(b *testing.B) { reportFigure(b, bench.Fig5f) }
-func BenchmarkFig5g(b *testing.B) { reportFigure(b, bench.Fig5g) }
-func BenchmarkFig5h(b *testing.B) { reportFigure(b, bench.Fig5h) }
-func BenchmarkFig5i(b *testing.B) { reportFigure(b, bench.Fig5i) }
-func BenchmarkFig5j(b *testing.B) { reportFigure(b, bench.Fig5j) }
-func BenchmarkFig5k(b *testing.B) { reportFigure(b, bench.Fig5k) }
-func BenchmarkFig5l(b *testing.B) { reportFigure(b, bench.Fig5l) }
-
-func BenchmarkFig4(b *testing.B) {
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = bench.Fig4(bench.ScaleSmall)
-	}
-	if out == "" {
-		b.Fatal("empty case study")
-	}
-}
-
-func BenchmarkLambda(b *testing.B)         { reportFigure(b, bench.Lambda) }
-func BenchmarkAblationBounds(b *testing.B) { reportFigure(b, bench.AblationBounds) }
-func BenchmarkAblationShape(b *testing.B)  { reportFigure(b, bench.AblationShape) }
-func BenchmarkMRScaleTrend(b *testing.B)   { reportFigure(b, bench.MRScale) }
-
 // Sequential-vs-parallel benchmarks. The pair
 // BenchmarkBuildCandidatesSequential / BenchmarkBuildCandidatesParallel (and
 // likewise the TopKDiv pair) measures the same deterministic computation on
 // a 150k-node generator graph with one worker versus all cores; on a >= 4
-// core machine the parallel variant should win by well over 1.5x. See also
-// BenchmarkParallelScaling for the full worker-count sweep.
+// core machine the parallel variant should win by well over 1.5x. The
+// results are identical at every worker count: internal/diversify's
+// TestKernelOracleProperty checks TopKDiv at 1-8 workers, and
+// internal/simulation's incremental tests check the candidates at 1 and 8.
 
 var parallelBenchState struct {
 	once sync.Once
@@ -135,11 +79,6 @@ func benchTopKDiv(b *testing.B, workers int) {
 
 func BenchmarkTopKDivSequential(b *testing.B) { benchTopKDiv(b, 1) }
 func BenchmarkTopKDivParallel(b *testing.B)   { benchTopKDiv(b, 0) }
-
-// BenchmarkParallelScaling runs the harness's worker-count sweep (see
-// internal/bench.ParallelScaling) and reports the parallel speedups as
-// metrics.
-func BenchmarkParallelScaling(b *testing.B) { reportFigure(b, bench.ParallelScaling) }
 
 // BenchmarkQueryTopK measures a single early-termination query end to end
 // on a prebuilt graph (the per-query latency a library user sees).

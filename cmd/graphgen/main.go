@@ -39,6 +39,10 @@ func main() {
 	ppreds := flag.Bool("ppreds", false, "attach attribute predicates")
 	patternOut := flag.String("pattern-out", "pattern", "pattern file prefix")
 	flag.Parse()
+	if *n < 0 || *m < 0 {
+		fmt.Fprintf(os.Stderr, "-n %d -m %d: node and edge counts must not be negative\n", *n, *m)
+		os.Exit(2)
+	}
 
 	var g *graph.Graph
 	switch *kind {

@@ -57,7 +57,7 @@
 // (§4.1) and, WithBaseline, the find-all Match (§4); TopKDiversified runs the
 // heuristic TopKDH (§5.2) and, WithApproximation, the 2-approximation TopKDiv
 // (§5.1). The §6 baselines (random leaf order, other upper bounds) are
-// reproduced by cmd/experiments, not selectable here.
+// reproduced by the tests of internal/bench, not selectable here.
 //
 // # Serving
 //
@@ -204,6 +204,7 @@
 //	go build ./... && go test ./...
 //
 // See the examples/ directory for runnable end-to-end scenarios, README.md
-// for an overview and the architecture, and cmd/experiments for the
-// reproduction of the paper's evaluation.
+// for an overview and the architecture, and internal/bench for the
+// reproduction of the paper's evaluation as tests (go test ./internal/bench
+// -v; make paper adds the wall-clock claims).
 package divtopk

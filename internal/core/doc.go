@@ -2,7 +2,9 @@
 // early-termination top-k matching algorithms of §4 (TopKDAG for DAG
 // patterns, TopK for cyclic patterns, and their non-optimized variants
 // TopKDAGnopt/TopKnopt), plus the find-all baseline Match they are compared
-// against, all over one incremental propagation engine.
+// against, all over one incremental propagation engine. One entry point,
+// TopK, runs all four: the pattern's shape selects the paper's DAG or cyclic
+// algorithm, and Options.Strategy the optimized or nopt variant.
 //
 // Given a pattern Q with output node uo, a graph G and k, the engine feeds
 // batches of leaf candidates, propagates match status and relevant sets

@@ -14,9 +14,10 @@ const (
 	statusDead
 )
 
-// engine is the incremental propagation machine shared by TopK, TopKDAG,
-// their nopt variants and TopKDH. The package documentation describes the
-// architecture and argues the soundness of each counter.
+// engine is the incremental propagation machine shared by TopK (the paper's
+// TopK and TopKDAG), their nopt variants and TopKDH. The package
+// documentation describes the architecture and argues the soundness of each
+// counter.
 //
 // Per candidate pair (u,v) it tracks:
 //

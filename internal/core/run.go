@@ -13,9 +13,9 @@ import (
 // relevance function δr, with the early termination property (Prop. 2/3 of
 // the paper): it stops as soon as the k best discovered matches provably
 // dominate every other candidate, without computing all of M(Q,G). It
-// handles both DAG and cyclic patterns (the paper's TopK; with the default
-// covering strategy on a DAG pattern it is exactly TopKDAG, with
-// StrategyRandom it is the nopt variant).
+// handles both DAG and cyclic patterns: on a DAG pattern it is the paper's
+// TopKDAG (§4.1), on a cyclic one its TopK (§4.2), and with StrategyRandom
+// the nopt variant of either.
 func TopK(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*Result, error) {
 	e, err := newEngine(g, p, k, opts)
 	if err != nil {
@@ -23,16 +23,6 @@ func TopK(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*Result, err
 	}
 	defer e.release()
 	return e.run(), nil
-}
-
-// TopKDAG is TopK restricted to DAG patterns (§4.1); it returns ErrNotDAG
-// for cyclic patterns as a guard for callers that picked the algorithm by
-// name, as the paper's experiments do.
-func TopKDAG(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*Result, error) {
-	if !p.IsDAG() {
-		return nil, ErrNotDAG
-	}
-	return TopK(g, p, k, opts)
 }
 
 // feed marks one leaf pair visited. Trivial leaves (no outgoing query edges)

@@ -18,7 +18,7 @@ const (
 	// StrategyCovering is the paper's optimized heuristic: prefer leaf
 	// candidates that are children of candidates of rank-1 query nodes (most
 	// covering parents first), so productive matches surface early. This is
-	// the strategy of TopK/TopKDAG.
+	// the strategy of the paper's TopK and TopKDAG.
 	StrategyCovering Strategy = iota
 	// StrategyRandom picks unvisited leaf candidates in random order; this
 	// is the "nopt" baseline of the paper's Exp-1/Exp-2.
@@ -221,9 +221,6 @@ func (h PairHandle) R() *bitset.Set { return h.e.outSets[h.pair-h.e.uoLo] }
 
 // ErrBadK is returned when k < 1.
 var ErrBadK = errors.New("core: k must be >= 1")
-
-// ErrNotDAG is returned by TopKDAG when the pattern is cyclic.
-var ErrNotDAG = errors.New("core: TopKDAG requires a DAG pattern (use TopK)")
 
 func validateInputs(g *graph.Graph, k int) error {
 	if k < 1 {

@@ -288,18 +288,16 @@ func TestNoMatchEmpty(t *testing.T) {
 	}
 }
 
+// TestTopKDAGDH runs the paper's TopKDAGDH, TopKDH on a DAG pattern, on
+// Example 7's Q1.
 func TestTopKDAGDH(t *testing.T) {
 	g, _ := testutil.Figure1()
 	q1 := testutil.Example7Pattern()
-	res, err := TopKDAGDH(g, q1, 2, 0.5, core.Options{})
+	res, err := TopKDH(g, q1, 2, 0.5, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Matches) != 2 {
 		t.Fatalf("got %d matches", len(res.Matches))
-	}
-	cyc := testutil.Figure1Pattern()
-	if _, err := TopKDAGDH(g, cyc, 2, 0.5, core.Options{}); err != core.ErrNotDAG {
-		t.Fatalf("cyclic pattern: err = %v, want ErrNotDAG", err)
 	}
 }

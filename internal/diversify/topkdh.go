@@ -89,15 +89,6 @@ func ExactF(g *graph.Graph, p *pattern.Pattern, nodes []graph.NodeID, lambda flo
 	return evalF(params, sel), nil
 }
 
-// TopKDAGDH is TopKDH restricted to DAG patterns, mirroring the paper's
-// experiment naming; it rejects cyclic patterns like TopKDAG does.
-func TopKDAGDH(g *graph.Graph, p *pattern.Pattern, k int, lambda float64, opts core.Options) (*Result, error) {
-	if !p.IsDAG() {
-		return nil, core.ErrNotDAG
-	}
-	return TopKDH(g, p, k, lambda, opts)
-}
-
 // swapSelector maintains the heuristic set S across engine batches.
 //
 // The engine's state is frozen while Batch runs, so within one call every

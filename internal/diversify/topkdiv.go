@@ -1,10 +1,10 @@
 // Package diversify implements the diversified top-k matching algorithms of
 // §5: TopKDiv, the 2-approximation that evaluates the whole match set and
 // greedily assembles k/2 pairs maximizing the pair objective F' (a reduction
-// to maximum dispersion [Hassin-Rubinstein-Tamir]); and TopKDH/TopKDAGDH,
-// the early-termination heuristics that ride the incremental engine of
-// internal/core and greedily swap matches to maximize the partial objective
-// F” as they are discovered.
+// to maximum dispersion [Hassin-Rubinstein-Tamir]); and TopKDH, the
+// early-termination heuristic (the paper's TopKDAGDH on a DAG pattern) that
+// rides the incremental engine of internal/core and greedily swaps matches to
+// maximize the partial objective F” as they are discovered.
 package diversify
 
 import (

@@ -55,9 +55,11 @@ func Synthetic(cfg SynthConfig) *graph.Graph {
 // with one ticket; every edge endpoint adds one). reciprocal is the
 // probability of also inserting the reverse edge (giving the 2-cycles that
 // co-purchase and recommendation networks exhibit); reciprocal edges count
-// toward m.
+// toward m. Fewer than two nodes admit no edge but a self-loop, which the
+// loop below would redraw forever, so such graphs stay edgeless, as do
+// graphs asked for m < 1 edges.
 func addPreferentialEdges(b *graph.Builder, rng *rand.Rand, n, m int, reciprocal float64) {
-	if n == 0 {
+	if n < 2 || m < 1 {
 		return
 	}
 	pool := make([]graph.NodeID, 0, n+2*m)
@@ -123,7 +125,7 @@ func CitationLike(n, m int, seed int64) *graph.Graph {
 			"year": graph.IntValue(int64(year)),
 		})
 	}
-	if n < 2 {
+	if n < 2 || m < 1 {
 		return b.Build()
 	}
 	// Citation pool: older papers gain tickets as they are cited.

@@ -1,7 +1,10 @@
 package gen
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
+	"time"
 
 	"divtopk/internal/graph"
 	"divtopk/internal/simulation"
@@ -199,5 +202,59 @@ func TestSuiteDistinct(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Error("suite should produce varied patterns")
+	}
+}
+
+// generators lists every dataset generator under one signature.
+var generators = []struct {
+	name string
+	gen  func(n, m int, seed int64) *graph.Graph
+}{
+	{"synthetic", func(n, m int, seed int64) *graph.Graph { return Synthetic(SynthConfig{N: n, M: m, Seed: seed}) }},
+	{"amazon", AmazonLike},
+	{"citation", CitationLike},
+	{"youtube", YouTubeLike},
+}
+
+// TestGeneratorsTinyGraphs: a graph of fewer than two nodes has room for no
+// edge but a self-loop. Each generator must return it edgeless, promptly:
+// drawing until a non-loop edge turns up never ended for n = 1, and n < 0
+// panicked inside the random source. A negative m asks for no edge (it
+// used to size the attachment pool negatively).
+func TestGeneratorsTinyGraphs(t *testing.T) {
+	for _, gen := range generators {
+		for _, nm := range [][2]int{{-1, 3}, {0, 3}, {1, 3}, {2, -3}} {
+			done := make(chan *graph.Graph, 1)
+			go func() { done <- gen.gen(nm[0], nm[1], 1) }()
+			select {
+			case g := <-done:
+				if g.NumEdges() != 0 {
+					t.Errorf("%s n=%d m=%d: %d edges, want 0", gen.name, nm[0], nm[1], g.NumEdges())
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s n=%d m=%d: no graph after 10s", gen.name, nm[0], nm[1])
+			}
+		}
+	}
+}
+
+// TestGeneratorsPinned pins each generator's output byte for byte (the
+// SHA-256 of its text form): benchmark inputs and every figure of
+// internal/bench are generated, so a change to a generator changes them all.
+func TestGeneratorsPinned(t *testing.T) {
+	want := map[string]string{
+		"synthetic": "ce1d2e1f16ee16d6835be873abe76c83d7c1ec3466e8816ba6c49565175d834b",
+		"amazon":    "15817490ebf83aa2fdd46b194a2f9ed1c5a90ec04c94ca00118a9d054a0e23cd",
+		"citation":  "18653fb29c134783858a475e419603ee6f577d44f36b28aed77cdc9705cd05dc",
+		"youtube":   "6eded8460a9793eb135ad68806054716364548bfdd19ca5ae88cda35914dfa41",
+	}
+	for _, gen := range generators {
+		h := sha256.New()
+		if err := graph.Write(h, gen.gen(300, 1500, 7)); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[gen.name] {
+			t.Errorf("%s(300, 1500, 7): sha256 %s, pinned %s", gen.name, got, want[gen.name])
+		}
 	}
 }
