@@ -102,6 +102,8 @@ type timingFigure struct {
 	claims    []timingClaim
 }
 
+// TestPaperTimings times every figure at the requested scale, prints its
+// table, and checks each claim the scale asserts or pins.
 func TestPaperTimings(t *testing.T) {
 	sc := paperScale(t)
 	d := datasetsFor(sc)
