@@ -16,10 +16,10 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The in-process numbers beside the tracked benchmark: the uncached-query
-# pair (cold_paper's inputs, B/op = per-query allocation) and the warm commit
-# path (serve_zipf's shape: ms, bytes, answers re-evaluated and carried per
-# commit).
+# The in-process numbers beside the tracked benchmark: the four uncached
+# query kinds (cold_paper's inputs, B/op = per-query allocation) and the
+# warm commit path (serve_zipf's shape: ms, bytes, answers re-evaluated and
+# carried per commit).
 bench:
 	$(GO) test -run '^$$' -bench 'CommitWarm|Cold' -benchmem .
 

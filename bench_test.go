@@ -135,8 +135,10 @@ func BenchmarkQueryDiversified(b *testing.B) {
 // Cold-path benchmarks: the tracked benchmark's cold_paper inputs in process
 // — a YouTube-like 15k/90k graph, mined patterns cycling |Vp| ∈ {4,5,6},
 // every second one cyclic, every third with predicates — each iteration one
-// uncached query, patterns round-robin. With -benchmem the B/op column is the
-// per-query allocation figure the engine scratch budget test pins.
+// uncached query, patterns round-robin, one benchmark per query kind (TopK,
+// the find-all Match, TopKDH, the 2-approximation TopKDiv). With -benchmem
+// the B/op column is the per-query allocation figure; for TopK it is the one
+// the engine scratch budget test pins.
 
 var coldBenchState struct {
 	once     sync.Once
@@ -188,6 +190,28 @@ func BenchmarkTopKDHCold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5, Parallelism(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkMatchCold(b *testing.B) {
+	g, patterns := coldBenchInputs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopK(g, patterns[i%len(patterns)], 10, WithBaseline(), Parallelism(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTopKDivCold(b *testing.B) {
+	g, patterns := coldBenchInputs(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5, WithApproximation(), Parallelism(1)); err != nil {
 			b.Fatal(err)
 		}
 	}

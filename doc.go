@@ -178,9 +178,9 @@
 // Every per-query hot path runs over a materialized product-graph CSR
 // (internal/simulation.Product): the candidate product graph is built once
 // per query and shared by simulation refinement, relevant-set computation
-// (SCC condensation in reverse topological order, interior bitsets pooled
-// in a bitset.Arena, levels sharded over Parallelism workers) and the
-// incremental engine's propagation. The pre-CSR kernel is retained, frozen,
+// (SCC condensation of the region the output's matches reach, one sweep in
+// reverse topological order, interior bitsets pooled in a bitset.Arena) and
+// the incremental engine's propagation. The pre-CSR kernel is retained, frozen,
 // as a test oracle (internal/simulation/reference.go, internal/oracle):
 // determinism tests prove the shipped kernel byte-identical to it at every
 // Parallelism setting, and nothing outside tests can select it. End-to-end

@@ -225,8 +225,8 @@ func timingFigures() []timingFigure {
 			},
 			// Reversed: on the Amazon-like graph (8 labels, 30 % reciprocal
 			// edges) the engine's relevance propagation costs more than the
-			// find-all pass. Measured: TopK and TopKnopt 7.7-11.4× slower than
-			// Match at small, ≈ 25× at medium.
+			// find-all pass. Measured: TopK and TopKnopt 10-12.5× slower than
+			// Match at small, 28-35× at medium.
 			claims: []timingClaim{
 				{fast: "Match", slow: "TopK", paper: "TopK grows with k but stays below Match", deviation: true, at: bothScales},
 				{fast: "Match", slow: "TopKnopt", paper: "TopKnopt grows with k but stays below Match", deviation: true, at: bothScales},
@@ -287,8 +287,8 @@ func timingFigures() []timingFigure {
 			// At λ = 0 the pair objective F' ignores distance, so the greedy
 			// scan's distance-1 bound prunes it to the head of the relevance
 			// order; at λ > 0 it computes Jaccard distances for most pairs.
-			// Measured: TopKDiv 13-20× slower at λ ≥ 0.2 than at λ = 0
-			// at small, 39-67× at medium. TopKDH is flat (0.95-1.21×),
+			// Measured: TopKDiv 19-21× slower at λ ≥ 0.2 than at λ = 0
+			// at small, 47-84× at medium. TopKDH is flat (0.88-1.12×),
 			// as the paper says, but flatness has no twofold direction.
 			claims: []timingClaim{
 				{fast: "TopKDiv(λ=0)", slow: "TopKDiv", paper: "running time is flat in λ", deviation: true, at: bothScales},

@@ -153,7 +153,7 @@ func computeUpperBounds(out []int32, prod *simulation.Product, an *pattern.Analy
 	uo := p.Output()
 
 	if cache == nil && mode == BoundTight {
-		rel := simulation.ComputeRelevant(prod, an, space, nil, uo, false, opts.Workers())
+		rel := simulation.ComputeRelevant(prod, space, nil, uo, false)
 		copy(out, rel.Sizes)
 		return
 	}

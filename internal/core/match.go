@@ -77,7 +77,7 @@ func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool,
 		return res, nil
 	}
 
-	rel := simulation.ComputeRelevant(prod, an, space, sim.InSim, p.Output(), keepSets, opts.Workers())
+	rel := simulation.ComputeRelevant(prod, space, sim.InSim, p.Output(), keepSets)
 	lo, hi := sim.CI.PairRange(p.Output())
 	for q := lo; q < hi; q++ {
 		if !sim.InSim[q] {

@@ -90,10 +90,10 @@ type Options struct {
 	Hook Hook
 	// Parallelism bounds the worker goroutines used by the parallel
 	// sections of a single query (candidate computation; product CSR
-	// construction; relevant-set level sharding; the diversified greedy
-	// scans). 0 means runtime.NumCPU(); 1 reproduces the sequential
-	// execution exactly. Results are identical for every setting — the
-	// parallel paths are deterministic by construction.
+	// construction; the diversified greedy scans). 0 means
+	// runtime.NumCPU(); 1 reproduces the sequential execution exactly.
+	// Results are identical for every setting — the parallel paths are
+	// deterministic by construction.
 	Parallelism int
 	// Prebuilt, if non-nil, supplies evaluation state already settled for
 	// this exact (graph, pattern) snapshot — the candidate index and,

@@ -25,7 +25,7 @@ func figure1Sets(t *testing.T) (map[string]*bitset.Set, DiversifyParams) {
 	res := simulation.ComputeWithProduct(prod)
 	an := pattern.Analyze(p)
 	space := simulation.BuildRelSpace(g, p, res.CI, an)
-	rel := simulation.ComputeRelevant(prod, an, space, res.InSim, p.Output(), true, 1)
+	rel := simulation.ComputeRelevant(prod, space, res.InSim, p.Output(), true)
 	lo, _ := res.CI.PairRange(p.Output())
 	sets := map[string]*bitset.Set{}
 	for _, name := range []string{"PM1", "PM2", "PM3", "PM4"} {

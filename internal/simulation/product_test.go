@@ -115,19 +115,17 @@ func TestComputeWithProductMatchesReference(t *testing.T) {
 		root := p.Output()
 		for _, alive := range [][]bool{nil, got.InSim} {
 			want := ComputeRelevantReference(g, p, ci, an, space, alive, root, true)
-			for _, workers := range []int{1, 3} {
-				have := ComputeRelevant(prod, an, space, alive, root, true, workers)
-				if !reflect.DeepEqual(want.Sizes, have.Sizes) {
-					t.Fatalf("trial %d (workers %d): relevant sizes diverge\nref %v\ncsr %v\npattern=%s",
-						trial, workers, want.Sizes, have.Sizes, p)
+			have := ComputeRelevant(prod, space, alive, root, true)
+			if !reflect.DeepEqual(want.Sizes, have.Sizes) {
+				t.Fatalf("trial %d: relevant sizes diverge\nref %v\ncsr %v\npattern=%s",
+					trial, want.Sizes, have.Sizes, p)
+			}
+			for i := range want.Sets {
+				if (want.Sets[i] == nil) != (have.Sets[i] == nil) {
+					t.Fatalf("trial %d: set presence diverges at %d", trial, i)
 				}
-				for i := range want.Sets {
-					if (want.Sets[i] == nil) != (have.Sets[i] == nil) {
-						t.Fatalf("trial %d: set presence diverges at %d", trial, i)
-					}
-					if want.Sets[i] != nil && !want.Sets[i].Equal(have.Sets[i]) {
-						t.Fatalf("trial %d: set %d diverges: ref %s csr %s", trial, i, want.Sets[i], have.Sets[i])
-					}
+				if want.Sets[i] != nil && !want.Sets[i].Equal(have.Sets[i]) {
+					t.Fatalf("trial %d: set %d diverges: ref %s csr %s", trial, i, want.Sets[i], have.Sets[i])
 				}
 			}
 		}
@@ -194,7 +192,7 @@ func TestProductKernelAllocRegression(t *testing.T) {
 	csrAllocs := testing.AllocsPerRun(10, func() {
 		prod := BuildProduct(g, p, ci, 1)
 		res := ComputeWithProduct(prod)
-		ComputeRelevant(prod, an, space, res.InSim, p.Output(), false, 1)
+		ComputeRelevant(prod, space, res.InSim, p.Output(), false)
 	})
 	if csrAllocs*2 > refAllocs {
 		t.Fatalf("CSR kernel allocates %.0f per query, reference %.0f; want at least a 2x reduction",

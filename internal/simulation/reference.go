@@ -148,6 +148,50 @@ func productAdjReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex,
 	}
 }
 
+// relevantQueryNodes marks the query nodes whose candidates can contribute
+// to relevant sets of root: root itself and everything reachable from it.
+func relevantQueryNodes(p *pattern.Pattern, an *pattern.Analysis, root int) []bool {
+	relQ := make([]bool, p.NumNodes())
+	relQ[root] = true
+	for u := 0; u < p.NumNodes(); u++ {
+		if an.OutputDesc[u] {
+			relQ[u] = true
+		}
+	}
+	// OutputDesc is relative to p.Output(); when root differs (multi-output
+	// extension), recompute reachability from root.
+	if root != p.Output() {
+		for i := range relQ {
+			relQ[i] = i == root
+		}
+		stack := []int{root}
+		for len(stack) > 0 {
+			u := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, w := range p.Out(u) {
+				if !relQ[w] {
+					relQ[w] = true
+					stack = append(stack, w)
+				}
+			}
+		}
+	}
+	return relQ
+}
+
+// recordRoot stores the set/size for pairs of the root query node.
+func recordRoot(res *RelevantResult, ci *CandidateIndex, lo, hi, id int32,
+	shared *bitset.Set, keepSets bool) {
+	if id < lo || id >= hi {
+		return
+	}
+	i := id - lo
+	res.Sizes[i] = int32(shared.Count())
+	if keepSets {
+		res.Sets[i] = shared.Clone()
+	}
+}
+
 // ComputeRelevantReference computes relevant sets with the pre-CSR kernel:
 // the condensation is built through the on-the-fly adjacency callback and
 // every component allocates a fresh bitset. See ComputeRelevant for the

@@ -1,9 +1,10 @@
 package simulation
 
 import (
+	"slices"
+
 	"divtopk/internal/bitset"
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 	"divtopk/internal/pattern"
 )
 
@@ -31,58 +32,25 @@ type RelevantResult struct {
 	Sets []*bitset.Set
 }
 
-// relevantQueryNodes marks the query nodes whose candidates can contribute
-// to relevant sets of root: root itself and everything reachable from it.
-func relevantQueryNodes(p *pattern.Pattern, an *pattern.Analysis, root int) []bool {
-	relQ := make([]bool, p.NumNodes())
-	relQ[root] = true
-	for u := 0; u < p.NumNodes(); u++ {
-		if an.OutputDesc[u] {
-			relQ[u] = true
-		}
-	}
-	// OutputDesc is relative to p.Output(); when root differs (multi-output
-	// extension), recompute reachability from root.
-	if root != p.Output() {
-		for i := range relQ {
-			relQ[i] = i == root
-		}
-		stack := []int{root}
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, w := range p.Out(u) {
-				if !relQ[w] {
-					relQ[w] = true
-					stack = append(stack, w)
-				}
-			}
-		}
-	}
-	return relQ
-}
-
 // ComputeRelevant computes the relevant sets of every alive candidate of
 // root over a materialized product CSR. alive selects the pair universe
 // (nil = all candidates = the R̂ upper bound; Result.InSim = the paper's R
-// over M(Q,G)). keepSets retains each root pair's bitset (as an independent
-// clone); with keepSets=false only the sizes survive.
+// over M(Q,G)). keepSets retains each root pair's bitset; with
+// keepSets=false only the sizes survive.
 //
-// The kernel runs over the SCC condensation of the (alive ∩ relevant)
-// product subgraph in reverse topological order, level by level: all
-// components of one topological rank depend only on lower ranks, so their
-// union work fans out over workers goroutines (<= 0 = all cores) with
-// deterministic results — unions are commutative and every write lands in a
-// distinct component's set. Interior bitsets come from a bitset.Arena and
-// return to it as soon as every predecessor has consumed them, keeping both
-// peak memory and allocator traffic proportional to the frontier of the
-// condensed product DAG instead of its total size.
-func ComputeRelevant(prod *Product, an *pattern.Analysis, space *RelSpace,
-	alive []bool, root int, keepSets bool, workers int) *RelevantResult {
-
-	p := prod.P
+// Only the region the root reaches can enter a relevant set, so the kernel
+// never looks past it: a DFS from the alive root pairs over the alive product
+// collects the reached pairs, numbers them densely in ascending pair order,
+// and the SCC condensation is built over those pairs alone. Its cost and its
+// allocation follow the reached region (and the width of Space), not the
+// product's pair count. SCC indices are a reverse topological order, so one
+// sequential sweep in index order computes every component after all of its
+// successors. Interior bitsets come from a bitset.Arena and return to it as
+// soon as every predecessor has consumed them, keeping both peak memory and
+// allocator traffic proportional to the frontier of the condensed product
+// DAG instead of its total size.
+func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, keepSets bool) *RelevantResult {
 	ci := prod.CI
-	workers = parallel.Workers(workers)
 	lo, hi := ci.PairRange(root)
 	res := &RelevantResult{
 		Space: space,
@@ -92,46 +60,54 @@ func ComputeRelevant(prod *Product, an *pattern.Analysis, space *RelSpace,
 	for i := range res.Sizes {
 		res.Sizes[i] = -1
 	}
+	isAlive := func(q int32) bool { return alive == nil || alive[q] }
 
-	relQ := relevantQueryNodes(p, an, root)
-
-	// Materialize the filtered product sub-CSR: sources must be alive and
-	// relevant, targets alive (targets of relevant sources are relevant by
-	// construction). Filtering preserves the product's edge order, so the
-	// condensation is identical to the reference kernel's.
-	n := ci.NumPairs()
-	foff := make([]int32, n+1)
-	parallel.ForEach(n, workers, func(qi int) {
-		q := int32(qi)
-		if !relQ[ci.U[q]] || (alive != nil && !alive[q]) {
-			return
+	// The reached region: pairs lists it, local maps a pair to its index in
+	// pairs (a map, not a per-pair array, so that pairs the root cannot reach
+	// cost nothing). Every reached pair is alive and every alive successor of
+	// one is reached, so the filtered CSR below stays inside the region.
+	local := make(map[int32]int32)
+	var pairs, stack []int32
+	nEdges := 0
+	reach := func(q int32) {
+		if _, ok := local[q]; !ok {
+			local[q] = 0
+			pairs = append(pairs, q)
+			stack = append(stack, q)
 		}
-		c := int32(0)
-		for _, t := range prod.Succs(q) {
-			if alive == nil || alive[t] {
-				c++
-			}
-		}
-		foff[q+1] = c
-	})
-	for q := 0; q < n; q++ {
-		foff[q+1] += foff[q]
 	}
-	fadj := make([]int32, foff[n])
-	parallel.ForEach(n, workers, func(qi int) {
-		q := int32(qi)
-		if !relQ[ci.U[q]] || (alive != nil && !alive[q]) {
-			return
+	for q := lo; q < hi; q++ {
+		if isAlive(q) {
+			reach(q)
 		}
-		e := foff[q]
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		for _, t := range prod.Succs(q) {
-			if alive == nil || alive[t] {
-				fadj[e] = t
-				e++
+			if isAlive(t) {
+				nEdges++
+				reach(t)
 			}
 		}
-	})
-	cond := graph.CondenseCSR(n, foff, fadj)
+	}
+	slices.Sort(pairs)
+	for i, q := range pairs {
+		local[q] = int32(i)
+	}
+	// Filtering preserves the product's edge order, so the condensation
+	// depends on the inputs alone.
+	off := make([]int32, len(pairs)+1)
+	adj := make([]int32, 0, nEdges)
+	for i, q := range pairs {
+		for _, t := range prod.Succs(q) {
+			if isAlive(t) {
+				adj = append(adj, local[t])
+			}
+		}
+		off[i+1] = int32(len(adj))
+	}
+	cond := graph.CondenseCSR(len(pairs), off, adj)
 
 	arena := bitset.NewArena(space.Size())
 	nWords := int32((space.Size() + 63) / 64)
@@ -143,180 +119,85 @@ func ComputeRelevant(prod *Product, an *pattern.Analysis, space *RelSpace,
 	// a wide universe.
 	spanLo := make([]int32, cond.NumComps)
 	spanHi := make([]int32, cond.NumComps)
-	pending := make([]int, cond.NumComps)
-	keep := make([]bool, cond.NumComps) // comps holding root pairs: retain
-	for c := 0; c < cond.NumComps; c++ {
-		pending[c] = len(cond.Pred[c])
+	pending := make([]int32, cond.NumComps)
+	for c := range pending {
+		pending[c] = int32(len(cond.Pred[c]))
 	}
-	for id := lo; id < hi; id++ {
-		if alive == nil || alive[id] {
-			keep[cond.Comp[id]] = true
-		}
+	release := func(c int32) {
+		sets[c].ClearRange(int(spanLo[c]), int(spanHi[c]))
+		arena.Put(sets[c])
+		sets[c] = nil
 	}
 
-	// Components grouped by topological rank (SCC indices are a reverse
-	// topological order, so ascending index within a level preserves the
-	// reference processing order).
-	maxRank := int32(0)
-	for _, r := range cond.Rank {
-		if r > maxRank {
-			maxRank = r
-		}
-	}
-	levelLen := make([]int32, maxRank+2)
-	for _, r := range cond.Rank {
-		levelLen[r+1]++
-	}
-	for l := int32(0); l <= maxRank; l++ {
-		levelLen[l+1] += levelLen[l]
-	}
-	levels := make([]int32, cond.NumComps)
-	levelNext := make([]int32, maxRank+1)
-	copy(levelNext, levelLen[:maxRank+1])
+	// Invariant: sets[c] = data nodes reachable from c's pairs in >= 0 steps
+	// *including c's own members* — i.e. what a predecessor comp sees
+	// through c. A pair's own relevant set is the >= 1 step variant: for
+	// trivial comps it is recorded before self-insertion, for nontrivial
+	// comps after (mutual reachability puts members in their own relevant
+	// sets, cf. Example 8 where DB3 ∈ R(DB,DB3)).
 	for c := int32(0); c < int32(cond.NumComps); c++ {
-		r := cond.Rank[c]
-		levels[levelNext[r]] = c
-		levelNext[r]++
-	}
-
-	// process computes one component's set. Invariant: sets[c] = data nodes
-	// reachable from c's pairs in >= 0 steps *including c's own members* —
-	// i.e. what a predecessor comp sees through c. A pair's own relevant set
-	// is the >= 1 step variant: for trivial comps it is recorded before
-	// self-insertion, for nontrivial comps after (mutual reachability puts
-	// members in their own relevant sets, cf. Example 8 where
-	// DB3 ∈ R(DB,DB3)).
-	process := func(c int32) {
-		s := sets[c]
+		s := arena.Get()
 		sLo, sHi := nWords, int32(0) // empty span
 		for _, succ := range cond.Succ[c] {
-			if sets[succ] != nil && spanLo[succ] < spanHi[succ] {
+			if spanLo[succ] < spanHi[succ] {
 				s.UnionRange(sets[succ], int(spanLo[succ]), int(spanHi[succ]))
-				if spanLo[succ] < sLo {
-					sLo = spanLo[succ]
-				}
-				if spanHi[succ] > sHi {
-					sHi = spanHi[succ]
-				}
+				sLo, sHi = min(sLo, spanLo[succ]), max(sHi, spanHi[succ])
+			}
+			// A successor returns to the arena once every predecessor has
+			// taken its union.
+			if pending[succ]--; pending[succ] == 0 {
+				release(succ)
 			}
 		}
-		addSelf := func(idx int32) {
-			s.Add(int(idx))
-			w := idx >> 6
-			if w < sLo {
-				sLo = w
-			}
-			if w+1 > sHi {
-				sHi = w + 1
+		addSelf := func(q int32) {
+			if idx := space.Index(ci.V[q]); idx >= 0 {
+				s.Add(int(idx))
+				sLo, sHi = min(sLo, idx>>6), max(sHi, idx>>6+1)
 			}
 		}
-		record := func(id int32) {
-			if id < lo || id >= hi {
+		record := func(q int32) {
+			if q < lo || q >= hi {
 				return
 			}
-			i := id - lo
+			i := q - lo
 			res.Sizes[i] = int32(s.CountRange(int(sLo), int(sHi)))
 			if keepSets {
 				res.Sets[i] = s.Clone()
 			}
 		}
+		// read reports whether a predecessor will union this set. Every
+		// reached pair outside the root's candidates was reached through
+		// an edge, so only root components can go unread.
+		read := len(cond.Pred[c]) > 0
 		if cond.Nontrivial[c] {
-			for _, id := range cond.Members[c] {
-				if idx := space.Index(ci.V[id]); idx >= 0 {
-					addSelf(idx)
-				}
+			for _, l := range cond.Members[c] {
+				addSelf(pairs[l])
 			}
-			for _, id := range cond.Members[c] {
-				record(id)
+			for _, l := range cond.Members[c] {
+				record(pairs[l])
 			}
 		} else {
-			id := cond.Members[c][0]
-			if keepSets && id >= lo && id < hi && len(cond.Pred[c]) == 0 {
-				// Root pair whose component no other component reads (the
-				// common case: the output node has no predecessors in the
-				// relevance-restricted product): hand the arena set over
-				// instead of cloning it. Skipping the self-insertion is
-				// sound because only predecessors observe it.
-				i := id - lo
+			q := pairs[cond.Members[c][0]]
+			if keepSets && !read {
+				// An unread root pair (the common case: the output node
+				// has no predecessors in the reached region): hand the
+				// arena set over instead of cloning it. Skipping the
+				// self-insertion is sound because only predecessors
+				// observe it.
+				i := q - lo
 				res.Sizes[i] = int32(s.CountRange(int(sLo), int(sHi)))
 				res.Sets[i] = s
-				spanLo[c], spanHi[c] = sLo, sHi
-				return
-			}
-			record(id)
-			if idx := space.Index(ci.V[id]); idx >= 0 {
-				addSelf(idx)
-			}
-		}
-		spanLo[c], spanHi[c] = sLo, sHi
-	}
-
-	// skipped reports whether a component is an isolated singleton of an
-	// irrelevant or dead pair; those never get a set and cost nothing.
-	skipped := func(c int32) bool {
-		if len(cond.Members[c]) != 1 || len(cond.Succ[c]) != 0 || cond.Nontrivial[c] {
-			return false
-		}
-		id := cond.Members[c][0]
-		return !relQ[ci.U[id]] || (alive != nil && !alive[id])
-	}
-
-	for l := int32(0); l <= maxRank; l++ {
-		level := levels[levelLen[l]:levelLen[l+1]]
-		// Sequential phase: allocate this level's sets from the arena.
-		live := level[:0:0]
-		for _, c := range level {
-			if skipped(c) {
 				continue
 			}
-			sets[c] = arena.Get()
-			live = append(live, c)
+			record(q)
+			addSelf(q)
 		}
-		// Parallel phase: union work only. Successor sets live in lower
-		// levels and are read-only here; every write targets the
-		// component's own set (or a disjoint res.Sizes/Sets entry).
-		if workers > 1 && len(live) > 1 {
-			parallel.ForEach(len(live), workers, func(i int) { process(live[i]) })
-		} else {
-			for _, c := range live {
-				process(c)
-			}
-		}
-		// Sequential phase: consume-and-release bookkeeping. A successor
-		// returns to the arena once every predecessor has taken its union
-		// (all predecessors sit in levels > its own, so this runs after the
-		// last consumer); components nobody keeps or reads release
-		// immediately.
-		for _, c := range live {
-			for _, succ := range cond.Succ[c] {
-				pending[succ]--
-				if pending[succ] == 0 && !keep[succ] && sets[succ] != nil {
-					sets[succ].ClearRange(int(spanLo[succ]), int(spanHi[succ]))
-					arena.Put(sets[succ])
-					sets[succ] = nil
-				}
-			}
-			if pending[c] == 0 && !keep[c] {
-				sets[c].ClearRange(int(spanLo[c]), int(spanHi[c]))
-				arena.Put(sets[c])
-				sets[c] = nil
-			}
+		sets[c], spanLo[c], spanHi[c] = s, sLo, sHi
+		if !read {
+			release(c)
 		}
 	}
 	return res
-}
-
-// recordRoot stores the set/size for pairs of the root query node.
-func recordRoot(res *RelevantResult, ci *CandidateIndex, lo, hi, id int32,
-	shared *bitset.Set, keepSets bool) {
-	if id < lo || id >= hi {
-		return
-	}
-	i := id - lo
-	res.Sizes[i] = int32(shared.Count())
-	if keepSets {
-		res.Sets[i] = shared.Clone()
-	}
 }
 
 // RelevantSetNaive computes R(u,v) by a direct DFS over the product graph,

@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
 	"divtopk/internal/testutil"
+	"divtopk/internal/testutil/racedetect"
 )
 
 // relevantFixture computes everything needed for relevant-set assertions.
@@ -23,7 +25,7 @@ func relevantFixture(t *testing.T, keepSets bool) (*graph.Graph, map[string]grap
 	}
 	an := pattern.Analyze(p)
 	space := BuildRelSpace(g, p, res.CI, an)
-	rel := ComputeRelevant(prod, an, space, res.InSim, p.Output(), keepSets, 1)
+	rel := ComputeRelevant(prod, space, res.InSim, p.Output(), keepSets)
 	return g, id, p, res, rel
 }
 
@@ -95,7 +97,7 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 	an := pattern.Analyze(q1)
 	space := BuildRelSpace(g, q1, ci, an)
 
-	relPM := ComputeRelevant(prod1, an, space, nil, 0, false, 1)
+	relPM := ComputeRelevant(prod1, space, nil, 0, false)
 	lo, _ := ci.PairRange(0)
 	// PM4 is not listed in the paper's table; its bound is
 	// R̂(PM,PM4) = {DB2, PRG2, DB3} = 3 (PRG2's only DB-successor is DB3).
@@ -106,7 +108,7 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 			t.Errorf("Q1 ĥ(PM,%s) = %d, want %d", name, relPM.Sizes[i], want)
 		}
 	}
-	relPRG := ComputeRelevant(prod1, an, space, nil, 2, false, 1)
+	relPRG := ComputeRelevant(prod1, space, nil, 2, false)
 	loPRG, _ := ci.PairRange(2)
 	for _, name := range []string{"PRG3", "PRG4"} {
 		i := ci.Pair(2, id[name]) - loPRG
@@ -122,17 +124,17 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 	an2 := pattern.Analyze(q)
 	space2 := BuildRelSpace(g, q, ci2, an2)
 
-	relDB := ComputeRelevant(prod2, an2, space2, nil, 1, false, 1)
+	relDB := ComputeRelevant(prod2, space2, nil, 1, false)
 	loDB, _ := ci2.PairRange(1)
 	if got := relDB.Sizes[ci2.Pair(1, id["DB2"])-loDB]; got != 6 {
 		t.Errorf("ĥ(DB,DB2) = %d, want 6 (Example 8)", got)
 	}
-	relPRG2 := ComputeRelevant(prod2, an2, space2, nil, 2, false, 1)
+	relPRG2 := ComputeRelevant(prod2, space2, nil, 2, false)
 	loP, _ := ci2.PairRange(2)
 	if got := relPRG2.Sizes[ci2.Pair(2, id["PRG4"])-loP]; got != 7 {
 		t.Errorf("ĥ(PRG,PRG4) = %d, want 7 (Example 8)", got)
 	}
-	relPMq := ComputeRelevant(prod2, an2, space2, nil, 0, false, 1)
+	relPMq := ComputeRelevant(prod2, space2, nil, 0, false)
 	loPM, _ := ci2.PairRange(0)
 	if got := relPMq.Sizes[ci2.Pair(0, id["PM1"])-loPM]; got != 4 {
 		t.Errorf("ĥ(PM,PM1) = %d, want 4 (Example 8)", got)
@@ -146,6 +148,12 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 	}
 }
 
+// TestRelevantAgainstNaiveProperty checks every relevant set the kernel
+// returns, with every query node as root, against a direct product DFS. The
+// kernel never consults the pattern's output-descendant analysis, so roots
+// other than the output pin its restriction to the reached region on their
+// own; the space covers only the output's descendants, so the naive set is
+// compared within it.
 func TestRelevantAgainstNaiveProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	labels := []string{"a", "b", "c"}
@@ -163,29 +171,29 @@ func TestRelevantAgainstNaiveProperty(t *testing.T) {
 		res := ComputeWithProduct(prod)
 		an := pattern.Analyze(p)
 		space := BuildRelSpace(g, p, res.CI, an)
-		root := p.Output()
 
-		for _, alive := range [][]bool{nil, res.InSim} {
-			for _, workers := range []int{1, 4} {
-				rel := ComputeRelevant(prod, an, space, alive, root, true, workers)
+		for root := 0; root < p.NumNodes(); root++ {
+			for _, alive := range [][]bool{nil, res.InSim} {
+				rel := ComputeRelevant(prod, space, alive, root, true)
 				lo, hi := res.CI.PairRange(root)
 				for pid := lo; pid < hi; pid++ {
+					size, set := rel.Sizes[pid-lo], rel.Sets[pid-lo]
 					if alive != nil && !alive[pid] {
-						if rel.Sizes[pid-lo] != -1 {
-							t.Fatalf("trial %d: dead pair has size %d", trial, rel.Sizes[pid-lo])
+						if size != -1 || set != nil {
+							t.Fatalf("trial %d root %d: dead pair has size %d, set %v", trial, root, size, set)
 						}
 						continue
 					}
-					naive := RelevantSetNaive(g, p, res.CI, alive, root, res.CI.V[pid])
-					if int(rel.Sizes[pid-lo]) != naive.Count() {
-						t.Fatalf("trial %d: size mismatch for pair (%d,%d): dp=%d naive=%d\npattern=%s",
-							trial, root, res.CI.V[pid], rel.Sizes[pid-lo], naive.Count(), p)
-					}
-					set := rel.Sets[pid-lo]
-					for _, v := range rel.Space.NodesOf(set) {
-						if !naive.Contains(int(v)) {
-							t.Fatalf("trial %d: dp set has extra node %d", trial, v)
+					want := space.NewSet()
+					RelevantSetNaive(g, p, res.CI, alive, root, res.CI.V[pid]).ForEach(func(v int) bool {
+						if idx := space.Index(graph.NodeID(v)); idx >= 0 {
+							want.Add(int(idx))
 						}
+						return true
+					})
+					if set == nil || !set.Equal(want) || int(size) != want.Count() {
+						t.Fatalf("trial %d root %d: pair (%d,%d) has size %d set %v, naive %v\npattern=%s",
+							trial, root, root, res.CI.V[pid], size, set, want, p)
 					}
 				}
 			}
@@ -193,12 +201,56 @@ func TestRelevantAgainstNaiveProperty(t *testing.T) {
 	}
 }
 
-// ladder builds a product whose condensation has about levels ranks: a b-node
-// spine v0 → … → v_levels, one side node s_i → v_i per spine node, and one
-// a-node → v0. Over the pattern a → b ⇄ b every side pair is a component no
-// other component reads, one per rank, so it is released at the rank it is
-// computed in.
-func ladder(levels int) (*Product, *pattern.Analysis, *RelSpace) {
+// TestComputeRelevantIgnoresUnreachedPairs pins that the kernel's allocation
+// follows the region the root reaches: adding 10k alive leaf pairs that no
+// root pair reaches must not add a byte.
+func TestComputeRelevantIgnoresUnreachedPairs(t *testing.T) {
+	if racedetect.Enabled {
+		t.Skip("race runtime instruments allocations")
+	}
+	allocated := func(unreached int) uint64 {
+		b := graph.NewBuilder()
+		for i := 0; i < 50; i++ {
+			a, x := b.AddNode("a", nil), b.AddNode("b", nil)
+			_ = b.AddEdge(a, x)
+		}
+		for i := 0; i < unreached; i++ {
+			b.AddNode("b", nil)
+		}
+		g := b.Build()
+		p := pattern.New()
+		out, leaf := p.AddNode("a"), p.AddNode("b")
+		if err := p.AddEdge(out, leaf); err != nil {
+			t.Fatal(err)
+		}
+		ci := BuildCandidates(g, p)
+		prod := BuildProduct(g, p, ci, 1)
+		res := ComputeWithProduct(prod)
+		space := BuildRelSpace(g, p, ci, pattern.Analyze(p))
+		if got := ci.NumPairs(); got != 100+unreached {
+			t.Fatalf("fixture has %d pairs, want %d", got, 100+unreached)
+		}
+		var before, after runtime.MemStats
+		best := uint64(math.MaxUint64)
+		for i := 0; i < 5; i++ {
+			runtime.ReadMemStats(&before)
+			ComputeRelevant(prod, space, res.InSim, out, true)
+			runtime.ReadMemStats(&after)
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	if base, wide := allocated(0), allocated(10_000); wide > base {
+		t.Fatalf("ComputeRelevant allocated %d bytes with 10k unreached leaf pairs, %d without", wide, base)
+	}
+}
+
+// ladder builds a product whose condensation has about 2·levels components,
+// every one reached from the root: a b-node spine v0 → … → v_levels
+// with one leaf side node v_i → s_i per spine node, and one a-node → v0.
+// Over the pattern a → b ⇄ b each spine pair reads the next spine pair and
+// its side pair, and is their only reader.
+func ladder(levels int) (*Product, *RelSpace) {
 	b := graph.NewBuilder()
 	a := b.AddNode("a", nil)
 	spine := b.AddNode("b", nil)
@@ -207,7 +259,7 @@ func ladder(levels int) (*Product, *pattern.Analysis, *RelSpace) {
 		next := b.AddNode("b", nil)
 		side := b.AddNode("b", nil)
 		_ = b.AddEdge(spine, next)
-		_ = b.AddEdge(side, next)
+		_ = b.AddEdge(spine, side)
 		spine = next
 	}
 	g := b.Build()
@@ -222,20 +274,20 @@ func ladder(levels int) (*Product, *pattern.Analysis, *RelSpace) {
 		panic(err)
 	}
 	ci := BuildCandidates(g, p)
-	an := pattern.Analyze(p)
-	return BuildProduct(g, p, ci, 1), an, BuildRelSpace(g, p, ci, an)
+	return BuildProduct(g, p, ci, 1), BuildRelSpace(g, p, ci, pattern.Analyze(p))
 }
 
 // TestComputeRelevantRecyclesArenaSets pins ComputeRelevant's release
 // bookkeeping: every interior set goes back to the arena once its last reader
 // has consumed it, so the arena stays as wide as the condensation's frontier
 // and the bytes allocated stay linear in the product. A set that is never Put
-// — answers unchanged — costs a fresh universe-wide set per rank here, which
-// is quadratic and breaks the budget of less than one such set per rank.
+// — answers unchanged — costs a fresh universe-wide set per component here,
+// which is quadratic and breaks the budget of less than one such set per
+// spine node.
 func TestComputeRelevantRecyclesArenaSets(t *testing.T) {
 	const levels = 8000
-	prod, an, space := ladder(levels)
-	run := func() { ComputeRelevant(prod, an, space, nil, prod.P.Output(), false, 1) }
+	prod, space := ladder(levels)
+	run := func() { ComputeRelevant(prod, space, nil, prod.P.Output(), false) }
 	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -243,8 +295,8 @@ func TestComputeRelevantRecyclesArenaSets(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	setBytes := uint64(space.Size()+63) / 64 * 8
 	if got, budget := after.TotalAlloc-before.TotalAlloc, levels*setBytes; got > budget {
-		t.Fatalf("ComputeRelevant over %d condensation ranks allocated %d bytes, want <= %d "+
-			"(one %d-byte relevant set per rank): interior arena sets are not being recycled",
+		t.Fatalf("ComputeRelevant over %d spine nodes allocated %d bytes, want <= %d "+
+			"(one %d-byte relevant set per spine node): interior arena sets are not being recycled",
 			levels, got, budget, setBytes)
 	}
 }
