@@ -225,8 +225,8 @@ func timingFigures() []timingFigure {
 			},
 			// Reversed: on the Amazon-like graph (8 labels, 30 % reciprocal
 			// edges) the engine's relevance propagation costs more than the
-			// find-all pass. Measured: TopK and TopKnopt 10-12.5× slower than
-			// Match at small, 28-35× at medium.
+			// find-all pass. Measured: TopK and TopKnopt 8.5-12× slower than
+			// Match at small, 22-30× at medium.
 			claims: []timingClaim{
 				{fast: "Match", slow: "TopK", paper: "TopK grows with k but stays below Match", deviation: true, at: bothScales},
 				{fast: "Match", slow: "TopKnopt", paper: "TopKnopt grows with k but stays below Match", deviation: true, at: bothScales},

@@ -68,6 +68,17 @@
 // finalization makes both exact. checkTermination is Proposition 3 on those
 // bounds.
 //
+// Relevant sets are kept only on the tracked region: the pairs a live output
+// pair reaches through live pairs once the init-time deaths are resolved
+// (markTracked, one DFS over the product before the first batch). That loses
+// nothing. R(uo,v) of a matched output pair is gathered along matched paths,
+// and a matched pair never dies, so every pair on such a path was alive
+// after the init cascade and is tracked; a tracked pair never reads an
+// untracked one. After every batch each output set therefore holds what it
+// would hold were every pair tracked, and checkTermination and the hook read
+// nothing else. On the tracked benchmark's mined patterns the region holds
+// about 15 % of the matched pairs of the output node and its descendants.
+//
 // # What an answer depends on
 //
 // Every run here is a pure function of its inputs, and the inputs are few.

@@ -31,8 +31,8 @@ const (
 //     and kills the pair — the lazy false-resolution of the paper's formula
 //     semantics (no eager refinement at init).
 //   - the partial relevant set over the relevance universe (rwords), grown
-//     monotonically toward R(u,v); maintained only for pairs whose query
-//     node is the output node or one of its descendants.
+//     monotonically toward R(u,v); maintained only for the pairs a live
+//     output pair reaches (tracked).
 //
 // Query nodes are grouped into units (the SCCs of Q); nontrivial units are
 // evaluated by greatest-fixpoint refinement (refineUnit), the engine's
@@ -146,7 +146,35 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*engine
 
 	// Resolve init-time deaths (empty disjunctions) to quiescence.
 	e.drainEvents()
+	e.markTracked()
 	return e, nil
+}
+
+// markTracked marks the pairs that get relevant sets: those a live output
+// pair reaches through live pairs once the init-time deaths are resolved.
+// Matched pairs never die, so every matched path from a matched output pair
+// stays inside the marked region, and the output sets come out as if every
+// pair were tracked (see the package documentation). The DFS stack borrows
+// rQueue, which stays empty until the first relevance phase.
+func (e *engine) markTracked() {
+	stack := e.rQueue[:0]
+	for q := e.uoLo; q < e.uoHi; q++ {
+		if e.status[q] != statusDead {
+			e.tracked[q] = true
+			stack = append(stack, q)
+		}
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, qc := range e.prod.Succs(q) {
+			if !e.tracked[qc] && e.status[qc] != statusDead {
+				e.tracked[qc] = true
+				stack = append(stack, qc)
+			}
+		}
+	}
+	e.rQueue = stack
 }
 
 // release returns the run's scratch to the pool. The Result is already
@@ -181,7 +209,6 @@ func (e *engine) initPatternStructure() {
 	// absolute counter slot (prod.RevSlot).
 	for u := 0; u < e.nq; u++ {
 		e.needEdges[u] = int32(len(e.p.Out(u)))
-		e.relQ[u] = u == e.uo || e.an.OutputDesc[u]
 		e.aliveCnt[u] = int32(len(e.ci.Lists[u]))
 	}
 }

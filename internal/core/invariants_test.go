@@ -79,7 +79,7 @@ func checkInvariants(t *testing.T, e *engine) {
 		// I4: a finalized matched pair's relevant set is exactly R(u,v)
 		// over the matched product graph, and a matched relevance-tracked
 		// pair's partial set is a subset of it.
-		if rs := e.rwords(q); e.relQ[u] && e.status[q] == statusMatched && rs != nil {
+		if rs := e.rwords(q); e.tracked[q] && e.status[q] == statusMatched && rs != nil {
 			exact := simulation.RelevantSetNaive(e.g, e.p, e.ci, matchedMask(e), u, v)
 			got := bitset.CountWords(rs)
 			if e.finalized[q] {
@@ -126,6 +126,34 @@ func checkInvariants(t *testing.T, e *engine) {
 					t.Fatalf("I6: finalized unit %d has unresolved pair (%d,%d)", c, u, e.ci.V[q])
 				}
 			}
+		}
+	}
+	// I7: relevant sets live only on tracked pairs, and every matched pair
+	// a matched output pair reaches through matched pairs is tracked and
+	// holds one.
+	reached := make([]bool, e.ci.NumPairs())
+	var stack []int32
+	for q := e.uoLo; q < e.uoHi; q++ {
+		if e.status[q] == statusMatched {
+			reached[q] = true
+			stack = append(stack, q)
+		}
+	}
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, qc := range e.prod.Succs(q) {
+			if !reached[qc] && e.status[qc] == statusMatched {
+				reached[qc] = true
+				stack = append(stack, qc)
+			}
+		}
+	}
+	for q := int32(0); q < int32(len(reached)); q++ {
+		has := e.rwords(q) != nil
+		if reached[q] && (!e.tracked[q] || !has) || !e.tracked[q] && has {
+			t.Fatalf("I7: pair (%d,%d) reached=%v tracked=%v has set=%v",
+				e.ci.U[q], e.ci.V[q], reached[q], e.tracked[q], has)
 		}
 	}
 }

@@ -19,11 +19,8 @@ func (e *engine) becomeMatched(q int32) {
 		panic(fmt.Sprintf("core: dead pair (%d,%d) matched", e.ci.U[q], e.ci.V[q]))
 	}
 	e.status[q] = statusMatched
-	u := e.ci.U[q]
-	e.matchCnt[u]++
-	if e.relQ[u] {
-		e.newRelM = append(e.newRelM, q)
-	}
+	e.matchCnt[e.ci.U[q]]++
+	e.newRelM = append(e.newRelM, q)
 	e.matchQ = append(e.matchQ, q)
 }
 
@@ -351,21 +348,14 @@ func (e *engine) refineUnit(unit int32) {
 	}
 }
 
-// maxDeltaList bounds the per-pair pending-delta list; beyond it the pair
-// falls back to propagating its full set (one wide union beats a long list).
-const maxDeltaList = 192
-
-// propagateRelevance runs the R phase of a batch: initialize the relevant
-// sets of freshly matched relevance-tracked pairs from their matched
-// successors, then push monotone updates up the (possibly cyclic) matched
-// product graph until quiescence.
-//
-// Updates are delta-based: after its initial full gather, a pair forwards
-// only the bit indices newly added to its set, falling back to a full-width
-// union when the delta grows large. Without this, every feeding batch would
-// re-union full-width bitsets across the whole matched product graph,
-// multiplying the baseline's one-pass union work by the number of batches.
+// propagateRelevance runs the R phase of a batch: give the freshly matched
+// tracked pairs their relevant sets, gathered from their matched successors,
+// then push every set that grew up the (possibly cyclic) matched product
+// graph until quiescence. Untracked pairs (no live output pair reaches them)
+// are dropped up front: they never get a set, nor are they sorted, gathered
+// for or forwarded to, so a batch costs only what the output can see.
 func (e *engine) propagateRelevance() {
+	e.newRelM = slices.DeleteFunc(e.newRelM, func(q int32) bool { return !e.tracked[q] })
 	if len(e.newRelM) == 0 {
 		return
 	}
@@ -408,8 +398,8 @@ func (e *engine) propagateRelevance() {
 				bitset.AddBit(s, int(idx))
 			}
 		}
-		// A fresh match is new to all its parents: forward the full set.
-		e.rEnqueueFull(q)
+		// A fresh match is new to all its parents.
+		e.rEnqueue(q)
 	}
 	e.newRelM = e.newRelM[:0]
 
@@ -417,96 +407,32 @@ func (e *engine) propagateRelevance() {
 		q := e.rQueue[len(e.rQueue)-1]
 		e.rQueue = e.rQueue[:len(e.rQueue)-1]
 		e.rInQueue[q] = false
-		full := e.rFull[q]
-		e.rFull[q] = false
-		// Detach the pending delta list: forwarding may append to q's own
-		// list again (product cycles), which must start a fresh one.
-		head, tail := e.rdHead[q], e.rdTail[q]
-		e.rdHead[q], e.rdTail[q], e.rdLen[q] = 0, 0, 0
-
 		src := e.rwords(q)
 		selfIdx := e.space.Index(e.ci.V[q])
 		for ei := prod.RevOff[q]; ei < prod.RevOff[q+1]; ei++ {
 			qp := prod.Rev[ei]
-			if !e.relQ[e.ci.U[qp]] || e.status[qp] != statusMatched {
+			if !e.tracked[qp] || e.status[qp] != statusMatched {
 				continue
 			}
 			dst := e.rwords(qp)
 			if dst == nil {
 				continue // initialized later this phase; init gathers src
 			}
-			if full {
-				changed := bitset.UnionWords(dst, src)
-				if selfIdx >= 0 && bitset.AddBit(dst, int(selfIdx)) {
-					changed = true
-				}
-				if changed {
-					e.rEnqueueFull(qp)
-				}
-				continue
-			}
-			for i := head; i != 0; i = e.rdPool[i-1].next {
-				if b := e.rdPool[i-1].bit; bitset.AddBit(dst, int(b)) {
-					e.rEnqueueBit(qp, b)
-				}
-			}
+			changed := bitset.UnionWords(dst, src)
 			if selfIdx >= 0 && bitset.AddBit(dst, int(selfIdx)) {
-				e.rEnqueueBit(qp, selfIdx)
+				changed = true
+			}
+			if changed {
+				e.rEnqueue(qp)
 			}
 		}
-		if head != 0 {
-			e.rdPool[tail-1].next = e.rdFree
-			e.rdFree = head
-		}
 	}
 }
 
-// rEnqueueFull schedules a full-set forward for q, superseding any pending
-// delta.
-func (e *engine) rEnqueueFull(q int32) {
-	e.rFull[q] = true
-	e.dropDelta(q)
+// rEnqueue schedules a forward of q's set to its parents.
+func (e *engine) rEnqueue(q int32) {
 	if !e.rInQueue[q] {
 		e.rInQueue[q] = true
 		e.rQueue = append(e.rQueue, q)
-	}
-}
-
-// rEnqueueBit schedules one more delta bit for q, upgrading to a full
-// forward when the pending list grows too large.
-func (e *engine) rEnqueueBit(q, bit int32) {
-	if !e.rFull[q] {
-		i := e.rdFree
-		if i != 0 {
-			e.rdFree = e.rdPool[i-1].next
-			e.rdPool[i-1] = deltaNode{bit: bit}
-		} else {
-			e.rdPool = append(e.rdPool, deltaNode{bit: bit})
-			i = int32(len(e.rdPool))
-		}
-		if t := e.rdTail[q]; t != 0 {
-			e.rdPool[t-1].next = i
-		} else {
-			e.rdHead[q] = i
-		}
-		e.rdTail[q] = i
-		e.rdLen[q]++
-		if e.rdLen[q] > maxDeltaList {
-			e.rFull[q] = true
-			e.dropDelta(q)
-		}
-	}
-	if !e.rInQueue[q] {
-		e.rInQueue[q] = true
-		e.rQueue = append(e.rQueue, q)
-	}
-}
-
-// dropDelta returns q's pending delta list to the free list.
-func (e *engine) dropDelta(q int32) {
-	if head := e.rdHead[q]; head != 0 {
-		e.rdPool[e.rdTail[q]-1].next = e.rdFree
-		e.rdFree = head
-		e.rdHead[q], e.rdTail[q], e.rdLen[q] = 0, 0, 0
 	}
 }

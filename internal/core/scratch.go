@@ -21,7 +21,6 @@ import (
 type scratch struct {
 	// Per query node.
 	needEdges []int32 // number of outgoing query edges
-	relQ      []bool  // track relevant sets for this query node's pairs
 	matchCnt  []int32 // matched pairs per query node (global-match check)
 	aliveCnt  []int32 // non-dead pairs per query node (emptiness abort)
 	unitOf    []int32 // query node -> unit
@@ -43,6 +42,10 @@ type scratch struct {
 	// in-unit included). Drives per-pair finalization; pairs on product
 	// cycles never drain it pairwise and are resolved by unit finalization.
 	unfinTotal []int32
+	// tracked marks the pairs a live output pair reaches once the init-time
+	// deaths are resolved (engine.markTracked): only these ever hold a
+	// relevant set.
+	tracked []bool
 	// rslot names the partial relevant set of an interior (non-output)
 	// pair: its slab handle plus one, 0 while the pair has none.
 	rslot []int32
@@ -61,24 +64,21 @@ type scratch struct {
 	// Event queues.
 	matchQ  []int32
 	finalQ  []int32 // finalization events (deaths included)
-	newRelM []int32 // newly matched relevance-tracked pairs, for the R phase
+	newRelM []int32 // newly matched pairs, for the R phase
 
-	// R propagation worklist: per pair either a pending full-set forward
-	// (rFull) or a list of newly added bit indices, kept as a linked list
-	// through rdPool (rdHead/rdTail hold node index + 1, 0 = empty).
+	// R propagation worklist: pairs whose grown set their parents have not
+	// seen yet.
 	rQueue   []int32
 	rInQueue []bool
-	rFull    []bool
-	rdHead   []int32
-	rdTail   []int32
-	rdLen    []int32
-	rdPool   []deltaNode
-	rdFree   int32 // free list of rdPool nodes (index + 1)
 
-	// Feeder: the leaf order with its covering scores, and the batch handed
-	// out last.
-	order []leafScore
-	batch []int32
+	// Feeder: the leaf order, the batch handed out last, and the covering
+	// sort's buffers (per-leaf scores, per-score start positions, and the
+	// order it is built from, swapped with order).
+	order      []int32
+	batch      []int32
+	leafScore  []int32
+	scoreStart []int32
+	orderBuf   []int32
 
 	// checkTermination's bounded selection of the k best lower bounds.
 	sel []cand
@@ -98,12 +98,6 @@ type scratch struct {
 	// Result.Match.R into the serving layer's result cache.
 	sets bitset.Slab
 }
-
-// deltaNode is one pending relevant-set bit in a pair's delta list.
-type deltaNode struct{ bit, next int32 }
-
-// leafScore is one leaf pair of the feeding order with its covering score.
-type leafScore struct{ q, n int32 }
 
 // cand is an output pair with its lower bound.
 type cand struct{ q, l int32 }
@@ -164,7 +158,6 @@ func zeroed[T any](buf []T, n int) []T {
 // node and a relevance universe of bits elements.
 func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.needEdges = zeroed(s.needEdges, nq)
-	s.relQ = zeroed(s.relQ, nq)
 	s.matchCnt = zeroed(s.matchCnt, nq)
 	s.aliveCnt = zeroed(s.aliveCnt, nq)
 	s.unitOf = zeroed(s.unitOf, nq)
@@ -182,12 +175,9 @@ func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.fed = zeroed(s.fed, pairs)
 	s.satEdges = zeroed(s.satEdges, pairs)
 	s.unfinTotal = zeroed(s.unfinTotal, pairs)
+	s.tracked = zeroed(s.tracked, pairs)
 	s.rslot = zeroed(s.rslot, pairs)
 	s.rInQueue = zeroed(s.rInQueue, pairs)
-	s.rFull = zeroed(s.rFull, pairs)
-	s.rdHead = zeroed(s.rdHead, pairs)
-	s.rdTail = zeroed(s.rdTail, pairs)
-	s.rdLen = zeroed(s.rdLen, pairs)
 
 	s.satCnt = zeroed(s.satCnt, slots)
 	s.unfinCnt = zeroed(s.unfinCnt, slots)
@@ -201,8 +191,6 @@ func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.finalQ = s.finalQ[:0]
 	s.newRelM = s.newRelM[:0]
 	s.rQueue = s.rQueue[:0]
-	s.rdPool = s.rdPool[:0]
-	s.rdFree = 0
 	s.order = s.order[:0]
 	s.batch = s.batch[:0]
 	s.sel = s.sel[:0]

@@ -351,3 +351,56 @@ func TestEngineAllocationBudget(t *testing.T) {
 		t.Fatalf("steady-state TopK allocates %.0f KiB per query, budget %.0f KiB", perQuery/1024, budget/1024)
 	}
 }
+
+// TestEngineIgnoresUnreachedPairs pins that the engine gives relevant sets
+// only where a live output pair reaches: 10k matched leaf pairs that no
+// output candidate reaches carve no interior set from the slab, and the
+// answer stays as it was.
+func TestEngineIgnoresUnreachedPairs(t *testing.T) {
+	run := func(unreached int) (carved int, answer string) {
+		b := graph.NewBuilder()
+		for i := 0; i < 50; i++ {
+			a, x := b.AddNode("a", nil), b.AddNode("b", nil)
+			_ = b.AddEdge(a, x)
+			if i > 0 {
+				_ = b.AddEdge(a, x-2)
+			}
+		}
+		for i := 0; i < unreached; i++ {
+			b.AddNode("b", nil)
+		}
+		g := b.Build()
+		p := pattern.New()
+		out, leaf := p.AddNode("a"), p.AddNode("b")
+		if err := p.AddEdge(out, leaf); err != nil {
+			t.Fatal(err)
+		}
+		// k above the 50 output candidates: every leaf pair is fed.
+		e, err := newEngine(g, p, 64, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.release()
+		res := e.run()
+		if got := int(e.matchCnt[leaf]); got != 50+unreached {
+			t.Fatalf("%d leaf pairs matched, want %d", got, 50+unreached)
+		}
+		for _, h := range e.rslot {
+			if h != 0 {
+				carved++
+			}
+		}
+		for _, m := range res.All {
+			answer += fmt.Sprintf("%d:%d:%v:%v ", m.Node, m.Relevance, m.Exact, res.Space.NodesOf(m.R))
+		}
+		return carved, answer
+	}
+	baseCarved, base := run(0)
+	wideCarved, wide := run(10_000)
+	if wideCarved > baseCarved {
+		t.Fatalf("%d interior sets carved with 10k unreached leaf pairs, %d without", wideCarved, baseCarved)
+	}
+	if wide != base {
+		t.Fatalf("answer changed with unreached pairs:\n%s\n%s", wide, base)
+	}
+}

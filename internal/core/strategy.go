@@ -1,10 +1,6 @@
 package core
 
-import (
-	"cmp"
-	"math/rand"
-	"slices"
-)
+import "math/rand"
 
 // feeder hands out batches of unvisited leaf candidate pairs (the Sc sets of
 // §4.1). The order is fixed up front by the strategy; pairs that died before
@@ -33,7 +29,7 @@ func (f *feeder) init(e *engine) {
 		}
 		lo, hi := e.ci.PairRange(u)
 		for q := lo; q < hi; q++ {
-			order = append(order, leafScore{q: q})
+			order = append(order, q)
 		}
 	}
 	e.order = order
@@ -45,25 +41,37 @@ func (f *feeder) init(e *engine) {
 	default: // StrategyCovering
 		// A leaf pair's covering score is its number of reverse product
 		// edges from rank-1 parents — read straight off the reverse CSR.
-		// (score desc, pair asc) is a total order, so the sorted sequence
-		// does not depend on the sorting algorithm.
+		// The order is (score desc, pair asc): a counting sort on the score
+		// that places the leaves in pair order, so equal scores keep it.
 		prod, rank, pairU := e.prod, e.an.Rank, e.ci.U
-		for i := range order {
-			q := order[i].q
+		score := zeroed(e.leafScore, len(order))
+		top := int32(0)
+		for i, q := range order {
 			n := int32(0)
 			for ei := prod.RevOff[q]; ei < prod.RevOff[q+1]; ei++ {
 				if rank[pairU[prod.Rev[ei]]] == 1 {
 					n++
 				}
 			}
-			order[i].n = n
+			score[i] = n
+			top = max(top, n)
 		}
-		slices.SortFunc(order, func(a, b leafScore) int {
-			if a.n != b.n {
-				return cmp.Compare(b.n, a.n)
-			}
-			return cmp.Compare(a.q, b.q)
-		})
+		// start[n] becomes the number of leaves scoring above n: the slot of
+		// the first leaf scoring n.
+		start := zeroed(e.scoreStart, int(top)+1)
+		for _, n := range score {
+			start[n]++
+		}
+		for n, at := top, int32(0); n >= 0; n-- {
+			start[n], at = at, at+start[n]
+		}
+		sorted := zeroed(e.orderBuf, len(order))
+		for i, q := range order {
+			sorted[start[score[i]]] = q
+			start[score[i]]++
+		}
+		e.order, e.orderBuf = sorted, order
+		e.leafScore, e.scoreStart = score, start
 	}
 }
 
@@ -90,7 +98,7 @@ func (f *feeder) next(e *engine) []int32 {
 	f.round++
 	batch := e.batch[:0]
 	for f.pos < len(order) && len(batch) < size {
-		q := order[f.pos].q
+		q := order[f.pos]
 		f.pos++
 		if e.status[q] == statusDead {
 			continue
