@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke lint examples paper
+.PHONY: all build test race bench bench-smoke lint examples paper fuzz
 
 all: build lint test examples
 
@@ -22,6 +22,17 @@ race:
 # carried per commit).
 bench:
 	$(GO) test -run '^$$' -bench 'CommitWarm|Cold' -benchmem .
+
+# fuzz runs each native fuzz target — the decoders of untrusted bytes: binary
+# checkpoints, graph and pattern text, WAL records — for FUZZTIME. Their seed
+# corpora already run inside `make test`; this explores past them. A crashing
+# input is written under the package's testdata/fuzz/ and fails the target.
+FUZZTIME ?= 20s
+fuzz:
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/pattern -run '^$$' -fuzz '^FuzzReadPattern$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
 
 # paper runs the reproduction of the paper's §6 (internal/bench) and prints
 # its tables: the deterministic claims `make test` already checks, plus the

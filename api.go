@@ -331,7 +331,7 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 	if err := q.check(); err != nil {
 		return answer{}, err
 	}
-	eng := core.Options{Parallelism: q.workers, Prebuilt: pre}
+	eng := core.Options{Prebuilt: pre}
 	if q.kind.full() {
 		pool, err := core.MatchBaselineOpts(g.g, p.p, q.k, true, eng)
 		if err != nil {

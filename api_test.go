@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"divtopk/internal/graph"
 )
 
 // figure1 builds the paper's Fig. 1 graph through the public API.
@@ -209,29 +207,6 @@ func TestPublicCaseStudyPatterns(t *testing.T) {
 	}
 	if !d2.GlobalMatch || len(d2.Matches) != 2 {
 		t.Fatalf("Q2 diversified: %+v", d2)
-	}
-}
-
-// TestInducedSubgraph materializes the graph induced by a top-k answer's
-// relevant set — the subgraphs the case study draws in Fig. 4 — from what
-// the facade returns.
-func TestInducedSubgraph(t *testing.T) {
-	g, _ := figure1(t)
-	p := figure1Pattern(t)
-	res, err := TopK(g, p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var nodes []graph.NodeID
-	for _, v := range append(res.Matches[0].RelevantSet, res.Matches[0].Node) {
-		nodes = append(nodes, graph.NodeID(v))
-	}
-	sub, orig := graph.InducedSubgraph(g.g, nodes)
-	if sub.NumNodes() != 9 { // PM2 + its 8-node relevant set
-		t.Fatalf("induced nodes = %d", sub.NumNodes())
-	}
-	if len(orig) != sub.NumNodes() {
-		t.Fatal("orig mapping size mismatch")
 	}
 }
 

@@ -1,84 +1,18 @@
 package divtopk
 
-// In-process benchmarks of the facade: the sequential and parallel sections
-// of one query, single-query latency of each algorithm, the uncached-query
-// pair on the tracked benchmark's cold_paper inputs, and the warm commit
-// path on its serve_zipf shape. The paper's figures are reproduced as tests
-// in internal/bench (go test ./internal/bench -v; DIVTOPK_PAPER=small|medium
-// adds the wall-clock claims).
+// In-process benchmarks of the facade: single-query latency of each
+// algorithm, the uncached queries on the tracked benchmark's cold_paper
+// inputs, and the warm commit path on its serve_zipf shape. The paper's
+// figures are reproduced as tests in internal/bench (go test
+// ./internal/bench -v; DIVTOPK_PAPER=small|medium adds the wall-clock
+// claims).
 
 import (
 	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
-
-	"divtopk/internal/graph"
-	"divtopk/internal/pattern"
-	"divtopk/internal/simulation"
 )
-
-// Sequential-vs-parallel benchmarks. The pair
-// BenchmarkBuildCandidatesSequential / BenchmarkBuildCandidatesParallel (and
-// likewise the TopKDiv pair) measures the same deterministic computation on
-// a 150k-node generator graph with one worker versus all cores; on a >= 4
-// core machine the parallel variant should win by well over 1.5x. The
-// results are identical at every worker count: internal/diversify's
-// TestKernelOracleProperty checks TopKDiv at 1-8 workers, and
-// internal/simulation's incremental tests check the candidates at 1 and 8.
-
-var parallelBenchState struct {
-	once sync.Once
-	g    *Graph
-	q    *Pattern
-	gg   *graph.Graph
-	pp   *pattern.Pattern
-}
-
-// parallelBenchInputs generates (once) the large graph and pattern shared by
-// the sequential-vs-parallel benchmarks.
-func parallelBenchInputs(b *testing.B) (*Graph, *Pattern, *graph.Graph, *pattern.Pattern) {
-	b.Helper()
-	s := &parallelBenchState
-	s.once.Do(func() {
-		s.g = NewYouTubeLike(150_000, 750_000, 1)
-		q, err := GeneratePattern(s.g, 6, 10, true, true, 5)
-		if err != nil {
-			panic(err)
-		}
-		s.q = q
-		s.gg = s.g.Unwrap().(*graph.Graph)
-		s.pp = q.UnwrapPattern().(*pattern.Pattern)
-	})
-	return s.g, s.q, s.gg, s.pp
-}
-
-func benchBuildCandidates(b *testing.B, workers int) {
-	_, _, gg, pp := parallelBenchInputs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ci := simulation.BuildCandidatesParallel(gg, pp, workers)
-		if ci.NumPairs() == 0 {
-			b.Fatal("no candidates")
-		}
-	}
-}
-
-func BenchmarkBuildCandidatesSequential(b *testing.B) { benchBuildCandidates(b, 1) }
-func BenchmarkBuildCandidatesParallel(b *testing.B)   { benchBuildCandidates(b, 0) }
-
-func benchTopKDiv(b *testing.B, workers int) {
-	g, q, _, _ := parallelBenchInputs(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TopKDiversified(g, q, 10, 0.5, WithApproximation(), Parallelism(workers)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTopKDivSequential(b *testing.B) { benchTopKDiv(b, 1) }
-func BenchmarkTopKDivParallel(b *testing.B)   { benchTopKDiv(b, 0) }
 
 // BenchmarkQueryTopK measures a single early-termination query end to end
 // on a prebuilt graph (the per-query latency a library user sees).
@@ -169,13 +103,13 @@ func coldBenchInputs(b *testing.B) (*Graph, []*Pattern) {
 
 func BenchmarkTopKCold(b *testing.B) {
 	g, patterns := coldBenchInputs(b)
-	if _, err := TopK(g, patterns[0], 10, Parallelism(1)); err != nil { // warm the bound index
+	if _, err := TopK(g, patterns[0], 10); err != nil { // warm the bound index
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopK(g, patterns[i%len(patterns)], 10, Parallelism(1)); err != nil {
+		if _, err := TopK(g, patterns[i%len(patterns)], 10); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,13 +117,13 @@ func BenchmarkTopKCold(b *testing.B) {
 
 func BenchmarkTopKDHCold(b *testing.B) {
 	g, patterns := coldBenchInputs(b)
-	if _, err := TopKDiversified(g, patterns[0], 10, 0.5, Parallelism(1)); err != nil {
+	if _, err := TopKDiversified(g, patterns[0], 10, 0.5); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5, Parallelism(1)); err != nil {
+		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -200,7 +134,7 @@ func BenchmarkMatchCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopK(g, patterns[i%len(patterns)], 10, WithBaseline(), Parallelism(1)); err != nil {
+		if _, err := TopK(g, patterns[i%len(patterns)], 10, WithBaseline()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +145,7 @@ func BenchmarkTopKDivCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5, WithApproximation(), Parallelism(1)); err != nil {
+		if _, err := TopKDiversified(g, patterns[i%len(patterns)], 10, 0.5, WithApproximation()); err != nil {
 			b.Fatal(err)
 		}
 	}

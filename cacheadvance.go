@@ -83,11 +83,10 @@ const (
 type warmCache struct {
 	lru  *cache.Cache
 	warm warmRegistry
-	// workers is the session's worker count. advanceRatio is the work share
-	// past which a commit evicts a warm pattern state instead of advancing
-	// it; zero is the 0.25 default of simulation.IncOptions, and only the
-	// equivalence fuzzes set it, to force both sides.
-	workers      int
+	// advanceRatio is the work share past which a commit evicts a warm
+	// pattern state instead of advancing it; zero is the 0.25 default of
+	// simulation.IncOptions, and only the equivalence fuzzes set it, to force
+	// both sides.
 	advanceRatio float64
 	// advanceEvicted counts states the commit-time advance pass evicted,
 	// carried and reevaluated the answers it carried over and re-ran.
@@ -308,7 +307,7 @@ func (c *warmCache) warmState(g *Graph, p *Pattern, text string) (st *patternSta
 	w.mu.Unlock()
 
 	seeded = seeds != nil
-	st = buildPatternState(g, text, p, seeds, c.workers)
+	st = buildPatternState(g, text, p, seeds)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -344,14 +343,9 @@ func (c *warmCache) warmState(g *Graph, p *Pattern, text string) (st *patternSta
 // from a donor's lists when seeds is non-nil), the product and the settled
 // fixpoint of p at g. A variable so that a test can park it and check that
 // warmState runs it without holding the registry lock.
-var buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID, workers int) *patternState {
-	var ci *simulation.CandidateIndex
-	if seeds != nil {
-		ci = simulation.BuildCandidatesSeeded(g.g, p.p, seeds, workers)
-	} else {
-		ci = simulation.BuildCandidatesParallel(g.g, p.p, workers)
-	}
-	return newPatternState(g, text, p, simulation.NewIncStateSeeded(g.g, p.p, ci, workers))
+var buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID) *patternState {
+	ci := simulation.BuildCandidatesSeeded(g.g, p.p, seeds)
+	return newPatternState(g, text, p, simulation.NewIncStateSeeded(g.g, p.p, ci))
 }
 
 // advanceWarm carries every maintained pattern state and its remembered
@@ -387,7 +381,6 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 
 	stats.WarmStates = len(work)
 	incOpts := simulation.IncOptions{
-		Workers:        c.workers,
 		RecomputeRatio: c.advanceRatio,
 		NoFallback:     true,
 	}

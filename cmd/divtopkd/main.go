@@ -63,7 +63,6 @@ func main() {
 		return nil
 	})
 	cacheEntries := flag.Int("cache", 4096, "result-cache entries per graph session (0 disables caching)")
-	parallelism := flag.Int("parallelism", 0, "session worker goroutines (0 = all cores)")
 	maxK := flag.Int("max-k", 1000, "cap on the requested k")
 	maxConcurrent := flag.Int("max-concurrent", 0, "evaluation worker pool size (0 = 2x cores)")
 	timeout := flag.Duration("timeout", 10*time.Second, "default per-request timeout")
@@ -74,7 +73,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 0, "updates between WAL-to-checkpoint rotations (0 = default, negative = shutdown only)")
 	flag.Parse()
 
-	opts := []divtopk.Option{divtopk.Parallelism(*parallelism)}
+	var opts []divtopk.Option
 	if *cacheEntries > 0 {
 		opts = append(opts, divtopk.WithCache(*cacheEntries))
 	}

@@ -38,7 +38,7 @@
 //		fmt.Println(m.Node, m.Relevance)
 //	}
 //
-// # Sessions and parallelism
+// # Sessions and concurrency
 //
 // A Matcher is a reusable, concurrency-safe query session: it warms the
 // graph's descendant-label bound index once at construction and then serves
@@ -47,11 +47,11 @@
 //	m := divtopk.NewMatcher(g)
 //	res, _ := m.TopK(q, 10)
 //
-// Single queries also parallelize internally (candidate computation, the
-// diversified greedy scans). The Parallelism option controls the worker
-// count: the default uses all cores, Parallelism(1) reproduces the
-// sequential engine exactly, and every setting returns identical results —
-// the parallel sections are deterministic.
+// Each query and each commit runs on its caller's goroutine, like the
+// paper's four algorithms, which are sequential: work spreads across cores
+// only by running several requests at once (the daemon's request pool and
+// group-commit coalescer). The Parallelism option is ignored and stays only
+// for callers that still pass it.
 //
 // The query surface is the paper's four algorithms and nothing else: TopK
 // (§4.1) and, WithBaseline, the find-all Match (§4); TopKDiversified runs the
@@ -101,10 +101,10 @@
 // two condensations and recomputes, per label, only the frontier rows the
 // delta's touch points reach — a per-node frontier propagated from
 // membership changes, ancestor closures of successor-set changes, and
-// cyclicity flips, masked against each label's reachability — running the
-// per-label partial recomputes in parallel, copying every unaffected row,
-// and falling back to a full rebuild of the warmed labels once the
-// recomputed share passes a quarter of the index. A mismatched snapshot version is a hard error; the fresh-warm path remains
+// cyclicity flips, masked against each label's reachability — copying
+// every unaffected row, and falling back to a full rebuild of the warmed
+// labels once the recomputed share passes a quarter of the index. A
+// mismatched snapshot version is a hard error; the fresh-warm path remains
 // the correctness oracle, enforced by randomized delta-chain fuzz for both
 // count modes. Matcher.UpdateWithStats (and the daemon's "index" response
 // object) reports the maintenance mode, batch width, affected share,
@@ -182,10 +182,10 @@
 // reverse topological order, interior bitsets pooled in a bitset.Arena) and
 // the incremental engine's propagation. The pre-CSR kernel is retained, frozen,
 // as a test oracle (internal/simulation/reference.go, internal/oracle):
-// determinism tests prove the shipped kernel byte-identical to it at every
-// Parallelism setting, and nothing outside tests can select it. End-to-end
-// and per-layer timings come from the tracked benchmark (BENCHMARK.json;
-// see benchmark/README.md for how to run and read it).
+// determinism tests prove the shipped kernel byte-identical to it, and
+// nothing outside tests can select it. End-to-end and per-layer timings
+// come from the tracked benchmark (BENCHMARK.json; see benchmark/README.md
+// for how to run and read it).
 //
 // # Concurrency invariants
 //

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 )
 
 // This file advances a BoundsCache across a graph delta instead of
@@ -22,10 +21,10 @@ import (
 // that can actually reach a row of that label. A warmed label whose mask is
 // empty provably has byte-identical rows and is shared; each non-empty mask
 // names a (memoized) DescScope through which exactly the reachable rows are
-// recomputed, one independent pass per label, run concurrently on the
-// worker pool. The adaptive fallback rebuilds every warmed label from
-// scratch once the recomputed cells' share of the whole index makes the
-// partial passes pointless, mirroring simulation.IncCompute's discipline.
+// recomputed, one independent pass per label. The adaptive fallback
+// rebuilds every warmed label from scratch once the recomputed cells' share
+// of the whole index makes the partial passes pointless, mirroring
+// simulation.IncCompute's discipline.
 
 // AdvanceOptions tune BoundsCache.Advance.
 type AdvanceOptions struct {
@@ -35,11 +34,6 @@ type AdvanceOptions struct {
 	// (Σ over recomputed labels of their affected rows) over the whole
 	// index (warmed labels × rows).
 	RebuildRatio float64
-	// Workers bounds the concurrency of the per-label passes (recompute and
-	// rebuild): labels write disjoint rows, so any worker count produces
-	// byte-identical results; <= 0 uses all processors and 1 is the
-	// sequential determinism oracle.
-	Workers int
 }
 
 func (o AdvanceOptions) ratio() float64 {
@@ -83,7 +77,7 @@ type AdvanceStats struct {
 	// the rows rewritten for that label.
 	FrontierRows    int
 	RecomputedCells int64
-	// ShardWallMicros is the wall time of the parallel per-label section
+	// ShardWallMicros is the wall time of the per-label section
 	// (the partial recomputes, or the full per-label rebuilds on the
 	// fallback path).
 	ShardWallMicros int64
@@ -136,7 +130,6 @@ func (c *BoundsCache) Advance(gNew *graph.Graph, sum *graph.DeltaSummary, opts A
 	slices.Sort(ids)
 
 	nOld, nNew := sum.OldNodes, sum.NewNodes
-	workers := parallel.Workers(opts.Workers)
 	stats := AdvanceStats{Incremental: true, TotalRows: nNew}
 	fresh := func() *BoundsCache {
 		return &BoundsCache{
@@ -152,15 +145,11 @@ func (c *BoundsCache) Advance(gNew *graph.Graph, sum *graph.DeltaSummary, opts A
 	}
 	rebuild := func() (*BoundsCache, AdvanceStats, error) {
 		nc := fresh()
-		rows := make([][]int32, len(ids))
 		t0 := time.Now()
-		parallel.ForEach(len(ids), workers, func(i int) {
-			rows[i] = graph.DescendantLabelCounts(gNew, ids[i:i+1], c.mode)[0]
-		})
-		stats.ShardWallMicros = time.Since(t0).Microseconds()
-		for i, id := range ids {
-			nc.counts[id] = rows[i]
+		for i, row := range graph.DescendantLabelCounts(gNew, ids, c.mode) {
+			nc.counts[ids[i]] = row
 		}
+		stats.ShardWallMicros = time.Since(t0).Microseconds()
 		stats.Incremental = false
 		stats.AffectedRows = nNew
 		stats.FrontierRows = nNew
@@ -268,31 +257,25 @@ func (c *BoundsCache) Advance(gNew *graph.Graph, sum *graph.DeltaSummary, opts A
 		stats.ScopeComps += scopes[m].Comps()
 	}
 
-	// Per-label maintenance, one independent pass per label: rows are
-	// disjoint outputs and the scopes' Recompute keeps all mutable state
-	// per call, so any worker count is byte-identical to the sequential
-	// oracle. The shared map is filled after the joins.
-	rows := make([][]int32, len(ids))
+	// Per-label maintenance, one independent pass per label: the scopes'
+	// Recompute keeps all mutable state per call.
+	nc := fresh()
 	t0 := time.Now()
-	parallel.ForEach(len(ids), workers, func(i int) {
-		old := warm[ids[i]]
+	for i, id := range ids {
+		old := warm[id]
 		if m := masks[i]; m != 0 {
 			row := make([]int32, nNew)
 			copy(row, old)
-			scopes[m].Recompute(gNew, ids[i], c.mode, row)
-			rows[i] = row
+			scopes[m].Recompute(gNew, id, c.mode, row)
+			nc.counts[id] = row
 		} else if nNew == nOld {
-			rows[i] = old // unchanged, share the slice
+			nc.counts[id] = old // unchanged, share the slice
 		} else {
 			row := make([]int32, nNew) // appended tail stays zero
 			copy(row, old)
-			rows[i] = row
+			nc.counts[id] = row
 		}
-	})
-	stats.ShardWallMicros = time.Since(t0).Microseconds()
-	nc := fresh()
-	for i, id := range ids {
-		nc.counts[id] = rows[i]
 	}
+	stats.ShardWallMicros = time.Since(t0).Microseconds()
 	return nc, stats, nil
 }

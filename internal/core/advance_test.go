@@ -115,8 +115,7 @@ func TestBoundsAdvanceDeltaChainFuzz(t *testing.T) {
 					return c
 				}
 				adaptive := newWarm(g)
-				forced := newWarm(g)  // never falls back, sequential oracle
-				forcedP := newWarm(g) // never falls back, parallel shards
+				forced := newWarm(g)  // never falls back
 				rebuilt := newWarm(g) // always falls back
 				for step := 0; step < 10; step++ {
 					d := randomAdvDelta(rng, g, labels)
@@ -130,11 +129,7 @@ func TestBoundsAdvanceDeltaChainFuzz(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					forced, _, err = forced.Advance(gNew, sum, AdvanceOptions{RebuildRatio: 1, Workers: 1})
-					if err != nil {
-						t.Fatalf("step %d: %v", step, err)
-					}
-					forcedP, _, err = forcedP.Advance(gNew, sum, AdvanceOptions{RebuildRatio: 1, Workers: 8})
+					forced, _, err = forced.Advance(gNew, sum, AdvanceOptions{RebuildRatio: 1})
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -154,13 +149,11 @@ func TestBoundsAdvanceDeltaChainFuzz(t *testing.T) {
 					// fill against the new snapshot after the advance.
 					adaptive.Warm(nil)
 					forced.Warm(nil)
-					forcedP.Warm(nil)
 					rebuilt.Warm(nil)
 
 					oracle := newWarm(gNew)
 					assertCachesEqual(t, fmt.Sprintf("step %d adaptive", step), adaptive, oracle)
 					assertCachesEqual(t, fmt.Sprintf("step %d forced-incremental", step), forced, oracle)
-					assertCachesEqual(t, fmt.Sprintf("step %d forced-incremental-parallel", step), forcedP, oracle)
 					assertCachesEqual(t, fmt.Sprintf("step %d forced-rebuild", step), rebuilt, oracle)
 					g = gNew
 				}

@@ -98,7 +98,7 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*engine
 	if opts.Prebuilt != nil && opts.Prebuilt.CI != nil {
 		e.ci = opts.Prebuilt.CI
 	} else {
-		e.ci = simulation.BuildCandidatesParallel(g, p, opts.Workers())
+		e.ci = simulation.BuildCandidates(g, p)
 	}
 	e.space = simulation.BuildRelSpace(g, p, e.ci, e.an)
 	e.stats.PairsTotal = e.ci.NumPairs()
@@ -118,7 +118,7 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*engine
 		// counters, and propagation never writes product arrays.
 		e.prod = opts.Prebuilt.Prod
 	} else {
-		e.prod = simulation.BuildProduct(g, p, e.ci, opts.Workers())
+		e.prod = simulation.BuildProduct(g, p, e.ci, 0)
 	}
 	// The counter layout is exactly the product's slot layout: one slot per
 	// (pair, outgoing query edge), so the arrays share prod.Base and the

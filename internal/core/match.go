@@ -21,12 +21,11 @@ func MatchBaseline(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool) (*R
 }
 
 // MatchBaselineOpts is MatchBaseline with engine options; only
-// Options.Parallelism and Options.Prebuilt are consulted (the baseline has
-// no feeding strategy or bounds to tune). Candidate computation fans out
-// over data-node shards, and the product adjacency is built once and shared
-// between refinement and the relevant-set kernel; the result is identical
-// for every worker count, and to the frozen reference kernel's
-// (internal/oracle, which the tests compare against). A supplied
+// Options.Prebuilt is consulted (the baseline has no feeding strategy or
+// bounds to tune). The product adjacency is built once and shared between
+// refinement and the relevant-set kernel; the result is identical to the
+// frozen reference kernel's (internal/oracle, which the tests compare
+// against). A supplied
 // Prebuilt.Pool is that result already: k only selects the Matches prefix.
 func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool, opts Options) (*Result, error) {
 	if err := validateInputs(g, k); err != nil {
@@ -45,7 +44,7 @@ func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool,
 	if opts.Prebuilt != nil && opts.Prebuilt.CI != nil {
 		ci = opts.Prebuilt.CI
 	} else {
-		ci = simulation.BuildCandidatesParallel(g, p, opts.Workers())
+		ci = simulation.BuildCandidates(g, p)
 	}
 	an := pattern.Analyze(p)
 
@@ -56,7 +55,7 @@ func MatchBaselineOpts(g *graph.Graph, p *pattern.Pattern, k int, keepSets bool,
 	if opts.Prebuilt != nil && opts.Prebuilt.Prod != nil {
 		prod = opts.Prebuilt.Prod
 	} else {
-		prod = simulation.BuildProduct(g, p, ci, opts.Workers())
+		prod = simulation.BuildProduct(g, p, ci, 0)
 	}
 	if opts.Prebuilt != nil && opts.Prebuilt.Sim != nil {
 		sim = opts.Prebuilt.Sim

@@ -47,41 +47,39 @@ func TestPrebuiltEvalDeltaChainKernelEquivalence(t *testing.T) {
 			dict := graph.NewDict()
 			g := core.RandomAdvGraph(rng, 24+rng.Intn(30), 90+rng.Intn(120), labels, dict)
 			p := randomPrebuiltPattern(rng, labels)
-			inc := simulation.NewIncState(g, p, 1)
+			inc := simulation.NewIncState(g, p, 0)
 
 			check := func(step int) {
 				pre := &core.PrebuiltEval{CI: inc.CI, Prod: inc.Prod, Sim: inc.Res}
-				for _, workers := range []int{1, 8} {
-					warm, err := core.MatchBaselineOpts(g, p, 8, true, core.Options{Parallelism: workers, Prebuilt: pre})
-					if err != nil {
-						t.Fatalf("step %d w%d: %v", step, workers, err)
-					}
-					cold, err := core.MatchBaselineOpts(g, p, 8, true, core.Options{Parallelism: workers})
-					if err != nil {
-						t.Fatalf("step %d w%d: %v", step, workers, err)
-					}
-					ref, err := oracle.MatchBaseline(g, p, 8, pre.CI)
-					if err != nil {
-						t.Fatalf("step %d w%d: %v", step, workers, err)
-					}
-					if !reflect.DeepEqual(warm, cold) {
-						t.Fatalf("step %d w%d: prebuilt baseline differs from cold CSR:\ngot  %+v\nwant %+v", step, workers, warm, cold)
-					}
-					assertSameAnswers(t, fmt.Sprintf("step %d w%d prebuilt-vs-reference", step, workers), warm, ref)
+				warm, err := core.MatchBaselineOpts(g, p, 8, true, core.Options{Prebuilt: pre})
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				cold, err := core.MatchBaselineOpts(g, p, 8, true, core.Options{})
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				ref, err := oracle.MatchBaseline(g, p, 8, pre.CI)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				if !reflect.DeepEqual(warm, cold) {
+					t.Fatalf("step %d: prebuilt baseline differs from cold CSR:\ngot  %+v\nwant %+v", step, warm, cold)
+				}
+				assertSameAnswers(t, fmt.Sprintf("step %d prebuilt-vs-reference", step), warm, ref)
 
-					// The engine family consumes CI and product from Prebuilt
-					// but always re-runs propagation on its own counters.
-					eWarm, err := core.TopK(g, p, 5, core.Options{Parallelism: workers, Prebuilt: pre})
-					if err != nil {
-						t.Fatalf("step %d w%d engine: %v", step, workers, err)
-					}
-					eCold, err := core.TopK(g, p, 5, core.Options{Parallelism: workers})
-					if err != nil {
-						t.Fatalf("step %d w%d engine: %v", step, workers, err)
-					}
-					if !reflect.DeepEqual(eWarm, eCold) {
-						t.Fatalf("step %d w%d: prebuilt engine differs from cold engine:\ngot  %+v\nwant %+v", step, workers, eWarm, eCold)
-					}
+				// The engine family consumes CI and product from Prebuilt
+				// but always re-runs propagation on its own counters.
+				eWarm, err := core.TopK(g, p, 5, core.Options{Prebuilt: pre})
+				if err != nil {
+					t.Fatalf("step %d engine: %v", step, err)
+				}
+				eCold, err := core.TopK(g, p, 5, core.Options{})
+				if err != nil {
+					t.Fatalf("step %d engine: %v", step, err)
+				}
+				if !reflect.DeepEqual(eWarm, eCold) {
+					t.Fatalf("step %d: prebuilt engine differs from cold engine:\ngot  %+v\nwant %+v", step, eWarm, eCold)
 				}
 			}
 
@@ -92,7 +90,7 @@ func TestPrebuiltEvalDeltaChainKernelEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				inc2, _, err := simulation.IncCompute(inc, g2, d, simulation.IncOptions{Workers: 1})
+				inc2, _, err := simulation.IncCompute(inc, g2, d, simulation.IncOptions{})
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}

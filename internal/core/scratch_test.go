@@ -145,9 +145,9 @@ func hygieneCases(t *testing.T) (g *graph.Graph, run []func() (*Result, error)) 
 	cache := NewBoundsCache(g, true)
 	for i, p := range minedPatterns(t, g, 9, 100) {
 		opts := []Options{
-			{Parallelism: 1},
-			{Parallelism: 1, Bounds: BoundLabelCount, Cache: cache, NumBatches: 5},
-			{Parallelism: 1, Strategy: StrategyRandom, Seed: int64(i), NumBatches: 30},
+			{},
+			{Bounds: BoundLabelCount, Cache: cache, NumBatches: 5},
+			{Strategy: StrategyRandom, Seed: int64(i), NumBatches: 30},
 		}[i%3]
 		k := []int{1, 4, 10}[(i/3)%3]
 		run = append(run, func() (*Result, error) { return TopK(g, p, k, opts) })
@@ -283,7 +283,7 @@ func TestReleasedScratchIsUnreachableFromResults(t *testing.T) {
 	g := gen.YouTubeLike(2500, 15000, 7)
 	for i, p := range minedPatterns(t, g, 6, 100) {
 		hook := &retainingHook{}
-		res, err := TopK(g, p, 3, Options{Parallelism: 1, Hook: hook, NumBatches: 6})
+		res, err := TopK(g, p, 3, Options{Hook: hook, NumBatches: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,9 +327,9 @@ func TestEngineAllocationBudget(t *testing.T) {
 	patterns := minedPatterns(t, g, 16, 1_000_003)
 	opts := make([]Options, len(patterns))
 	for i, p := range patterns {
-		ci := simulation.BuildCandidatesParallel(g, p, 1)
-		pre := &PrebuiltEval{CI: ci, Prod: simulation.BuildProduct(g, p, ci, 1)}
-		opts[i] = Options{Parallelism: 1, Bounds: BoundLabelCount, Cache: cache, Prebuilt: pre}
+		ci := simulation.BuildCandidates(g, p)
+		pre := &PrebuiltEval{CI: ci, Prod: simulation.BuildProduct(g, p, ci, 0)}
+		opts[i] = Options{Bounds: BoundLabelCount, Cache: cache, Prebuilt: pre}
 	}
 	runAll := func(n int) {
 		for i := 0; i < n; i++ {

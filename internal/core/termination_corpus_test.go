@@ -24,10 +24,10 @@ func terminationCorpus(t *testing.T) []string {
 		}
 		for _, k := range []int{1, 3, 10, 40} {
 			for _, opts := range []Options{
-				{Parallelism: 1},
-				{Parallelism: 1, Bounds: BoundLabelCount, Cache: cache},
-				{Parallelism: 1, Bounds: BoundLabelCount, Cache: cache, NumBatches: 40},
-				{Parallelism: 1, Strategy: StrategyRandom, Seed: int64(i)},
+				{},
+				{Bounds: BoundLabelCount, Cache: cache},
+				{Bounds: BoundLabelCount, Cache: cache, NumBatches: 40},
+				{Strategy: StrategyRandom, Seed: int64(i)},
 			} {
 				res, err := TopK(g, p, k, opts)
 				if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"divtopk/internal/bitset"
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 	"divtopk/internal/simulation"
 )
 
@@ -88,20 +87,13 @@ type Options struct {
 	// Hook, if non-nil, observes each batch; used by the diversified
 	// heuristic TopKDH to maintain its swap set incrementally.
 	Hook Hook
-	// Parallelism bounds the worker goroutines used by the parallel
-	// sections of a single query (candidate computation; product CSR
-	// construction; the diversified greedy scans). 0 means
-	// runtime.NumCPU(); 1 reproduces the sequential execution exactly.
-	// Results are identical for every setting — the parallel paths are
-	// deterministic by construction.
-	Parallelism int
 	// Prebuilt, if non-nil, supplies evaluation state already settled for
 	// this exact (graph, pattern) snapshot — the candidate index and,
 	// optionally, the product CSR and simulation fixpoint — so the run skips
 	// rebuilding them. The matcher's warm result cache populates it from
 	// delta-advanced IncStates; results are byte-identical by construction,
-	// which is why Prebuilt, like Parallelism, is excluded from cache
-	// keys. Supplied state is shared read-only and never mutated.
+	// which is why Prebuilt is excluded from cache keys. Supplied state is
+	// shared read-only and never mutated.
 	Prebuilt *PrebuiltEval
 }
 
@@ -121,10 +113,6 @@ type PrebuiltEval struct {
 	Sim  *simulation.Result
 	Pool *Result
 }
-
-// Workers returns the normalized worker count for the options (see
-// Parallelism).
-func (o Options) Workers() int { return parallel.Workers(o.Parallelism) }
 
 func (o Options) numBatches() int {
 	if o.NumBatches <= 0 {

@@ -72,8 +72,7 @@ func randomDivDelta(rng *rand.Rand, s *dynState, labels int) *graph.Delta {
 // TestDynamicGraphDiversifiedEquivalence closes the delta-equivalence loop
 // at the algorithm layer: graphs evolved through ApplyDelta chains must be
 // indistinguishable from from-scratch rebuilds to every diversified
-// algorithm — TopKDiv under both kernels, TopKDH — at Parallelism 1 and 8,
-// byte for byte (nodes, bounds, relevant sets, F).
+// algorithm — TopKDiv under both kernels, TopKDH — byte for byte (nodes, bounds, relevant sets, F).
 func TestDynamicGraphDiversifiedEquivalence(t *testing.T) {
 	const labels = 5
 	const k, lambda = 5, 0.5
@@ -90,17 +89,17 @@ func TestDynamicGraphDiversifiedEquivalence(t *testing.T) {
 			// reference kernel (the oracle's find-all pool, re-ranked).
 			kernels := []struct {
 				name    string
-				topKDiv func(g *graph.Graph, par int) (*Result, error)
+				topKDiv func(g *graph.Graph) (*Result, error)
 			}{
-				{"csr", func(g *graph.Graph, par int) (*Result, error) {
-					return TopKDivOpts(g, p, k, lambda, core.Options{Parallelism: par})
+				{"csr", func(g *graph.Graph) (*Result, error) {
+					return TopKDivOpts(g, p, k, lambda, core.Options{})
 				}},
-				{"reference", func(g *graph.Graph, par int) (*Result, error) {
+				{"reference", func(g *graph.Graph) (*Result, error) {
 					base, err := oracle.MatchBaseline(g, p, k, nil)
 					if err != nil {
 						return nil, err
 					}
-					return TopKDivFromBase(base, k, lambda, core.Options{Parallelism: par})
+					return TopKDivFromBase(base, k, lambda, core.Options{})
 				}},
 			}
 
@@ -125,35 +124,29 @@ func TestDynamicGraphDiversifiedEquivalence(t *testing.T) {
 				rebuilt := st.rebuild()
 
 				for _, kernel := range kernels {
-					for _, par := range []int{1, 8} {
-						label := fmt.Sprintf("step %d kernel %s par %d", step, kernel.name, par)
-
-						inc, err := kernel.topKDiv(g, par)
-						if err != nil {
-							t.Fatalf("%s: delta graph: %v", label, err)
-						}
-						ora, err := kernel.topKDiv(rebuilt, par)
-						if err != nil {
-							t.Fatalf("%s: rebuilt graph: %v", label, err)
-						}
-						if got, want := serializeDiv(inc), serializeDiv(ora); got != want {
-							t.Fatalf("%s: TopKDiv differs between delta-evolved and rebuilt graph\ndelta:\n%s\nrebuilt:\n%s", label, got, want)
-						}
-					}
-				}
-				for _, par := range []int{1, 8} {
-					opts := core.Options{Parallelism: par}
-					inc, err := TopKDH(g, p, k, lambda, opts)
+					label := fmt.Sprintf("step %d kernel %s", step, kernel.name)
+					inc, err := kernel.topKDiv(g)
 					if err != nil {
-						t.Fatalf("step %d par %d: TopKDH delta graph: %v", step, par, err)
+						t.Fatalf("%s: delta graph: %v", label, err)
 					}
-					ora, err := TopKDH(rebuilt, p, k, lambda, opts)
+					ora, err := kernel.topKDiv(rebuilt)
 					if err != nil {
-						t.Fatalf("step %d par %d: TopKDH rebuilt graph: %v", step, par, err)
+						t.Fatalf("%s: rebuilt graph: %v", label, err)
 					}
 					if got, want := serializeDiv(inc), serializeDiv(ora); got != want {
-						t.Fatalf("step %d par %d: TopKDH differs\ndelta:\n%s\nrebuilt:\n%s", step, par, got, want)
+						t.Fatalf("%s: TopKDiv differs between delta-evolved and rebuilt graph\ndelta:\n%s\nrebuilt:\n%s", label, got, want)
 					}
+				}
+				inc, err := TopKDH(g, p, k, lambda, core.Options{})
+				if err != nil {
+					t.Fatalf("step %d: TopKDH delta graph: %v", step, err)
+				}
+				ora, err := TopKDH(rebuilt, p, k, lambda, core.Options{})
+				if err != nil {
+					t.Fatalf("step %d: TopKDH rebuilt graph: %v", step, err)
+				}
+				if got, want := serializeDiv(inc), serializeDiv(ora); got != want {
+					t.Fatalf("step %d: TopKDH differs\ndelta:\n%s\nrebuilt:\n%s", step, got, want)
 				}
 			}
 		})

@@ -39,10 +39,9 @@ func serializeDiv(r *Result) string {
 
 // TestKernelOracleProperty is the referee of the product-CSR refactor: over
 // the generator graphs with seeds 1..20, the find-all baseline and TopKDiv
-// must produce byte-identical output under the new CSR kernel at every
-// Parallelism 1..8 as under the frozen pre-refactor reference kernel, and
-// TopK (which has no reference twin — the engine itself was rewritten onto
-// the CSR) must be byte-identical across Parallelism 1..8 and agree with the
+// must produce byte-identical output under the new CSR kernel as under the
+// frozen pre-refactor reference kernel, and TopK (which has no reference
+// twin — the engine itself was rewritten onto the CSR) must agree with the
 // reference baseline on every exact relevance.
 func TestKernelOracleProperty(t *testing.T) {
 	const k = 5
@@ -67,47 +66,35 @@ func TestKernelOracleProperty(t *testing.T) {
 		}
 		wantBase := serializeBaseline(refBase)
 
-		refDiv, err := TopKDivFromBase(refBase, k, lambda, core.Options{Parallelism: 1})
+		refDiv, err := TopKDivFromBase(refBase, k, lambda, core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: reference TopKDiv: %v", seed, err)
 		}
 		wantDiv := serializeDiv(refDiv)
 
-		var wantTopK string
-		for par := 1; par <= 8; par++ {
-			opts := core.Options{Parallelism: par}
-
-			base, err := core.MatchBaselineOpts(g, p, k, true, opts)
-			if err != nil {
-				t.Fatalf("seed %d par %d: baseline: %v", seed, par, err)
-			}
-			if got := serializeBaseline(base); got != wantBase {
-				t.Fatalf("seed %d par %d: baseline diverges from reference kernel\nref:\n%s\ncsr:\n%s",
-					seed, par, wantBase, got)
-			}
-
-			div, err := TopKDivOpts(g, p, k, lambda, opts)
-			if err != nil {
-				t.Fatalf("seed %d par %d: TopKDiv: %v", seed, par, err)
-			}
-			if got := serializeDiv(div); got != wantDiv {
-				t.Fatalf("seed %d par %d: TopKDiv diverges from reference kernel\nref:\n%s\ncsr:\n%s",
-					seed, par, wantDiv, got)
-			}
-
-			topk, err := core.TopK(g, p, k, opts)
-			if err != nil {
-				t.Fatalf("seed %d par %d: TopK: %v", seed, par, err)
-			}
-			got := serializeBaseline(topk)
-			if par == 1 {
-				wantTopK = got
-			} else if got != wantTopK {
-				t.Fatalf("seed %d: TopK diverges between Parallelism 1 and %d\npar1:\n%s\npar%d:\n%s",
-					seed, par, wantTopK, par, got)
-			}
-			checkTopKAgainstBaseline(t, seed, par, topk, refBase, k)
+		base, err := core.MatchBaselineOpts(g, p, k, true, core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: baseline: %v", seed, err)
 		}
+		if got := serializeBaseline(base); got != wantBase {
+			t.Fatalf("seed %d: baseline diverges from reference kernel\nref:\n%s\ncsr:\n%s",
+				seed, wantBase, got)
+		}
+
+		div, err := TopKDivOpts(g, p, k, lambda, core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: TopKDiv: %v", seed, err)
+		}
+		if got := serializeDiv(div); got != wantDiv {
+			t.Fatalf("seed %d: TopKDiv diverges from reference kernel\nref:\n%s\ncsr:\n%s",
+				seed, wantDiv, got)
+		}
+
+		topk, err := core.TopK(g, p, k, core.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: TopK: %v", seed, err)
+		}
+		checkTopKAgainstBaseline(t, seed, topk, refBase, k)
 	}
 }
 
@@ -115,10 +102,10 @@ func TestKernelOracleProperty(t *testing.T) {
 // reference find-all oracle: exact relevances must match the baseline's
 // δr, and the selected top-k must be a valid top-k set (same multiset of
 // relevance values as the baseline's k best).
-func checkTopKAgainstBaseline(t *testing.T, seed int64, par int, topk, base *core.Result, k int) {
+func checkTopKAgainstBaseline(t *testing.T, seed int64, topk, base *core.Result, k int) {
 	t.Helper()
 	if topk.GlobalMatch != base.GlobalMatch {
-		t.Fatalf("seed %d par %d: GlobalMatch %v vs baseline %v", seed, par, topk.GlobalMatch, base.GlobalMatch)
+		t.Fatalf("seed %d: GlobalMatch %v vs baseline %v", seed, topk.GlobalMatch, base.GlobalMatch)
 	}
 	if !topk.GlobalMatch {
 		return
@@ -129,14 +116,14 @@ func checkTopKAgainstBaseline(t *testing.T, seed int64, par int, topk, base *cor
 	}
 	for _, m := range topk.All {
 		if m.Exact && exact[m.Node] != m.Relevance {
-			t.Fatalf("seed %d par %d: exact relevance of node %d = %d, oracle %d",
-				seed, par, m.Node, m.Relevance, exact[m.Node])
+			t.Fatalf("seed %d: exact relevance of node %d = %d, oracle %d",
+				seed, m.Node, m.Relevance, exact[m.Node])
 		}
 	}
 	want := relevanceMultiset(base.Matches)
 	got := relevanceMultiset(topk.Matches)
 	if want != got {
-		t.Fatalf("seed %d par %d: top-%d relevance multiset %s, oracle %s", seed, par, k, got, want)
+		t.Fatalf("seed %d: top-%d relevance multiset %s, oracle %s", seed, k, got, want)
 	}
 }
 

@@ -131,7 +131,7 @@ func TestSwapSelectorMatchesFromScratchOracle(t *testing.T) {
 			for _, lambda := range []float64{0, 0.3, 0.5, 1} {
 				for _, k := range []int{1, 2, 5, 10, 11} {
 					name := fmt.Sprintf("graph %d pattern %d λ=%v k=%d", gi, pi, lambda, k)
-					opts := core.Options{Parallelism: 1, NumBatches: []int{16, 40}[pi%2]}
+					opts := core.Options{NumBatches: []int{16, 40}[pi%2]}
 
 					params := ranking.DiversifyParams{Lambda: lambda, K: k}
 					oparams := params
@@ -213,7 +213,7 @@ func TestTopKDHOrderAndConcurrencyIndependence(t *testing.T) {
 		}
 		k, lambda := []int{1, 4, 10}[i%3], []float64{0, 0.5, 1}[(i/3)%3]
 		run = append(run, func() (*Result, error) {
-			return TopKDH(g, p, k, lambda, core.Options{Parallelism: 1})
+			return TopKDH(g, p, k, lambda, core.Options{})
 		})
 		i++
 	}

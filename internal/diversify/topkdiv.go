@@ -14,7 +14,6 @@ import (
 	"divtopk/internal/bitset"
 	"divtopk/internal/core"
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 	"divtopk/internal/pattern"
 	"divtopk/internal/ranking"
 )
@@ -44,12 +43,8 @@ func TopKDiv(g *graph.Graph, p *pattern.Pattern, k int, lambda float64) (*Result
 	return TopKDivOpts(g, p, k, lambda, core.Options{})
 }
 
-// TopKDivOpts is TopKDiv with engine options; only Options.Parallelism is
-// consulted. It parallelizes the two measured hot spots — candidate
-// computation inside the find-all baseline, and the O(|M|²) greedy pair
-// scan, which fans out by row with a per-worker argmax and a deterministic
-// lexicographic reduce — so every worker count selects exactly the pairs the
-// sequential scan selects.
+// TopKDivOpts is TopKDiv with engine options, which only the find-all half
+// consults (see MatchBaselineOpts).
 func TopKDivOpts(g *graph.Graph, p *pattern.Pattern, k int, lambda float64, opts core.Options) (*Result, error) {
 	params := ranking.DiversifyParams{Lambda: lambda, K: k}
 	if err := params.Validate(); err != nil {
@@ -66,7 +61,8 @@ func TopKDivOpts(g *graph.Graph, p *pattern.Pattern, k int, lambda float64, opts
 // already evaluated find-all result (MatchBaselineOpts with keepSets=true).
 // The matcher's warm result cache uses it to refresh a diversified entry
 // after a delta advanced its match pool, skipping the evaluation half.
-// Only Options.Parallelism is consulted; base is read-only.
+// base is read-only. opts is not consulted; the parameter stays until the
+// tracked benchmark, which passes it, stops doing so.
 func TopKDivFromBase(base *core.Result, k int, lambda float64, opts core.Options) (*Result, error) {
 	params := ranking.DiversifyParams{Lambda: lambda, K: k}
 	if err := params.Validate(); err != nil {
@@ -99,9 +95,8 @@ func TopKDivFromBase(base *core.Result, k int, lambda float64, opts core.Options
 	var picked []int
 
 	// ⌊k/2⌋ greedy pair selections by F'.
-	workers := opts.Workers()
 	for len(picked)+1 < k {
-		bi, bj := bestPair(params, normRel, sparse, counts, taken, workers)
+		bi, bj := bestPair(params, normRel, sparse, counts, taken)
 		if bi < 0 {
 			break
 		}
@@ -138,7 +133,7 @@ func TopKDivFromBase(base *core.Result, k int, lambda float64, opts core.Options
 	return res, nil
 }
 
-// pairArg is one worker's argmax over its stripe of the pair scan.
+// pairArg is the running argmax of the pair scan.
 type pairArg struct {
 	i, j int
 	f    float64
@@ -148,9 +143,8 @@ type pairArg struct {
 // the scan's total order: larger F' first, then lexicographically smaller
 // (i, j). This is exactly the pair a sequential row-major scan with strict
 // improvement returns (the first pair, in row-major order, among those
-// attaining the maximum), expressed as an order so any iteration order —
-// worker stripes, the descending-relevance pruning order below — yields the
-// same winner.
+// attaining the maximum), expressed as an order so that the
+// descending-relevance pruning order below yields the same winner.
 func (b pairArg) better(i, j int, f float64) bool {
 	return f > b.f || (f == b.f && (i < b.i || (i == b.i && j < b.j)))
 }
@@ -214,10 +208,8 @@ func sparseDistance(a, b sparseSet, ca, cb int) float64 {
 // normalized relevance and cuts each anchor's partner loop as soon as the
 // F' upper bound (distance = 1, the metric's maximum) drops below the
 // current best, which is sound because F' is monotone in both relevance and
-// distance; anchors are dealt to workers round-robin and the reduce applies
-// the same explicit total order, so every worker count selects the same
-// pair. Returns (-1, -1) when fewer than two untaken matches remain.
-func bestPair(params ranking.DiversifyParams, normRel []float64, sparse []sparseSet, counts []int, taken []bool, workers int) (int, int) {
+// distance. Returns (-1, -1) when fewer than two untaken matches remain.
+func bestPair(params ranking.DiversifyParams, normRel []float64, sparse []sparseSet, counts []int, taken []bool) (int, int) {
 	order := make([]int, 0, len(normRel))
 	for i := range normRel {
 		if !taken[i] {
@@ -234,45 +226,29 @@ func bestPair(params ranking.DiversifyParams, normRel []float64, sparse []sparse
 		}
 		return order[x] < order[y]
 	})
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	args := make([]pairArg, workers)
-	parallel.ForEach(workers, workers, func(w int) {
-		best := pairArg{i: -1, j: -1, f: -1.0}
-		for a := w; a < n; a += workers {
-			pi := order[a]
-			ri := normRel[pi]
-			for b := a + 1; b < n; b++ {
-				pj := order[b]
-				rj := normRel[pj]
-				// Partners come in non-increasing relevance, so once even a
-				// distance-1 partner cannot beat the best, none can.
-				if params.FPrime(ri, rj, 1) < best.f {
-					break
-				}
-				f := params.FPrime(ri, rj, sparseDistance(sparse[pi], sparse[pj], counts[pi], counts[pj]))
-				lo, hi := pi, pj
-				if lo > hi {
-					lo, hi = hi, lo
-				}
-				if best.better(lo, hi, f) {
-					best = pairArg{i: lo, j: hi, f: f}
-				}
+	best := pairArg{i: -1, j: -1, f: -1.0}
+	for a := 0; a < n; a++ {
+		pi := order[a]
+		ri := normRel[pi]
+		for b := a + 1; b < n; b++ {
+			pj := order[b]
+			rj := normRel[pj]
+			// Partners come in non-increasing relevance, so once even a
+			// distance-1 partner cannot beat the best, none can.
+			if params.FPrime(ri, rj, 1) < best.f {
+				break
+			}
+			f := params.FPrime(ri, rj, sparseDistance(sparse[pi], sparse[pj], counts[pi], counts[pj]))
+			lo, hi := pi, pj
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if best.better(lo, hi, f) {
+				best = pairArg{i: lo, j: hi, f: f}
 			}
 		}
-		args[w] = best
-	})
-	win := pairArg{i: -1, j: -1, f: -1.0}
-	for _, a := range args {
-		if a.i >= 0 && win.better(a.i, a.j, a.f) {
-			win = a
-		}
 	}
-	return win.i, win.j
+	return best.i, best.j
 }
 
 // evalF evaluates the diversification function F on a match slice using

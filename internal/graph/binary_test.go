@@ -9,7 +9,7 @@ import (
 // buildSnapshotFixture returns a graph exercising every serialized feature:
 // several labels, int and string attributes, attribute-free nodes, a node
 // with no edges, and a version > 0 from an applied delta.
-func buildSnapshotFixture(t *testing.T) *Graph {
+func buildSnapshotFixture(t testing.TB) *Graph {
 	t.Helper()
 	b := NewBuilder()
 	b.AddNode("movie", map[string]Value{"R": IntValue(4), "C": StrValue("music")})

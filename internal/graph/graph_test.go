@@ -12,7 +12,7 @@ import (
 //	0:a -> 2:c
 //	2:c -> 0:a   (cycle 0->1->2->0 and 0->2->0)
 //	3:b (isolated)
-func buildTest(t *testing.T) *Graph {
+func buildTest(t testing.TB) *Graph {
 	t.Helper()
 	b := NewBuilder()
 	a := b.AddNode("a", map[string]Value{"x": IntValue(7)})
@@ -279,24 +279,6 @@ func mustEdge(t *testing.T, b *Builder, u, v NodeID) {
 	t.Helper()
 	if err := b.AddEdge(u, v); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	g := buildTest(t)
-	sub, orig := InducedSubgraph(g, []NodeID{0, 2, 2})
-	if sub.NumNodes() != 2 {
-		t.Fatalf("induced nodes = %d, want 2", sub.NumNodes())
-	}
-	if len(orig) != 2 || orig[0] != 0 || orig[1] != 2 {
-		t.Fatalf("orig mapping = %v", orig)
-	}
-	// Edges 0->2 and 2->0 survive; 0->1 does not.
-	if sub.NumEdges() != 2 {
-		t.Fatalf("induced edges = %d, want 2", sub.NumEdges())
-	}
-	if sub.Label(0) != "a" || sub.Label(1) != "c" {
-		t.Fatal("induced labels wrong")
 	}
 }
 

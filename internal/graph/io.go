@@ -78,7 +78,9 @@ func Write(w io.Writer, g *Graph) error {
 }
 
 // Read parses a graph in the text format. It validates density of node IDs
-// and edge endpoints and reports the first error with its line number.
+// and edge endpoints, rejects a label or attribute value containing '='
+// (which Write could not emit), and reports the first error with its line
+// number.
 func Read(r io.Reader) (*Graph, error) {
 	type nodeDecl struct {
 		label string
@@ -115,11 +117,14 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: duplicate node %d", lineNo, id)
 			}
 			decl := nodeDecl{label: fields[2]}
+			if strings.ContainsRune(decl.label, '=') {
+				return nil, fmt.Errorf("graph: line %d: label %q contains '='", lineNo, decl.label)
+			}
 			if len(fields) > 3 {
 				decl.attrs = make(map[string]Value, len(fields)-3)
 				for _, kv := range fields[3:] {
 					k, v, ok := strings.Cut(kv, "=")
-					if !ok || k == "" {
+					if !ok || k == "" || strings.ContainsRune(v, '=') {
 						return nil, fmt.Errorf("graph: line %d: bad attribute %q", lineNo, kv)
 					}
 					decl.attrs[k] = parseValue(v)

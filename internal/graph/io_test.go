@@ -80,6 +80,8 @@ func TestReadErrors(t *testing.T) {
 		{"edge unknown node", "node 0 a\nedge 0 1\n"},
 		{"sparse ids", "node 0 a\nnode 2 b\n"},
 		{"bad attr", "node 0 a =v\n"},
+		{"label with '='", "node 0 a=b\n"},
+		{"attr value with '='", "node 0 a k=v=w\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.in)); err == nil {

@@ -10,7 +10,7 @@ import (
 
 // figure1Pattern builds the paper's Fig. 1(a) pattern Q:
 // PM* -> DB, PM -> PRG, DB <-> PRG (cycle), DB -> ST, PRG -> ST.
-func figure1Pattern(t *testing.T) *Pattern {
+func figure1Pattern(t testing.TB) *Pattern {
 	t.Helper()
 	p := New()
 	pm := p.AddNode("PM")
@@ -264,5 +264,32 @@ func TestParsePredicateForms(t *testing.T) {
 	}
 	if _, err := ParsePredicate("nodelim"); err == nil {
 		t.Fatal("predicate without operator accepted")
+	}
+}
+
+// TestWriteKeepsStringKinds pins that a string value which is empty or reads
+// as an integer is written quoted, so it reads back a string: C="12" and
+// C=12 are different patterns, and their texts (the cache key) differ too.
+func TestWriteKeepsStringKinds(t *testing.T) {
+	for _, pr := range []Predicate{AttrEq("C", "12"), AttrNe("C", ""), AttrEq("C", 12)} {
+		p := New()
+		p.AddNode("a", pr)
+		if err := p.SetOutput(0); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		q, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%v: %v", pr, err)
+		}
+		if got := q.Preds(0); len(got) != 1 || got[0] != pr {
+			t.Fatalf("%v read back as %v", pr, got)
+		}
+	}
+	if AttrEq("C", "12").String() == AttrEq("C", 12).String() {
+		t.Fatal("string and integer values render alike")
 	}
 }

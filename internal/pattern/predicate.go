@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"divtopk/internal/graph"
@@ -70,8 +71,16 @@ func (p Predicate) Eval(g *graph.Graph, v graph.NodeID) bool {
 	return false
 }
 
-// String renders the predicate as attr<op>value.
+// String renders the predicate as attr<op>value. A string value that is
+// empty or reads as an integer is quoted, so that ParsePredicate reads back
+// the same kind and the pattern text — also the cache key — tells C="12"
+// from C=12.
 func (p Predicate) String() string {
+	if p.Val.Kind == graph.KindString {
+		if _, err := strconv.ParseInt(p.Val.Str, 10, 64); err == nil || p.Val.Str == "" {
+			return p.Attr + p.Op.String() + `"` + p.Val.Str + `"`
+		}
+	}
 	return fmt.Sprintf("%s%s%s", p.Attr, p.Op, p.Val)
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 	"sync"
 
@@ -43,11 +44,23 @@ type coalescer struct {
 	running bool
 }
 
-// submit enqueues req and blocks until its batch commits (or fails). The
-// drain goroutine is started lazily by the first request to find it stopped.
+// maxQueuedUpdates caps a coalescer's queue, the requests waiting behind the
+// commit in flight. Past it, a writer is told to back off at once instead of
+// holding its connection and memory while the queue grows without bound.
+const maxQueuedUpdates = 1024
+
+// submit enqueues req and blocks until its batch commits (or fails); with
+// maxQueuedUpdates requests already queued it answers 429 overloaded
+// instead. The drain goroutine is started lazily by the first request to
+// find it stopped.
 func (c *coalescer) submit(req *UpdateRequest) updateOutcome {
 	job := &updateJob{req: req, done: make(chan updateOutcome, 1)}
 	c.mu.Lock()
+	if len(c.queue) >= maxQueuedUpdates {
+		c.mu.Unlock()
+		return updateOutcome{status: http.StatusTooManyRequests, code: codeOverloaded,
+			msg: fmt.Sprintf("%d updates of graph %q are already queued; retry later", maxQueuedUpdates, c.name)}
+	}
 	c.queue = append(c.queue, job)
 	if !c.running {
 		c.running = true

@@ -48,8 +48,7 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry. opts become the session defaults
-// of every registered graph — in the daemon that is WithCache and
-// Parallelism.
+// of every registered graph — in the daemon that is WithCache.
 func NewRegistry(opts ...divtopk.Option) *Registry {
 	return &Registry{
 		opts:     opts,

@@ -224,7 +224,7 @@ type ErrorResponse struct {
 type ErrorDetail struct {
 	// Code is one of: bad_request, bad_pattern, bad_delta, unknown_graph,
 	// conflict, body_too_large, timeout, canceled, internal,
-	// durability_unavailable.
+	// durability_unavailable, overloaded.
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
@@ -241,6 +241,7 @@ const (
 	codeCanceled     = "canceled"
 	codeInternal     = "internal"
 	codeDurability   = "durability_unavailable"
+	codeOverloaded   = "overloaded"
 )
 
 // statusClientClosedRequest is nginx's 499: the client dropped the

@@ -11,7 +11,6 @@ package simulation
 import (
 	"divtopk/internal/bitset"
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 	"divtopk/internal/pattern"
 )
 
@@ -38,72 +37,17 @@ type CandidateIndex struct {
 	pos [][]int32
 }
 
-// BuildCandidates computes the candidate index of p against g sequentially.
-// It is BuildCandidatesParallel with a single worker.
+// BuildCandidates computes the candidate index of p against g: every query
+// node's label list filtered by its search condition (label + attribute
+// predicates).
 func BuildCandidates(g *graph.Graph, p *pattern.Pattern) *CandidateIndex {
-	return BuildCandidatesParallel(g, p, 1)
+	return BuildCandidatesSeeded(g, p, nil)
 }
 
-// BuildCandidatesParallel computes the candidate index of p against g with
-// up to workers goroutines (workers <= 0 means all cores). Each query node's
-// label list is filtered over contiguous data-node shards in parallel and
-// the per-shard survivors are concatenated in shard order, so the result is
-// bit-for-bit identical to the sequential scan for every worker count.
-// Filtering is the per-query hot path this parallelizes: it evaluates the
-// search condition (label + attribute predicates) once per (query node,
-// labeled data node) pair.
+// BuildCandidatesParallel is BuildCandidates; workers is ignored. It stays
+// until the tracked benchmark, which calls it, stops doing so.
 func BuildCandidatesParallel(g *graph.Graph, p *pattern.Pattern, workers int) *CandidateIndex {
-	workers = parallel.Workers(workers)
-	nq := p.NumNodes()
-	ci := &CandidateIndex{
-		Lists:   make([][]graph.NodeID, nq),
-		Offsets: make([]int32, nq+1),
-		pos:     make([][]int32, nq),
-	}
-
-	// One job per (query node, data-node shard); jobs are emitted in
-	// (u, shard) order so concatenation preserves ascending node order.
-	type job struct {
-		u      int
-		lo, hi int
-		out    []graph.NodeID
-	}
-	var jobs []job
-	for u := 0; u < nq; u++ {
-		nodes := g.NodesWithLabel(p.Label(u))
-		for _, s := range parallel.Shards(len(nodes), workers) {
-			jobs = append(jobs, job{u: u, lo: s[0], hi: s[1]})
-		}
-	}
-	parallel.ForEach(len(jobs), workers, func(i int) {
-		j := &jobs[i]
-		nodes := g.NodesWithLabel(p.Label(j.u))
-		for _, v := range nodes[j.lo:j.hi] {
-			if p.MatchesNode(g, j.u, v) {
-				j.out = append(j.out, v)
-			}
-		}
-	})
-	for i := range jobs {
-		ci.Lists[jobs[i].u] = append(ci.Lists[jobs[i].u], jobs[i].out...)
-	}
-	for u := 0; u < nq; u++ {
-		ci.Offsets[u+1] = ci.Offsets[u] + int32(len(ci.Lists[u]))
-	}
-
-	total := int(ci.Offsets[nq])
-	ci.U = make([]int32, total)
-	ci.V = make([]graph.NodeID, total)
-	parallel.ForEach(nq, workers, func(u int) {
-		ci.pos[u] = make([]int32, g.NumNodes())
-		for i, v := range ci.Lists[u] {
-			id := ci.Offsets[u] + int32(i)
-			ci.U[id] = int32(u)
-			ci.V[id] = v
-			ci.pos[u][v] = int32(i) + 1
-		}
-	})
-	return ci
+	return BuildCandidates(g, p)
 }
 
 // BuildCandidatesSeeded computes the candidate index of p against g, seeding
@@ -113,58 +57,31 @@ func BuildCandidatesParallel(g *graph.Graph, p *pattern.Pattern, workers int) *C
 // on the node's label and predicates, so a weaker condition admits a superset).
 // Seeded query nodes filter the donor list instead of the full label list,
 // and every node is re-checked against p's full search condition, so the
-// result is bit-for-bit identical to BuildCandidatesParallel for any seeds.
-func BuildCandidatesSeeded(g *graph.Graph, p *pattern.Pattern, seeds [][]graph.NodeID, workers int) *CandidateIndex {
-	workers = parallel.Workers(workers)
+// result is bit-for-bit identical to BuildCandidates for any seeds.
+func BuildCandidatesSeeded(g *graph.Graph, p *pattern.Pattern, seeds [][]graph.NodeID) *CandidateIndex {
 	nq := p.NumNodes()
 	ci := &CandidateIndex{
 		Lists:   make([][]graph.NodeID, nq),
 		Offsets: make([]int32, nq+1),
 		pos:     make([][]int32, nq),
 	}
-
-	// Per-query-node source: the donor list when seeded, the label list
-	// otherwise. Both are ascending, so the shard concatenation below keeps
-	// the order BuildCandidatesParallel produces.
-	src := make([][]graph.NodeID, nq)
 	for u := 0; u < nq; u++ {
+		src := g.NodesWithLabel(p.Label(u))
 		if u < len(seeds) && seeds[u] != nil {
-			src[u] = seeds[u]
-		} else {
-			src[u] = g.NodesWithLabel(p.Label(u))
+			src = seeds[u]
 		}
-	}
-
-	type job struct {
-		u      int
-		lo, hi int
-		out    []graph.NodeID
-	}
-	var jobs []job
-	for u := 0; u < nq; u++ {
-		for _, s := range parallel.Shards(len(src[u]), workers) {
-			jobs = append(jobs, job{u: u, lo: s[0], hi: s[1]})
-		}
-	}
-	parallel.ForEach(len(jobs), workers, func(i int) {
-		j := &jobs[i]
-		for _, v := range src[j.u][j.lo:j.hi] {
-			if p.MatchesNode(g, j.u, v) {
-				j.out = append(j.out, v)
+		for _, v := range src {
+			if p.MatchesNode(g, u, v) {
+				ci.Lists[u] = append(ci.Lists[u], v)
 			}
 		}
-	})
-	for i := range jobs {
-		ci.Lists[jobs[i].u] = append(ci.Lists[jobs[i].u], jobs[i].out...)
-	}
-	for u := 0; u < nq; u++ {
 		ci.Offsets[u+1] = ci.Offsets[u] + int32(len(ci.Lists[u]))
 	}
 
 	total := int(ci.Offsets[nq])
 	ci.U = make([]int32, total)
 	ci.V = make([]graph.NodeID, total)
-	parallel.ForEach(nq, workers, func(u int) {
+	for u := 0; u < nq; u++ {
 		ci.pos[u] = make([]int32, g.NumNodes())
 		for i, v := range ci.Lists[u] {
 			id := ci.Offsets[u] + int32(i)
@@ -172,7 +89,7 @@ func BuildCandidatesSeeded(g *graph.Graph, p *pattern.Pattern, seeds [][]graph.N
 			ci.V[id] = v
 			ci.pos[u][v] = int32(i) + 1
 		}
-	})
+	}
 	return ci
 }
 

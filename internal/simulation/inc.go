@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 	"divtopk/internal/pattern"
 )
 
@@ -65,30 +64,24 @@ type IncState struct {
 }
 
 // NewIncState evaluates p against g from scratch (candidates, product CSR,
-// simulation fixpoint) with up to workers goroutines (<= 0 means all cores).
+// simulation fixpoint). workers is ignored; the parameter stays until the
+// tracked benchmark, which passes it, stops doing so.
 func NewIncState(g *graph.Graph, p *pattern.Pattern, workers int) *IncState {
-	ci := BuildCandidatesParallel(g, p, workers)
-	return NewIncStateSeeded(g, p, ci, workers)
+	return NewIncStateSeeded(g, p, BuildCandidates(g, p))
 }
 
 // NewIncStateSeeded is NewIncState with a prebuilt candidate index: the
 // containment-seeded admission path has already derived ci from a cached
-// superset entry (byte-identical to BuildCandidatesParallel on (g, p)), so
-// only the product CSR and the simulation fixpoint remain to be built.
-func NewIncStateSeeded(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex, workers int) *IncState {
-	prod := BuildProduct(g, p, ci, workers)
+// superset entry (byte-identical to BuildCandidates on (g, p)), so only the
+// product CSR and the simulation fixpoint remain to be built.
+func NewIncStateSeeded(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *IncState {
+	prod := BuildProduct(g, p, ci, 0)
 	res, cnt := computeWithProductCnt(prod)
 	return &IncState{G: g, P: p, CI: ci, Prod: prod, Res: res, cnt: cnt}
 }
 
 // IncOptions tune IncCompute.
 type IncOptions struct {
-	// Workers bounds the goroutines of the fallback full builds and of the
-	// per-query-node candidate extension (<= 0 means all cores). The cascade
-	// passes stay sequential: they are linear in the affected area by design,
-	// and the kill order feeds a shared worklist. Results are byte-identical
-	// for every Workers value.
-	Workers int
 	// RecomputeRatio is the affected-share threshold above which IncCompute
 	// abandons incremental maintenance for a full recompute (default 0.25):
 	// once a quarter of the candidate pairs need fresh counters, seeding the
@@ -163,14 +156,13 @@ func IncCompute(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions) (*IncState, IncStats, error) {
 	nOld := st.G.NumNodes()
 	p, nq := st.P, st.P.NumNodes()
-	workers := parallel.Workers(opts.Workers)
 
 	// Candidacy depends only on node labels and attributes, which an
 	// edge-only delta cannot touch: the old index is shared as-is (states
 	// are immutable), sparing the O(|Vp|·|V|) pos-table copies.
 	ci := st.CI
 	if len(d.NodeAppends) > 0 {
-		ci = extendCandidates(gNew, p, st.CI, nOld, workers)
+		ci = extendCandidates(gNew, p, st.CI, nOld)
 	}
 	total := ci.NumPairs()
 	stats := IncStats{TotalPairs: total}
@@ -201,7 +193,7 @@ func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 
 	full := func(prod *Product, rebuilt bool) (*IncState, IncStats, error) {
 		if prod == nil {
-			prod = BuildProduct(gNew, p, ci, workers)
+			prod = BuildProduct(gNew, p, ci, 0)
 		}
 		res, cnt := computeWithProductCnt(prod)
 		stats.RebuiltProduct = rebuilt
@@ -385,9 +377,8 @@ func untouched(st *IncState, gNew *graph.Graph, d *graph.Delta) bool {
 // lists are reused verbatim and only the appended nodes (whose IDs exceed
 // every old ID, keeping lists sorted) are filtered against each query node's
 // search condition. The result is identical to BuildCandidates on the new
-// graph, and identical for every workers value: each query node's shard is
-// computed independently and only the sequential prefix sum orders them.
-func extendCandidates(gNew *graph.Graph, p *pattern.Pattern, old *CandidateIndex, nOld int, workers int) *CandidateIndex {
+// graph.
+func extendCandidates(gNew *graph.Graph, p *pattern.Pattern, old *CandidateIndex, nOld int) *CandidateIndex {
 	nq := p.NumNodes()
 	nNew := gNew.NumNodes()
 	ci := &CandidateIndex{
@@ -395,10 +386,7 @@ func extendCandidates(gNew *graph.Graph, p *pattern.Pattern, old *CandidateIndex
 		Offsets: make([]int32, nq+1),
 		pos:     make([][]int32, nq),
 	}
-	// Filter the appended nodes against every query node's search condition
-	// concurrently; the per-u lists are independent, so the only sequential
-	// step is the offset prefix sum below.
-	parallel.ForEach(nq, workers, func(u int) {
+	for u := 0; u < nq; u++ {
 		lst := old.Lists[u]
 		lst = lst[:len(lst):len(lst)]
 		for v := nOld; v < nNew; v++ {
@@ -407,16 +395,12 @@ func extendCandidates(gNew *graph.Graph, p *pattern.Pattern, old *CandidateIndex
 			}
 		}
 		ci.Lists[u] = lst
-	})
-	for u := 0; u < nq; u++ {
-		ci.Offsets[u+1] = ci.Offsets[u] + int32(len(ci.Lists[u]))
+		ci.Offsets[u+1] = ci.Offsets[u] + int32(len(lst))
 	}
 	total := int(ci.Offsets[nq])
 	ci.U = make([]int32, total)
 	ci.V = make([]graph.NodeID, total)
-	// Each query node fills the disjoint pair-ID range its offsets carve out,
-	// plus its own pos table: no two iterations share a write target.
-	parallel.ForEach(nq, workers, func(u int) {
+	for u := 0; u < nq; u++ {
 		pos := make([]int32, nNew)
 		copy(pos, old.pos[u])
 		for i, v := range ci.Lists[u] {
@@ -428,7 +412,7 @@ func extendCandidates(gNew *graph.Graph, p *pattern.Pattern, old *CandidateIndex
 			}
 		}
 		ci.pos[u] = pos
-	})
+	}
 	return ci
 }
 

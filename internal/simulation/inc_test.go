@@ -127,7 +127,7 @@ func assertCandidatesEqual(t *testing.T, label string, got, want *CandidateIndex
 // state advances through a sequence of random deltas, and after every step
 // the incrementally maintained candidate index, product CSR and simulation
 // fixpoint must be identical to a from-scratch evaluation of the new
-// snapshot — at fresh-build worker counts 1 and 8, and under a forced
+// snapshot — under the adaptive path, a forced
 // incremental path as well as a forced full-recompute path (ratio 0 vs 1),
 // which must agree with each other too.
 func TestIncComputeDeltaSequenceFuzz(t *testing.T) {
@@ -139,10 +139,9 @@ func TestIncComputeDeltaSequenceFuzz(t *testing.T) {
 			g := randomDynGraph(rng, 24+rng.Intn(30), 90+rng.Intn(120), labels, dict)
 			p := randomDynPattern(rng, labels)
 
-			inc := NewIncState(g, p, 1)        // adaptive (default ratio)
-			par := NewIncState(g, p, 8)        // adaptive, parallel shards
-			forced := NewIncState(g, p, 1)     // never falls back
-			recomputed := NewIncState(g, p, 1) // always falls back
+			inc := NewIncState(g, p, 0)        // adaptive (default ratio)
+			forced := NewIncState(g, p, 0)     // never falls back
+			recomputed := NewIncState(g, p, 0) // always falls back
 			for step := 0; step < 10; step++ {
 				d := randomDelta(rng, g, labels)
 				gNew, err := graph.ApplyDelta(g, d)
@@ -151,19 +150,15 @@ func TestIncComputeDeltaSequenceFuzz(t *testing.T) {
 				}
 
 				var stats IncStats
-				inc, stats, err = IncCompute(inc, gNew, d, IncOptions{Workers: 1})
+				inc, stats, err = IncCompute(inc, gNew, d, IncOptions{})
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				par, _, err = IncCompute(par, gNew, d, IncOptions{Workers: 8})
+				forced, _, err = IncCompute(forced, gNew, d, IncOptions{RecomputeRatio: 1})
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
-				forced, _, err = IncCompute(forced, gNew, d, IncOptions{Workers: 1, RecomputeRatio: 1})
-				if err != nil {
-					t.Fatalf("step %d: %v", step, err)
-				}
-				recomputed, _, err = IncCompute(recomputed, gNew, d, IncOptions{Workers: 1, RecomputeRatio: 1e-9})
+				recomputed, _, err = IncCompute(recomputed, gNew, d, IncOptions{RecomputeRatio: 1e-9})
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}
@@ -173,21 +168,19 @@ func TestIncComputeDeltaSequenceFuzz(t *testing.T) {
 					_ = stats
 				}
 
-				for _, workers := range []int{1, 8} {
-					label := fmt.Sprintf("step %d workers %d", step, workers)
-					freshCI := BuildCandidatesParallel(gNew, p, workers)
-					assertCandidatesEqual(t, label, inc.CI, freshCI)
-					freshProd := BuildProduct(gNew, p, freshCI, workers)
-					assertProductsEqual(t, label, inc.Prod, freshProd)
-					freshRes := ComputeWithProduct(freshProd)
-					if !reflect.DeepEqual(inc.Res.InSim, freshRes.InSim) || inc.Res.Matched != freshRes.Matched {
-						t.Fatalf("%s: fixpoint differs (matched %v vs %v)", label, inc.Res.Matched, freshRes.Matched)
-					}
-					// The reference kernel agrees as well (both kernels).
-					refRes := ComputeReference(gNew, p, freshCI)
-					if !reflect.DeepEqual(inc.Res.InSim, refRes.InSim) || inc.Res.Matched != refRes.Matched {
-						t.Fatalf("%s: reference kernel disagrees", label)
-					}
+				label := fmt.Sprintf("step %d", step)
+				freshCI := BuildCandidates(gNew, p)
+				assertCandidatesEqual(t, label, inc.CI, freshCI)
+				freshProd := BuildProduct(gNew, p, freshCI, 0)
+				assertProductsEqual(t, label, inc.Prod, freshProd)
+				freshRes := ComputeWithProduct(freshProd)
+				if !reflect.DeepEqual(inc.Res.InSim, freshRes.InSim) || inc.Res.Matched != freshRes.Matched {
+					t.Fatalf("%s: fixpoint differs (matched %v vs %v)", label, inc.Res.Matched, freshRes.Matched)
+				}
+				// The reference kernel agrees as well (both kernels).
+				refRes := ComputeReference(gNew, p, freshCI)
+				if !reflect.DeepEqual(inc.Res.InSim, refRes.InSim) || inc.Res.Matched != refRes.Matched {
+					t.Fatalf("%s: reference kernel disagrees", label)
 				}
 				// Forced-incremental and forced-recompute states agree with
 				// the adaptive one on everything, counters included (both
@@ -197,13 +190,6 @@ func TestIncComputeDeltaSequenceFuzz(t *testing.T) {
 				}
 				assertProductsEqual(t, fmt.Sprintf("step %d forced", step), forced.Prod, inc.Prod)
 				assertProductsEqual(t, fmt.Sprintf("step %d recomputed", step), recomputed.Prod, inc.Prod)
-				// The parallel-shard chain is the Workers=1 oracle, bit for
-				// bit: candidates, product, fixpoint and counters.
-				assertCandidatesEqual(t, fmt.Sprintf("step %d parallel", step), par.CI, inc.CI)
-				assertProductsEqual(t, fmt.Sprintf("step %d parallel", step), par.Prod, inc.Prod)
-				if !reflect.DeepEqual(par.Res.InSim, inc.Res.InSim) || par.Res.Matched != inc.Res.Matched {
-					t.Fatalf("step %d: parallel chain fixpoint differs", step)
-				}
 				// Alive pairs must carry identical settled counters on every
 				// path (dead pairs' counters are documented garbage).
 				for q := 0; q < len(inc.Res.InSim); q++ {
@@ -230,7 +216,7 @@ func TestIncComputeRejectsMismatchedGraph(t *testing.T) {
 	dict := graph.NewDict()
 	g := randomDynGraph(rng, 10, 30, 3, dict)
 	p := randomDynPattern(rng, 3)
-	st := NewIncState(g, p, 1)
+	st := NewIncState(g, p, 0)
 	var d graph.Delta
 	d.AddNode("L0", nil)
 	if _, _, err := IncCompute(st, g, &d, IncOptions{}); err == nil {
@@ -309,7 +295,7 @@ func TestIncComputeUntouchedShortcut(t *testing.T) {
 			dict := graph.NewDict()
 			g := randomDynGraph(rng, 24+rng.Intn(30), 90+rng.Intn(120), labels, dict)
 			p := randomDynPattern(rng, labels)
-			st := NewIncState(g, p, 1)
+			st := NewIncState(g, p, 0)
 			for step := 0; step < 10; step++ {
 				label := fmt.Sprintf("labels %d seed %d step %d", labels, seed, step)
 				d := randomDelta(rng, g, labels)
@@ -317,7 +303,7 @@ func TestIncComputeUntouchedShortcut(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				opts := IncOptions{Workers: 1, RecomputeRatio: 1}
+				opts := IncOptions{RecomputeRatio: 1}
 				fast, fstats, err := IncCompute(st, gNew, d, opts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -329,7 +315,7 @@ func TestIncComputeUntouchedShortcut(t *testing.T) {
 				if fstats.TouchedPairs != sstats.TouchedPairs || fstats.TotalPairs != sstats.TotalPairs {
 					t.Fatalf("%s: stats %+v, the full path's %+v", label, fstats, sstats)
 				}
-				fresh := NewIncState(gNew, p, 1)
+				fresh := NewIncState(gNew, p, 0)
 				for _, want := range []*IncState{slow, fresh} {
 					assertCandidatesEqual(t, label, fast.CI, want.CI)
 					assertProductsEqual(t, label, fast.Prod, want.Prod)

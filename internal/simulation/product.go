@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 	"divtopk/internal/pattern"
 )
 
@@ -52,13 +51,11 @@ type Product struct {
 }
 
 // BuildProduct materializes the product CSR for p against g over the
-// candidate pairs of ci, using up to workers goroutines (<= 0 means all
-// cores). Construction is deterministic for every worker count: the two
-// forward passes write disjoint pre-assigned ranges, and the reverse fill is
-// a sequential linear pass, so the resulting arrays are bit-for-bit
-// identical regardless of parallelism.
+// candidate pairs of ci in one append-based pass that derives every product
+// edge once: slots in (pair, query edge) order, successors in ascending
+// data-node order. workers is ignored; the parameter stays until the tracked
+// benchmark, which passes it, stops doing so.
 func BuildProduct(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex, workers int) *Product {
-	workers = parallel.Workers(workers)
 	nq := p.NumNodes()
 	total := ci.NumPairs()
 
@@ -71,75 +68,24 @@ func BuildProduct(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex, worker
 	for q := 0; q < total; q++ {
 		base[q+1] = base[q] + outDeg[ci.U[q]]
 	}
-	nSlots := int(base[total])
-	slotOff := make([]int32, nSlots+1)
+	slotOff := make([]int32, int(base[total])+1)
 
-	var fwd []int32
-	if workers <= 1 {
-		// Sequential: a single append-based pass derives every product edge
-		// exactly once (the parallel path must scan twice to pre-assign
-		// ranges). The content is identical: slots in (pair, query edge)
-		// order, successors in ascending data-node order.
-		fwd = make([]int32, 0, total*4)
-		for q := int32(0); q < int32(total); q++ {
-			u := int(ci.U[q])
-			v := ci.V[q]
-			b := base[q]
-			for j, uc := range p.Out(u) {
-				for _, w := range g.Out(v) {
-					if pid := ci.Pair(uc, w); pid >= 0 {
-						fwd = append(fwd, pid)
-					}
+	fwd := make([]int32, 0, total*4)
+	for q := int32(0); q < int32(total); q++ {
+		u := int(ci.U[q])
+		v := ci.V[q]
+		b := base[q]
+		for j, uc := range p.Out(u) {
+			for _, w := range g.Out(v) {
+				if pid := ci.Pair(uc, w); pid >= 0 {
+					fwd = append(fwd, pid)
 				}
-				if len(fwd) > int(^uint32(0)>>1) {
-					panic(fmt.Sprintf("simulation: product graph exceeds %d edges", ^uint32(0)>>1))
-				}
-				slotOff[b+int32(j)+1] = int32(len(fwd))
 			}
-		}
-	} else {
-		// Pass 1: per-slot successor counts (disjoint writes per pair).
-		parallel.ForEach(total, workers, func(qi int) {
-			q := int32(qi)
-			u := int(ci.U[q])
-			v := ci.V[q]
-			b := base[q]
-			for j, uc := range p.Out(u) {
-				c := int32(0)
-				for _, w := range g.Out(v) {
-					if ci.Pair(uc, w) >= 0 {
-						c++
-					}
-				}
-				slotOff[b+int32(j)+1] = c
-			}
-		})
-		var edges int64
-		for s := 1; s <= nSlots; s++ {
-			edges += int64(slotOff[s])
-			if edges > int64(^uint32(0)>>1) {
+			if len(fwd) > int(^uint32(0)>>1) {
 				panic(fmt.Sprintf("simulation: product graph exceeds %d edges", ^uint32(0)>>1))
 			}
-			slotOff[s] += slotOff[s-1]
+			slotOff[b+int32(j)+1] = int32(len(fwd))
 		}
-
-		// Pass 2: fill each pair's pre-assigned slot ranges.
-		fwd = make([]int32, edges)
-		parallel.ForEach(total, workers, func(qi int) {
-			q := int32(qi)
-			u := int(ci.U[q])
-			v := ci.V[q]
-			b := base[q]
-			for j, uc := range p.Out(u) {
-				e := slotOff[b+int32(j)]
-				for _, w := range g.Out(v) {
-					if pid := ci.Pair(uc, w); pid >= 0 {
-						fwd[e] = pid
-						e++
-					}
-				}
-			}
-		})
 	}
 
 	pr.Base = base

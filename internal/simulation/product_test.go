@@ -11,9 +11,8 @@ import (
 )
 
 // TestProductMatchesReferenceAdjacency pins the CSR product to the on-the-fly
-// reference adjacency: same successors, per slot, in the same order, for
-// every worker count; and a reverse CSR that is its exact transpose with
-// correct absolute slots.
+// reference adjacency: same successors, per slot, in the same order; and a
+// reverse CSR that is its exact transpose with correct absolute slots.
 func TestProductMatchesReferenceAdjacency(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	labels := []string{"a", "b", "c"}
@@ -22,22 +21,13 @@ func TestProductMatchesReferenceAdjacency(t *testing.T) {
 		g := testutil.RandomGraph(rng, n, rng.Intn(4*n), labels)
 		p := testutil.RandomPattern(rng, 1+rng.Intn(5), rng.Intn(5), labels, trial%2 == 0)
 		ci := BuildCandidates(g, p)
-		seq := BuildProduct(g, p, ci, 1)
-		par := BuildProduct(g, p, ci, 4)
-		for _, pair := range [][2]*Product{{seq, par}} {
-			a, b := pair[0], pair[1]
-			if !reflect.DeepEqual(a.Base, b.Base) || !reflect.DeepEqual(a.SlotOff, b.SlotOff) ||
-				!reflect.DeepEqual(a.Fwd, b.Fwd) || !reflect.DeepEqual(a.RevOff, b.RevOff) ||
-				!reflect.DeepEqual(a.Rev, b.Rev) || !reflect.DeepEqual(a.RevSlot, b.RevSlot) {
-				t.Fatalf("trial %d: parallel product build diverges from sequential", trial)
-			}
-		}
+		prod := BuildProduct(g, p, ci, 0)
 
 		adj := productAdjReference(g, p, ci, nil)
 		for q := int32(0); q < int32(ci.NumPairs()); q++ {
 			var want []int32
 			adj(q, func(w int32) { want = append(want, w) })
-			got := seq.Succs(q)
+			got := prod.Succs(q)
 			if len(want) == 0 && len(got) == 0 {
 				continue
 			}
@@ -48,7 +38,7 @@ func TestProductMatchesReferenceAdjacency(t *testing.T) {
 			u := int(ci.U[q])
 			i := 0
 			for j := range p.Out(u) {
-				for _, w := range seq.SlotSuccs(q, j) {
+				for _, w := range prod.SlotSuccs(q, j) {
 					if want[i] != w {
 						t.Fatalf("trial %d: slot %d of pair %d misgrouped", trial, j, q)
 					}
@@ -62,13 +52,13 @@ func TestProductMatchesReferenceAdjacency(t *testing.T) {
 		type edge struct{ from, to, slot int32 }
 		var fwdEdges, revEdges []edge
 		for q := int32(0); q < int32(ci.NumPairs()); q++ {
-			for s := seq.Base[q]; s < seq.Base[q+1]; s++ {
-				for e := seq.SlotOff[s]; e < seq.SlotOff[s+1]; e++ {
-					fwdEdges = append(fwdEdges, edge{q, seq.Fwd[e], s})
+			for s := prod.Base[q]; s < prod.Base[q+1]; s++ {
+				for e := prod.SlotOff[s]; e < prod.SlotOff[s+1]; e++ {
+					fwdEdges = append(fwdEdges, edge{q, prod.Fwd[e], s})
 				}
 			}
-			for e := seq.RevOff[q]; e < seq.RevOff[q+1]; e++ {
-				revEdges = append(revEdges, edge{seq.Rev[e], q, seq.RevSlot[e]})
+			for e := prod.RevOff[q]; e < prod.RevOff[q+1]; e++ {
+				revEdges = append(revEdges, edge{prod.Rev[e], q, prod.RevSlot[e]})
 			}
 		}
 		count := map[edge]int{}
@@ -141,7 +131,7 @@ func TestProductTraversalZeroAlloc(t *testing.T) {
 	g, _ := testutil.Figure1()
 	p := testutil.Figure1Pattern()
 	ci := BuildCandidates(g, p)
-	prod := BuildProduct(g, p, ci, 1)
+	prod := BuildProduct(g, p, ci, 0)
 	if prod.NumEdges() == 0 {
 		t.Fatal("fixture product has no edges")
 	}
@@ -190,7 +180,7 @@ func TestProductKernelAllocRegression(t *testing.T) {
 		ComputeRelevantReference(g, p, ci, an, space, res.InSim, p.Output(), false)
 	})
 	csrAllocs := testing.AllocsPerRun(10, func() {
-		prod := BuildProduct(g, p, ci, 1)
+		prod := BuildProduct(g, p, ci, 0)
 		res := ComputeWithProduct(prod)
 		ComputeRelevant(prod, space, res.InSim, p.Output(), false)
 	})

@@ -13,8 +13,7 @@ import (
 // shipped path and no option selects it. The kernel determinism tests
 // compare the product-CSR kernel against ComputeReference and
 // ComputeRelevantReference directly, or end to end through internal/oracle
-// (which composes the two into a find-all result) — byte-identical at every
-// Parallelism setting.
+// (which composes the two into a find-all result) — byte-identical.
 //
 // The only deliberate deviation from the historical code is the dense
 // childSlot table below (the historical map[int]int32 was pure overhead in

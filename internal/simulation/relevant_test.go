@@ -18,7 +18,7 @@ func relevantFixture(t *testing.T, keepSets bool) (*graph.Graph, map[string]grap
 	g, id := testutil.Figure1()
 	p := testutil.Figure1Pattern()
 	ci := BuildCandidates(g, p)
-	prod := BuildProduct(g, p, ci, 1)
+	prod := BuildProduct(g, p, ci, 0)
 	res := ComputeWithProduct(prod)
 	if !res.Matched {
 		t.Fatal("fixture must match")
@@ -93,7 +93,7 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 	// Example 7, pattern Q1: h(PM2)=3, h(PM3)=2, h(PRG3)=h(PRG4)=1, h(DBk)=0.
 	q1 := testutil.Example7Pattern()
 	ci := BuildCandidates(g, q1)
-	prod1 := BuildProduct(g, q1, ci, 1)
+	prod1 := BuildProduct(g, q1, ci, 0)
 	an := pattern.Analyze(q1)
 	space := BuildRelSpace(g, q1, ci, an)
 
@@ -120,7 +120,7 @@ func TestCandidateProductUpperBoundExamples(t *testing.T) {
 	// Example 8, full pattern Q: ĥ(DB2)=6, ĥ(PRG4)=7, ĥ(PM1)=4.
 	q := testutil.Figure1Pattern()
 	ci2 := BuildCandidates(g, q)
-	prod2 := BuildProduct(g, q, ci2, 1)
+	prod2 := BuildProduct(g, q, ci2, 0)
 	an2 := pattern.Analyze(q)
 	space2 := BuildRelSpace(g, q, ci2, an2)
 
@@ -167,7 +167,7 @@ func TestRelevantAgainstNaiveProperty(t *testing.T) {
 			p = testutil.RandomPattern(rng, 1+rng.Intn(5), rng.Intn(4), labels, trial%2 == 0)
 		}
 		ci := BuildCandidates(g, p)
-		prod := BuildProduct(g, p, ci, 1)
+		prod := BuildProduct(g, p, ci, 0)
 		res := ComputeWithProduct(prod)
 		an := pattern.Analyze(p)
 		space := BuildRelSpace(g, p, res.CI, an)
@@ -224,7 +224,7 @@ func TestComputeRelevantIgnoresUnreachedPairs(t *testing.T) {
 			t.Fatal(err)
 		}
 		ci := BuildCandidates(g, p)
-		prod := BuildProduct(g, p, ci, 1)
+		prod := BuildProduct(g, p, ci, 0)
 		res := ComputeWithProduct(prod)
 		space := BuildRelSpace(g, p, ci, pattern.Analyze(p))
 		if got := ci.NumPairs(); got != 100+unreached {
@@ -274,7 +274,7 @@ func ladder(levels int) (*Product, *RelSpace) {
 		panic(err)
 	}
 	ci := BuildCandidates(g, p)
-	return BuildProduct(g, p, ci, 1), BuildRelSpace(g, p, ci, pattern.Analyze(p))
+	return BuildProduct(g, p, ci, 0), BuildRelSpace(g, p, ci, pattern.Analyze(p))
 }
 
 // TestComputeRelevantRecyclesArenaSets pins ComputeRelevant's release

@@ -36,7 +36,7 @@ func Compute(g *graph.Graph, p *pattern.Pattern) *Result {
 // relevant-set kernel) should build it themselves and call
 // ComputeWithProduct.
 func ComputeWithCandidates(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *Result {
-	return ComputeWithProduct(BuildProduct(g, p, ci, 1))
+	return ComputeWithProduct(BuildProduct(g, p, ci, 0))
 }
 
 // ComputeWithProduct runs the counting-based refinement over a materialized

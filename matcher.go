@@ -13,7 +13,6 @@ import (
 	"divtopk/internal/cache"
 	"divtopk/internal/core"
 	"divtopk/internal/graph"
-	"divtopk/internal/parallel"
 )
 
 // Matcher is a reusable query session over one Graph. Construction pays the
@@ -41,7 +40,6 @@ type Matcher struct {
 	cur      atomic.Pointer[Graph]
 	updateMu sync.Mutex // serializes commits (queries never take it)
 	base     []Option
-	workers  int
 	// indexRatio is the work share past which a commit rebuilds the bound
 	// index instead of advancing it. Zero — what NewMatcher leaves — is the
 	// 0.25 default of core.AdvanceOptions: past a quarter, seeding the partial
@@ -80,19 +78,17 @@ type CacheStats struct {
 }
 
 // NewMatcher builds the session indexes of g and returns a Matcher.
-// Parallelism given here bounds the commit-time maintenance as well as the
-// per-query parallel sections (default: all cores); WithCache sizes the
-// session result cache (default: none).
+// WithCache sizes the session result cache (default: none).
 func NewMatcher(g *Graph, opts ...Option) *Matcher {
 	o := buildOptions(opts)
 	// Warm the bound index for every label up front: the lazy per-label path
 	// is synchronized but serializes cold computations, so a fully warmed
 	// cache is what keeps concurrent queries contention-free.
 	g.boundsCache().Warm(nil)
-	m := &Matcher{base: opts, workers: parallel.Workers(o.parallelism)}
+	m := &Matcher{base: opts}
 	m.cur.Store(g)
 	if o.cacheEntries > 0 {
-		m.cache = &warmCache{lru: cache.New(o.cacheEntries), workers: m.workers,
+		m.cache = &warmCache{lru: cache.New(o.cacheEntries),
 			warm: warmRegistry{entries: make(map[string]*warmEntry)}}
 	}
 	return m
@@ -141,8 +137,8 @@ type IndexStats struct {
 	LabelsRecomputed int `json:"labels_recomputed"`
 	LabelsCopied     int `json:"labels_copied"`
 	// WallMicros is the wall time of the whole index maintenance step;
-	// ShardWallMicros is the wall time of just the parallel per-label
-	// shard section inside it.
+	// ShardWallMicros is the wall time of just the per-label section inside
+	// it.
 	WallMicros      int64 `json:"wall_us"`
 	ShardWallMicros int64 `json:"shard_wall_us"`
 	// The warm result cache's share of the commit (all zero without
@@ -169,7 +165,7 @@ type IndexStats struct {
 // (its Version is the old one plus 1) and the index-maintenance stats. The
 // new snapshot's bound index is advanced from the previous snapshot's off
 // to the side — recomputing only the rows and labels the delta's frontier
-// covers, in parallel per-label shards, with an adaptive fallback to a full
+// covers, one label at a time, with an adaptive fallback to a full
 // rebuild past a quarter of the index — and swapped in together with the
 // graph, so queries never hit a cold index and never observe a half-applied
 // update; queries running concurrently with the update finish on the old
@@ -208,7 +204,7 @@ func (m *Matcher) commitLocked(g *Graph, merged *graph.Delta, parts []*Delta) (*
 		return nil, IndexStats{}, err
 	}
 	t0 := time.Now()
-	bc, adv, err := g.boundsCache().Advance(g2raw, sum, core.AdvanceOptions{RebuildRatio: m.indexRatio, Workers: m.workers})
+	bc, adv, err := g.boundsCache().Advance(g2raw, sum, core.AdvanceOptions{RebuildRatio: m.indexRatio})
 	if err != nil {
 		// The session built the inputs itself, so a mismatch is a bug, not
 		// a bad delta; surface it rather than limping on with a cold index.
@@ -298,8 +294,7 @@ func queryKey(q query, g *Graph, text string) string {
 }
 
 // shapeID returns the identity of q on the pattern with canonical text text
-// across snapshot versions: a hash over the algorithm, k, λ and the text. The
-// worker count is left out: every setting returns identical results.
+// across snapshot versions: a hash over the algorithm, k, λ and the text.
 func shapeID(q query, text string) string {
 	// Field by field: printing a struct with %+v walks it by reflection, on
 	// every query, cache hits included.

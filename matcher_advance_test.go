@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,7 +23,7 @@ import (
 // neighborhood, deletes of matched edges, no-op deltas), and the matrix
 // covers both query kernels (TopK and TopKDiversified), both algorithm
 // families of each (early-termination engine and find-all/approximation),
-// worker counts 1 and 8, and all three advance policies.
+// and all three advance policies.
 func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 	modes := []struct {
 		name  string
@@ -36,20 +35,20 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 	}
 	type querySpec struct {
 		name string
-		run  func(m *Matcher, q *Pattern, par int) (any, error)
+		run  func(m *Matcher, q *Pattern) (any, error)
 	}
 	queries := []querySpec{
-		{"topk/engine", func(m *Matcher, q *Pattern, par int) (any, error) {
-			return m.TopK(q, 8, Parallelism(par))
+		{"topk/engine", func(m *Matcher, q *Pattern) (any, error) {
+			return m.TopK(q, 8)
 		}},
-		{"topk/baseline", func(m *Matcher, q *Pattern, par int) (any, error) {
-			return m.TopK(q, 8, Parallelism(par), WithBaseline())
+		{"topk/baseline", func(m *Matcher, q *Pattern) (any, error) {
+			return m.TopK(q, 8, WithBaseline())
 		}},
-		{"div/heuristic", func(m *Matcher, q *Pattern, par int) (any, error) {
-			return m.TopKDiversified(q, 5, 0.5, Parallelism(par))
+		{"div/heuristic", func(m *Matcher, q *Pattern) (any, error) {
+			return m.TopKDiversified(q, 5, 0.5)
 		}},
-		{"div/approx", func(m *Matcher, q *Pattern, par int) (any, error) {
-			return m.TopKDiversified(q, 5, 0.5, Parallelism(par), WithApproximation())
+		{"div/approx", func(m *Matcher, q *Pattern) (any, error) {
+			return m.TopKDiversified(q, 5, 0.5, WithApproximation())
 		}},
 	}
 
@@ -73,31 +72,23 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			type session struct {
 				name      string
 				warm, ref *Matcher
-				par       int
 			}
 			var sessions []session
 			for _, mode := range modes {
-				for _, par := range []int{1, 8} {
-					warm := NewMatcher(base, WithCache(64), Parallelism(par))
-					warm.cache.advanceRatio = mode.ratio
-					sessions = append(sessions, session{
-						name: fmt.Sprintf("%s/p%d", mode.name, par),
-						warm: warm,
-						ref:  NewMatcher(base, Parallelism(par)),
-						par:  par,
-					})
-				}
+				warm := NewMatcher(base, WithCache(64))
+				warm.cache.advanceRatio = mode.ratio
+				sessions = append(sessions, session{name: mode.name, warm: warm, ref: NewMatcher(base)})
 			}
 
 			check := func(step int) {
 				for _, s := range sessions {
 					for _, q := range patterns {
 						for _, qs := range queries {
-							got, err := qs.run(s.warm, q, s.par)
+							got, err := qs.run(s.warm, q)
 							if err != nil {
 								t.Fatalf("step %d %s %s (warm): %v", step, s.name, qs.name, err)
 							}
-							want, err := qs.run(s.ref, q, s.par)
+							want, err := qs.run(s.ref, q)
 							if err != nil {
 								t.Fatalf("step %d %s %s (ref): %v", step, s.name, qs.name, err)
 							}
@@ -135,15 +126,15 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			// trips when there is work to skip).
 			for _, s := range sessions {
 				cs := s.warm.CacheStats()
-				switch {
-				case strings.HasPrefix(s.name, "force-advance"):
+				switch s.name {
+				case "force-advance":
 					if cs.Advanced == 0 {
 						t.Errorf("%s: no entries advanced across 10 commits: %+v", s.name, cs)
 					}
 					if cs.AdvanceEvicted != 0 {
 						t.Errorf("%s: forced-advance session hit the ratio fallback: %+v", s.name, cs)
 					}
-				case strings.HasPrefix(s.name, "force-evict"):
+				case "force-evict":
 					if cs.AdvanceEvicted == 0 {
 						t.Errorf("%s: forced-evict session never evicted: %+v", s.name, cs)
 					}
@@ -312,12 +303,12 @@ func TestWarmStateBuildLeavesLockFree(t *testing.T) {
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	build := buildPatternState
-	buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID, workers int) *patternState {
+	buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID) *patternState {
 		if text == patternText(cold) {
 			close(entered)
 			<-release
 		}
-		return build(g, text, p, seeds, workers)
+		return build(g, text, p, seeds)
 	}
 	defer func() { buildPatternState = build }()
 

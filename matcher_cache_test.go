@@ -8,8 +8,7 @@ import (
 )
 
 // TestMatcherCacheHitsAndKeying covers the session result cache: repeats
-// are hits, the key ignores Parallelism (documented to never change
-// results) but distinguishes k, λ, and algorithm choice.
+// are hits, and the key distinguishes k, λ, and algorithm choice.
 func TestMatcherCacheHitsAndKeying(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 2)
 	m := NewMatcher(g, WithCache(64))
@@ -28,18 +27,6 @@ func TestMatcherCacheHitsAndKeying(t *testing.T) {
 	}
 	if s := m.CacheStats(); s.Misses != 1 || s.Hits != 1 {
 		t.Fatalf("stats after repeat = %+v, want 1 miss 1 hit", s)
-	}
-
-	// Parallelism is excluded from the key: different worker counts share
-	// the entry (every setting returns identical results).
-	if _, err := m.TopK(q, 10, Parallelism(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.TopK(q, 10, Parallelism(4)); err != nil {
-		t.Fatal(err)
-	}
-	if s := m.CacheStats(); s.Misses != 1 {
-		t.Fatalf("parallelism changed the cache key: %+v", s)
 	}
 
 	// k, λ, the algorithm family and the second pattern all get their own
@@ -255,9 +242,9 @@ func TestContainmentSeededAdmission(t *testing.T) {
 // type every route shares: for random option sets, equal keys imply deeply
 // equal answers from evaluate (so serving one query's cached answer for the
 // other is indistinguishable from evaluating it), and queries of different
-// kinds never share a key. The option space is every result-affecting or
-// deliberately key-excluded option: baseline and approximation, and
-// Parallelism, each drawn as a session default or a call option.
+// kinds never share a key. The option space is every result-affecting
+// option: baseline and approximation, each drawn as a session default or a
+// call option.
 func TestQueryKeySoundness(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 1)
 	p, text := patterns[0], patternText(patterns[0])
@@ -269,9 +256,6 @@ func TestQueryKeySoundness(t *testing.T) {
 		}
 		if rng.Intn(3) == 0 {
 			opts = append(opts, WithApproximation())
-		}
-		if rng.Intn(2) == 0 {
-			opts = append(opts, Parallelism(1+rng.Intn(8)))
 		}
 		// A random prefix plays the session defaults, the rest the call's.
 		cut := rng.Intn(len(opts) + 1)

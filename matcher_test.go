@@ -1,6 +1,7 @@
 package divtopk
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -40,56 +41,53 @@ func assertResultsIdentical(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestParallelismIdenticalResults asserts the contract of the Parallelism
-// option: every worker count returns the same answer, ordering included —
-// Parallelism(1) is the sequential engine, Parallelism(8) the parallel one.
+// TestParallelismIdenticalResults pins the one promise left to the
+// Parallelism option, which stays only for callers that still pass it: it is
+// ignored, so an answer asked with it equals the default one, ordering
+// included, and a caching session serves both from one entry.
 func TestParallelismIdenticalResults(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 4)
 	for qi, q := range patterns {
-		seq, err := TopK(g, q, 10, Parallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := TopK(g, q, 10, Parallelism(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsIdentical(t, "topk", seq, par)
-
-		seqB, err := TopK(g, q, 10, WithBaseline(), Parallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parB, err := TopK(g, q, 10, WithBaseline(), Parallelism(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertResultsIdentical(t, "baseline", seqB, parB)
-
-		seqD, err := TopKDiversified(g, q, 6, 0.5, WithApproximation(), Parallelism(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parD, err := TopKDiversified(g, q, 6, 0.5, WithApproximation(), Parallelism(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seqD.F != parD.F || len(seqD.Matches) != len(parD.Matches) {
-			t.Fatalf("pattern %d: diversified F/|S| differ: %v/%d vs %v/%d",
-				qi, seqD.F, len(seqD.Matches), parD.F, len(parD.Matches))
-		}
-		for i := range seqD.Matches {
-			if seqD.Matches[i].Node != parD.Matches[i].Node {
-				t.Fatalf("pattern %d: diversified selection differs at %d: %d vs %d",
-					qi, i, seqD.Matches[i].Node, parD.Matches[i].Node)
+		for _, opts := range [][]Option{nil, {WithBaseline()}} {
+			want, err := TopK(g, q, 10, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := TopK(g, q, 10, append(opts, Parallelism(8))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("pattern %d %d options: Parallelism(8) changed the answer", qi, len(opts))
 			}
 		}
+		want, err := TopKDiversified(g, q, 6, 0.5, WithApproximation())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := TopKDiversified(g, q, 6, 0.5, WithApproximation(), Parallelism(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %d: Parallelism(8) changed the diversified answer", qi)
+		}
+	}
+
+	m := NewMatcher(g, WithCache(64))
+	for _, n := range []int{0, 1, 4} {
+		if _, err := m.TopK(patterns[0], 10, Parallelism(n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := m.CacheStats(); s.Misses != 1 || s.Hits != 2 {
+		t.Fatalf("Parallelism split the cache key: %+v", s)
 	}
 }
 
 // TestMatcherConcurrentQueries hammers one warmed session from many
 // goroutines; run under -race this is the data-race test for the shared
-// bound index and the parallel engine sections.
+// bound index and the engine scratch pool.
 func TestMatcherConcurrentQueries(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 4)
 	m := NewMatcher(g)

@@ -6,7 +6,6 @@ import "divtopk/internal/ranking"
 type Option func(*options)
 
 type options struct {
-	parallelism  int
 	baseline     bool
 	approx       bool
 	cacheEntries int
@@ -53,15 +52,11 @@ func WithCache(entries int) Option {
 	return func(o *options) { o.cacheEntries = entries }
 }
 
-// Parallelism bounds the number of worker goroutines a query (and a
-// Matcher's commit-time maintenance) may use. n <= 0 — the default — means
-// runtime.NumCPU(); 1 runs fully sequentially, reproducing the
-// single-threaded engine bit-for-bit. Any value returns identical results:
-// the parallel sections (candidate computation, the diversified greedy
-// scans) are deterministic by construction, so this knob trades wall-clock
-// time only.
+// Parallelism is ignored: every query and commit runs on its caller's
+// goroutine. It stays until the tracked benchmark, which passes it, stops
+// doing so.
 func Parallelism(n int) Option {
-	return func(o *options) { o.parallelism = n }
+	return func(*options) {}
 }
 
 // queryKind names the paper's four algorithms: two families (find-all and
@@ -82,15 +77,14 @@ func (k queryKind) full() bool { return k == kindMatch || k == kindTopKDiv }
 
 func (k queryKind) diversified() bool { return k == kindTopKDH || k == kindTopKDiv }
 
-// query is one fully resolved question: which algorithm, k, λ (0 for the
-// top-k kinds) and the worker count. Every query route — package-level call,
+// query is one fully resolved question: which algorithm, k and λ (0 for the
+// top-k kinds). Every query route — package-level call,
 // session, cache loader, commit-time advance — builds one and hands it to
 // evaluate; queryKey derives the cache identity from the same value.
 type query struct {
-	kind    queryKind
-	k       int
-	lambda  float64
-	workers int
+	kind   queryKind
+	k      int
+	lambda float64
 }
 
 // newQuery resolves an entry point (diversified or not) and its options (a
@@ -100,7 +94,7 @@ type query struct {
 // nor collides the other's cache entries.
 func newQuery(diversified bool, k int, lambda float64, base, opts []Option) query {
 	o := buildOptions(base, opts)
-	q := query{kind: kindTopK, k: k, lambda: lambda, workers: o.parallelism}
+	q := query{kind: kindTopK, k: k, lambda: lambda}
 	switch {
 	case diversified && o.approx:
 		q.kind = kindTopKDiv
