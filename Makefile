@@ -24,15 +24,14 @@ bench:
 	$(GO) test -run '^$$' -bench 'CommitWarm|Cold' -benchmem .
 
 # fuzz runs each native fuzz target — the decoders of untrusted bytes: binary
-# checkpoints, graph and pattern text, WAL records — for FUZZTIME. Their seed
+# checkpoints, graph and pattern text, WAL records — for 20 s. Their seed
 # corpora already run inside `make test`; this explores past them. A crashing
 # input is written under the package's testdata/fuzz/ and fails the target.
-FUZZTIME ?= 20s
 fuzz:
-	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pattern -run '^$$' -fuzz '^FuzzReadPattern$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 20s
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s
+	$(GO) test ./internal/pattern -run '^$$' -fuzz '^FuzzReadPattern$$' -fuzztime 20s
+	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20s
 
 # paper runs the reproduction of the paper's §6 (internal/bench) and prints
 # its tables: the deterministic claims `make test` already checks, plus the

@@ -22,9 +22,11 @@ import (
 //
 // Because the format is whitespace-delimited with '='-separated attributes,
 // not every in-memory graph is encodable: labels and attribute keys must be
-// non-empty and free of whitespace and '=', and string attribute values
-// must be free of whitespace and '=' and must not themselves parse as
-// integers (Read would silently change their type). Write rejects
+// non-empty and free of whitespace, keys must also be free of '=', and
+// string attribute values must be free of whitespace and must not
+// themselves parse as integers (Read would silently change their type).
+// A label is a whole field and an attribute splits at its first '=', so
+// '=' inside a label or a value reads back unchanged. Write rejects
 // unencodable graphs with an error instead of emitting a file Read would
 // reject or mis-parse, so a successful Write always round-trips.
 
@@ -35,8 +37,11 @@ func checkToken(kind string, v NodeID, s string) error {
 	}
 	// Read tokenizes with strings.Fields, which splits on unicode.IsSpace —
 	// so any Unicode space (NBSP, U+2000…) is unencodable, not just ASCII.
-	if strings.ContainsRune(s, '=') || strings.IndexFunc(s, unicode.IsSpace) >= 0 {
-		return fmt.Errorf("graph: write: node %d: %s %q contains whitespace or '=' and is not encodable", v, kind, s)
+	if strings.IndexFunc(s, unicode.IsSpace) >= 0 {
+		return fmt.Errorf("graph: write: node %d: %s %q contains whitespace and is not encodable", v, kind, s)
+	}
+	if kind == "attribute key" && strings.ContainsRune(s, '=') {
+		return fmt.Errorf("graph: write: node %d: %s %q contains '=' and is not encodable", v, kind, s)
 	}
 	return nil
 }
@@ -78,9 +83,7 @@ func Write(w io.Writer, g *Graph) error {
 }
 
 // Read parses a graph in the text format. It validates density of node IDs
-// and edge endpoints, rejects a label or attribute value containing '='
-// (which Write could not emit), and reports the first error with its line
-// number.
+// and edge endpoints and reports the first error with its line number.
 func Read(r io.Reader) (*Graph, error) {
 	type nodeDecl struct {
 		label string
@@ -117,14 +120,11 @@ func Read(r io.Reader) (*Graph, error) {
 				return nil, fmt.Errorf("graph: line %d: duplicate node %d", lineNo, id)
 			}
 			decl := nodeDecl{label: fields[2]}
-			if strings.ContainsRune(decl.label, '=') {
-				return nil, fmt.Errorf("graph: line %d: label %q contains '='", lineNo, decl.label)
-			}
 			if len(fields) > 3 {
 				decl.attrs = make(map[string]Value, len(fields)-3)
 				for _, kv := range fields[3:] {
 					k, v, ok := strings.Cut(kv, "=")
-					if !ok || k == "" || strings.ContainsRune(v, '=') {
+					if !ok || k == "" {
 						return nil, fmt.Errorf("graph: line %d: bad attribute %q", lineNo, kv)
 					}
 					decl.attrs[k] = parseValue(v)

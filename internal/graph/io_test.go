@@ -80,13 +80,46 @@ func TestReadErrors(t *testing.T) {
 		{"edge unknown node", "node 0 a\nedge 0 1\n"},
 		{"sparse ids", "node 0 a\nnode 2 b\n"},
 		{"bad attr", "node 0 a =v\n"},
-		{"label with '='", "node 0 a=b\n"},
-		{"attr value with '='", "node 0 a k=v=w\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.in)); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
+	}
+}
+
+// TestReadEqualsInLabelsAndValues: a label is a whole field and an
+// attribute splits at its first '=', so '=' inside either reads unchanged
+// and survives Write and Read again.
+func TestReadEqualsInLabelsAndValues(t *testing.T) {
+	cases := []struct {
+		name, in, label, key, value string
+	}{
+		{"label with '='", "node 0 a=b\n", "a=b", "", ""},
+		{"attr value with '='", "node 0 a k=v=w\n", "a", "k", "v=w"},
+	}
+	for _, c := range cases {
+		g, err := Read(strings.NewReader(c.in))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if g.Label(0) != c.label {
+			t.Errorf("%s: label %q, want %q", c.name, g.Label(0), c.label)
+		}
+		if c.key != "" {
+			if v, _ := g.Attr(0, c.key); v.Kind != KindString || v.Str != c.value {
+				t.Errorf("%s: %s = %+v, want %q", c.name, c.key, v, c.value)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		again, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		assertGraphsEqual(t, g, again)
 	}
 }
 
@@ -127,9 +160,6 @@ func TestWriteRejectsUnencodableValues(t *testing.T) {
 		{"value with space", build(func(b *Builder) {
 			_ = b.SetAttr(0, "k", StrValue("two words"))
 		})},
-		{"value with equals", build(func(b *Builder) {
-			_ = b.SetAttr(0, "k", StrValue("a=b"))
-		})},
 		{"value with newline", build(func(b *Builder) {
 			_ = b.SetAttr(0, "k", StrValue("a\nb"))
 		})},
@@ -165,11 +195,14 @@ func TestWriteRejectsUnencodableValues(t *testing.T) {
 func TestWriteAllowsEncodableValues(t *testing.T) {
 	b := NewBuilder()
 	b.AddNode("a", map[string]Value{
-		"s":     StrValue("music"),
-		"empty": StrValue(""),
-		"i":     IntValue(-7),
-		"mixed": StrValue("4x2"),
+		"s":      StrValue("music"),
+		"empty":  StrValue(""),
+		"i":      IntValue(-7),
+		"mixed":  StrValue("4x2"),
+		"equals": StrValue("a=b"),
+		"url":    StrValue("http://h/?a=b"),
 	})
+	b.AddNode("=0", nil)
 	g := b.Build()
 	var buf bytes.Buffer
 	if err := Write(&buf, g); err != nil {
