@@ -24,14 +24,17 @@ bench:
 	$(GO) test -run '^$$' -bench 'CommitWarm|Cold' -benchmem .
 
 # fuzz runs each native fuzz target — the decoders of untrusted bytes: binary
-# checkpoints, graph and pattern text, WAL records — for 20 s. Their seed
-# corpora already run inside `make test`; this explores past them. A crashing
-# input is written under the package's testdata/fuzz/ and fails the target.
+# checkpoints, graph and pattern text, WAL records, and the query and update
+# JSON bodies through their HTTP handlers — for 20 s. Their seed corpora
+# already run inside `make test`; this explores past them. A crashing input
+# is written under the package's testdata/fuzz/ and fails the target.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 20s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz '^FuzzReadPattern$$' -fuzztime 20s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime 20s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzUpdateRequest$$' -fuzztime 20s
 
 # paper runs the reproduction of the paper's §6 (internal/bench) and prints
 # its tables: the deterministic claims `make test` already checks, plus the

@@ -9,9 +9,9 @@ package bitset
 // Get, union, Put — performs no allocation at all (see the AllocsPerRun
 // regression test).
 //
-// An Arena is NOT safe for concurrent use; its one user,
-// simulation.ComputeRelevant, gets, unions and releases sets in a single
-// sequential sweep.
+// An Arena is NOT safe for concurrent use; its one user, the relevance
+// kernel simulation.SweepRelevant, gets, unions and releases sets in a
+// single sequential sweep.
 //
 // Sets obtained from Get are ordinary *Set values: every in-place operation
 // (UnionWith, DifferenceWith, Add, ...) works on them unchanged, and a set

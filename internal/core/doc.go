@@ -15,7 +15,8 @@
 //
 // There is one kernel: both the engine and the find-all baseline run over
 // the materialized product CSR, optionally handed pre-settled stage inputs
-// through Options.Prebuilt. The frozen pre-CSR implementation survives as a
+// through Options.Prebuilt, and both get their relevant sets from one sweep,
+// simulation.SweepRelevant. The frozen pre-CSR implementation survives as a
 // test oracle only (simulation/reference.go, composed into a Result by
 // internal/oracle); nothing in this package can select it.
 //
@@ -62,20 +63,22 @@
 //     inputs support is matched before per-pair resolution may declare an
 //     unmatched pair dead.
 //
-// The partial relevant set of a matched pair holds only nodes reached
-// through matched pairs, so its size l never exceeds δr; the upper bound h
-// comes from an index that overcounts descendants (bounds.go), so h ≥ δr;
-// finalization makes both exact. checkTermination is Proposition 3 on those
-// bounds.
+// After every batch the R phase gives each matched pair its matched closure,
+// the data nodes it reaches through matched pairs: it recomputes the matched
+// ancestors of the new matches with the shared sweep. Any other pair's set
+// is final for the batch, since a closure grows only through a new match it
+// reaches. The closure is within R(u,v), so its size l never exceeds δr; the
+// upper bound h comes from an index that overcounts descendants (bounds.go),
+// so h ≥ δr; finalization makes both exact. checkTermination is Proposition
+// 3 on those bounds.
 //
 // Relevant sets are kept only on the tracked region: the pairs a live output
 // pair reaches through live pairs once the init-time deaths are resolved
 // (markTracked, one DFS over the product before the first batch). That loses
-// nothing. R(uo,v) of a matched output pair is gathered along matched paths,
-// and a matched pair never dies, so every pair on such a path was alive
-// after the init cascade and is tracked; a tracked pair never reads an
-// untracked one. After every batch each output set therefore holds what it
-// would hold were every pair tracked, and checkTermination and the hook read
+// nothing. A matched output pair's closure runs along matched paths, and a
+// matched pair never dies, so every pair on such a path was alive after the
+// init cascade and is tracked. Each output set therefore holds what it would
+// hold were every pair tracked, and checkTermination and the hook read
 // nothing else. On the tracked benchmark's mined patterns the region holds
 // about 15 % of the matched pairs of the output node and its descendants.
 //
@@ -105,15 +108,17 @@
 // # Scratch lifecycle
 //
 // Every mutable per-run array of the engine — pair status and counters, the
-// event queues, the feeder's order, the refinement tables, the slab the
-// interior relevant sets are carved from — lives in a recycled scratch
-// (scratch.go: one kept for good, the others of a concurrent burst in a
-// sync.Pool). newEngine takes it once the inputs are validated
-// and every query node is known to have candidates; reset re-lengths each
-// array and clears exactly the prefix the run will use; TopK returns it,
-// after the Result is assembled, on every path out. Three rules keep that
-// safe, and the hygiene tests hold the engine to them by overwriting every
-// returned scratch with ones:
+// match and finalization queues, the R phase's region, the feeder's order,
+// the refinement tables, the slab the interior relevant sets are carved
+// from — lives in a recycled scratch (scratch.go: one kept for good, the
+// others of a concurrent burst in a sync.Pool); only the arena of the
+// sweep's working sets, which holds pointers, is the engine's own. newEngine
+// takes the scratch once the inputs are validated and every query node is
+// known to have candidates; reset re-lengths each array and clears exactly
+// the prefix the run will use; TopK returns it, after the Result is
+// assembled, on every path out. Three rules keep that safe, and the hygiene
+// tests hold the engine to them by overwriting every returned scratch with
+// ones:
 //
 //   - Nothing carved from pooled memory may be reachable from a Result. A
 //     Result holds its own Space, its own Matches/All, and Match.R sets that

@@ -39,8 +39,8 @@ const (
 // equivalent of the paper's SccProcess.
 //
 // All mutable per-run arrays live in the embedded pooled scratch; the engine
-// value itself, the output-node sets and the Result are the only per-run
-// allocations.
+// value itself, the output-node sets, the R phase's working memory and the
+// Result are the only per-run allocations.
 type engine struct {
 	g     *graph.Graph
 	p     *pattern.Pattern
@@ -71,6 +71,10 @@ type engine struct {
 	// memory nor pin a chunk of interior sets past the run.
 	uoLo, uoHi int32
 	outSets    []*bitset.Set
+
+	// arena holds the working sets of the R phase's sweeps. It holds
+	// pointers, so it stays out of the pointer-free scratch.
+	arena *bitset.Arena
 
 	handles      []PairHandle // the hook's view of the current batch
 	feeder       feeder
@@ -129,6 +133,7 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*engine
 	e.scratch = acquireScratch()
 	e.scratch.reset(e.nq, e.nUnits, total, int(e.base[total]), int(e.uoHi-e.uoLo), e.space.Size())
 	e.outSets = make([]*bitset.Set, e.uoHi-e.uoLo)
+	e.arena = bitset.NewArena(e.space.Size())
 
 	e.initPatternStructure()
 	e.initUnits()
@@ -154,10 +159,9 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*engine
 // pair reaches through live pairs once the init-time deaths are resolved.
 // Matched pairs never die, so every matched path from a matched output pair
 // stays inside the marked region, and the output sets come out as if every
-// pair were tracked (see the package documentation). The DFS stack borrows
-// rQueue, which stays empty until the first relevance phase.
+// pair were tracked (see the package documentation).
 func (e *engine) markTracked() {
-	stack := e.rQueue[:0]
+	stack := e.stack[:0]
 	for q := e.uoLo; q < e.uoHi; q++ {
 		if e.status[q] != statusDead {
 			e.tracked[q] = true
@@ -174,7 +178,7 @@ func (e *engine) markTracked() {
 			}
 		}
 	}
-	e.rQueue = stack
+	e.stack = stack
 }
 
 // release returns the run's scratch to the pool. The Result is already

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"divtopk/internal/bitset"
+	"divtopk/internal/simulation"
 )
 
 // becomeMatched transitions a pair to matched and queues the match event.
@@ -348,91 +347,69 @@ func (e *engine) refineUnit(unit int32) {
 	}
 }
 
-// propagateRelevance runs the R phase of a batch: give the freshly matched
-// tracked pairs their relevant sets, gathered from their matched successors,
-// then push every set that grew up the (possibly cyclic) matched product
-// graph until quiescence. Untracked pairs (no live output pair reaches them)
-// are dropped up front: they never get a set, nor are they sorted, gathered
-// for or forwarded to, so a batch costs only what the output can see.
+// propagateRelevance runs the R phase of a batch. A pair's matched closure
+// grows only through a new match it reaches, so only the batch's new tracked
+// matches and their tracked matched ancestors can change; one walk up the
+// reverse product collects them and simulation.SweepRelevant recomputes
+// them, reading every other matched successor's set as stored. Untracked
+// pairs never enter the region, so a batch costs only what the output sees.
 func (e *engine) propagateRelevance() {
-	e.newRelM = slices.DeleteFunc(e.newRelM, func(q int32) bool { return !e.tracked[q] })
-	if len(e.newRelM) == 0 {
-		return
-	}
-	// Children first (ascending unit rank) to minimize re-propagation.
-	slices.SortFunc(e.newRelM, func(a, b int32) int {
-		ra := e.unitRank[e.unitOf[e.ci.U[a]]]
-		rb := e.unitRank[e.unitOf[e.ci.U[b]]]
-		if ra != rb {
-			return cmp.Compare(ra, rb)
+	region, stack := e.region[:0], e.stack[:0]
+	enter := func(q int32) {
+		if e.rlocal[q] == 0 && e.tracked[q] && e.status[q] == statusMatched {
+			region = append(region, q)
+			e.rlocal[q] = int32(len(region))
+			stack = append(stack, q)
 		}
-		return cmp.Compare(a, b)
-	})
-
+	}
 	prod := e.prod
 	for _, q := range e.newRelM {
-		// Output-node sets escape through Result.Match.R and may be retained
-		// indefinitely (the serving layer caches Results), so each is its
-		// own allocation; interior sets die with the run and are carved
-		// from the scratch's slab.
-		var s []uint64
+		if e.tracked[q] && len(prod.Succs(q)) == 0 {
+			// R = ∅ for good: the parents read the empty set as stored.
+			e.storeSet(q, nil, 0, 0, false)
+			stack = append(stack, q)
+			continue
+		}
+		enter(q)
+	}
+	e.newRelM = e.newRelM[:0]
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, qp := range prod.Rev[prod.RevOff[q]:prod.RevOff[q+1]] {
+			enter(qp)
+		}
+	}
+	if len(region) > 0 {
+		simulation.SweepRelevant(prod, e.space, e.arena, region,
+			func(q int32) (int32, bool) { return e.rlocal[q] - 1, e.rlocal[q] != 0 }, e.rwords, e.storeSet)
+	}
+	for _, q := range region {
+		e.rlocal[q] = 0
+	}
+	e.region, e.stack = region, stack
+}
+
+// storeSet copies a relevant set the sweep finished into pair q's own
+// storage, made on first use: its own allocation for an output pair (see
+// engine.outSets), a slab block otherwise. The stored set is the pair's
+// closure of an earlier phase, a subset of the new one, so copying the new
+// set's span overwrites all of it.
+func (e *engine) storeSet(q int32, s *bitset.Set, lo, hi int32, _ bool) bool {
+	dst := e.rwords(q)
+	if dst == nil {
 		if q >= e.uoLo && q < e.uoHi {
 			set := e.space.NewSet()
 			e.outSets[q-e.uoLo] = set
-			s = set.Words()
+			dst = set.Words()
 		} else {
 			h := e.sets.Alloc()
 			e.rslot[q] = h + 1
-			s = e.sets.At(h)
-		}
-		for _, qc := range prod.Succs(q) {
-			if e.status[qc] != statusMatched {
-				continue
-			}
-			// qc == q (a product self-loop) reads the set being built: a
-			// union with itself, as harmless as it is useless.
-			if rs := e.rwords(qc); rs != nil {
-				bitset.UnionWords(s, rs)
-			}
-			if idx := e.space.Index(e.ci.V[qc]); idx >= 0 {
-				bitset.AddBit(s, int(idx))
-			}
-		}
-		// A fresh match is new to all its parents.
-		e.rEnqueue(q)
-	}
-	e.newRelM = e.newRelM[:0]
-
-	for len(e.rQueue) > 0 {
-		q := e.rQueue[len(e.rQueue)-1]
-		e.rQueue = e.rQueue[:len(e.rQueue)-1]
-		e.rInQueue[q] = false
-		src := e.rwords(q)
-		selfIdx := e.space.Index(e.ci.V[q])
-		for ei := prod.RevOff[q]; ei < prod.RevOff[q+1]; ei++ {
-			qp := prod.Rev[ei]
-			if !e.tracked[qp] || e.status[qp] != statusMatched {
-				continue
-			}
-			dst := e.rwords(qp)
-			if dst == nil {
-				continue // initialized later this phase; init gathers src
-			}
-			changed := bitset.UnionWords(dst, src)
-			if selfIdx >= 0 && bitset.AddBit(dst, int(selfIdx)) {
-				changed = true
-			}
-			if changed {
-				e.rEnqueue(qp)
-			}
+			dst = e.sets.At(h)
 		}
 	}
-}
-
-// rEnqueue schedules a forward of q's set to its parents.
-func (e *engine) rEnqueue(q int32) {
-	if !e.rInQueue[q] {
-		e.rInQueue[q] = true
-		e.rQueue = append(e.rQueue, q)
+	if lo < hi {
+		copy(dst[lo:hi], s.Words()[lo:hi])
 	}
+	return false
 }

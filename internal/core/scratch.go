@@ -66,10 +66,11 @@ type scratch struct {
 	finalQ  []int32 // finalization events (deaths included)
 	newRelM []int32 // newly matched pairs, for the R phase
 
-	// R propagation worklist: pairs whose grown set their parents have not
-	// seen yet.
-	rQueue   []int32
-	rInQueue []bool
+	// The R phase's region in discovery order, each pair's index there plus
+	// one (0 outside it), and the DFS stack of its walk and of markTracked.
+	region []int32
+	rlocal []int32
+	stack  []int32
 
 	// Feeder: the leaf order, the batch handed out last, and the covering
 	// sort's buffers (per-leaf scores, per-score start positions, and the
@@ -177,7 +178,7 @@ func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.unfinTotal = zeroed(s.unfinTotal, pairs)
 	s.tracked = zeroed(s.tracked, pairs)
 	s.rslot = zeroed(s.rslot, pairs)
-	s.rInQueue = zeroed(s.rInQueue, pairs)
+	s.rlocal = zeroed(s.rlocal, pairs)
 
 	s.satCnt = zeroed(s.satCnt, slots)
 	s.unfinCnt = zeroed(s.unfinCnt, slots)
@@ -190,7 +191,6 @@ func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.matchQ = s.matchQ[:0]
 	s.finalQ = s.finalQ[:0]
 	s.newRelM = s.newRelM[:0]
-	s.rQueue = s.rQueue[:0]
 	s.order = s.order[:0]
 	s.batch = s.batch[:0]
 	s.sel = s.sel[:0]

@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 
 	"divtopk"
@@ -51,9 +53,11 @@ const maxQueuedUpdates = 1024
 
 // submit enqueues req and blocks until its batch commits (or fails); with
 // maxQueuedUpdates requests already queued it answers 429 overloaded
-// instead. The drain goroutine is started lazily by the first request to
-// find it stopped.
-func (c *coalescer) submit(req *UpdateRequest) updateOutcome {
+// instead. If ctx ends while the request still waits in the queue, it leaves
+// the queue uncommitted and is answered 499 canceled; once the drain has
+// taken it, it commits and is acknowledged as usual. The drain goroutine is
+// started lazily by the first request to find it stopped.
+func (c *coalescer) submit(ctx context.Context, req *UpdateRequest) updateOutcome {
 	job := &updateJob{req: req, done: make(chan updateOutcome, 1)}
 	c.mu.Lock()
 	if len(c.queue) >= maxQueuedUpdates {
@@ -67,7 +71,21 @@ func (c *coalescer) submit(req *UpdateRequest) updateOutcome {
 		go c.drain()
 	}
 	c.mu.Unlock()
-	return <-job.done
+	select {
+	case out := <-job.done:
+		return out
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	i := slices.Index(c.queue, job)
+	if i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
+	}
+	c.mu.Unlock()
+	if i < 0 {
+		return <-job.done
+	}
+	return updateOutcome{status: statusClientClosedRequest, code: codeCanceled, msg: "client canceled the request"}
 }
 
 // drain commits batches until the queue stays empty. Each iteration grabs

@@ -472,7 +472,9 @@ type UpdateResponse struct {
 // acknowledged with its own version of the equivalent sequential chain. The
 // matcher advances the bound index off to the side and swaps graph and index
 // atomically, so in-flight queries finish on the snapshot they started on
-// and the response's version tags every answer computed on the new one.
+// and the response's version tags every answer computed on the new one. A
+// request whose client leaves while it is still queued is dropped from the
+// queue and answered 499 canceled.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req UpdateRequest
@@ -484,7 +486,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeUnknownGraph, "graph %q is not registered", name)
 		return
 	}
-	out := s.coalescer(name, m).submit(&req)
+	out := s.coalescer(name, m).submit(r.Context(), &req)
 	if out.code != "" {
 		writeError(w, out.status, out.code, "%s", out.msg)
 		return

@@ -1,8 +1,6 @@
 package simulation
 
 import (
-	"slices"
-
 	"divtopk/internal/bitset"
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
@@ -36,22 +34,16 @@ type RelevantResult struct {
 // root over a materialized product CSR. alive selects the pair universe
 // (nil = all candidates = the R̂ upper bound; Result.InSim = the paper's R
 // over M(Q,G)). keepSets retains each root pair's bitset; with
-// keepSets=false only the sizes survive.
+// keepSets=false only the sizes survive. It and the early-termination engine
+// (internal/core) are the two callers of SweepRelevant.
 //
-// Only the region the root reaches can enter a relevant set, so the kernel
-// never looks past it: a DFS from the alive root pairs over the alive product
-// collects the reached pairs, numbers them densely in ascending pair order,
-// and the SCC condensation is built over those pairs alone. Its cost and its
-// allocation follow the reached region (and the width of Space), not the
-// product's pair count. SCC indices are a reverse topological order, so one
-// sequential sweep in index order computes every component after all of its
-// successors. Interior bitsets come from a bitset.Arena and return to it as
-// soon as every predecessor has consumed them, keeping both peak memory and
-// allocator traffic proportional to the frontier of the condensed product
-// DAG instead of its total size.
+// Only the region the root reaches can enter a relevant set, so a DFS from
+// the alive root pairs over the alive product collects the reached pairs (in
+// a map, so that pairs the root cannot reach cost nothing) and the sweep
+// condenses those alone: cost and allocation follow the reached region and
+// the width of Space, not the product's pair count.
 func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, keepSets bool) *RelevantResult {
-	ci := prod.CI
-	lo, hi := ci.PairRange(root)
+	lo, hi := prod.CI.PairRange(root)
 	res := &RelevantResult{
 		Space: space,
 		Sizes: make([]int32, hi-lo),
@@ -62,61 +54,91 @@ func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, kee
 	}
 	isAlive := func(q int32) bool { return alive == nil || alive[q] }
 
-	// The reached region: pairs lists it, local maps a pair to its index in
-	// pairs (a map, not a per-pair array, so that pairs the root cannot reach
-	// cost nothing). Every reached pair is alive and every alive successor of
-	// one is reached, so the filtered CSR below stays inside the region.
 	local := make(map[int32]int32)
-	var pairs, stack []int32
-	nEdges := 0
+	var region, stack []int32
 	reach := func(q int32) {
+		if !isAlive(q) {
+			return
+		}
 		if _, ok := local[q]; !ok {
-			local[q] = 0
-			pairs = append(pairs, q)
+			local[q] = int32(len(region))
+			region = append(region, q)
 			stack = append(stack, q)
 		}
 	}
 	for q := lo; q < hi; q++ {
-		if isAlive(q) {
-			reach(q)
-		}
+		reach(q)
 	}
 	for len(stack) > 0 {
 		q := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, t := range prod.Succs(q) {
-			if isAlive(t) {
-				nEdges++
-				reach(t)
-			}
+			reach(t)
 		}
 	}
-	slices.Sort(pairs)
-	for i, q := range pairs {
-		local[q] = int32(i)
-	}
-	// Filtering preserves the product's edge order, so the condensation
-	// depends on the inputs alone.
-	off := make([]int32, len(pairs)+1)
-	adj := make([]int32, 0, nEdges)
-	for i, q := range pairs {
-		for _, t := range prod.Succs(q) {
-			if isAlive(t) {
-				adj = append(adj, local[t])
+	SweepRelevant(prod, space, bitset.NewArena(space.Size()), region,
+		func(q int32) (int32, bool) { l, ok := local[q]; return l, ok }, nil,
+		func(q int32, s *bitset.Set, sLo, sHi int32, last bool) bool {
+			if q < lo || q >= hi {
+				return false
 			}
-		}
-		off[i+1] = int32(len(adj))
-	}
-	cond := graph.CondenseCSR(len(pairs), off, adj)
+			res.Sizes[q-lo] = int32(s.CountRange(int(sLo), int(sHi)))
+			if keepSets && last {
+				// An unread root pair (the common case: the output node has
+				// no predecessors in the region): hand the arena set over
+				// instead of cloning it.
+				res.Sets[q-lo] = s
+			} else if keepSets {
+				res.Sets[q-lo] = s.Clone()
+			}
+			return keepSets && last
+		})
+	return res
+}
 
-	arena := bitset.NewArena(space.Size())
+// SweepRelevant is the relevance kernel: it computes the relevant set of
+// every pair of a region of the product graph in one sweep. The region is
+// condensed with graph.CondenseCSR; SCC indices are a reverse topological
+// order, so one pass in index order computes every component after all of
+// its successors. Working sets come from arena and return to it once every
+// predecessor has consumed them, so memory follows the condensed region's
+// frontier, not its size.
+//
+// region lists the pairs to compute; local(q) gives q's index in region and
+// whether q lies in it. Any other successor t contributes outside(t), the
+// set it already stores (unchanged by the sweep), plus its own node, unless
+// outside is nil or returns nil for t. store receives each region pair's
+// finished set s, whose bits lie in words [lo, hi). s is the kernel's: store
+// copies what it keeps, except that when last is set no other region pair
+// reads s and store may take it over by returning true.
+func SweepRelevant(prod *Product, space *RelSpace, arena *bitset.Arena, region []int32,
+	local func(q int32) (int32, bool), outside func(q int32) []uint64,
+	store func(q int32, s *bitset.Set, lo, hi int32, last bool) bool) {
+
+	// adj holds the successors inside the region, by local number (filtering
+	// preserves the product's edge order); ext the others that contribute.
+	off := make([]int32, len(region)+1)
+	extOff := make([]int32, len(region)+1)
+	adj := make([]int32, 0, len(region))
+	var ext []int32
+	for i, q := range region {
+		for _, t := range prod.Succs(q) {
+			if l, ok := local(t); ok {
+				adj = append(adj, l)
+			} else if outside != nil && outside(t) != nil {
+				ext = append(ext, t)
+			}
+		}
+		off[i+1], extOff[i+1] = int32(len(adj)), int32(len(ext))
+	}
+	cond := graph.CondenseCSR(len(region), off, adj)
+
+	ci := prod.CI
 	nWords := int32((space.Size() + 63) / 64)
 	sets := make([]*bitset.Set, cond.NumComps)
 	// spanLo/spanHi[c] is the half-open word range holding every set bit of
-	// sets[c] (empty when lo >= hi). Unions, counts and the clears on
-	// release run over spans instead of the full universe width, so the
-	// kernel pays for the sets' actual extent — relevant sets are narrow in
-	// a wide universe.
+	// sets[c] (empty when lo >= hi): unions, counts and clears run over spans,
+	// not the universe's width, since relevant sets are narrow in a wide one.
 	spanLo := make([]int32, cond.NumComps)
 	spanHi := make([]int32, cond.NumComps)
 	pending := make([]int32, cond.NumComps)
@@ -128,16 +150,25 @@ func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, kee
 		arena.Put(sets[c])
 		sets[c] = nil
 	}
+	var (
+		s        *bitset.Set
+		sLo, sHi int32
+	)
+	addNode := func(q int32) {
+		if idx := space.Index(ci.V[q]); idx >= 0 {
+			s.Add(int(idx))
+			sLo, sHi = min(sLo, idx>>6), max(sHi, idx>>6+1)
+		}
+	}
 
 	// Invariant: sets[c] = data nodes reachable from c's pairs in >= 0 steps
 	// *including c's own members* — i.e. what a predecessor comp sees
 	// through c. A pair's own relevant set is the >= 1 step variant: for
-	// trivial comps it is recorded before self-insertion, for nontrivial
+	// trivial comps it is stored before self-insertion, for nontrivial
 	// comps after (mutual reachability puts members in their own relevant
 	// sets, cf. Example 8 where DB3 ∈ R(DB,DB3)).
 	for c := int32(0); c < int32(cond.NumComps); c++ {
-		s := arena.Get()
-		sLo, sHi := nWords, int32(0) // empty span
+		s, sLo, sHi = arena.Get(), nWords, 0 // empty span
 		for _, succ := range cond.Succ[c] {
 			if spanLo[succ] < spanHi[succ] {
 				s.UnionRange(sets[succ], int(spanLo[succ]), int(spanHi[succ]))
@@ -149,55 +180,36 @@ func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, kee
 				release(succ)
 			}
 		}
-		addSelf := func(q int32) {
-			if idx := space.Index(ci.V[q]); idx >= 0 {
-				s.Add(int(idx))
-				sLo, sHi = min(sLo, idx>>6), max(sHi, idx>>6+1)
+		for _, l := range cond.Members[c] {
+			for _, t := range ext[extOff[l]:extOff[l+1]] {
+				bitset.UnionWords(s.Words(), outside(t))
+				sLo, sHi = 0, nWords
+				addNode(t)
 			}
 		}
-		record := func(q int32) {
-			if q < lo || q >= hi {
-				return
-			}
-			i := q - lo
-			res.Sizes[i] = int32(s.CountRange(int(sLo), int(sHi)))
-			if keepSets {
-				res.Sets[i] = s.Clone()
-			}
-		}
-		// read reports whether a predecessor will union this set. Every
-		// reached pair outside the root's candidates was reached through
-		// an edge, so only root components can go unread.
+		// read reports whether a predecessor will union this set.
 		read := len(cond.Pred[c]) > 0
 		if cond.Nontrivial[c] {
 			for _, l := range cond.Members[c] {
-				addSelf(pairs[l])
+				addNode(region[l])
 			}
 			for _, l := range cond.Members[c] {
-				record(pairs[l])
+				store(region[l], s, sLo, sHi, false)
 			}
 		} else {
-			q := pairs[cond.Members[c][0]]
-			if keepSets && !read {
-				// An unread root pair (the common case: the output node
-				// has no predecessors in the reached region): hand the
-				// arena set over instead of cloning it. Skipping the
-				// self-insertion is sound because only predecessors
-				// observe it.
-				i := q - lo
-				res.Sizes[i] = int32(s.CountRange(int(sLo), int(sHi)))
-				res.Sets[i] = s
+			q := region[cond.Members[c][0]]
+			// Skipping the self-insertion of a set taken over is sound
+			// because only predecessors observe it.
+			if store(q, s, sLo, sHi, !read) {
 				continue
 			}
-			record(q)
-			addSelf(q)
+			addNode(q)
 		}
 		sets[c], spanLo[c], spanHi[c] = s, sLo, sHi
 		if !read {
 			release(c)
 		}
 	}
-	return res
 }
 
 // RelevantSetNaive computes R(u,v) by a direct DFS over the product graph,
