@@ -315,15 +315,15 @@ type answer struct {
 // from. pre == nil computes everything cold (package-level calls, uncached
 // sessions). A non-nil pre supplies the candidate index, product CSR and
 // settled fixpoint of a maintained simulation.IncState for exactly (g, p) —
-// built at admission, possibly from containment-seeded candidates, or carried
-// across a commit by IncCompute; it only spares rebuilding them, the answer
-// is byte-identical; the advance pass also hands back, as pre.Pool, the
-// find-all pool the first such query on a state computed, so the others riding
-// it skip the relevance pass. prev, passed by the commit-time advance pass when
-// the delta grew no candidate list of the pattern (see poolEqual), is the
-// query's answer at the previous version: when the find-all pool equals
-// prev's, the previous value is returned as is — in particular TopKDiv's
-// greedy scan re-runs only when the match set changed.
+// built at admission or carried across a commit by IncCompute; it only
+// spares rebuilding them, the answer is byte-identical; the advance pass
+// also hands back, as pre.Pool, the find-all pool the first such query on a
+// state computed, so the others riding it skip the relevance pass. prev,
+// passed by the commit-time advance pass when the delta grew no candidate
+// list of the pattern (see poolEqual), is the query's answer at the previous
+// version: when the find-all pool equals prev's, the previous value is
+// returned as is — in particular TopKDiv's greedy scan re-runs only when the
+// match set changed.
 func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answer) (answer, error) {
 	// TopKDH and TopKDiv validate λ and k themselves, but TopKDiv only after
 	// its find-all half ran: check first so no route pays for, or reports an

@@ -47,12 +47,10 @@ import (
 // session pay, until sixteen newer patterns happen to displace them, for
 // every shape that was ever asked once.
 //
-// Admission is containment-aware: when a new pattern's nodes are subsumed by
-// a maintained pattern's (pattern.CondSubsumes — same label, subset
-// predicates), its candidate lists are seeded from the donor's instead of
-// scanned cold (simulation.BuildCandidatesSeeded), turning the cache into a
-// cross-query accelerator. Seeding is an optimization of the scan only:
-// every result is byte-identical to a cold evaluation, which the delta-chain
+// A state enters the registry one way, a cold build on a miss
+// (buildPatternState), and leaves it one way besides replacement: eviction
+// when its advance trips the work-share ratio (simulation.ErrIncFallback).
+// Every answer is byte-identical to a cold evaluation, which the delta-chain
 // fuzz in matcher_advance_test.go pins at every version.
 
 const (
@@ -183,7 +181,10 @@ func (c *warmCache) run(g *Graph, p *Pattern, q query) (any, QueryInfo, error) {
 		return nil, info, err
 	}
 	text := patternText(p)
-	v, outcome, err := c.lru.DoStatus(queryKey(q, g, text), func() (any, bool, error) { return c.load(g, p, text, q) })
+	v, outcome, err := c.lru.DoStatus(queryKey(q, g, text), func() (any, bool, error) {
+		val, err := c.load(g, p, text, q)
+		return val, false, err
+	})
 	if err != nil {
 		return nil, info, err
 	}
@@ -198,21 +199,21 @@ func (c *warmCache) run(g *Graph, p *Pattern, q query) (any, QueryInfo, error) {
 
 // load is the cache-miss loader: evaluate, fed the pattern's maintained
 // state at g (admitting one if needed) and remembering the query on it for
-// the advance pass. The bool result reports containment seeding. A query the
-// evaluation will reject anyway (k < 1, invalid pattern) admits nothing and
-// lets evaluate produce the structured error.
-func (c *warmCache) load(g *Graph, p *Pattern, text string, q query) (any, bool, error) {
+// the advance pass. A query the evaluation will reject anyway (k < 1,
+// invalid pattern) admits nothing and lets evaluate produce the structured
+// error.
+func (c *warmCache) load(g *Graph, p *Pattern, text string, q query) (any, error) {
 	if q.k < 1 || p.p.Validate() != nil {
 		a, err := evaluate(g, p, q, nil, nil)
-		return a.val, false, err
+		return a.val, err
 	}
-	st, seeded := c.warmState(g, p, text)
+	st := c.warmState(g, p, text)
 	a, err := evaluate(g, p, q, st.prebuilt(), nil)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	c.warm.remember(st, q, a)
-	return a.val, seeded, nil
+	return a.val, nil
 }
 
 // remember records q and its answer on st's entry, replacing the least
@@ -267,47 +268,23 @@ func (w *warmRegistry) touch(text string, q query) {
 }
 
 // warmState returns the maintained state of p (canonical text: text) at
-// snapshot g, admitting one if absent — with containment-seeded candidate
-// lists (seeded = true) when a maintained pattern subsumes p's nodes. When a
-// commit raced past g, or the registry is full of states that have each
-// served an advanced answer since the last commit (a one-off miss must not
-// cost a pattern in use its slot), the returned state is a transient, good
-// for this evaluation only.
-func (c *warmCache) warmState(g *Graph, p *Pattern, text string) (st *patternState, seeded bool) {
+// snapshot g, admitting one if absent. When a commit raced past g, or the
+// registry is full of states that have each served an advanced answer since
+// the last commit (a one-off miss must not cost a pattern in use its slot),
+// the returned state is a transient, good for this evaluation only.
+func (c *warmCache) warmState(g *Graph, p *Pattern, text string) *patternState {
 	w := &c.warm
 	w.mu.Lock()
 	if e := w.entries[text]; e != nil && e.st.inc.G == g.g {
 		w.clock++
-		e.used, st = w.clock, e.st
+		e.used = w.clock
+		st := e.st
 		w.mu.Unlock()
-		return st, false
-	}
-	// Containment seeding: among the states at this snapshot, pick the donor
-	// covering the most of p's nodes (ties to the smallest pattern text, so
-	// the choice is deterministic; any donor yields identical results).
-	var seeds [][]graph.NodeID
-	bestCover, bestText := 0, ""
-	for _, e := range w.entries {
-		donor := e.st
-		if donor.inc.G != g.g {
-			continue
-		}
-		cover, n := pattern.NodeCover(p.p, donor.p.p)
-		if n < bestCover || n == 0 || (n == bestCover && donor.text >= bestText) {
-			continue
-		}
-		bestCover, bestText = n, donor.text
-		seeds = make([][]graph.NodeID, p.p.NumNodes())
-		for u, x := range cover {
-			if x >= 0 {
-				seeds[u] = donor.inc.CI.Lists[x]
-			}
-		}
+		return st
 	}
 	w.mu.Unlock()
 
-	seeded = seeds != nil
-	st = buildPatternState(g, text, p, seeds)
+	st := buildPatternState(g, text, p)
 
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -316,12 +293,12 @@ func (c *warmCache) warmState(g *Graph, p *Pattern, text string) (st *patternSta
 		if cur.st.inc.G == g.g {
 			// Lost an admission race at the same snapshot: use the winner.
 			cur.used = w.clock
-			return cur.st, seeded
+			return cur.st
 		}
 		if cur.st.inc.G.Version() > g.g.Version() {
 			// A commit advanced past this query's snapshot; don't clobber the
 			// newer state — evaluate with the transient one.
-			return st, seeded
+			return st
 		}
 	} else if len(w.entries) >= maxWarmPatterns {
 		oldest := ""
@@ -331,34 +308,34 @@ func (c *warmCache) warmState(g *Graph, p *Pattern, text string) (st *patternSta
 			}
 		}
 		if oldest == "" {
-			return st, seeded
+			return st
 		}
 		delete(w.entries, oldest)
 	}
 	w.entries[text] = &warmEntry{st: st, used: w.clock}
-	return st, seeded
+	return st
 }
 
-// buildPatternState is warmState's heavy step: the candidate scan (seeded
-// from a donor's lists when seeds is non-nil), the product and the settled
-// fixpoint of p at g. A variable so that a test can park it and check that
-// warmState runs it without holding the registry lock.
-var buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID) *patternState {
-	ci := simulation.BuildCandidatesSeeded(g.g, p.p, seeds)
-	return newPatternState(g, text, p, simulation.NewIncStateSeeded(g.g, p.p, ci))
+// buildPatternState is warmState's heavy step: the candidate scan, the
+// product and the settled fixpoint of p at g. A variable so that a test can
+// park it and check that warmState runs it without holding the registry
+// lock.
+var buildPatternState = func(g *Graph, text string, p *Pattern) *patternState {
+	return newPatternState(g, text, p, simulation.NewIncState(g.g, p.p, 0))
 }
 
 // advanceWarm carries every maintained pattern state and its remembered
 // queries from gOld, the published snapshot, to g2 (the caller —
 // commitLocked, holding updateMu — has applied merged to gOld but not yet
 // published the result), and counts what that took into stats' Warm fields.
-// States whose incremental advance trips the work-share ratio are evicted
-// instead (IncOptions.NoFallback): a commit never pays a full rebuild for the
-// cache's sake. Nothing is published here: the returned install function
-// swaps the advanced states in and admits the advanced answers under their
-// post-delta keys, and the caller runs it only after the commit's last
-// fallible step — entries for a version that is never published must never
-// become reachable, since a later commit could reuse the version number.
+// States whose incremental advance trips the work-share ratio
+// (simulation.ErrIncFallback) are evicted instead: a commit never pays a full
+// rebuild for the cache's sake. Nothing is published here: the returned
+// install function swaps the advanced states in and admits the advanced
+// answers under their post-delta keys, and the caller runs it only after the
+// commit's last fallible step — entries for a version that is never
+// published must never become reachable, since a later commit could reuse
+// the version number.
 func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *IndexStats) func() {
 	if c == nil {
 		return func() {}
@@ -380,10 +357,7 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 	c.warm.mu.Unlock()
 
 	stats.WarmStates = len(work)
-	incOpts := simulation.IncOptions{
-		RecomputeRatio: c.advanceRatio,
-		NoFallback:     true,
-	}
+	incOpts := simulation.IncOptions{RecomputeRatio: c.advanceRatio}
 	for i := range work {
 		a := &work[i]
 		if a.old.inc.G != gOld.g {

@@ -113,8 +113,9 @@
 // offers
 // internal/simulation.IncCompute: it maintains the simulation fixpoint and
 // product CSR incrementally over the delta's affected area — sharing the
-// same closure-traversal helper (graph.Expand) and the same two-level
-// fallback discipline as the index advance — with the tracked benchmark's
+// same closure-traversal helper (graph.Expand) as the index advance, and
+// returning ErrIncFallback past its ratio where the index rebuilds — with
+// the tracked benchmark's
 // simulation.inc_* and core.bounds_* layers timing both. See the README's
 // "Dynamic graphs" section.
 //
@@ -144,12 +145,10 @@
 // threshold trades commit latency against post-commit query latency and
 // never changes answers. All of it is one evaluation path: every query
 // route resolves into one query value and one evaluate function, and
-// "cold", "seeded" and "advanced" only name where that function's stage
-// inputs (candidates, product, fixpoint, previous answer) came from.
-// Admission is containment-aware: a pattern whose node conditions
-// are subsumed by a cached pattern's nodes (same label, predicate subset)
-// seeds its candidate lists from the cached superset's maintained lists and
-// reports "seeded". CacheStats counts advanced, seeded, advance-evicted,
+// "cold" and "advanced" only name where that function's stage inputs
+// (candidates, product, fixpoint, previous answer) came from. A pattern
+// state enters the registry by a cold build when a miss admits it and
+// leaves it by eviction. CacheStats counts advanced, advance-evicted,
 // carried and re-evaluated entries; randomized delta-chain fuzzes pin every
 // warm answer byte-identical to a never-cached session at every version.
 // See the README's "Warm cache" section.

@@ -17,15 +17,13 @@ import (
 // counts callers that piggybacked on an evaluation already in flight and
 // Hits counts callers served from a stored entry. Hits + Misses + Coalesced
 // equals the number of DoStatus calls. Advanced counts entries installed
-// by the commit-time advance pass (PutAdvanced); Seeded counts admitted
-// evaluations that reported containment seeding.
+// by the commit-time advance pass (PutAdvanced).
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Coalesced uint64
 	Evictions uint64
 	Advanced  uint64
-	Seeded    uint64
 	Entries   int
 }
 
@@ -36,16 +34,12 @@ type Outcome string
 const (
 	// OutcomeHit: served from a stored entry.
 	OutcomeHit Outcome = "hit"
-	// OutcomeMiss: the caller (or the leader it coalesced on) ran the loader
-	// cold.
+	// OutcomeMiss: the caller (or the leader it coalesced on) ran the loader.
 	OutcomeMiss Outcome = "miss"
 	// OutcomeAdvanced: served from an entry the commit-time advance pass
 	// installed, on its first hit since installation (later hits decay to
 	// OutcomeHit — the entry is then just a warm entry).
 	OutcomeAdvanced Outcome = "advanced"
-	// OutcomeSeeded: the loader ran but reported containment seeding from a
-	// cached superset entry.
-	OutcomeSeeded Outcome = "seeded"
 )
 
 // entry is one stored key/value pair; list elements carry *entry. advanced
@@ -57,13 +51,11 @@ type entry struct {
 	advanced bool
 }
 
-// flight is one in-progress evaluation that followers wait on; outcome is
-// the leader's, mirrored to every coalesced caller.
+// flight is one in-progress evaluation that followers wait on.
 type flight struct {
-	done    chan struct{}
-	val     any
-	err     error
-	outcome Outcome
+	done chan struct{}
+	val  any
+	err  error
 }
 
 // Cache is a fixed-capacity LRU with singleflight admission, safe for
@@ -95,10 +87,10 @@ func New(capacity int) *Cache {
 // missing key block until the leader's fn returns, then share its result. A
 // successful value is stored (evicting the least recently used entry past
 // capacity); an error is delivered to the leader and every waiter but is
-// not cached, so the next caller retries. The loader additionally reports
-// whether its evaluation was containment-seeded from a cached superset
-// entry, and the call returns how it was served (hit, miss, advanced or
-// seeded); coalesced callers are reported with their leader's outcome.
+// not cached, so the next caller retries. The call returns how it was
+// served (hit, miss or advanced); coalesced callers report a miss, as their
+// leader does. The loader's bool result is ignored; it stays until the tracked
+// benchmark, which passes such a loader, stops doing so.
 func (c *Cache) DoStatus(key string, fn func() (any, bool, error)) (any, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
@@ -118,9 +110,9 @@ func (c *Cache) DoStatus(key string, fn func() (any, bool, error)) (any, Outcome
 		c.stats.Coalesced++
 		c.mu.Unlock()
 		<-f.done
-		return f.val, f.outcome, f.err
+		return f.val, OutcomeMiss, f.err
 	}
-	f := &flight{done: make(chan struct{}), outcome: OutcomeMiss}
+	f := &flight{done: make(chan struct{})}
 	c.inflight[key] = f
 	c.stats.Misses++
 	c.mu.Unlock()
@@ -140,22 +132,17 @@ func (c *Cache) DoStatus(key string, fn func() (any, bool, error)) (any, Outcome
 		close(f.done)
 	}()
 
-	var seeded bool
-	f.val, seeded, f.err = fn()
+	f.val, _, f.err = fn()
 	settled = true
 
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if f.err == nil {
-		if seeded {
-			f.outcome = OutcomeSeeded
-			c.stats.Seeded++
-		}
 		c.store(key, f.val, false)
 	}
 	c.mu.Unlock()
 	close(f.done)
-	return f.val, f.outcome, f.err
+	return f.val, OutcomeMiss, f.err
 }
 
 // PutAdvanced installs an entry produced by the commit-time advance pass:

@@ -175,34 +175,9 @@ func TestPutAdvancedOneShotOutcome(t *testing.T) {
 	}
 }
 
-// TestDoStatusSeededOutcome pins the seeded provenance: a loader reporting
-// containment seeding lands OutcomeSeeded (counted once in Stats.Seeded),
-// the stored entry serves later callers as a plain hit, and a seeded
-// loader's error is delivered uncached like any other.
-func TestDoStatusSeededOutcome(t *testing.T) {
-	c := New(4)
-	v, out, err := c.DoStatus("s", func() (any, bool, error) { return "sv", true, nil })
-	if err != nil || v != "sv" || out != OutcomeSeeded {
-		t.Fatalf("seeded load = (%v, %v, %v)", v, out, err)
-	}
-	if s := c.Stats(); s.Seeded != 1 || s.Misses != 1 {
-		t.Fatalf("stats after seeded load: %+v", s)
-	}
-	if _, out, _ := c.DoStatus("s", func() (any, bool, error) { return nil, false, nil }); out != OutcomeHit {
-		t.Fatalf("cached seeded entry outcome = %v, want hit", out)
-	}
-	boom := errors.New("boom")
-	if _, out, err := c.DoStatus("e", func() (any, bool, error) { return nil, true, boom }); err != boom || out != OutcomeMiss {
-		t.Fatalf("failing seeded load = (%v, %v), want (miss, boom)", out, err)
-	}
-	if s := c.Stats(); s.Seeded != 1 {
-		t.Fatalf("failed load counted as seeded: %+v", s)
-	}
-}
-
 // TestDoStatusCoalescedMirrorsLeader pins that followers coalescing onto an
-// in-flight evaluation report the leader's outcome — seeded when the leader
-// seeded — while later, post-landing callers report plain hits.
+// in-flight evaluation report the leader's outcome, a miss, while later,
+// post-landing callers report plain hits.
 func TestDoStatusCoalescedMirrorsLeader(t *testing.T) {
 	c := New(8)
 	gate := make(chan struct{})
@@ -215,7 +190,7 @@ func TestDoStatusCoalescedMirrorsLeader(t *testing.T) {
 		_, out, _ := c.DoStatus("k", func() (any, bool, error) {
 			close(started)
 			<-gate
-			return "v", true, nil
+			return "v", false, nil
 		})
 		leadOut = out
 	}()
@@ -241,12 +216,12 @@ func TestDoStatusCoalescedMirrorsLeader(t *testing.T) {
 	close(gate)
 	wg.Wait()
 	fwg.Wait()
-	if leadOut != OutcomeSeeded {
-		t.Fatalf("leader outcome = %v, want seeded", leadOut)
+	if leadOut != OutcomeMiss {
+		t.Fatalf("leader outcome = %v, want miss", leadOut)
 	}
 	for i, out := range outs {
-		if out != OutcomeSeeded {
-			t.Fatalf("follower %d outcome = %v, want the leader's seeded", i, out)
+		if out != OutcomeMiss {
+			t.Fatalf("follower %d outcome = %v, want the leader's miss", i, out)
 		}
 	}
 	if _, out, _ := c.DoStatus("k", func() (any, bool, error) { return nil, false, nil }); out != OutcomeHit {

@@ -52,16 +52,6 @@ type attrEnt struct {
 	num  int64 // the integer value, or the index of the string value in strs
 }
 
-// newAttrTable builds the table of a graph whose node v has attributes
-// maps[v]; nil and empty maps are nodes without attributes.
-func newAttrTable(maps []map[string]Value) attrTable {
-	var w attrWriter
-	for v, m := range maps {
-		w.add(v, m)
-	}
-	return w.t
-}
-
 // appended returns the table with the attributes of the appended nodes
 // nOld, nOld+1, ... added. t is not modified and stays valid: a successor
 // snapshot shares every chunk it did not have to extend.
@@ -194,19 +184,6 @@ func (t attrTable) each(v NodeID, fn func(key string, val Value)) {
 	for _, e := range ents {
 		fn(t.keys.Name(e.key), c.value(e))
 	}
-}
-
-// mapOf returns the attributes of node v as a fresh map, nil if it has none.
-func (t attrTable) mapOf(v NodeID) map[string]Value {
-	ents, c := t.node(v)
-	if len(ents) == 0 {
-		return nil
-	}
-	m := make(map[string]Value, len(ents))
-	for _, e := range ents {
-		m[t.keys.Name(e.key)] = c.value(e)
-	}
-	return m
 }
 
 // count returns the number of attributes of node v.

@@ -194,32 +194,3 @@ func TestAttrTableIsCheapToCollect(t *testing.T) {
 		}
 	}
 }
-
-// TestBuilderSetAttrAfterAddNode covers the builder's late path: SetAttr on
-// nodes that were added with, without and with other attributes.
-func TestBuilderSetAttrAfterAddNode(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	b := NewBuilder()
-	var want []map[string]Value
-	for i := 0; i < attrChunkSize+50; i++ {
-		m := randomAttrs(rng)
-		b.AddNode("a", m)
-		cp := make(map[string]Value, len(m))
-		for k, v := range m {
-			cp[k] = v
-		}
-		want = append(want, cp)
-	}
-	for i := 0; i < 200; i++ {
-		v := rng.Intn(len(want))
-		k, val := fmt.Sprintf("k%d", rng.Intn(8)), IntValue(int64(i))
-		if err := b.SetAttr(NodeID(v), k, val); err != nil {
-			t.Fatal(err)
-		}
-		want[v][k] = val
-	}
-	if err := b.SetAttr(NodeID(len(want)), "k", IntValue(1)); err == nil {
-		t.Fatal("SetAttr on a node that was never added succeeded")
-	}
-	checkAttrs(t, "after SetAttr", b.Build(), want)
-}

@@ -268,11 +268,8 @@ func (g *Graph) HasEdge(u, v NodeID) bool {
 type Builder struct {
 	labels []LabelID
 	attrs  attrWriter // the attributes given to AddNode, already in table form
-	// late holds the full attribute map of every node SetAttr touched; Build
-	// folds it into the table.
-	late  map[NodeID]map[string]Value
-	edges [][2]NodeID
-	dict  *Dict
+	edges  [][2]NodeID
+	dict   *Dict
 }
 
 // NewBuilder returns an empty Builder with a fresh label dictionary.
@@ -296,26 +293,6 @@ func (b *Builder) AddNode(label string, attrs map[string]Value) NodeID {
 	b.labels = append(b.labels, b.dict.Intern(label))
 	b.attrs.add(int(id), attrs)
 	return id
-}
-
-// SetAttr sets one attribute on an existing node.
-func (b *Builder) SetAttr(v NodeID, key string, val Value) error {
-	if int(v) >= len(b.labels) || v < 0 {
-		return fmt.Errorf("graph: SetAttr on unknown node %d", v)
-	}
-	m, ok := b.late[v]
-	if !ok {
-		m = b.attrs.t.mapOf(v)
-		if m == nil {
-			m = make(map[string]Value, 1)
-		}
-		if b.late == nil {
-			b.late = make(map[NodeID]map[string]Value)
-		}
-		b.late[v] = m
-	}
-	m[key] = val
-	return nil
 }
 
 // AddEdge appends the directed edge (u, v).
@@ -347,24 +324,11 @@ func (b *Builder) Build() *Graph {
 	}
 	m := len(edges)
 
-	attrs := b.attrs.t
-	if len(b.late) > 0 {
-		maps := make([]map[string]Value, n)
-		for v := range maps {
-			if late, ok := b.late[NodeID(v)]; ok {
-				maps[v] = late
-			} else {
-				maps[v] = attrs.mapOf(NodeID(v))
-			}
-		}
-		attrs = newAttrTable(maps)
-	}
-
 	g := &Graph{
 		n:      n,
 		m:      m,
 		labels: b.labels,
-		attrs:  attrs,
+		attrs:  b.attrs.t,
 		dict:   b.dict,
 		outOff: make([]int32, n+1),
 		outAdj: make([]NodeID, m),

@@ -147,37 +147,22 @@ func TestReadAttrTypes(t *testing.T) {
 }
 
 func TestWriteRejectsUnencodableValues(t *testing.T) {
-	build := func(mutate func(b *Builder)) *Graph {
+	build := func(key string, val Value) *Graph {
 		b := NewBuilder()
-		b.AddNode("a", nil)
-		mutate(b)
+		b.AddNode("a", map[string]Value{key: val})
 		return b.Build()
 	}
 	cases := []struct {
 		name string
 		g    *Graph
 	}{
-		{"value with space", build(func(b *Builder) {
-			_ = b.SetAttr(0, "k", StrValue("two words"))
-		})},
-		{"value with newline", build(func(b *Builder) {
-			_ = b.SetAttr(0, "k", StrValue("a\nb"))
-		})},
-		{"value with unicode space", build(func(b *Builder) {
-			_ = b.SetAttr(0, "k", StrValue("a\u00a0b"))
-		})},
-		{"value re-parses as int", build(func(b *Builder) {
-			_ = b.SetAttr(0, "k", StrValue("42"))
-		})},
-		{"key with space", build(func(b *Builder) {
-			_ = b.SetAttr(0, "bad key", IntValue(1))
-		})},
-		{"key with equals", build(func(b *Builder) {
-			_ = b.SetAttr(0, "k=v", IntValue(1))
-		})},
-		{"empty key", build(func(b *Builder) {
-			_ = b.SetAttr(0, "", IntValue(1))
-		})},
+		{"value with space", build("k", StrValue("two words"))},
+		{"value with newline", build("k", StrValue("a\nb"))},
+		{"value with unicode space", build("k", StrValue("a\u00a0b"))},
+		{"value re-parses as int", build("k", StrValue("42"))},
+		{"key with space", build("bad key", IntValue(1))},
+		{"key with equals", build("k=v", IntValue(1))},
+		{"empty key", build("", IntValue(1))},
 		{"label with space", func() *Graph {
 			b := NewBuilder()
 			b.AddNode("two words", nil)
@@ -248,15 +233,17 @@ func TestIORoundtripPropertyAttrs(t *testing.T) {
 		b := NewBuilder()
 		labels := []string{"video", "user", "paper"}
 		for i := 0; i < n; i++ {
-			id := b.AddNode(labels[rng.Intn(len(labels))], nil)
+			label := labels[rng.Intn(len(labels))]
+			attrs := make(map[string]Value)
 			for _, k := range keys {
 				switch rng.Intn(3) {
 				case 0:
-					_ = b.SetAttr(id, k, IntValue(int64(rng.Intn(10000)-5000)))
+					attrs[k] = IntValue(int64(rng.Intn(10000) - 5000))
 				case 1:
-					_ = b.SetAttr(id, k, StrValue(strValues[rng.Intn(len(strValues))]))
+					attrs[k] = StrValue(strValues[rng.Intn(len(strValues))])
 				}
 			}
+			b.AddNode(label, attrs)
 		}
 		for i := 0; i < rng.Intn(3*n); i++ {
 			_ = b.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))

@@ -206,8 +206,8 @@ type GraphHealth struct {
 	// Error is the failure that degraded the graph.
 	Error string `json:"error,omitempty"`
 	// Cache is the session result-cache snapshot, including the warm-cache
-	// counters (advanced / seeded / advance_evicted); absent for a session
-	// without a cache.
+	// counters (advanced / advance_evicted / carried / reevaluated); absent
+	// for a session without a cache.
 	Cache *divtopk.CacheStats `json:"cache,omitempty"`
 }
 

@@ -144,10 +144,9 @@ type StatsJSON struct {
 // QueryResponse is the body of a successful POST /v1/query. Version is the
 // graph snapshot version the answer was computed against; clients of a
 // dynamic graph use it to correlate answers with the updates they applied.
-// Cache is the result-cache provenance of the answer — "hit", "miss",
-// "advanced" (served from an entry the commit-time advance pass installed)
-// or "seeded" (evaluated with containment-seeded candidates) — omitted on a
-// session without a cache.
+// Cache is the result-cache provenance of the answer — "hit", "miss"
+// (evaluated) or "advanced" (served from an entry the commit-time advance
+// pass installed) — omitted on a session without a cache.
 type QueryResponse struct {
 	GlobalMatch bool        `json:"global_match"`
 	Version     uint64      `json:"version"`

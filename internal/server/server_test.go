@@ -97,17 +97,15 @@ func TestServerResponsesByteIdenticalToDirectCalls(t *testing.T) {
 		}
 		// Each query twice: the second server response is served from the
 		// session cache and must still be byte-identical. Round 0 admits an
-		// evaluation ("miss", or "seeded" when a previously cached pattern's
-		// candidates containment-seeded it — the payload must be identical
-		// either way); round 1 is a plain "hit".
+		// evaluation ("miss"); round 1 is a plain "hit".
 		for round := 0; round < 2; round++ {
 			checkCache := func(got string) string {
 				if round == 1 {
 					if got != "hit" {
 						t.Fatalf("pattern %d round 1: cache = %q, want hit", qi, got)
 					}
-				} else if got != "miss" && got != "seeded" {
-					t.Fatalf("pattern %d round 0: cache = %q, want miss or seeded", qi, got)
+				} else if got != "miss" {
+					t.Fatalf("pattern %d round 0: cache = %q, want miss", qi, got)
 				}
 				return got
 			}

@@ -41,24 +41,6 @@ type CandidateIndex struct {
 // node's label list filtered by its search condition (label + attribute
 // predicates).
 func BuildCandidates(g *graph.Graph, p *pattern.Pattern) *CandidateIndex {
-	return BuildCandidatesSeeded(g, p, nil)
-}
-
-// BuildCandidatesParallel is BuildCandidates; workers is ignored. It stays
-// until the tracked benchmark, which calls it, stops doing so.
-func BuildCandidatesParallel(g *graph.Graph, p *pattern.Pattern, workers int) *CandidateIndex {
-	return BuildCandidates(g, p)
-}
-
-// BuildCandidatesSeeded computes the candidate index of p against g, seeding
-// individual query nodes from donor candidate lists where available:
-// seeds[u], when non-nil, must be a superset of can(u) in ascending data-node
-// order (the guarantee pattern.CondSubsumes provides — candidacy depends only
-// on the node's label and predicates, so a weaker condition admits a superset).
-// Seeded query nodes filter the donor list instead of the full label list,
-// and every node is re-checked against p's full search condition, so the
-// result is bit-for-bit identical to BuildCandidates for any seeds.
-func BuildCandidatesSeeded(g *graph.Graph, p *pattern.Pattern, seeds [][]graph.NodeID) *CandidateIndex {
 	nq := p.NumNodes()
 	ci := &CandidateIndex{
 		Lists:   make([][]graph.NodeID, nq),
@@ -66,11 +48,7 @@ func BuildCandidatesSeeded(g *graph.Graph, p *pattern.Pattern, seeds [][]graph.N
 		pos:     make([][]int32, nq),
 	}
 	for u := 0; u < nq; u++ {
-		src := g.NodesWithLabel(p.Label(u))
-		if u < len(seeds) && seeds[u] != nil {
-			src = seeds[u]
-		}
-		for _, v := range src {
+		for _, v := range g.NodesWithLabel(p.Label(u)) {
 			if p.MatchesNode(g, u, v) {
 				ci.Lists[u] = append(ci.Lists[u], v)
 			}
@@ -91,6 +69,12 @@ func BuildCandidatesSeeded(g *graph.Graph, p *pattern.Pattern, seeds [][]graph.N
 		}
 	}
 	return ci
+}
+
+// BuildCandidatesParallel is BuildCandidates; workers is ignored. It stays
+// until the tracked benchmark, which calls it, stops doing so.
+func BuildCandidatesParallel(g *graph.Graph, p *pattern.Pattern, workers int) *CandidateIndex {
+	return BuildCandidates(g, p)
 }
 
 // NumPairs returns the total number of candidate pairs.

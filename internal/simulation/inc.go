@@ -8,17 +8,18 @@ import (
 	"divtopk/internal/pattern"
 )
 
-// ErrIncFallback is returned by IncCompute under IncOptions.NoFallback when a
-// ratio check would have triggered full recomputation: the affected share of
-// the candidate space is too large for incremental maintenance to pay off.
+// ErrIncFallback is returned by IncCompute when a ratio check trips: the
+// affected share of the candidate space is too large for incremental
+// maintenance to pay off. The caller rebuilds the state with NewIncState or
+// drops it.
 var ErrIncFallback = errors.New("simulation: affected share above RecomputeRatio, incremental maintenance abandoned")
 
 // This file implements delta maintenance of one (graph, pattern) evaluation:
 // given the simulation fixpoint and product CSR of a graph snapshot and a
 // graph.Delta, IncCompute produces the fixpoint and product of the next
-// snapshot by touching only the affected area, with full recomputation as a
-// fallback once the affected share of the candidate space makes incremental
-// work pointless. This is the simulation-family analogue of incremental
+// snapshot by touching only the affected area, and gives up (ErrIncFallback)
+// once the affected share of the candidate space makes incremental work
+// pointless. This is the simulation-family analogue of incremental
 // pattern matching over an affected area (cf. Fan et al., "Incremental Graph
 // Pattern Matching"): the class the paper's "frequently updated" motivation
 // points at.
@@ -67,14 +68,7 @@ type IncState struct {
 // simulation fixpoint). workers is ignored; the parameter stays until the
 // tracked benchmark, which passes it, stops doing so.
 func NewIncState(g *graph.Graph, p *pattern.Pattern, workers int) *IncState {
-	return NewIncStateSeeded(g, p, BuildCandidates(g, p))
-}
-
-// NewIncStateSeeded is NewIncState with a prebuilt candidate index: the
-// containment-seeded admission path has already derived ci from a cached
-// superset entry (byte-identical to BuildCandidates on (g, p)), so only the
-// product CSR and the simulation fixpoint remain to be built.
-func NewIncStateSeeded(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *IncState {
+	ci := BuildCandidates(g, p)
 	prod := BuildProduct(g, p, ci, 0)
 	res, cnt := computeWithProductCnt(prod)
 	return &IncState{G: g, P: p, CI: ci, Prod: prod, Res: res, cnt: cnt}
@@ -83,14 +77,13 @@ func NewIncStateSeeded(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *
 // IncOptions tune IncCompute.
 type IncOptions struct {
 	// RecomputeRatio is the affected-share threshold above which IncCompute
-	// abandons incremental maintenance for a full recompute (default 0.25):
-	// once a quarter of the candidate pairs need fresh counters, seeding the
-	// cascade costs as much as starting over, without the simpler code path.
+	// abandons incremental maintenance and returns ErrIncFallback (default
+	// 0.25): once a quarter of the candidate pairs need fresh counters,
+	// seeding the cascade costs as much as starting over.
 	RecomputeRatio float64
-	// NoFallback makes IncCompute return ErrIncFallback instead of falling
-	// back to a full recompute when a ratio check trips. Callers maintaining
-	// many states at once (the matcher's warm result cache) evict the entry
-	// on that error rather than pay a rebuild inside the commit path.
+	// NoFallback is ignored: past the ratio IncCompute always returns
+	// ErrIncFallback. The field stays until the tracked benchmark, which
+	// sets it, stops doing so.
 	NoFallback bool
 }
 
@@ -109,14 +102,9 @@ type IncStats struct {
 	// changed, plus the pairs of appended nodes.
 	TouchedPairs int
 	// AffectedPairs counts the pairs whose counters were recomputed: touched
-	// pairs plus the revival closure. Equal to TouchedPairs when the early
-	// fallback fired (the closure is never computed then).
+	// pairs plus the revival closure. Equal to TouchedPairs when the first
+	// ratio check tripped (the closure is never computed then).
 	AffectedPairs int
-	// RebuiltProduct and Recomputed report the two fallback levels: a full
-	// BuildProduct instead of the incremental patch, and a full refinement
-	// instead of the seeded cascade.
-	RebuiltProduct bool
-	Recomputed     bool
 }
 
 // IncCompute advances st by one delta: gNew must be the graph ApplyDelta
@@ -124,8 +112,8 @@ type IncStats struct {
 // Res and Prod byte-identical to a from-scratch evaluation. The affected
 // area is the pairs whose product adjacency or counters a delta entry can
 // reach; when its share of the candidate space exceeds IncOptions'
-// RecomputeRatio the call falls back to full recomputation (checked twice:
-// against the touched share before any product work, and against the
+// RecomputeRatio the call returns (nil, stats, ErrIncFallback) (checked
+// twice: against the touched share before any product work, and against the
 // closure share before the seeded cascade).
 //
 // A delta that reaches no candidate pair at all (see untouched) costs
@@ -191,21 +179,9 @@ func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 		}
 	}
 
-	full := func(prod *Product, rebuilt bool) (*IncState, IncStats, error) {
-		if prod == nil {
-			prod = BuildProduct(gNew, p, ci, 0)
-		}
-		res, cnt := computeWithProductCnt(prod)
-		stats.RebuiltProduct = rebuilt
-		stats.Recomputed = true
-		return &IncState{G: gNew, P: p, CI: ci, Prod: prod, Res: res, cnt: cnt}, stats, nil
-	}
 	if total == 0 || float64(stats.TouchedPairs)/float64(total) > opts.ratio() {
 		stats.AffectedPairs = stats.TouchedPairs
-		if opts.NoFallback {
-			return nil, stats, ErrIncFallback
-		}
-		return full(nil, true)
+		return nil, stats, ErrIncFallback
 	}
 
 	prod := PatchProduct(st.Prod, gNew, ci, shift, touched, nOld)
@@ -258,10 +234,7 @@ func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 	}
 	stats.AffectedPairs = affected
 	if float64(affected)/float64(total) > opts.ratio() {
-		if opts.NoFallback {
-			return nil, stats, ErrIncFallback
-		}
-		return full(prod, false)
+		return nil, stats, ErrIncFallback
 	}
 
 	// Counters consistent with the frozen S0 (no pair is killed until every

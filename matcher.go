@@ -57,9 +57,7 @@ type Matcher struct {
 // counts actual engine evaluations; Coalesced counts queries that shared an
 // in-flight evaluation (singleflight); Hits counts queries served from a
 // stored entry. Advanced counts entries the commit-time advance pass
-// installed, Seeded counts evaluations whose candidate lists were
-// containment-seeded from a cached superset pattern, and AdvanceEvicted
-// counts maintained pattern states the advance pass evicted instead of
+// installed, and AdvanceEvicted counts maintained pattern states the advance pass evicted instead of
 // advancing (work share above the ratio). Carried and Reevaluated split the
 // advanced entries by how the pass produced them: carried over because the
 // delta provably left their inputs alone, or re-run on the advanced state.
@@ -70,7 +68,6 @@ type CacheStats struct {
 	Coalesced      uint64 `json:"coalesced"`
 	Evictions      uint64 `json:"evictions"`
 	Advanced       uint64 `json:"advanced"`
-	Seeded         uint64 `json:"seeded"`
 	AdvanceEvicted uint64 `json:"advance_evicted"`
 	Carried        uint64 `json:"carried"`
 	Reevaluated    uint64 `json:"reevaluated"`
@@ -275,7 +272,6 @@ func (m *Matcher) CacheStats() CacheStats {
 		Coalesced:      s.Coalesced,
 		Evictions:      s.Evictions,
 		Advanced:       s.Advanced,
-		Seeded:         s.Seeded,
 		AdvanceEvicted: c.advanceEvicted.Load(),
 		Carried:        c.carried.Load(),
 		Reevaluated:    c.reevaluated.Load(),
@@ -308,10 +304,9 @@ type QueryInfo struct {
 	// cached) against. A query racing a commit is answered consistently by
 	// exactly one snapshot, the one whose version is reported.
 	Version uint64 `json:"version"`
-	// Cache is the result-cache provenance of the answer — "hit", "miss",
-	// "advanced" (served from an entry the commit-time advance pass
-	// installed, first hit only) or "seeded" (evaluated with
-	// containment-seeded candidates) — or "" for a session without
+	// Cache is the result-cache provenance of the answer — "hit", "miss"
+	// (evaluated) or "advanced" (served from an entry the commit-time
+	// advance pass installed, first hit only) — or "" for a session without
 	// WithCache. Queries that coalesced onto an in-flight evaluation report
 	// the leader's provenance.
 	Cache string `json:"cache,omitempty"`

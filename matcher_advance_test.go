@@ -9,16 +9,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"divtopk/internal/graph"
 )
 
 // TestWarmCacheAdvanceEquivalenceFuzz is the correctness bar of the warm
 // result cache: whatever the advance pass does on commit — advance a cached
 // entry incrementally, carry it verbatim when the delta missed its product,
-// evict it past the work-share ratio, or seed a fresh evaluation from a
-// containment donor — every answer a cached session gives must be deeply
-// equal to a never-cached session walking the same delta chain. Randomized
+// or evict it past the work-share ratio — every answer a cached session gives
+// must be deeply equal to a never-cached session walking the same delta chain. Randomized
 // chains cross the interesting boundaries (appends into the pattern's
 // neighborhood, deletes of matched edges, no-op deltas), and the matrix
 // covers both query kernels (TopK and TopKDiversified), both algorithm
@@ -57,8 +54,7 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			base := batchFuzzGraph(t, rng)
 			// Two mined patterns: label-only conditions over a 4-label space,
-			// so the second frequently finds the first's cached state as a
-			// containment donor and exercises the seeded admission path.
+			// so the two frequently share labels and candidate lists.
 			q1, err := GeneratePattern(base, 3, 5, seed%2 == 0, true, seed)
 			if err != nil {
 				t.Fatal(err)
@@ -303,12 +299,12 @@ func TestWarmStateBuildLeavesLockFree(t *testing.T) {
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	build := buildPatternState
-	buildPatternState = func(g *Graph, text string, p *Pattern, seeds [][]graph.NodeID) *patternState {
+	buildPatternState = func(g *Graph, text string, p *Pattern) *patternState {
 		if text == patternText(cold) {
 			close(entered)
 			<-release
 		}
-		return build(g, text, p, seeds)
+		return build(g, text, p)
 	}
 	defer func() { buildPatternState = build }()
 
@@ -359,6 +355,7 @@ func TestWarmRegistryCaps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkProvenance(t, info.Cache)
 		want, err := ref.TopK(q, k)
 		if err != nil {
 			t.Fatal(err)
@@ -406,7 +403,7 @@ func TestWarmRegistryCaps(t *testing.T) {
 		}
 		warm, ref := sessions()
 		for _, q := range patterns {
-			if c := ask(t, warm, ref, q, 5); c != "miss" && c != "seeded" {
+			if c := ask(t, warm, ref, q, 5); c != "miss" {
 				t.Fatalf("first ask = %q, want an evaluation", c)
 			}
 		}
@@ -419,7 +416,7 @@ func TestWarmRegistryCaps(t *testing.T) {
 			}
 		}
 		for i, q := range patterns[:n-maxWarmPatterns] {
-			if c := ask(t, warm, ref, q, 5); c != "miss" && c != "seeded" {
+			if c := ask(t, warm, ref, q, 5); c != "miss" {
 				t.Fatalf("displaced pattern %d: first post-commit ask = %q, want an evaluation", i, c)
 			}
 		}
@@ -562,6 +559,15 @@ func minedDistinct(t testing.TB, g *Graph, n int, seed int64) []*Pattern {
 }
 
 // askKind answers one of the paper's four algorithms on m.
+// checkProvenance fails unless c is one of the provenances a caching session
+// reports.
+func checkProvenance(t *testing.T, c string) {
+	t.Helper()
+	if c != "hit" && c != "miss" && c != "advanced" {
+		t.Fatalf("cache provenance %q, want hit, miss or advanced", c)
+	}
+}
+
 func askKind(m *Matcher, q *Pattern, kind queryKind, k int) (any, QueryInfo, error) {
 	switch kind {
 	case kindMatch:
@@ -917,6 +923,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkProvenance(t, info.Cache)
 			return info.Cache
 		}
 		commit = func(i int) {
@@ -927,8 +934,6 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 		}
 		return m, ask, commit
 	}
-	evaluated := func(c string) bool { return c == "miss" || c == "seeded" }
-
 	// A full registry of hot patterns answered only by hits — the first ask
 	// after each commit served from the entry the advance pass installed, the
 	// rest plain hits — keeps every slot through 20 commits while 40 one-off
@@ -938,7 +943,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 		hot, cold := all[:maxWarmPatterns], all[maxWarmPatterns:]
 		m, ask, commit := session(t)
 		for _, q := range hot {
-			if c := ask(q); !evaluated(c) {
+			if c := ask(q); c != "miss" {
 				t.Fatalf("warming a hot pattern: cache %q", c)
 			}
 		}
@@ -953,7 +958,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 				}
 			}
 			for _, q := range cold[2*i : 2*i+2] {
-				if c := ask(q); !evaluated(c) {
+				if c := ask(q); c != "miss" {
 					t.Fatalf("commit %d: a one-off pattern answered %q", i, c)
 				}
 			}
@@ -975,7 +980,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 		hot, stale, oneOff := all[:maxWarmPatterns-1], all[maxWarmPatterns-1], all[maxWarmPatterns]
 		m, ask, commit := session(t)
 		for _, q := range append(hot[:len(hot):len(hot)], stale) {
-			if c := ask(q); !evaluated(c) {
+			if c := ask(q); c != "miss" {
 				t.Fatalf("warming: cache %q", c)
 			}
 		}
@@ -986,7 +991,7 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 			}
 		}
 		commit(1)
-		if c := ask(oneOff); !evaluated(c) {
+		if c := ask(oneOff); c != "miss" {
 			t.Fatalf("the one-off pattern answered %q", c)
 		}
 		commit(2) // the displaced state is the one this commit no longer advances

@@ -158,13 +158,12 @@ func TestMatcherCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestContainmentSeededAdmission pins the containment-aware admission path
-// deterministically: after a general (label-only) pattern is cached, a
-// stricter pattern whose every node condition is subsumed by it evaluates
-// with candidates seeded from the donor's maintained lists — reported as
-// "seeded" — and the answer is byte-identical to a cacheless session. A
-// pattern over labels the donor does not carry stays a plain miss.
-func TestContainmentSeededAdmission(t *testing.T) {
+// TestContainedPatternAdmission pins admission of a pattern contained in a
+// maintained one: after a general (label-only) pattern is cached, a stricter
+// pattern whose candidates are a subset of it is admitted like any other —
+// a plain miss, counted in Misses — and its answer is byte-identical to a
+// cacheless session's.
+func TestContainedPatternAdmission(t *testing.T) {
 	b := NewGraphBuilder()
 	const n = 60
 	for i := 0; i < n; i++ {
@@ -197,45 +196,28 @@ func TestContainmentSeededAdmission(t *testing.T) {
 		}
 		return q
 	}
-	donor := buildQ()               // label-only: subsumes any person-node condition
-	strict := buildQ(Gt("age", 20)) // stricter: candidates ⊆ donor's
+	general := buildQ()                // label-only
+	contained := buildQ(Gt("age", 20)) // stricter: candidates ⊆ general's
 
 	m := NewMatcher(g, WithCache(32))
-	if _, info, err := m.TopKInfo(donor, 5); err != nil || info.Cache != "miss" {
-		t.Fatalf("donor query = %+v, %v, want a miss", info, err)
+	if _, info, err := m.TopKInfo(general, 5); err != nil || info.Cache != "miss" {
+		t.Fatalf("general query = %+v, %v, want a miss", info, err)
 	}
-	res, info, err := m.TopKInfo(strict, 5)
+	res, info, err := m.TopKInfo(contained, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Cache != "seeded" {
-		t.Fatalf("strict query provenance = %q, want seeded", info.Cache)
+	if info.Cache != "miss" {
+		t.Fatalf("contained query provenance = %q, want miss", info.Cache)
 	}
-	if s := m.CacheStats(); s.Seeded != 1 {
-		t.Fatalf("stats after seeded admission: %+v", s)
+	if s := m.CacheStats(); s.Misses != 2 || s.Hits != 0 {
+		t.Fatalf("stats after two admissions: %+v, want 2 misses", s)
 	}
-	cold, err := NewMatcher(g).TopK(strict, 5)
+	cold, err := NewMatcher(g).TopK(contained, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertResultsIdentical(t, "seeded vs cold", res, cold)
-
-	// A pattern whose labels no cached pattern carries finds no donor node
-	// at all -> plain miss. (Note a partial label overlap WOULD seed: the
-	// donor's org node covers org nodes of any later pattern.)
-	pb := NewPatternBuilder()
-	u := pb.AddNode("widget")
-	v := pb.AddNode("widget")
-	if err := pb.AddEdge(u, v); err != nil {
-		t.Fatal(err)
-	}
-	unrelated, err := pb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, info, err := m.TopKInfo(unrelated, 5); err != nil || info.Cache != "miss" {
-		t.Fatalf("unrelated query = %+v, %v, want a miss", info, err)
-	}
+	assertResultsIdentical(t, "contained vs cold", res, cold)
 }
 
 // TestQueryKeySoundness is key soundness as a property over the one query
