@@ -25,12 +25,15 @@ bench:
 
 # fuzz runs each native fuzz target — the decoders of untrusted bytes: binary
 # checkpoints, graph and pattern text, WAL records, and the query and update
-# JSON bodies through their HTTP handlers — for 20 s. Their seed corpora
-# already run inside `make test`; this explores past them. A crashing input
-# is written under the package's testdata/fuzz/ and fails the target.
+# JSON bodies through their HTTP handlers; and the SCC routine
+# graph.CondenseCSR against brute-force reachability — for 20 s. Their seed
+# corpora already run inside `make test`; this explores past them. A
+# crashing input is written under the package's testdata/fuzz/ and fails the
+# target.
 fuzz:
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 20s
 	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzReadGraph$$' -fuzztime 20s
+	$(GO) test ./internal/graph -run '^$$' -fuzz '^FuzzCondenseCSR$$' -fuzztime 20s
 	$(GO) test ./internal/pattern -run '^$$' -fuzz '^FuzzReadPattern$$' -fuzztime 20s
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime 20s

@@ -112,9 +112,10 @@
 // standing (graph, pattern) evaluation across deltas, the engine layer
 // offers
 // internal/simulation.IncCompute: it maintains the simulation fixpoint and
-// product CSR incrementally over the delta's affected area — sharing the
-// same closure-traversal helper (graph.Expand) as the index advance, and
-// returning ErrIncFallback past its ratio where the index rebuilds — with
+// product CSR incrementally over the delta's affected area — expanding its
+// revival closure with the same append-order worklist as the index
+// advance's component closures, and returning ErrIncFallback past its
+// ratio where the index rebuilds — with
 // the tracked benchmark's
 // simulation.inc_* and core.bounds_* layers timing both. See the README's
 // "Dynamic graphs" section.
@@ -178,7 +179,7 @@
 // (internal/simulation.Product): the candidate product graph is built once
 // per query and shared by simulation refinement, relevant-set computation
 // (SCC condensation of the region the output's matches reach, one sweep in
-// reverse topological order, interior bitsets pooled in a bitset.Arena) and
+// reverse topological order, working bitsets recycled in a bitset.Slab) and
 // the incremental engine's propagation. The pre-CSR kernel is retained, frozen,
 // as a test oracle (internal/simulation/reference.go, internal/oracle):
 // determinism tests prove the shipped kernel byte-identical to it, and

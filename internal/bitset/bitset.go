@@ -71,24 +71,11 @@ func (s *Set) Empty() bool {
 	return true
 }
 
-// Clear removes all elements, keeping the capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Clone returns an independent copy of s.
 func (s *Set) Clone() *Set {
 	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
 	copy(c.words, s.words)
 	return c
-}
-
-// CopyFrom overwrites s with the contents of t. The capacities must match.
-func (s *Set) CopyFrom(t *Set) {
-	s.compat(t)
-	copy(s.words, t.words)
 }
 
 // UnionWith adds every element of t to s and reports whether s changed.
@@ -97,30 +84,12 @@ func (s *Set) UnionWith(t *Set) bool {
 	return UnionWords(s.words, t.words)
 }
 
-// DifferenceWith removes from s every element of t.
-func (s *Set) DifferenceWith(t *Set) {
-	s.compat(t)
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
 // IntersectCount returns |s ∩ t| without materializing the intersection.
 func (s *Set) IntersectCount(t *Set) int {
 	s.compat(t)
 	c := 0
 	for i, w := range s.words {
 		c += bits.OnesCount64(w & t.words[i])
-	}
-	return c
-}
-
-// UnionCount returns |s ∪ t| without materializing the union.
-func (s *Set) UnionCount(t *Set) int {
-	s.compat(t)
-	c := 0
-	for i, w := range s.words {
-		c += bits.OnesCount64(w | t.words[i])
 	}
 	return c
 }
@@ -149,35 +118,6 @@ func (s *Set) ForEach(f func(i int) bool) {
 			}
 			w &= w - 1
 		}
-	}
-}
-
-// UnionRange ORs t's words in the half-open word range [lo, hi) into s.
-// Both sets must have the same capacity and the range must be within it.
-// Together with CountRange and ClearRange this lets a caller that tracks
-// each set's populated span (e.g. the arena-backed relevant-set kernel)
-// pay O(span) instead of O(capacity) per operation; words outside every
-// tracked span are guaranteed zero by the arena contract.
-func (s *Set) UnionRange(t *Set, lo, hi int) {
-	s.compat(t)
-	for i := lo; i < hi; i++ {
-		s.words[i] |= t.words[i]
-	}
-}
-
-// CountRange returns the number of elements whose words lie in [lo, hi).
-func (s *Set) CountRange(lo, hi int) int {
-	c := 0
-	for i := lo; i < hi; i++ {
-		c += bits.OnesCount64(s.words[i])
-	}
-	return c
-}
-
-// ClearRange zeroes the words in [lo, hi).
-func (s *Set) ClearRange(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s.words[i] = 0
 	}
 }
 
@@ -227,8 +167,7 @@ func (s *Set) String() string {
 //
 // Both cardinalities come out of one pass over the words: the distance
 // matrix of the diversified algorithms is the hottest consumer of full-width
-// scans, and the two integers (hence the quotient) are the ones
-// IntersectCount and UnionCount return.
+// scans.
 func Jaccard(a, b *Set) float64 {
 	a.compat(b)
 	inter, union := 0, 0

@@ -1,6 +1,9 @@
 package bitset
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Raw word-slice operations. The early-termination engine keeps its interior
 // relevant sets as bare word blocks carved from a recycled Slab (no Set
@@ -12,6 +15,17 @@ import "math/bits"
 // Words returns the set's backing words. Writes through the slice write the
 // set; bits at or beyond Len must stay zero.
 func (s *Set) Words() []uint64 { return s.words }
+
+// FromWords wraps words as a set over a universe of n bits without copying:
+// words must hold exactly (n+63)/64 words with every bit at or beyond n
+// zero, and the set aliases them. The relevant-set kernel hands a finished
+// slab block over to a caller this way.
+func FromWords(words []uint64, n int) *Set {
+	if n < 0 || len(words) != (n+wordBits-1)/wordBits {
+		panic(fmt.Sprintf("bitset: %d words cannot back a set of capacity %d", len(words), n))
+	}
+	return &Set{words: words, n: n}
+}
 
 // UnionWords ORs src into dst (equal lengths) and reports whether dst
 // changed.
@@ -54,6 +68,10 @@ func CountWords(w []uint64) int {
 // pairs to blocks holds no pointers.
 //
 // The zero value is ready for Reset. A Slab is not safe for concurrent use.
+//
+// The engine's scratch holds two: one for the interior pairs' relevant sets
+// and one for the working sets of simulation.SweepRelevant, which recycles
+// those through its own free list within a sweep.
 type Slab struct {
 	chunks [][]uint64
 	width  int  // words per block
@@ -62,6 +80,10 @@ type Slab struct {
 	used   int  // chunks in use since Reset
 }
 
+// slabChunkWords is the default chunk length in words (64 KiB); chunks
+// always hold at least one block.
+const slabChunkWords = 8192
+
 // Reset recycles every block and sets the block width for a universe of bits
 // elements. Chunks too short for one block are dropped.
 func (s *Slab) Reset(bitsN int) {
@@ -69,7 +91,7 @@ func (s *Slab) Reset(bitsN int) {
 		panic("bitset: negative slab capacity")
 	}
 	s.width = (bitsN + wordBits - 1) / wordBits
-	shift := uint(bits.Len(uint(arenaChunkWords - 1)))
+	shift := uint(bits.Len(uint(slabChunkWords - 1)))
 	for 1<<shift < s.width {
 		shift++
 	}

@@ -119,7 +119,7 @@ func TestBoundsAdvanceDeltaChainFuzz(t *testing.T) {
 				rebuilt := newWarm(g) // always falls back
 				for step := 0; step < 10; step++ {
 					d := randomAdvDelta(rng, g, labels)
-					gNew, sum, err := graph.ApplyDeltaWithSummary(g, d)
+					gNew, sum, err := graph.ApplyDeltaVersionStep(g, d, 1)
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -175,7 +175,7 @@ func TestBoundsAdvanceVersionMismatch(t *testing.T) {
 
 	var d graph.Delta
 	d.InsertEdge(0, 1)
-	g1, sum1, err := graph.ApplyDeltaWithSummary(g, &d)
+	g1, sum1, err := graph.ApplyDeltaVersionStep(g, &d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestBoundsAdvanceConcurrentWithReads(t *testing.T) {
 	var d graph.Delta
 	d.AddNode("L0", nil)
 	d.InsertEdge(0, graph.NodeID(g.NumNodes()))
-	gNew, sum, err := graph.ApplyDeltaWithSummary(g, &d)
+	gNew, sum, err := graph.ApplyDeltaVersionStep(g, &d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,10 +109,11 @@
 //
 // Every mutable per-run array of the engine — pair status and counters, the
 // match and finalization queues, the R phase's region, the feeder's order,
-// the refinement tables, the slab the interior relevant sets are carved
+// the refinement tables, and both slabs: the one the interior relevant sets
+// are carved from and the one the relevance sweeps carve their working sets
 // from — lives in a recycled scratch (scratch.go: one kept for good, the
-// others of a concurrent burst in a sync.Pool); only the arena of the
-// sweep's working sets, which holds pointers, is the engine's own. newEngine
+// others of a concurrent burst in a sync.Pool), so the engine owns no
+// per-run sweep memory beyond each sweep's condensation. newEngine
 // takes the scratch once the inputs are validated and every query node is
 // known to have candidates; reset re-lengths each array and clears exactly
 // the prefix the run will use; TopK returns it, after the Result is

@@ -39,8 +39,8 @@ const (
 // equivalent of the paper's SccProcess.
 //
 // All mutable per-run arrays live in the embedded pooled scratch; the engine
-// value itself, the output-node sets, the R phase's working memory and the
-// Result are the only per-run allocations.
+// value itself, the output-node sets, each R-phase sweep's condensation and
+// tables, and the Result are the only per-run allocations.
 type engine struct {
 	g     *graph.Graph
 	p     *pattern.Pattern
@@ -71,10 +71,6 @@ type engine struct {
 	// memory nor pin a chunk of interior sets past the run.
 	uoLo, uoHi int32
 	outSets    []*bitset.Set
-
-	// arena holds the working sets of the R phase's sweeps. It holds
-	// pointers, so it stays out of the pointer-free scratch.
-	arena *bitset.Arena
 
 	handles      []PairHandle // the hook's view of the current batch
 	feeder       feeder
@@ -133,7 +129,6 @@ func newEngine(g *graph.Graph, p *pattern.Pattern, k int, opts Options) (*engine
 	e.scratch = acquireScratch()
 	e.scratch.reset(e.nq, e.nUnits, total, int(e.base[total]), int(e.uoHi-e.uoLo), e.space.Size())
 	e.outSets = make([]*bitset.Set, e.uoHi-e.uoLo)
-	e.arena = bitset.NewArena(e.space.Size())
 
 	e.initPatternStructure()
 	e.initUnits()
@@ -219,7 +214,7 @@ func (e *engine) initPatternStructure() {
 
 func (e *engine) initUnits() {
 	cond := e.an.Cond
-	e.unitRank = cond.Rank
+	e.unitRank = e.an.UnitRank
 	e.unitNontrivial = cond.Nontrivial
 
 	// unitNodes: one backing array, sliced per unit in node order.
@@ -234,7 +229,7 @@ func (e *engine) initUnits() {
 			}
 		}
 		e.unitNodes[c] = nodes[start:len(nodes):len(nodes)]
-		e.unitLeaf[c] = cond.Rank[c] == 0
+		e.unitLeaf[c] = e.unitRank[c] == 0
 	}
 }
 

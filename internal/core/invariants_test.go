@@ -17,7 +17,7 @@ import (
 // that happen to produce correct top-k answers by luck.
 func checkInvariants(t *testing.T, e *engine) {
 	t.Helper()
-	sim := simulation.ComputeWithCandidates(e.g, e.p, e.ci)
+	sim := simulation.ComputeWithProduct(simulation.BuildProduct(e.g, e.p, e.ci, 0))
 
 	for q := int32(0); q < int32(e.ci.NumPairs()); q++ {
 		u := int(e.ci.U[q])

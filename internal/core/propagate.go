@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"divtopk/internal/bitset"
 	"divtopk/internal/simulation"
 )
 
@@ -381,7 +380,7 @@ func (e *engine) propagateRelevance() {
 		}
 	}
 	if len(region) > 0 {
-		simulation.SweepRelevant(prod, e.space, e.arena, region,
+		simulation.SweepRelevant(prod, e.space, &e.work, region,
 			func(q int32) (int32, bool) { return e.rlocal[q] - 1, e.rlocal[q] != 0 }, e.rwords, e.storeSet)
 	}
 	for _, q := range region {
@@ -395,7 +394,7 @@ func (e *engine) propagateRelevance() {
 // engine.outSets), a slab block otherwise. The stored set is the pair's
 // closure of an earlier phase, a subset of the new one, so copying the new
 // set's span overwrites all of it.
-func (e *engine) storeSet(q int32, s *bitset.Set, lo, hi int32, _ bool) bool {
+func (e *engine) storeSet(q int32, w []uint64, lo, hi int32, _ bool) bool {
 	dst := e.rwords(q)
 	if dst == nil {
 		if q >= e.uoLo && q < e.uoHi {
@@ -409,7 +408,7 @@ func (e *engine) storeSet(q int32, s *bitset.Set, lo, hi int32, _ bool) bool {
 		}
 	}
 	if lo < hi {
-		copy(dst[lo:hi], s.Words()[lo:hi])
+		copy(dst[lo:hi], w[lo:hi])
 	}
 	return false
 }

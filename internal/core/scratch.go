@@ -9,7 +9,8 @@ import (
 
 // scratch is the working memory of one engine run: every per-pair, per-slot
 // and per-unit array, every event queue, the feeder's order, the refinement
-// tables and the slab the interior relevant sets are carved from. A run
+// tables, the slab the interior relevant sets are carved from and the one
+// the relevance sweeps carve their working sets from. A run
 // takes one with acquireScratch in newEngine and returns it when TopK
 // returns, so a steady stream of queries allocates none of this (it was ≈ 3 MB
 // of a 4 MB query on a 15k-node graph). The lifecycle rules are in the package
@@ -98,6 +99,9 @@ type scratch struct {
 	// allocated individually instead (engine.outSets): they escape through
 	// Result.Match.R into the serving layer's result cache.
 	sets bitset.Slab
+	// work backs the working sets of the R phase's sweeps; each
+	// simulation.SweepRelevant call resets it on entry.
+	work bitset.Slab
 }
 
 // cand is an output pair with its lower bound.

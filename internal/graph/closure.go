@@ -1,39 +1,13 @@
 package graph
 
-// Expand completes worklist to its closure over adj: the caller seeds it
-// with already-marked frontier nodes, and for every node on the worklist the
-// neighbors enumerated by adj are offered to join. join reports whether w
-// newly entered the closure (and is responsible for marking it so a node
-// joins at most once); joining nodes are appended and expanded in turn.
-// The traversal is a plain FIFO-free worklist sweep — nodes are expanded in
-// append order — so for a fixed adj and join the grown worklist is
-// deterministic, which the byte-identical-maintenance guarantees of both
-// consumers rely on.
-//
-// This is the shared affected-closure traversal of the incremental
-// maintenance layers: simulation.IncCompute chases the revival closure over
-// reverse product edges with it, and core.BoundsCache.Advance computes the
-// ancestor and descendant closures of a delta's dirty components over the
-// condensation with it.
-//
-// The returned slice may share backing with (and extend) worklist; callers
-// must use the return value and not retain the argument.
-func Expand(worklist []int32, adj AdjFunc, join func(w int32) bool) []int32 {
-	for i := 0; i < len(worklist); i++ {
-		adj(worklist[i], func(w int32) {
-			if join(w) {
-				worklist = append(worklist, w)
-			}
-		})
-	}
-	return worklist
-}
-
-// ExpandComps is Expand specialized to a condensation's component adjacency
-// (Succ for descendant closures, Pred for ancestor closures): it seeds the
-// closure with the unmarked entries of seeds, marks membership in in (which
-// must be sized NumComps), and returns the component closure in discovery
-// order.
+// ExpandComps computes the closure of seeds over a condensation's component
+// adjacency (Succ for descendant closures, Pred for ancestor closures): it
+// seeds the worklist with the unmarked entries of seeds, marks membership in
+// in (which must be sized NumComps), and expands the worklist in append
+// order, so the returned closure comes out in a deterministic discovery
+// order — which the bound index's byte-identical maintenance relies on.
+// core.BoundsCache.Advance computes the ancestor and descendant closures of
+// a delta's dirty components with it.
 func ExpandComps(seeds []int32, adjacency [][]int32, in []bool) []int32 {
 	var wl []int32
 	for _, c := range seeds {
@@ -42,15 +16,13 @@ func ExpandComps(seeds []int32, adjacency [][]int32, in []bool) []int32 {
 			wl = append(wl, c)
 		}
 	}
-	return Expand(wl, func(c int32, emit func(int32)) {
-		for _, w := range adjacency[c] {
-			emit(w)
+	for i := 0; i < len(wl); i++ {
+		for _, w := range adjacency[wl[i]] {
+			if !in[w] {
+				in[w] = true
+				wl = append(wl, w)
+			}
 		}
-	}, func(w int32) bool {
-		if in[w] {
-			return false
-		}
-		in[w] = true
-		return true
-	})
+	}
+	return wl
 }

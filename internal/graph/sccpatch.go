@@ -156,7 +156,6 @@ func PatchCondensation(old *Condensation, gOld, gNew *Graph, ins, del [][2]NodeI
 			Members:    old.Members,
 			Succ:       old.Succ,
 			Pred:       old.Pred,
-			Rank:       old.Rank,
 			Nontrivial: nontrivial,
 		}
 	}
@@ -314,24 +313,12 @@ func PatchCondensation(old *Condensation, gOld, gNew *Graph, ins, del [][2]NodeI
 		}
 	}
 
-	rank := make([]int32, nTent)
-	for c := 0; c < nTent; c++ {
-		r := int32(0)
-		for _, s := range succ[c] {
-			if rank[s]+1 > r {
-				r = rank[s] + 1
-			}
-		}
-		rank[c] = r
-	}
-
 	return &Condensation{
 		Comp:       comp,
 		NumComps:   nTent,
 		Members:    members,
 		Succ:       succ,
 		Pred:       pred,
-		Rank:       rank,
 		Nontrivial: nontrivial,
 	}
 }

@@ -40,9 +40,6 @@ func assertCondEquivalent(t *testing.T, label string, g *Graph, got, want *Conde
 		if got.Nontrivial[c] != want.Nontrivial[w] {
 			t.Fatalf("%s: component %d nontrivial=%v, want %v", label, c, got.Nontrivial[c], want.Nontrivial[w])
 		}
-		if got.Rank[c] != want.Rank[w] {
-			t.Fatalf("%s: component %d rank=%d, want %d", label, c, got.Rank[c], want.Rank[w])
-		}
 	}
 	// DAG match through the mapping, plus the numbering invariant every
 	// consumer relies on: successors carry smaller indices.
@@ -72,7 +69,7 @@ func assertCondEquivalent(t *testing.T, label string, g *Graph, got, want *Conde
 }
 
 // TestPatchCondensationFuzz drives random delta chains through
-// ApplyDeltaWithSummary with the predecessor's condensation computed, so
+// ApplyDeltaVersionStep with the predecessor's condensation computed, so
 // every apply attempts the incremental patch, and checks each patched
 // condensation against a from-scratch Tarjan run of the same snapshot. The
 // generator mixes SCC-preserving churn with component merges (cycle
@@ -98,7 +95,7 @@ func TestPatchCondensationFuzz(t *testing.T) {
 
 			for step := 0; step < 15; step++ {
 				d := randomMergeDelta(rng, g, g.NumNodes())
-				g2, _, err := ApplyDeltaWithSummary(g, d)
+				g2, _, err := ApplyDeltaVersionStep(g, d, 1)
 				if err != nil {
 					t.Fatalf("step %d: %v", step, err)
 				}

@@ -42,7 +42,7 @@ func ComputeStats(g *Graph) Stats {
 	if g.NumNodes() > 0 {
 		s.AvgDegree = float64(g.NumEdges()) / float64(g.NumNodes())
 	}
-	cond := CondenseGraph(g)
+	cond := g.Condensation()
 	s.SCCs = cond.NumComps
 	s.IsDAG = true
 	for c := 0; c < cond.NumComps; c++ {

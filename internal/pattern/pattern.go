@@ -199,15 +199,19 @@ func (p *Pattern) String() string {
 }
 
 // Analysis carries the derived structure the algorithms need: the SCC
-// condensation of Q (Q_SCC of §4.2), per-node topological ranks, and which
-// query nodes the output node reaches (its descendants, which define the
-// relevant sets and the normalization constant C_uo of §3.3).
+// condensation of Q (Q_SCC of §4.2), the topological ranks of §4 on it, and
+// which query nodes the output node reaches (its descendants, which define
+// the relevant sets and the normalization constant C_uo of §3.3). The data
+// graph's condensation carries no ranks: the pattern's are the only ones
+// the algorithms read.
 type Analysis struct {
 	// Cond is the condensation of the pattern graph. Node IDs are the query
 	// node indices widened to int32.
 	Cond *graph.Condensation
-	// Rank is the topological rank of each query node: the rank of its SCC
-	// in Q_SCC (0 = leaf), as defined in §4.
+	// UnitRank is the topological rank of each SCC of Q (each unit): 0 for
+	// a leaf of Q_SCC, otherwise 1 + the largest rank of its successors.
+	UnitRank []int32
+	// Rank is the topological rank of each query node: the rank of its SCC.
 	Rank []int32
 	// OutputDesc[u] reports whether u is a descendant of the output node
 	// (reachable from uo by a path of >= 1 edges). The output node itself is
@@ -222,18 +226,30 @@ type Analysis struct {
 // Analyze computes the Analysis of p.
 func Analyze(p *Pattern) *Analysis {
 	n := p.NumNodes()
-	cond := graph.Condense(n, func(v int32, emit func(int32)) {
-		for _, w := range p.out[v] {
-			emit(int32(w))
+	off := make([]int32, n+1)
+	adj := make([]int32, 0, len(p.edges))
+	for u := 0; u < n; u++ {
+		for _, w := range p.out[u] {
+			adj = append(adj, int32(w))
 		}
-	})
+		off[u+1] = int32(len(adj))
+	}
+	cond := graph.CondenseCSR(n, off, adj)
 	a := &Analysis{
 		Cond:       cond,
+		UnitRank:   make([]int32, cond.NumComps),
 		Rank:       make([]int32, n),
 		OutputDesc: make([]bool, n),
 	}
+	// SCC indices are a reverse topological order (every successor of
+	// component c has a smaller index), so one ascending pass suffices.
+	for c, succ := range cond.Succ {
+		for _, s := range succ {
+			a.UnitRank[c] = max(a.UnitRank[c], a.UnitRank[s]+1)
+		}
+	}
 	for u := 0; u < n; u++ {
-		a.Rank[u] = cond.Rank[cond.Comp[u]]
+		a.Rank[u] = a.UnitRank[cond.Comp[u]]
 	}
 
 	// Descendants of uo: BFS over query edges starting from uo's successors;

@@ -2,6 +2,8 @@ package pattern
 
 import (
 	"bytes"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,6 +64,58 @@ func TestFigure1PatternStructure(t *testing.T) {
 	}
 	if len(a.DescLabels) != 3 {
 		t.Fatalf("DescLabels = %v", a.DescLabels)
+	}
+}
+
+// TestAnalyzeRanks pins the topological ranks of §4 on Q_SCC: 0 for a leaf
+// unit, otherwise 1 + the largest rank of its successors, and every query
+// node carries its unit's rank — on a chain and on random patterns with
+// cycles and self-loops.
+func TestAnalyzeRanks(t *testing.T) {
+	chain := New()
+	for i := 0; i < 4; i++ {
+		chain.AddNode("a")
+	}
+	for i := 0; i < 3; i++ {
+		if err := chain.AddEdge(i, i+1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if r := Analyze(chain).Rank; !slices.Equal(r, []int32{3, 2, 1, 0}) {
+		t.Fatalf("chain ranks = %v, want [3 2 1 0]", r)
+	}
+
+	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 200; trial++ {
+		p := New()
+		n := 1 + rng.Intn(8)
+		for i := 0; i < n; i++ {
+			p.AddNode("a")
+		}
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			_ = p.AddEdge(rng.Intn(n), rng.Intn(n)) // duplicates are rejected
+		}
+		a := Analyze(p)
+		cond := a.Cond
+		for c, succ := range cond.Succ {
+			want := int32(0)
+			for _, s := range succ {
+				want = max(want, a.UnitRank[s]+1)
+			}
+			if a.UnitRank[c] != want {
+				t.Fatalf("trial %d (%s): unit %d rank %d, want %d", trial, p, c, a.UnitRank[c], want)
+			}
+		}
+		for u := 0; u < n; u++ {
+			if a.Rank[u] != a.UnitRank[cond.Comp[u]] {
+				t.Fatalf("trial %d (%s): node %d rank %d, unit rank %d", trial, p, u, a.Rank[u], a.UnitRank[cond.Comp[u]])
+			}
+			for _, w := range p.Out(u) {
+				if cond.Comp[u] != cond.Comp[w] && a.Rank[u] <= a.Rank[w] {
+					t.Fatalf("trial %d (%s): edge %d->%d across units, ranks %d <= %d", trial, p, u, w, a.Rank[u], a.Rank[w])
+				}
+			}
+		}
 	}
 }
 

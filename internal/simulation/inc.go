@@ -211,21 +211,19 @@ func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 			}
 		}
 	}
-	// The closure expansion is the shared affected-area traversal
-	// (graph.Expand) that also drives the bound index's Advance: the same
-	// worklist discipline, here over reverse product edges.
-	revive = graph.Expand(revive, func(q int32, emit func(int32)) {
-		for e := prod.RevOff[q]; e < prod.RevOff[q+1]; e++ {
-			emit(prod.Rev[e])
+	// Revival closure over reverse product edges: the worklist expands in
+	// append order, the same discipline as the bound index's component
+	// closures (graph.ExpandComps), so the affected area is deterministic.
+	for i := 0; i < len(revive); i++ {
+		q := revive[i]
+		for _, pid := range prod.Rev[prod.RevOff[q]:prod.RevOff[q+1]] {
+			if !inSim[pid] {
+				inSim[pid] = true
+				recompute[pid] = true
+				revive = append(revive, pid)
+			}
 		}
-	}, func(pid int32) bool {
-		if inSim[pid] {
-			return false
-		}
-		inSim[pid] = true
-		recompute[pid] = true
-		return true
-	})
+	}
 	affected := 0
 	for q := 0; q < total; q++ {
 		if recompute[q] {

@@ -155,7 +155,7 @@ func TestProductTraversalZeroAlloc(t *testing.T) {
 }
 
 // TestProductKernelAllocRegression keeps the new kernel's allocation count
-// strictly below the reference's: the arena and the materialized adjacency
+// strictly below the reference's: the slab and the materialized adjacency
 // must pay for themselves. (The product build is included on the CSR side.)
 func TestProductKernelAllocRegression(t *testing.T) {
 	if racedetect.Enabled {

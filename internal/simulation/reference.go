@@ -39,7 +39,7 @@ func childSlotTable(p *pattern.Pattern) []int32 {
 // ComputeReference evaluates the maximum simulation with the pre-CSR
 // counting-based refinement: counters are initialized by scanning g.Out with
 // ci.Pair lookups and the removal cascade scans g.In the same way. See
-// ComputeWithCandidates for the semantics; the result is identical.
+// Compute for the semantics; the result is identical.
 func ComputeReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *Result {
 	nq := p.NumNodes()
 	total := ci.NumPairs()
@@ -126,10 +126,13 @@ func ComputeReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *R
 	return res
 }
 
+// adjFunc enumerates the successors of pair id, invoking emit for each one.
+type adjFunc func(id int32, emit func(int32))
+
 // productAdjReference returns an adjacency callback over pairs of ci
 // restricted to alive pairs, deriving product edges on the fly (the pre-CSR
 // representation). A nil alive mask means all candidate pairs are alive.
-func productAdjReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex, alive []bool) graph.AdjFunc {
+func productAdjReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex, alive []bool) adjFunc {
 	return func(id int32, emit func(int32)) {
 		if alive != nil && !alive[id] {
 			return
@@ -192,9 +195,10 @@ func recordRoot(res *RelevantResult, ci *CandidateIndex, lo, hi, id int32,
 }
 
 // ComputeRelevantReference computes relevant sets with the pre-CSR kernel:
-// the condensation is built through the on-the-fly adjacency callback and
-// every component allocates a fresh bitset. See ComputeRelevant for the
-// semantics; sizes and sets are identical.
+// the product edges come from the on-the-fly adjacency callback, gathered
+// pair by pair into the CSR the condensation is built from, and every
+// component allocates a fresh bitset. See ComputeRelevant for the semantics;
+// sizes and sets are identical.
 func ComputeRelevantReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex,
 	an *pattern.Analysis, space *RelSpace, alive []bool, root int, keepSets bool) *RelevantResult {
 
@@ -211,13 +215,15 @@ func ComputeRelevantReference(g *graph.Graph, p *pattern.Pattern, ci *CandidateI
 	relQ := relevantQueryNodes(p, an, root)
 
 	adj := productAdjReference(g, p, ci, alive)
-	restricted := func(id int32, emit func(int32)) {
-		if !relQ[ci.U[id]] {
-			return
+	off := make([]int32, ci.NumPairs()+1)
+	var flat []int32
+	for id := int32(0); id < int32(ci.NumPairs()); id++ {
+		if relQ[ci.U[id]] {
+			adj(id, func(w int32) { flat = append(flat, w) })
 		}
-		adj(id, emit)
+		off[id+1] = int32(len(flat))
 	}
-	cond := graph.Condense(ci.NumPairs(), restricted)
+	cond := graph.CondenseCSR(ci.NumPairs(), off, flat)
 
 	sets := make([]*bitset.Set, cond.NumComps)
 	pending := make([]int, cond.NumComps)

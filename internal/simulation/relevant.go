@@ -1,6 +1,8 @@
 package simulation
 
 import (
+	"slices"
+
 	"divtopk/internal/bitset"
 	"divtopk/internal/graph"
 	"divtopk/internal/pattern"
@@ -76,20 +78,25 @@ func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, kee
 			reach(t)
 		}
 	}
-	SweepRelevant(prod, space, bitset.NewArena(space.Size()), region,
+	// A slab of this call's own: the root sets taken over below keep their
+	// blocks after the sweep.
+	SweepRelevant(prod, space, new(bitset.Slab), region,
 		func(q int32) (int32, bool) { l, ok := local[q]; return l, ok }, nil,
-		func(q int32, s *bitset.Set, sLo, sHi int32, last bool) bool {
+		func(q int32, w []uint64, sLo, sHi int32, last bool) bool {
 			if q < lo || q >= hi {
 				return false
 			}
-			res.Sizes[q-lo] = int32(s.CountRange(int(sLo), int(sHi)))
+			res.Sizes[q-lo] = 0
+			if sLo < sHi { // an empty span has sLo > sHi
+				res.Sizes[q-lo] = int32(bitset.CountWords(w[sLo:sHi]))
+			}
 			if keepSets && last {
 				// An unread root pair (the common case: the output node has
-				// no predecessors in the region): hand the arena set over
-				// instead of cloning it.
-				res.Sets[q-lo] = s
+				// no predecessors in the region): take the slab block over
+				// instead of copying it.
+				res.Sets[q-lo] = bitset.FromWords(w, space.Size())
 			} else if keepSets {
-				res.Sets[q-lo] = s.Clone()
+				res.Sets[q-lo] = bitset.FromWords(slices.Clone(w), space.Size())
 			}
 			return keepSets && last
 		})
@@ -100,20 +107,24 @@ func ComputeRelevant(prod *Product, space *RelSpace, alive []bool, root int, kee
 // every pair of a region of the product graph in one sweep. The region is
 // condensed with graph.CondenseCSR; SCC indices are a reverse topological
 // order, so one pass in index order computes every component after all of
-// its successors. Working sets come from arena and return to it once every
-// predecessor has consumed them, so memory follows the condensed region's
-// frontier, not its size.
+// its successors. Working sets are blocks of work, which the sweep resets on
+// entry; a block returns to the sweep's free list once every predecessor
+// has consumed it, so memory follows the condensed region's frontier, not
+// its size.
 //
 // region lists the pairs to compute; local(q) gives q's index in region and
 // whether q lies in it. Any other successor t contributes outside(t), the
 // set it already stores (unchanged by the sweep), plus its own node, unless
 // outside is nil or returns nil for t. store receives each region pair's
-// finished set s, whose bits lie in words [lo, hi). s is the kernel's: store
-// copies what it keeps, except that when last is set no other region pair
-// reads s and store may take it over by returning true.
-func SweepRelevant(prod *Product, space *RelSpace, arena *bitset.Arena, region []int32,
+// finished set as the words w of a block of work, every set bit in words
+// [lo, hi) (an empty set has lo > hi). w is the kernel's: store copies what
+// it keeps, except that when last is set no other region pair reads w and
+// store may take the block over by returning true. The block then stays
+// valid only until work's next Reset, so only a caller that hands the sweep
+// a slab of its own, used for nothing else, may take blocks over.
+func SweepRelevant(prod *Product, space *RelSpace, work *bitset.Slab, region []int32,
 	local func(q int32) (int32, bool), outside func(q int32) []uint64,
-	store func(q int32, s *bitset.Set, lo, hi int32, last bool) bool) {
+	store func(q int32, w []uint64, lo, hi int32, last bool) bool) {
 
 	// adj holds the successors inside the region, by local number (filtering
 	// preserves the product's edge order); ext the others that contribute.
@@ -134,11 +145,16 @@ func SweepRelevant(prod *Product, space *RelSpace, arena *bitset.Arena, region [
 	cond := graph.CondenseCSR(len(region), off, adj)
 
 	ci := prod.CI
+	work.Reset(space.Size())
 	nWords := int32((space.Size() + 63) / 64)
-	sets := make([]*bitset.Set, cond.NumComps)
+	// blocks[c] is the handle of component c's set, free the handles of the
+	// released blocks (each cleared again).
+	blocks := make([]int32, cond.NumComps)
+	var free []int32
 	// spanLo/spanHi[c] is the half-open word range holding every set bit of
-	// sets[c] (empty when lo >= hi): unions, counts and clears run over spans,
-	// not the universe's width, since relevant sets are narrow in a wide one.
+	// component c's set (empty when lo >= hi): unions, counts and clears run
+	// over spans, not the universe's width, since relevant sets are narrow
+	// in a wide one.
 	spanLo := make([]int32, cond.NumComps)
 	spanHi := make([]int32, cond.NumComps)
 	pending := make([]int32, cond.NumComps)
@@ -146,35 +162,42 @@ func SweepRelevant(prod *Product, space *RelSpace, arena *bitset.Arena, region [
 		pending[c] = int32(len(cond.Pred[c]))
 	}
 	release := func(c int32) {
-		sets[c].ClearRange(int(spanLo[c]), int(spanHi[c]))
-		arena.Put(sets[c])
-		sets[c] = nil
+		if spanLo[c] < spanHi[c] {
+			clear(work.At(blocks[c])[spanLo[c]:spanHi[c]])
+		}
+		free = append(free, blocks[c])
 	}
 	var (
-		s        *bitset.Set
+		w        []uint64
 		sLo, sHi int32
 	)
 	addNode := func(q int32) {
 		if idx := space.Index(ci.V[q]); idx >= 0 {
-			s.Add(int(idx))
+			bitset.AddBit(w, int(idx))
 			sLo, sHi = min(sLo, idx>>6), max(sHi, idx>>6+1)
 		}
 	}
 
-	// Invariant: sets[c] = data nodes reachable from c's pairs in >= 0 steps
-	// *including c's own members* — i.e. what a predecessor comp sees
-	// through c. A pair's own relevant set is the >= 1 step variant: for
-	// trivial comps it is stored before self-insertion, for nontrivial
+	// Invariant: component c's set = data nodes reachable from c's pairs in
+	// >= 0 steps *including c's own members* — i.e. what a predecessor comp
+	// sees through c. A pair's own relevant set is the >= 1 step variant:
+	// for trivial comps it is stored before self-insertion, for nontrivial
 	// comps after (mutual reachability puts members in their own relevant
 	// sets, cf. Example 8 where DB3 ∈ R(DB,DB3)).
 	for c := int32(0); c < int32(cond.NumComps); c++ {
-		s, sLo, sHi = arena.Get(), nWords, 0 // empty span
+		var h int32
+		if n := len(free); n > 0 {
+			h, free = free[n-1], free[:n-1]
+		} else {
+			h = work.Alloc()
+		}
+		w, sLo, sHi = work.At(h), nWords, 0 // empty span
 		for _, succ := range cond.Succ[c] {
-			if spanLo[succ] < spanHi[succ] {
-				s.UnionRange(sets[succ], int(spanLo[succ]), int(spanHi[succ]))
-				sLo, sHi = min(sLo, spanLo[succ]), max(sHi, spanHi[succ])
+			if lo, hi := spanLo[succ], spanHi[succ]; lo < hi {
+				bitset.UnionWords(w[lo:hi], work.At(blocks[succ])[lo:hi])
+				sLo, sHi = min(sLo, lo), max(sHi, hi)
 			}
-			// A successor returns to the arena once every predecessor has
+			// A successor's block is freed once every predecessor has
 			// taken its union.
 			if pending[succ]--; pending[succ] == 0 {
 				release(succ)
@@ -182,7 +205,7 @@ func SweepRelevant(prod *Product, space *RelSpace, arena *bitset.Arena, region [
 		}
 		for _, l := range cond.Members[c] {
 			for _, t := range ext[extOff[l]:extOff[l+1]] {
-				bitset.UnionWords(s.Words(), outside(t))
+				bitset.UnionWords(w, outside(t))
 				sLo, sHi = 0, nWords
 				addNode(t)
 			}
@@ -194,18 +217,18 @@ func SweepRelevant(prod *Product, space *RelSpace, arena *bitset.Arena, region [
 				addNode(region[l])
 			}
 			for _, l := range cond.Members[c] {
-				store(region[l], s, sLo, sHi, false)
+				store(region[l], w, sLo, sHi, false)
 			}
 		} else {
 			q := region[cond.Members[c][0]]
 			// Skipping the self-insertion of a set taken over is sound
 			// because only predecessors observe it.
-			if store(q, s, sLo, sHi, !read) {
+			if store(q, w, sLo, sHi, !read) {
 				continue
 			}
 			addNode(q)
 		}
-		sets[c], spanLo[c], spanHi[c] = s, sLo, sHi
+		blocks[c], spanLo[c], spanHi[c] = h, sLo, sHi
 		if !read {
 			release(c)
 		}

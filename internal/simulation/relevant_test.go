@@ -278,12 +278,12 @@ func ladder(levels int) (*Product, *RelSpace) {
 }
 
 // TestComputeRelevantRecyclesArenaSets pins ComputeRelevant's release
-// bookkeeping: every interior set goes back to the arena once its last reader
-// has consumed it, so the arena stays as wide as the condensation's frontier
-// and the bytes allocated stay linear in the product. A set that is never Put
-// — answers unchanged — costs a fresh universe-wide set per component here,
-// which is quadratic and breaks the budget of less than one such set per
-// spine node.
+// bookkeeping: every interior working set's slab block goes back to the
+// sweep's free list once its last reader has consumed it, so the slab stays
+// as wide as the condensation's frontier and the bytes allocated stay linear
+// in the product. A block that is never freed — answers unchanged — costs a
+// fresh universe-wide block per component here, which is quadratic and
+// breaks the budget of less than one such set per spine node.
 func TestComputeRelevantRecyclesArenaSets(t *testing.T) {
 	const levels = 8000
 	prod, space := ladder(levels)

@@ -25,18 +25,12 @@ type Result struct {
 // decrements the counters of its candidate predecessors, cascading in
 // O(Σ_(u,u')∈Ep Σ_{v∈can(u')} deg_in(v)) ⊆ O(|Ep||E|) total time — the
 // O(|G||Q| + |G|²) bound of the paper with the usual tighter accounting.
+//
+// Callers that already hold the candidate index or want the product CSR
+// afterwards (the baseline shares it with the relevant-set kernel) build the
+// product themselves and call ComputeWithProduct.
 func Compute(g *graph.Graph, p *pattern.Pattern) *Result {
-	ci := BuildCandidates(g, p)
-	return ComputeWithCandidates(g, p, ci)
-}
-
-// ComputeWithCandidates is Compute with a prebuilt candidate index, so
-// callers that already paid for the index can share it. Callers that also
-// want the product CSR afterwards (the baseline shares it with the
-// relevant-set kernel) should build it themselves and call
-// ComputeWithProduct.
-func ComputeWithCandidates(g *graph.Graph, p *pattern.Pattern, ci *CandidateIndex) *Result {
-	return ComputeWithProduct(BuildProduct(g, p, ci, 0))
+	return ComputeWithProduct(BuildProduct(g, p, BuildCandidates(g, p), 0))
 }
 
 // ComputeWithProduct runs the counting-based refinement over a materialized
