@@ -16,7 +16,7 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# The in-process numbers beside the tracked benchmark: the four uncached
+# The in-process numbers beside the tracked benchmark: the three uncached
 # query kinds (cold_paper's inputs, B/op = per-query allocation) and the
 # warm commit path (serve_zipf's shape: ms, bytes, answers re-evaluated and
 # carried per commit).

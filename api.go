@@ -16,12 +16,12 @@ import (
 // generate one with the New*Like generators.
 //
 // A Graph lazily builds and caches the descendant-label bound index the
-// first time TopK runs on it, so repeated queries amortize it the way the
-// paper's precomputed index does. A bare Graph is safe for concurrent TopK
-// calls: the index is created once and fills per label under a lock, so
-// cold concurrent queries merely serialize on index construction. Wrap the
-// Graph in a Matcher — which warms the whole index up front — to serve
-// concurrent queries without that cold-start contention.
+// first time TopKDH (TopKDiversified's default) runs on it, so repeated
+// queries amortize it the way the paper's precomputed index does. A bare
+// Graph is safe for concurrent queries: the index is created once and fills
+// per label under a lock, so cold concurrent queries merely serialize on
+// index construction. Wrap the Graph in a Matcher — which warms the whole
+// index up front — to serve concurrent queries without that contention.
 type Graph struct {
 	g          *graph.Graph
 	boundsOnce sync.Once
@@ -240,15 +240,16 @@ type Stats struct {
 type Result struct {
 	// Matches holds up to k matches sorted by descending relevance.
 	Matches []Match
-	// All holds every match discovered before termination, sorted the same
-	// way (Matches is its prefix). Under early termination this is the
-	// examined subset of the candidates, not all of Mu(Q,G,uo). To keep
-	// large result pools cheap, RelevantSet is expanded only for the
-	// Matches prefix; entries beyond it carry bounds but no set.
+	// All holds every match of the output node, Mu(Q,G,uo), sorted the
+	// same way (Matches is its prefix): TopK evaluates the find-all Match
+	// and never terminates early. To keep large result pools cheap,
+	// RelevantSet is expanded only for the Matches prefix; entries beyond
+	// it carry their relevance but no set.
 	All []Match
 	// GlobalMatch reports whether G matches Q at all.
 	GlobalMatch bool
-	// Stats summarizes the work done.
+	// Stats summarizes the work done: Match's, so Examined is |Mu| and
+	// EarlyTerminated is false.
 	Stats Stats
 }
 
@@ -278,8 +279,9 @@ func (g *Graph) Matches(p *Pattern) []int {
 }
 
 // TopK returns the k most relevant matches of the output node of p in g,
-// using the early-termination engine by default (WithBaseline selects the
-// find-all Match instead).
+// ties broken by ascending node: the find-all Match (§4) cut at k, exact and
+// canonical (see the package doc for why not the §4.1 engine). WithBaseline
+// is accepted and ignored.
 func TopK(g *Graph, p *Pattern, k int, opts ...Option) (*Result, error) {
 	a, err := evaluate(g, p, newQuery(false, k, 0, nil, opts), nil, nil)
 	if err != nil {
@@ -301,8 +303,8 @@ func TopKDiversified(g *Graph, p *Pattern, k int, lambda float64, opts ...Option
 	return a.val.(*DiversifiedResult), nil
 }
 
-// answer is what evaluate returns: the facade value (a *Result for the top-k
-// kinds, a *DiversifiedResult for the diversified ones) and, for the find-all
+// answer is what evaluate returns: the facade value (a *Result for top-k, a
+// *DiversifiedResult for the diversified kinds) and, for the find-all
 // kinds, the core-level match pool behind it — the next evaluation's prev.
 type answer struct {
 	val  any
@@ -349,17 +351,10 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 		}
 		return answer{val: convertDiversified(g, dres), pool: pool}, nil
 	}
-	// The early-termination kinds read their initial upper bounds from the
-	// graph's amortized descendant-label index (the paper's design). Without
-	// it the engine would compute the per-query tight bounds instead.
+	// TopKDH reads its initial upper bounds from the graph's amortized
+	// descendant-label index (the paper's design). Without it the engine
+	// would compute the per-query tight bounds instead.
 	eng.Cache = g.boundsCache()
-	if q.kind == kindTopK {
-		res, err := core.TopK(g.g, p.p, q.k, eng)
-		if err != nil {
-			return answer{}, err
-		}
-		return answer{val: convertResult(g, res)}, nil
-	}
 	dres, err := diversify.TopKDH(g.g, p.p, q.k, q.lambda, eng)
 	if err != nil {
 		return answer{}, err
@@ -413,9 +408,7 @@ func convertResult(g *Graph, res *core.Result) *Result {
 			out.All = append(out.All, convertMatch(g, m))
 		}
 	}
-	if top <= len(out.All) {
-		out.Matches = out.All[:top]
-	}
+	out.Matches = out.All[:top]
 	return out
 }
 

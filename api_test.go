@@ -2,6 +2,7 @@ package divtopk
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,6 +99,14 @@ func TestPublicTopKVariants(t *testing.T) {
 	}
 	if base.Matches[0].Relevance+base.Matches[1].Relevance != 14 {
 		t.Fatalf("baseline top-2 sum wrong: %+v", base.Matches)
+	}
+	// TopK always runs Match: WithBaseline is accepted and ignored.
+	plain, err := TopK(g, p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, base) {
+		t.Fatalf("TopK %+v differs from TopK WithBaseline %+v", plain, base)
 	}
 }
 

@@ -14,26 +14,9 @@ import (
 	"testing"
 )
 
-// BenchmarkQueryTopK measures a single early-termination query end to end
-// on a prebuilt graph (the per-query latency a library user sees).
-func BenchmarkQueryTopK(b *testing.B) {
-	g := NewYouTubeLike(12_000, 120_000, 1)
-	q, err := GeneratePattern(g, 4, 8, true, true, 5)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := TopK(g, q, 10); err != nil { // warm the bound cache
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TopK(g, q, 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryBaseline is the find-all counterpart of BenchmarkQueryTopK.
+// BenchmarkQueryBaseline measures a single top-k query end to end on a
+// prebuilt graph (the per-query latency a library user sees): the find-all
+// Match cut at k, which is what TopK runs with or without WithBaseline.
 func BenchmarkQueryBaseline(b *testing.B) {
 	g := NewYouTubeLike(12_000, 120_000, 1)
 	q, err := GeneratePattern(g, 4, 8, true, true, 5)
@@ -69,10 +52,11 @@ func BenchmarkQueryDiversified(b *testing.B) {
 // Cold-path benchmarks: the tracked benchmark's cold_paper inputs in process
 // — a YouTube-like 15k/90k graph, mined patterns cycling |Vp| ∈ {4,5,6},
 // every second one cyclic, every third with predicates — each iteration one
-// uncached query, patterns round-robin, one benchmark per query kind (TopK,
-// the find-all Match, TopKDH, the 2-approximation TopKDiv). With -benchmem
-// the B/op column is the per-query allocation figure; for TopK it is the one
-// the engine scratch budget test pins.
+// uncached query, patterns round-robin, one benchmark per query kind (top-k
+// by the find-all Match, TopKDH, the 2-approximation TopKDiv). With -benchmem
+// the B/op column is the per-query allocation figure; for TopKDH, the one
+// route that runs the early-termination engine, it includes the engine
+// scratch whose budget the internal/core tests pin.
 
 var coldBenchState struct {
 	once     sync.Once
@@ -99,20 +83,6 @@ func coldBenchInputs(b *testing.B) (*Graph, []*Pattern) {
 		b.Fatal("no patterns mined")
 	}
 	return s.g, s.patterns
-}
-
-func BenchmarkTopKCold(b *testing.B) {
-	g, patterns := coldBenchInputs(b)
-	if _, err := TopK(g, patterns[0], 10); err != nil { // warm the bound index
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := TopK(g, patterns[i%len(patterns)], 10); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkTopKDHCold(b *testing.B) {
@@ -153,11 +123,11 @@ func BenchmarkTopKDivCold(b *testing.B) {
 
 // BenchmarkCommitWarm is the commit path of a caching session in process, on
 // the tracked benchmark's serve_zipf shape: a synthetic 10k/70k graph with 24
-// labels, maxWarmPatterns mined patterns each maintained with the four
-// algorithms (k = 10, λ = 0.5), and the benchmark's 60/20/20
+// labels, maxWarmPatterns mined patterns each maintained with the three
+// query kinds (k = 10, λ = 0.5), and the benchmark's 60/20/20
 // append/insert/delete plan aimed at the label edges of the eight hottest.
 // One iteration is one commit — graph apply, bound-index advance and the warm
-// advance pass — followed by a read of the four shapes of one pattern in turn
+// advance pass — followed by a read of the three shapes of one pattern in turn
 // (cache hits: microseconds beside the commit's milliseconds), so that every
 // shape is read once in maxWarmPatterns commits and none ages out of the pass
 // (maxWarmIdle). Beside ms/commit and B/commit it reports what the pass did

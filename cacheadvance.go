@@ -28,16 +28,17 @@ import (
 //
 // What the pass re-runs follows from what an answer depends on (internal/core
 // documents the contract): the pattern's state {CI, Prod, Sim}, and — for
-// the early-termination kinds, which read the bound index — the output node's
-// bound vector (core.BoundsCache.OutputBounds), kept on the patternState.
+// TopKDH, the one kind that runs the early-termination engine and so reads
+// the bound index — the output node's bound vector
+// (core.BoundsCache.OutputBounds), kept on the patternState.
 // Matches by simulation are local, so a delta usually reaches no candidate
 // pair of most maintained patterns: IncCompute reports TouchedPairs == 0, the
 // state is the old one re-pointed at the new snapshot, and every answer riding
 // it is carried — re-keyed and installed like a re-evaluated one — unless it
-// is an early-termination answer and the bound vector moved. Only the states
-// the delta reaches re-evaluate, and those compute their find-all pool once
-// for all the shapes riding it. A commit costs what its delta reaches, not
-// what the cache holds.
+// is a TopKDH answer and the bound vector moved. Only the states the delta
+// reaches re-evaluate, and those compute their find-all pool once for all
+// the shapes riding it (top-k and TopKDiv at any k). A commit costs what its
+// delta reaches, not what the cache holds.
 //
 // Nor what the cache was once asked: an answer is re-evaluated before the ack
 // on the bet that somebody reads it before the next change. One that
@@ -126,7 +127,7 @@ type patternState struct {
 	text string
 	p    *Pattern
 	inc  *simulation.IncState
-	// bounds is the one thing an early-termination answer reads beside inc:
+	// bounds is the one thing a TopKDH answer reads beside inc:
 	// the initial upper bounds of the output node's candidates under the
 	// snapshot's bound index. Equal vectors on an untouched state mean equal
 	// answers, which is what the advance pass compares.
@@ -378,10 +379,10 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 		// candidate pair's adjacency and appended no candidate: TouchedPairs
 		// counts both) is the old one re-pointed at g2, so every answer that
 		// is a function of the state alone — the find-all kinds — is the old
-		// answer. The early-termination kinds also read the bound index,
-		// through the output node's bound vector and nothing else: they carry
-		// over exactly when that vector did not move. A touched state
-		// re-evaluates everything riding it.
+		// answer. TopKDH, which runs the early-termination engine, also reads
+		// the bound index, through the output node's bound vector and nothing
+		// else: it carries over exactly when that vector did not move. A
+		// touched state re-evaluates everything riding it.
 		untouched := ist.TouchedPairs == 0
 		sameBounds := untouched && slices.Equal(a.new.bounds, a.old.bounds)
 		// The previous answer can short-cut a find-all re-evaluation whenever
@@ -413,7 +414,7 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 			}
 			if pre.Pool == nil {
 				// The first find-all shape pays for the state's match pool;
-				// the others riding it (any k, match or topkdiv) reuse it.
+				// the others riding it (any k, topk or topkdiv) reuse it.
 				pre.Pool = sh.ans.pool
 			}
 			kept = append(kept, sh)

@@ -1,9 +1,9 @@
 // Command divtopkd is the query-serving daemon: it loads named graphs,
 // warms a Matcher session (full bound index + result cache) per graph, and
-// serves the paper's four algorithms over an HTTP JSON API with per-request
+// serves the paper's algorithms over an HTTP JSON API with per-request
 // timeouts, a k cap, and singleflight-deduplicated caching: /v1/query runs
-// TopK (Match with "baseline":true), /v1/query/diversified runs TopKDH
-// (TopKDiv with "approx":true).
+// the find-all Match cut at k (exact, and cheaper than the early-termination
+// TopK), /v1/query/diversified runs TopKDH (TopKDiv with "approx":true).
 //
 // Serve two graphs:
 //

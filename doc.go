@@ -7,9 +7,9 @@
 //
 //   - Top-k matching (TopK): the k matches of the output node with the
 //     highest relevance δr (the size of their relevant set — the set of
-//     matches they can reach through the pattern), found with the early
-//     termination property: the evaluation stops as soon as the answer is
-//     provably correct, without computing the full match relation M(Q,G).
+//     matches they can reach through the pattern). The paper's TopK stops
+//     as soon as the answer is provably correct; here it never stops before
+//     Match would, so TopK runs Match and cuts at k (see below).
 //
 //   - Diversified top-k matching (TopKDiversified): the k-set maximizing
 //     the bi-criteria function F(S) = (1−λ)·Σ δ'r + 2λ/(k−1)·Σ δd that
@@ -53,11 +53,13 @@
 // group-commit coalescer). The Parallelism option is ignored and stays only
 // for callers that still pass it.
 //
-// The query surface is the paper's four algorithms and nothing else: TopK
-// (§4.1) and, WithBaseline, the find-all Match (§4); TopKDiversified runs the
-// heuristic TopKDH (§5.2) and, WithApproximation, the 2-approximation TopKDiv
-// (§5.1). The §6 baselines (random leaf order, other upper bounds) are
-// reproduced by the tests of internal/bench, not selectable here.
+// The query surface is the paper's algorithms and nothing else: TopK runs
+// the find-all Match (§4) cut at k (WithBaseline is ignored); TopKDiversified
+// runs the heuristic TopKDH (§5.2) and, WithApproximation, the
+// 2-approximation TopKDiv (§5.1). The early-termination TopK (§4.1) examines
+// every match on mined patterns and costs more than Match, whose answer is
+// exact and canonical: its engine serves TopKDH only, and internal/bench
+// reproduces it with the §6 baselines (random leaf order, other bounds).
 //
 // # Serving
 //
@@ -131,8 +133,8 @@
 // query is a hit that reports provenance "advanced"
 // (TopKInfo/TopKDiversifiedInfo, and the daemon's "cache" response field)
 // rather than a cold evaluation. The pass re-runs only what the delta can
-// have changed: an answer depends on the pattern's state and, for the
-// early-termination algorithms under index bounds, on the output node's
+// have changed: an answer depends on the pattern's state and, for TopKDH
+// (the one early-termination algorithm served), on the output node's
 // bound vector, so on a state the delta reaches no candidate pair of —
 // most states, simulation being local — every answer whose bound vector
 // also stood still is carried over unevaluated, and a reached state

@@ -48,8 +48,8 @@ func main() {
 	if !res.GlobalMatch {
 		log.Fatal("no matches; increase the graph size")
 	}
-	fmt.Printf("\ntop-5 DB papers by citation impact (examined %d of %d candidates, early=%v):\n",
-		res.Stats.Examined, res.Stats.Candidates, res.Stats.EarlyTerminated)
+	fmt.Printf("\ntop-5 of %d matching DB papers (%d candidates) by citation impact:\n",
+		len(res.All), res.Stats.Candidates)
 	for i, m := range res.Matches {
 		year, _ := g.Attr(m.Node, "year")
 		fmt.Printf("  %d. paper %-8d area=%-8s year=%-5s impact=%d\n",

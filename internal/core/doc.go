@@ -13,6 +13,14 @@
 // discovered matches' smallest lower bound dominates every other live
 // candidate's upper bound — without computing the entire M(Q,G).
 //
+// The facade and the daemon answer top-k with MatchBaselineOpts cut at k.
+// On mined patterns the engine's match ratio is 100 %, so TopK does Match's
+// work plus its own, and its answer depends on where it stopped. The engine
+// serves TopKDH (order-dependent by design) and the §6 reproduction in
+// internal/bench. Top-k returns to it only when its termination is canonical
+// (for the weakest member m and every live non-member c, h(c) < l(m), or
+// h(c) = l(m) and node(c) > node(m)) and a feed order makes it beat Match.
+//
 // There is one kernel: both the engine and the find-all baseline run over
 // the materialized product CSR, optionally handed pre-settled stage inputs
 // through Options.Prebuilt, and both get their relevant sets from one sweep,

@@ -101,10 +101,9 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// QueryRequest is the body of POST /v1/query and /v1/query/diversified: the
-// paper's four algorithms are /v1/query (TopK, or Match with baseline) and
-// /v1/query/diversified (TopKDH, or TopKDiv with approx). A field not listed
-// here is a 400, like every unknown field of every request body.
+// QueryRequest is the body of POST /v1/query (top-k: the find-all Match cut
+// at k) and /v1/query/diversified (TopKDH, or TopKDiv with approx). A field
+// not listed here is a 400, like every unknown field of every request body.
 type QueryRequest struct {
 	// Graph names a registered graph.
 	Graph string `json:"graph"`
@@ -116,7 +115,8 @@ type QueryRequest struct {
 	Lambda float64 `json:"lambda,omitempty"`
 	// Approx selects the 2-approximation TopKDiv (diversified only).
 	Approx bool `json:"approx,omitempty"`
-	// Baseline selects the find-all baseline engine (top-k only).
+	// Baseline is ignored on /v1/query, which always runs Match, and a 400 on
+	// /v1/query/diversified. It stays until the tracked benchmark stops sending it.
 	Baseline bool `json:"baseline,omitempty"`
 	// TimeoutMS is the per-request budget in milliseconds (0 = server
 	// default, capped at Config.MaxTimeout).
@@ -530,9 +530,6 @@ func (s *Server) buildOptions(req *QueryRequest, diversified bool) ([]divtopk.Op
 	} else {
 		if req.Approx {
 			return nil, "approx applies to /v1/query/diversified only"
-		}
-		if req.Baseline {
-			opts = append(opts, divtopk.WithBaseline())
 		}
 	}
 	return opts, ""

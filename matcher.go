@@ -19,7 +19,8 @@ import (
 // per-graph index cost once — the full descendant-label bound index (which
 // internally performs the SCC/reachability work of the paper's §4.1 index) —
 // after which the Matcher is safe for concurrent use from many goroutines:
-// every query path reads the warmed, immutable index.
+// TopKDH, the one algorithm that reads the index, reads it warmed and
+// immutable.
 //
 // A Matcher also serves dynamic graphs: UpdateWithStats applies a Delta,
 // advances the previous snapshot's bound index off to the side — recomputing

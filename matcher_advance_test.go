@@ -18,9 +18,9 @@ import (
 // must be deeply equal to a never-cached session walking the same delta chain. Randomized
 // chains cross the interesting boundaries (appends into the pattern's
 // neighborhood, deletes of matched edges, no-op deltas), and the matrix
-// covers both query kernels (TopK and TopKDiversified), both algorithm
-// families of each (early-termination engine and find-all/approximation),
-// and all three advance policies.
+// covers both entry points (TopK, with and without the ignored WithBaseline,
+// and TopKDiversified), both diversified families (early-termination
+// heuristic and find-all approximation), and all three advance policies.
 func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 	modes := []struct {
 		name  string
@@ -35,7 +35,7 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 		run  func(m *Matcher, q *Pattern) (any, error)
 	}
 	queries := []querySpec{
-		{"topk/engine", func(m *Matcher, q *Pattern) (any, error) {
+		{"topk", func(m *Matcher, q *Pattern) (any, error) {
 			return m.TopK(q, 8)
 		}},
 		{"topk/baseline", func(m *Matcher, q *Pattern) (any, error) {
@@ -558,7 +558,6 @@ func minedDistinct(t testing.TB, g *Graph, n int, seed int64) []*Pattern {
 	return patterns
 }
 
-// askKind answers one of the paper's four algorithms on m.
 // checkProvenance fails unless c is one of the provenances a caching session
 // reports.
 func checkProvenance(t *testing.T, c string) {
@@ -568,10 +567,9 @@ func checkProvenance(t *testing.T, c string) {
 	}
 }
 
+// askKind answers one of the three query kinds on m.
 func askKind(m *Matcher, q *Pattern, kind queryKind, k int) (any, QueryInfo, error) {
 	switch kind {
-	case kindMatch:
-		return m.TopKInfo(q, k, WithBaseline())
 	case kindTopKDH:
 		return m.TopKDiversifiedInfo(q, k, 0.5)
 	case kindTopKDiv:
@@ -580,13 +578,13 @@ func askKind(m *Matcher, q *Pattern, kind queryKind, k int) (any, QueryInfo, err
 	return m.TopKInfo(q, k)
 }
 
-var allKinds = []queryKind{kindTopK, kindMatch, kindTopKDH, kindTopKDiv}
+var allKinds = []queryKind{kindMatch, kindTopKDH, kindTopKDiv}
 
 // TestWarmCacheCarryOverFuzz pins the carry-over rule of the advance pass on
 // the traffic it was made for: chains of group commits (1–4 merged deltas) in
 // the benchmark's append/insert/delete mix, aimed at and away from the
 // maintained patterns' labels. After every commit every maintained shape —
-// all four algorithms, k ∈ {1, 10} — must be deeply equal to a never-cached
+// all three query kinds, k ∈ {1, 10} — must be deeply equal to a never-cached
 // session's answer at the version the warm session reports, whether the pass
 // carried it, re-ran it or evicted its state. The chain must also exercise
 // the rule: the session carries and re-evaluates answers, and per commit the
@@ -663,7 +661,7 @@ func TestWarmCacheCarryOverFuzz(t *testing.T) {
 	}
 }
 
-// warmOn returns a caching session over g with the four algorithms (k = 1)
+// warmOn returns a caching session over g with the three query kinds (k = 1)
 // of q maintained, and the answers they gave.
 func warmOn(t *testing.T, g *Graph, q *Pattern) (*Matcher, map[queryKind]any) {
 	t.Helper()
@@ -682,8 +680,8 @@ func warmOn(t *testing.T, g *Graph, q *Pattern) (*Matcher, map[queryKind]any) {
 // TestWarmCarryOverDirected walks one small graph through the three deltas
 // that separate the advance pass's guards. The pattern is A* → B; a1 has five
 // B children and a non-candidate child z1, a2 and a3 one B child each, so
-// with k = 1 both early-termination algorithms stop after the first leaf with
-// a1 matched and unfinalized — its reported upper bound is the index's.
+// with k = 1 TopKDH stops after the first leaf with a1 matched and
+// unfinalized — its reported upper bound is the index's.
 func TestWarmCarryOverDirected(t *testing.T) {
 	b := NewGraphBuilder()
 	a1 := b.AddNode("A")
@@ -714,7 +712,7 @@ func TestWarmCarryOverDirected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// commit applies d and asks the four algorithms again: all must answer
+	// commit applies d and asks the three query kinds again: all must answer
 	// from the entries the pass installed, equal to a cold evaluation of the
 	// new snapshot.
 	commit := func(t *testing.T, m *Matcher, d *Delta) (IndexStats, map[queryKind]any) {
@@ -749,8 +747,8 @@ func TestWarmCarryOverDirected(t *testing.T) {
 		d.InsertEdge(x1, g.NumNodes())
 		d.InsertEdge(y1, x1)
 		st, after := commit(t, m, &d)
-		if st.WarmStates != 1 || st.WarmTouched != 0 || st.WarmReevaluated != 0 || st.WarmCarried != 4 || st.WarmEvicted != 0 {
-			t.Fatalf("warm counters %+v, want one untouched state with four carried answers", st)
+		if st.WarmStates != 1 || st.WarmTouched != 0 || st.WarmReevaluated != 0 || st.WarmCarried != 3 || st.WarmEvicted != 0 {
+			t.Fatalf("warm counters %+v, want one untouched state with three carried answers", st)
 		}
 		for _, kind := range allKinds {
 			if after[kind] != before[kind] {
@@ -766,8 +764,8 @@ func TestWarmCarryOverDirected(t *testing.T) {
 		var d Delta
 		d.InsertEdge(z1, b9)
 		st, after := commit(t, m, &d)
-		if st.WarmTouched != 0 || st.WarmReevaluated != 2 || st.WarmCarried != 2 {
-			t.Fatalf("warm counters %+v, want an untouched state with two answers re-run and two carried", st)
+		if st.WarmTouched != 0 || st.WarmReevaluated != 1 || st.WarmCarried != 2 {
+			t.Fatalf("warm counters %+v, want an untouched state with one answer re-run and two carried", st)
 		}
 		for _, kind := range []queryKind{kindMatch, kindTopKDiv} {
 			if after[kind] != before[kind] {
@@ -775,9 +773,6 @@ func TestWarmCarryOverDirected(t *testing.T) {
 			}
 		}
 		// What a pass without the bound-vector guard would have served.
-		if got, old := after[kindTopK].(*Result), before[kindTopK].(*Result); got.Matches[0].Upper != 6 || old.Matches[0].Upper != 5 || !got.Stats.EarlyTerminated {
-			t.Errorf("topk: upper bound of a1 %d after the insert, %d before; want 6 and 5 on an early-terminated run (%+v)", got.Matches[0].Upper, old.Matches[0].Upper, got.Stats)
-		}
 		if got, old := after[kindTopKDH].(*DiversifiedResult), before[kindTopKDH].(*DiversifiedResult); reflect.DeepEqual(got, old) {
 			t.Errorf("topkdh: the answer did not move with the bound vector: %+v", got)
 		}
@@ -791,8 +786,8 @@ func TestWarmCarryOverDirected(t *testing.T) {
 		d.AddNode("A")
 		d.InsertEdge(z1, g.NumNodes())
 		st, after := commit(t, m, &d)
-		if st.WarmTouched != 1 || st.WarmReevaluated != 4 || st.WarmCarried != 0 {
-			t.Fatalf("warm counters %+v, want a touched state with four answers re-run", st)
+		if st.WarmTouched != 1 || st.WarmReevaluated != 3 || st.WarmCarried != 0 {
+			t.Fatalf("warm counters %+v, want a touched state with three answers re-run", st)
 		}
 		if got, old := after[kindMatch].(*Result), before[kindMatch].(*Result); got.Stats.Candidates != old.Stats.Candidates+1 {
 			t.Errorf("match: %d candidates after the append, %d before", got.Stats.Candidates, old.Stats.Candidates)
@@ -832,7 +827,7 @@ func TestWarmIdleAnswersAreDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const read, unread = kindTopK, kindMatch
+	const read, unread = kindTopKDH, kindMatch
 
 	// warm admits the two shapes; commit appends one node — a B under a1
 	// (touching: a new candidate below a candidate) or a Y under x1 (not) —

@@ -8,7 +8,8 @@ import (
 )
 
 // TestMatcherCacheHitsAndKeying covers the session result cache: repeats
-// are hits, and the key distinguishes k, λ, and algorithm choice.
+// are hits, the key distinguishes k, λ, and algorithm choice, and TopK with
+// and without the ignored WithBaseline is one query with one entry.
 func TestMatcherCacheHitsAndKeying(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 2)
 	m := NewMatcher(g, WithCache(64))
@@ -29,14 +30,20 @@ func TestMatcherCacheHitsAndKeying(t *testing.T) {
 		t.Fatalf("stats after repeat = %+v, want 1 miss 1 hit", s)
 	}
 
-	// k, λ, the algorithm family and the second pattern all get their own
-	// entries.
-	if _, err := m.TopK(q, 5); err != nil {
+	// TopK runs one algorithm, so WithBaseline shares its entry...
+	five, err := m.TopK(q, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TopK(q, 5, WithBaseline()); err != nil {
+	baseFive, err := m.TopK(q, 5, WithBaseline())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if s := m.CacheStats(); s.Misses != 2 || s.Hits != 2 || !reflect.DeepEqual(baseFive, five) {
+		t.Fatalf("stats after topk and baseline topk = %+v, want the second a hit on the first's entry", s)
+	}
+	// ...while k, λ, the diversified algorithm and the second pattern all get
+	// their own entries.
 	if _, err := m.TopKDiversified(q, 5, 0.5); err != nil {
 		t.Fatal(err)
 	}
@@ -49,31 +56,33 @@ func TestMatcherCacheHitsAndKeying(t *testing.T) {
 	if _, err := m.TopK(patterns[1], 5); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.CacheStats(); s.Misses != 7 {
-		t.Fatalf("misses = %d, want 7 distinct evaluations", s.Misses)
+	if s := m.CacheStats(); s.Misses != 6 {
+		t.Fatalf("misses = %d, want 6 distinct evaluations", s.Misses)
 	}
 }
 
-// TestCacheKeyCrossFamilyFlags pins the key's flag scoping: each entry
-// point keys only on its own algorithm flag. An irrelevant session default
-// (approx for TopK, baseline for TopKDiversified) must neither collapse the
-// family's two algorithms into one entry (wrong cached results) nor split
-// entries that evaluate identically.
+// TestCacheKeyCrossFamilyFlags pins the key's flag scoping: only
+// TopKDiversified has an algorithm flag, and nothing else keys. A session
+// default of approx must not split TopK's one entry, and one of the ignored
+// baseline must neither collapse TopKDiversified's two algorithms into one
+// entry (wrong cached results) nor split entries that evaluate identically.
 func TestCacheKeyCrossFamilyFlags(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 1)
 	q := patterns[0]
 
-	// approx is diversified-only: with it as a session default, TopK and
-	// Match still need distinct entries...
+	// approx is diversified-only: with it as a session default, TopK with
+	// and without baseline is still one entry...
 	m := NewMatcher(g, WithCache(64), WithApproximation())
-	if _, err := m.TopK(q, 10); err != nil {
+	plain, err := m.TopK(q, 10)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.TopK(q, 10, WithBaseline()); err != nil {
+	base, err := m.TopK(q, 10, WithBaseline())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s := m.CacheStats(); s.Misses != 2 {
-		t.Fatalf("approx default collapsed TopK and Match: %+v", s)
+	if s := m.CacheStats(); s.Misses != 1 || s.Hits != 1 || !reflect.DeepEqual(base, plain) {
+		t.Fatalf("approx default or baseline split TopK's entry: %+v", s)
 	}
 	// ...while the diversified calls ignore baseline and share one.
 	if _, err := m.TopKDiversified(q, 6, 0.5); err != nil {
@@ -82,7 +91,7 @@ func TestCacheKeyCrossFamilyFlags(t *testing.T) {
 	if _, err := m.TopKDiversified(q, 6, 0.5, WithBaseline()); err != nil {
 		t.Fatal(err)
 	}
-	if s := m.CacheStats(); s.Misses != 3 {
+	if s := m.CacheStats(); s.Misses != 2 {
 		t.Fatalf("baseline split the approx diversified entry: %+v", s)
 	}
 
@@ -224,9 +233,9 @@ func TestContainedPatternAdmission(t *testing.T) {
 // type every route shares: for random option sets, equal keys imply deeply
 // equal answers from evaluate (so serving one query's cached answer for the
 // other is indistinguishable from evaluating it), and queries of different
-// kinds never share a key. The option space is every result-affecting
-// option: baseline and approximation, each drawn as a session default or a
-// call option.
+// kinds never share a key. The option space is every algorithm option:
+// approximation, and the ignored baseline that must not split a key, each
+// drawn as a session default or a call option.
 func TestQueryKeySoundness(t *testing.T) {
 	g, patterns := testGraphAndPatterns(t, 1)
 	p, text := patterns[0], patternText(patterns[0])
@@ -275,11 +284,24 @@ func TestQueryKeySoundness(t *testing.T) {
 			t.Fatalf("equal keys, different answers:\n%+v\n%+v", first.q, q)
 		}
 	}
-	// The property must not hold vacuously: all four algorithms drawn, every
-	// key class — 2 top-k kinds × 2 ks, 2 diversified kinds × 2 ks × 3 λs —
+	// The property must not hold vacuously: all three kinds drawn, every
+	// key class — 1 top-k kind × 2 ks, 2 diversified kinds × 2 ks × 3 λs —
 	// opened, and most draws landing in a class someone else opened.
-	if len(kinds) != 4 || len(classes) != 16 || shared < 300 {
+	if len(kinds) != 3 || len(classes) != 14 || shared < 300 {
 		t.Fatalf("weak sample: %d kinds, %d key classes, %d draws sharing a key", len(kinds), len(classes), shared)
+	}
+	// On a session the shared key is one entry: topk then baseline topk is
+	// one miss and one hit, and the hit is the evaluated answer.
+	m := NewMatcher(g, WithCache(8))
+	if _, err := m.TopK(p, 3); err != nil {
+		t.Fatal(err)
+	}
+	base, err := m.TopK(p, 3, WithBaseline())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := m.CacheStats(); s.Misses != 1 || s.Hits != 1 || !reflect.DeepEqual(base, classes[shapeID(newQuery(false, 3, 0, nil, nil), text)].val) {
+		t.Fatalf("topk and baseline topk: %+v, want one miss, one hit and the evaluated answer", s)
 	}
 	var noop Delta
 	g1, err := ApplyDelta(g, &noop)

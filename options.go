@@ -6,7 +6,6 @@ import "divtopk/internal/ranking"
 type Option func(*options)
 
 type options struct {
-	baseline     bool
 	approx       bool
 	cacheEntries int
 }
@@ -23,11 +22,11 @@ func buildOptions(layers ...[]Option) options {
 	return o
 }
 
-// WithBaseline evaluates the query with the find-all Match algorithm
-// instead of the early-termination engine (the paper's baseline; exact
-// relevances, no early termination).
+// WithBaseline is ignored: TopK always runs the find-all Match (§4), the
+// paper's baseline. It stays until the tracked benchmark, which passes it,
+// stops doing so.
 func WithBaseline() Option {
-	return func(o *options) { o.baseline = true }
+	return func(*options) {}
 }
 
 // WithApproximation makes TopKDiversified use the 2-approximation TopKDiv
@@ -59,26 +58,25 @@ func Parallelism(n int) Option {
 	return func(*options) {}
 }
 
-// queryKind names the paper's four algorithms: two families (find-all and
-// early termination) for each of the two problems (top-k and diversified
-// top-k).
+// queryKind names the algorithms behind the two entry points: top-k has
+// one, the find-all Match cut at k (the package doc says why), and
+// diversified top-k keeps both of the paper's families.
 type queryKind uint8
 
 const (
-	kindTopK    queryKind = iota // early-termination engine (§4.1)
-	kindMatch                    // find-all Match (§4): WithBaseline
+	kindMatch   queryKind = iota // find-all Match (§4), cut at k
 	kindTopKDH                   // early-termination heuristic (§5.2)
 	kindTopKDiv                  // find-all 2-approximation (§5.1): WithApproximation
 )
 
 // full reports the find-all family: a pure function of candidates, product
 // and fixpoint, with no bound index to read.
-func (k queryKind) full() bool { return k == kindMatch || k == kindTopKDiv }
+func (k queryKind) full() bool { return k != kindTopKDH }
 
-func (k queryKind) diversified() bool { return k == kindTopKDH || k == kindTopKDiv }
+func (k queryKind) diversified() bool { return k != kindMatch }
 
-// query is one fully resolved question: which algorithm, k and λ (0 for the
-// top-k kinds). Every query route — package-level call,
+// query is one fully resolved question: which algorithm, k and λ (0 for
+// top-k). Every query route — package-level call,
 // session, cache loader, commit-time advance — builds one and hands it to
 // evaluate; queryKey derives the cache identity from the same value.
 type query struct {
@@ -88,20 +86,16 @@ type query struct {
 }
 
 // newQuery resolves an entry point (diversified or not) and its options (a
-// session's defaults, then the call's). Each entry point consults only its
-// own algorithm flag: TopK ignores WithApproximation and TopKDiversified
-// ignores WithBaseline, so a session default for one problem neither splits
-// nor collides the other's cache entries.
+// session's defaults, then the call's). Only TopKDiversified has an
+// algorithm flag, WithApproximation; TopK ignores it, so a session default
+// neither splits nor collides top-k cache entries.
 func newQuery(diversified bool, k int, lambda float64, base, opts []Option) query {
-	o := buildOptions(base, opts)
-	q := query{kind: kindTopK, k: k, lambda: lambda}
-	switch {
-	case diversified && o.approx:
-		q.kind = kindTopKDiv
-	case diversified:
+	q := query{kind: kindMatch, k: k, lambda: lambda}
+	if diversified {
 		q.kind = kindTopKDH
-	case o.baseline:
-		q.kind = kindMatch
+		if buildOptions(base, opts).approx {
+			q.kind = kindTopKDiv
+		}
 	}
 	return q
 }
