@@ -25,8 +25,9 @@ bench:
 
 # fuzz runs each native fuzz target — the decoders of untrusted bytes: binary
 # checkpoints, graph and pattern text, WAL records, and the query and update
-# JSON bodies through their HTTP handlers; and the SCC routine
-# graph.CondenseCSR against brute-force reachability — for 20 s. Their seed
+# JSON bodies through their HTTP handlers; the SCC routine graph.CondenseCSR
+# against brute-force reachability; and simulation.IncCompute's output-region
+# verdict against find-all answers on both snapshots — for 20 s. Their seed
 # corpora already run inside `make test`; this explores past them. A
 # crashing input is written under the package's testdata/fuzz/ and fails the
 # target.
@@ -38,6 +39,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime 20s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzUpdateRequest$$' -fuzztime 20s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzIncComputeRegion$$' -fuzztime 20s
 
 # paper runs the reproduction of the paper's §6 (internal/bench) and prints
 # its tables: the deterministic claims `make test` already checks, plus the

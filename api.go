@@ -283,7 +283,7 @@ func (g *Graph) Matches(p *Pattern) []int {
 // canonical (see the package doc for why not the §4.1 engine). WithBaseline
 // is accepted and ignored.
 func TopK(g *Graph, p *Pattern, k int, opts ...Option) (*Result, error) {
-	a, err := evaluate(g, p, newQuery(false, k, 0, nil, opts), nil, nil)
+	a, err := evaluate(g, p, newQuery(false, k, 0, nil, opts), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +296,7 @@ func TopK(g *Graph, p *Pattern, k int, opts ...Option) (*Result, error) {
 // early-termination heuristic TopKDH; WithApproximation selects the
 // 2-approximation TopKDiv instead.
 func TopKDiversified(g *Graph, p *Pattern, k int, lambda float64, opts ...Option) (*DiversifiedResult, error) {
-	a, err := evaluate(g, p, newQuery(true, k, lambda, nil, opts), nil, nil)
+	a, err := evaluate(g, p, newQuery(true, k, lambda, nil, opts), nil)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +305,8 @@ func TopKDiversified(g *Graph, p *Pattern, k int, lambda float64, opts ...Option
 
 // answer is what evaluate returns: the facade value (a *Result for top-k, a
 // *DiversifiedResult for the diversified kinds) and, for the find-all
-// kinds, the core-level match pool behind it — the next evaluation's prev.
+// kinds, the core-level match pool behind it, which the commit-time advance
+// pass hands the other find-all shapes riding the same state as pre.Pool.
 type answer struct {
 	val  any
 	pool *core.Result
@@ -320,13 +321,8 @@ type answer struct {
 // built at admission or carried across a commit by IncCompute; it only
 // spares rebuilding them, the answer is byte-identical; the advance pass
 // also hands back, as pre.Pool, the find-all pool the first such query on a
-// state computed, so the others riding it skip the relevance pass. prev,
-// passed by the commit-time advance pass when the delta grew no candidate
-// list of the pattern (see poolEqual), is the query's answer at the previous
-// version: when the find-all pool equals prev's, the previous value is
-// returned as is — in particular TopKDiv's greedy scan re-runs only when the
-// match set changed.
-func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answer) (answer, error) {
+// state computed, so the others riding it skip the relevance pass.
+func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval) (answer, error) {
 	// TopKDH and TopKDiv validate λ and k themselves, but TopKDiv only after
 	// its find-all half ran: check first so no route pays for, or reports an
 	// error from, an evaluation whose selection step cannot run.
@@ -339,9 +335,6 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 		if err != nil {
 			return answer{}, err
 		}
-		if prev != nil && prev.pool != nil && poolEqual(prev.pool, pool) {
-			return answer{val: prev.val, pool: pool}, nil
-		}
 		if q.kind == kindMatch {
 			return answer{val: convertResult(g, pool), pool: pool}, nil
 		}
@@ -351,36 +344,15 @@ func evaluate(g *Graph, p *Pattern, q query, pre *core.PrebuiltEval, prev *answe
 		}
 		return answer{val: convertDiversified(g, dres), pool: pool}, nil
 	}
-	// TopKDH reads its initial upper bounds from the graph's amortized
-	// descendant-label index (the paper's design). Without it the engine
-	// would compute the per-query tight bounds instead.
+	// TopKDH reads its initial upper bounds from the graph's descendant-label
+	// index (the paper's design). Without it the engine would compute the
+	// per-query tight bounds instead.
 	eng.Cache = g.boundsCache()
 	dres, err := diversify.TopKDH(g.g, p.p, q.k, q.lambda, eng)
 	if err != nil {
 		return answer{}, err
 	}
 	return answer{val: convertDiversified(g, dres)}, nil
-}
-
-// poolEqual reports whether two evaluated match pools are identical —
-// node-for-node, relevance-for-relevance, set-for-set. Only meaningful when
-// the two evaluations share one candidate universe (no appended node entered
-// a candidate list between them); evaluate's caller guards that, which also
-// makes the relevant-set bitsets directly comparable (same RelSpace layout).
-func poolEqual(a, b *core.Result) bool {
-	if len(a.All) != len(b.All) || a.GlobalMatch != b.GlobalMatch || a.Cuo != b.Cuo {
-		return false
-	}
-	for i := range a.All {
-		ma, mb := &a.All[i], &b.All[i]
-		if ma.Node != mb.Node || ma.Relevance != mb.Relevance {
-			return false
-		}
-		if (ma.R == nil) != (mb.R == nil) || (ma.R != nil && !ma.R.Equal(mb.R)) {
-			return false
-		}
-	}
-	return true
 }
 
 func convertDiversified(g *Graph, res *diversify.Result) *DiversifiedResult {

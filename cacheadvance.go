@@ -9,7 +9,6 @@ import (
 	"divtopk/internal/cache"
 	"divtopk/internal/core"
 	"divtopk/internal/graph"
-	"divtopk/internal/pattern"
 	"divtopk/internal/simulation"
 )
 
@@ -27,18 +26,23 @@ import (
 // post-commit query for a hot pattern is a cache hit, not a cold evaluation.
 //
 // What the pass re-runs follows from what an answer depends on (internal/core
-// documents the contract): the pattern's state {CI, Prod, Sim}, and — for
-// TopKDH, the one kind that runs the early-termination engine and so reads
-// the bound index — the output node's bound vector
-// (core.BoundsCache.OutputBounds), kept on the patternState.
-// Matches by simulation are local, so a delta usually reaches no candidate
-// pair of most maintained patterns: IncCompute reports TouchedPairs == 0, the
-// state is the old one re-pointed at the new snapshot, and every answer riding
-// it is carried — re-keyed and installed like a re-evaluated one — unless it
-// is a TopKDH answer and the bound vector moved. Only the states the delta
-// reaches re-evaluate, and those compute their find-all pool once for all
-// the shapes riding it (top-k and TopKDiv at any k). A commit costs what its
-// delta reaches, not what the cache holds.
+// documents the contract). A find-all answer (match, which also serves topk,
+// and TopKDiv) depends only on the pattern's output region: the candidate
+// lists of the output node and of the query nodes it reaches, the liveness
+// of every pair, and the live sub-product the live output pairs reach — the
+// relevant sets R(uo,v) of §3.1. IncCompute, which walks the affected area
+// anyway, reports whether the delta reached that region
+// (IncStats.OutputReached); when it did not, every find-all answer riding the
+// state is carried — re-keyed and installed like a re-evaluated one. TopKDH,
+// the one kind that runs the early-termination engine, also reads the bound
+// index, through the output node's bound vector
+// (core.BoundsCache.OutputBounds, kept on the patternState), and the order in
+// which the engine meets the whole candidate space: it is carried only when
+// the delta reached no candidate pair at all (TouchedPairs == 0) and the
+// vector did not move. Matches by simulation are local, so most deltas carry
+// most answers; the shapes that do re-evaluate on a state compute its
+// find-all pool once for all of them (any k). A commit costs what its delta
+// reaches, not what the cache holds.
 //
 // Nor what the cache was once asked: an answer is re-evaluated before the ack
 // on the bet that somebody reads it before the next change. One that
@@ -139,7 +143,7 @@ type patternState struct {
 func newPatternState(g *Graph, text string, p *Pattern, inc *simulation.IncState) *patternState {
 	cands := inc.CI.Lists[p.p.Output()]
 	st := &patternState{text: text, p: p, inc: inc, bounds: make([]int32, len(cands))}
-	g.boundsCache().OutputBounds(st.bounds, cands, pattern.Analyze(p.p).DescLabels)
+	g.boundsCache().OutputBounds(st.bounds, cands, inc.An.DescLabels)
 	return st
 }
 
@@ -150,13 +154,13 @@ func (st *patternState) prebuilt() *core.PrebuiltEval {
 
 // shape is one remembered query riding a warm entry — what the advance pass
 // re-derives a cache key and value from at the next version — with its
-// answer at the entry's current version. idle counts the commits that
-// installed the answer since it was last used (evaluated, or read for the
-// first time after an install).
+// answer's facade value at the entry's current version. idle counts the
+// commits that installed the answer since it was last used (evaluated, or
+// read for the first time after an install).
 type shape struct {
 	id   string // shapeID(q, text): its identity across versions
 	q    query
-	ans  answer
+	val  any
 	used uint64
 	idle int
 }
@@ -175,7 +179,7 @@ func patternText(p *Pattern) string {
 func (c *warmCache) run(g *Graph, p *Pattern, q query) (any, QueryInfo, error) {
 	info := QueryInfo{Version: g.Version()}
 	if c == nil {
-		a, err := evaluate(g, p, q, nil, nil)
+		a, err := evaluate(g, p, q, nil)
 		return a.val, info, err
 	}
 	if err := q.check(); err != nil {
@@ -205,15 +209,15 @@ func (c *warmCache) run(g *Graph, p *Pattern, q query) (any, QueryInfo, error) {
 // error.
 func (c *warmCache) load(g *Graph, p *Pattern, text string, q query) (any, error) {
 	if q.k < 1 || p.p.Validate() != nil {
-		a, err := evaluate(g, p, q, nil, nil)
+		a, err := evaluate(g, p, q, nil)
 		return a.val, err
 	}
 	st := c.warmState(g, p, text)
-	a, err := evaluate(g, p, q, st.prebuilt(), nil)
+	a, err := evaluate(g, p, q, st.prebuilt())
 	if err != nil {
 		return nil, err
 	}
-	c.warm.remember(st, q, a)
+	c.warm.remember(st, q, a.val)
 	return a.val, nil
 }
 
@@ -222,8 +226,8 @@ func (c *warmCache) load(g *Graph, p *Pattern, text string, q query) (any, error
 // entry's current state: a transient state was never registered, and after a
 // commit advanced the entry an answer computed at the old version must not
 // sit among shapes the next advance will treat as current.
-func (w *warmRegistry) remember(st *patternState, q query, a answer) {
-	sh := shape{id: shapeID(q, st.text), q: q, ans: a}
+func (w *warmRegistry) remember(st *patternState, q query, val any) {
+	sh := shape{id: shapeID(q, st.text), q: q, val: val}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	e := w.entries[st.text]
@@ -375,24 +379,17 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 			continue
 		}
 		a.new = newPatternState(g2, a.old.text, a.old.p, inc2)
-		// The carry-over contract. An untouched state (the delta changed no
-		// candidate pair's adjacency and appended no candidate: TouchedPairs
-		// counts both) is the old one re-pointed at g2, so every answer that
-		// is a function of the state alone — the find-all kinds — is the old
-		// answer. TopKDH, which runs the early-termination engine, also reads
-		// the bound index, through the output node's bound vector and nothing
-		// else: it carries over exactly when that vector did not move. A
-		// touched state re-evaluates everything riding it.
-		untouched := ist.TouchedPairs == 0
-		sameBounds := untouched && slices.Equal(a.new.bounds, a.old.bounds)
-		// The previous answer can short-cut a find-all re-evaluation whenever
-		// the candidate universe is the one it was computed over (poolEqual).
-		sameUniverse := inc2.CI.NumPairs() == a.old.inc.CI.NumPairs()
+		// The carry rule. A find-all answer is a function of the output
+		// region alone, so it carries whenever the delta did not reach that
+		// region. A TopKDH answer carries only on a state the delta did not
+		// touch at all (the old one re-pointed at g2) whose output bound
+		// vector did not move. Everything else re-evaluates.
+		sameBounds := ist.TouchedPairs == 0 && slices.Equal(a.new.bounds, a.old.bounds)
 		pre := a.new.prebuilt()
 		kept := a.shapes[:0]
 		for _, sh := range a.shapes {
 			sh.idle++
-			if untouched && (sh.q.kind.full() || sameBounds) {
+			if sh.q.kind.full() && !ist.OutputReached || !sh.q.kind.full() && sameBounds {
 				stats.WarmCarried++
 				kept = append(kept, sh)
 				continue
@@ -404,18 +401,15 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 				stats.WarmDropped++
 				continue
 			}
-			var prev *answer
-			if sameUniverse {
-				prev = &sh.ans
-			}
 			stats.WarmReevaluated++
-			if sh.ans, err = evaluate(g2, a.old.p, sh.q, pre, prev); err != nil {
+			ans, err := evaluate(g2, a.old.p, sh.q, pre)
+			if err != nil {
 				continue // drop just this shape; the state stays useful
 			}
-			if pre.Pool == nil {
+			if sh.val = ans.val; pre.Pool == nil {
 				// The first find-all shape pays for the state's match pool;
-				// the others riding it (any k, topk or topkdiv) reuse it.
-				pre.Pool = sh.ans.pool
+				// the others riding it (any k, match or topkdiv) reuse it.
+				pre.Pool = ans.pool
 			}
 			kept = append(kept, sh)
 		}
@@ -445,7 +439,7 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 				continue
 			}
 			for _, sh := range a.shapes {
-				c.lru.PutAdvanced(queryKey(sh.q, g2, a.old.text), sh.ans.val)
+				c.lru.PutAdvanced(queryKey(sh.q, g2, a.old.text), sh.val)
 			}
 		}
 		c.advanceEvicted.Add(uint64(stats.WarmEvicted))

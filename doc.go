@@ -133,12 +133,17 @@
 // query is a hit that reports provenance "advanced"
 // (TopKInfo/TopKDiversifiedInfo, and the daemon's "cache" response field)
 // rather than a cold evaluation. The pass re-runs only what the delta can
-// have changed: an answer depends on the pattern's state and, for TopKDH
-// (the one early-termination algorithm served), on the output node's
-// bound vector, so on a state the delta reaches no candidate pair of —
-// most states, simulation being local — every answer whose bound vector
-// also stood still is carried over unevaluated, and a reached state
-// computes its find-all pool once for all the queries riding it. An answer
+// have changed. A find-all answer (top-k and TopKDiv) depends only on the
+// pattern's output region — the candidates of the output node and of the
+// query nodes it reaches, the liveness of every pair, and the live product
+// the live output pairs reach — and IncCompute, walking the affected area
+// anyway, reports whether the delta reached it; when it did not (most
+// states, simulation being local) the answer is carried over unevaluated.
+// TopKDH (the one early-termination algorithm served) also depends on its
+// feed over the whole candidate space and on the output node's bound
+// vector, so it is carried only when the delta reached no candidate pair
+// at all and the vector stood still. The find-all shapes that do re-run on
+// a state compute its find-all pool once for all of them. An answer
 // that sixteen commits in a row installed and nobody read is carried while
 // that is free and forgotten by the first commit that would have to
 // evaluate it: the writer waits for answers in use, not for every query
@@ -149,7 +154,7 @@
 // never changes answers. All of it is one evaluation path: every query
 // route resolves into one query value and one evaluate function, and
 // "cold" and "advanced" only name where that function's stage inputs
-// (candidates, product, fixpoint, previous answer) came from. A pattern
+// (candidates, product, fixpoint, find-all pool) came from. A pattern
 // state enters the registry by a cold build when a miss admits it and
 // leaves it by eviction. CacheStats counts advanced, advance-evicted,
 // carried and re-evaluated entries; randomized delta-chain fuzzes pin every

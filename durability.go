@@ -14,11 +14,9 @@ import (
 // The serving layer's WAL-backed store is the one implementation; tests use
 // in-memory fakes.
 type DurabilitySink interface {
-	// AppendDelta persists d, the delta that produced snapshot g (so
-	// g.Version() is the version being made durable).
-	AppendDelta(g *Graph, d *Delta) error
-	// AppendBatch persists the deltas of one group commit: g is the snapshot
-	// the whole batch produced, so ds[i] carries version
+	// AppendBatch persists the deltas of one commit — one for
+	// UpdateWithStats, the group for UpdateMerged: g is the snapshot the
+	// whole batch produced, so ds[i] carries version
 	// g.Version()-len(ds)+1+i. The sink must persist all of ds or none of it
 	// under one synchronization point — recovery then replays the
 	// per-request chain exactly as the acks described it, and a crash can

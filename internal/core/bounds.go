@@ -13,9 +13,13 @@ import (
 // label"): per-label distinct-descendant counts, computed once per graph
 // and shared across queries, from which each query's initial upper bounds
 // h(uo,v) are aggregated in O(|can(uo)|·|desc labels|). Build one per graph
-// with NewBoundsCache and pass it via Options.Cache to amortize the index —
-// that amortization is what makes the engine's per-query cost beat the
-// find-all baseline, exactly as in the paper's experiments.
+// with NewBoundsCache and pass it via Options.Cache to share the index across
+// queries. What that buys is measured, not assumed: on the tracked
+// benchmark's cold_paper inputs the engine behind an amortized index is
+// slower per query than the find-all baseline (in process, 512 queries on
+// one CPU: TopKDH 3.1 ms against Match 1.8 ms), and on those inputs runs with
+// the index and runs with no bound stop after the same batches (ROADMAP
+// item 1) — its h never terminated a run earlier.
 //
 // A BoundsCache is safe for concurrent use: each label's counts are
 // computed at most once (concurrent requesters of a cold label wait for the

@@ -96,7 +96,12 @@
 // The find-all path (MatchBaselineOpts, and TopKDiv on top of it) reads the
 // pattern's evaluation state and nothing else: the candidate index, the
 // product CSR over it and the simulation fixpoint — PrebuiltEval's
-// {CI, Prod, Sim}, or the same three rebuilt from (graph, pattern). The
+// {CI, Prod, Sim}, or the same three rebuilt from (graph, pattern). Of that
+// state it reads only the output region: the candidate lists of the output
+// node uo and of the query nodes uo reaches (|can(uo)|, C_uo and the
+// relevant-set universe), whether every query node has a match, and the live
+// sub-product the live uo pairs reach (the matches of uo and their relevant
+// sets R(uo,v) of §3.1). The
 // early-termination engine (TopK, and TopKDH through its hook) reads the
 // candidate index and the product, plus the initial upper bounds of the
 // output node's candidates. Under BoundTight those come from the product
@@ -106,12 +111,15 @@
 // single place a run touches the index. The graph itself is consulted for
 // its node count and label dictionary only. That is the carry-over contract
 // the matcher's commit pass rests on (the matcher runs the engine under its
-// snapshot's BoundsCache, never BoundTight): when a delta leaves a pattern's
-// state untouched (simulation.IncCompute reports TouchedPairs == 0), a
-// find-all answer is still the answer, and an early-termination answer is
-// too if OutputBounds on the advanced index returns the vector it returned
-// before. Anything that makes a run read more — a second use of the index, a
-// graph scan — must extend that comparison with it.
+// snapshot's BoundsCache, never BoundTight): when a delta does not reach a
+// pattern's output region (simulation.IncCompute reports OutputReached
+// false), a find-all answer is still the answer. The engine meets the whole
+// candidate space in its feed order, so an early-termination answer carries
+// only when the delta leaves the state untouched (TouchedPairs == 0) and
+// OutputBounds on the advanced index returns the vector it returned before.
+// Anything that makes a run read more — a second use of the index, a graph
+// scan, a pair outside the output region — must extend those comparisons
+// with it.
 //
 // # Scratch lifecycle
 //

@@ -1,6 +1,6 @@
 // Package durable composes the delta WAL (internal/wal) and CSR checkpoints
 // (internal/snapshot) into one per-graph durability store with a simple
-// contract: after Append(g, d) returns nil, version g.Version() survives a
+// contract: after AppendBatch(g, ds) returns nil, version g.Version() survives a
 // crash; recovery hands back the newest valid checkpoint plus the WAL tail so
 // the caller can replay it through the same update path that produced it.
 //
@@ -15,7 +15,7 @@
 // checkpoint's version, which recovery skips by version comparison.
 //
 // Failure discipline: the first failed append or rotation degrades the store
-// permanently — Append returns the original error from then on, the caller
+// permanently — AppendBatch returns the original error from then on, the caller
 // keeps serving reads at the last durable version, and a restart (which
 // re-runs recovery, truncating any torn WAL tail) is the only way back. A
 // half-written record makes the file unappendable anyway; refusing early
@@ -75,7 +75,7 @@ type Recovered struct {
 
 // Store is the durability sink of one graph lineage. All methods are safe
 // for concurrent use, though the matcher's update lock already serializes
-// Append calls in practice.
+// AppendBatch calls in practice.
 type Store struct {
 	dir  string
 	fs   fsx.FS
@@ -142,7 +142,7 @@ func Open(dir string, opts Options) (*Store, *Recovered, error) {
 }
 
 // Seed publishes the initial checkpoint of a fresh store. It must be called
-// exactly once, before the first Append, when Open recovered nothing.
+// exactly once, before the first append, when Open recovered nothing.
 func (s *Store) Seed(g *graph.Graph) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -157,36 +157,11 @@ func (s *Store) Seed(g *graph.Graph) error {
 	return nil
 }
 
-// Append makes version g.Version() durable: the delta that produced g is
-// appended to the WAL (fsynced per the store's policy) before Append
-// returns. Every CheckpointEvery appends the WAL is rotated into a fresh
-// checkpoint of g; rotation failures degrade the store but do NOT fail the
-// Append — the version is already durable in the log by then.
+// Append makes version g.Version() durable: the one-record AppendBatch of d,
+// the delta that produced g. It stays because the tracked benchmark's
+// per-layer trace calls it.
 func (s *Store) Append(g *graph.Graph, d *graph.Delta) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.failedErr != nil {
-		return s.failedErr
-	}
-	if !s.seeded {
-		return s.fail(fmt.Errorf("durable: append to unseeded store %s", s.dir))
-	}
-	if g.Version() != s.durableVer+1 {
-		// A version gap is a caller bug, not a device failure; the store
-		// stays usable for the correct next version.
-		return fmt.Errorf("durable: append version %d, want %d", g.Version(), s.durableVer+1)
-	}
-	if err := s.log.Append(g.Version(), d); err != nil {
-		return s.fail(err)
-	}
-	s.durableVer = g.Version()
-	s.sinceCkpt++
-	if s.opts.CheckpointEvery > 0 && s.sinceCkpt >= s.opts.CheckpointEvery {
-		// The append above already made this version durable; a failed
-		// rotation only degrades future appends.
-		_ = s.fail(s.checkpointLocked(g))
-	}
-	return nil
+	return s.AppendBatch(g, []*graph.Delta{d})
 }
 
 // AppendBatch makes the versions of one group commit durable: ds are the

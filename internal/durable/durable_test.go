@@ -185,7 +185,7 @@ func TestWALGapRefusesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(2, ds[1]); err != nil {
+	if err := l.AppendBatch(2, []*graph.Delta{ds[1]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -209,7 +209,7 @@ func TestWALWithoutCheckpointRefusesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(1, ds[0]); err != nil {
+	if err := l.AppendBatch(1, []*graph.Delta{ds[0]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

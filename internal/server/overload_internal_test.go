@@ -27,7 +27,6 @@ func (s *heldSink) hold() {
 	<-s.release
 }
 
-func (s *heldSink) AppendDelta(*divtopk.Graph, *divtopk.Delta) error   { s.hold(); return nil }
 func (s *heldSink) AppendBatch(*divtopk.Graph, []*divtopk.Delta) error { s.hold(); return nil }
 
 // TestUpdateQueueOverload pins the bound on a graph's group-commit queue:

@@ -39,10 +39,6 @@ type PersistOptions struct {
 // matcher hands over facade types, the store wants the internal ones.
 type storeSink struct{ store *durable.Store }
 
-func (s storeSink) AppendDelta(g *divtopk.Graph, d *divtopk.Delta) error {
-	return s.store.Append(g.Unwrap().(*graph.Graph), d.Unwrap().(*graph.Delta))
-}
-
 func (s storeSink) AppendBatch(g *divtopk.Graph, ds []*divtopk.Delta) error {
 	raw := make([]*graph.Delta, len(ds))
 	for i, d := range ds {

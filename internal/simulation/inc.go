@@ -58,6 +58,9 @@ type IncState struct {
 	CI   *CandidateIndex
 	Prod *Product
 	Res  *Result
+	// An is P's analysis, computed once by NewIncState and shared by every
+	// successor: the pattern never changes.
+	An *pattern.Analysis
 
 	// cnt holds the settled per-slot alive-successor counters of the
 	// fixpoint (valid for alive pairs; frozen garbage for dead ones).
@@ -71,7 +74,7 @@ func NewIncState(g *graph.Graph, p *pattern.Pattern, workers int) *IncState {
 	ci := BuildCandidates(g, p)
 	prod := BuildProduct(g, p, ci, 0)
 	res, cnt := computeWithProductCnt(prod)
-	return &IncState{G: g, P: p, CI: ci, Prod: prod, Res: res, cnt: cnt}
+	return &IncState{G: g, P: p, CI: ci, Prod: prod, Res: res, An: pattern.Analyze(p), cnt: cnt}
 }
 
 // IncOptions tune IncCompute.
@@ -105,6 +108,16 @@ type IncStats struct {
 	// pairs plus the revival closure. Equal to TouchedPairs when the first
 	// ratio check tripped (the closure is never computed then).
 	AffectedPairs int
+	// OutputReached reports whether the delta reached the output region:
+	// the candidate lists of the output node uo and of the query nodes it
+	// reaches, the liveness of every pair, and the live sub-product that the
+	// live uo pairs reach. Every find-all answer (the matches of uo, their
+	// relevant sets R(uo,v) of §3.1, C_uo, the candidate count of uo and
+	// whether G matches Q) is a function of that region alone, so when it is
+	// false the answers at the new snapshot are the old ones. Always false
+	// when TouchedPairs is 0; meaningless when IncCompute returns an error.
+	// See outputReached for the three clauses.
+	OutputReached bool
 }
 
 // IncCompute advances st by one delta: gNew must be the graph ApplyDelta
@@ -117,7 +130,9 @@ type IncStats struct {
 // closure share before the seeded cascade).
 //
 // A delta that reaches no candidate pair at all (see untouched) costs
-// O(|d|·|Vp|): the state carries over whole, re-pointed at gNew.
+// O(|d|·|Vp|): the state carries over whole, re-pointed at gNew. Past that
+// shortcut the call also decides, over the area it already walked, whether
+// the delta reached the output region (IncStats.OutputReached).
 func IncCompute(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions) (*IncState, IncStats, error) {
 	nOld := st.G.NumNodes()
 	if gNew.NumNodes() != nOld+len(d.NodeAppends) {
@@ -131,7 +146,7 @@ func IncCompute(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 		// so it gets a shallow copy pointing at gNew.
 		prod := *st.Prod
 		prod.G = gNew
-		return &IncState{G: gNew, P: st.P, CI: st.CI, Prod: &prod, Res: st.Res, cnt: st.cnt},
+		return &IncState{G: gNew, P: st.P, CI: st.CI, Prod: &prod, Res: st.Res, An: st.An, cnt: st.cnt},
 			IncStats{TotalPairs: st.CI.NumPairs()}, nil
 	}
 	return incAdvance(st, gNew, d, opts)
@@ -309,7 +324,59 @@ func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 	}
 
 	res := &Result{CI: ci, InSim: inSim, Matched: matched(ci, inSim, nq)}
-	return &IncState{G: gNew, P: p, CI: ci, Prod: prod, Res: res, cnt: cnt}, stats, nil
+	stats.OutputReached = outputReached(st, ci, prod, inSim, shift, touched)
+	return &IncState{G: gNew, P: p, CI: ci, Prod: prod, Res: res, An: st.An, cnt: cnt}, stats, nil
+}
+
+// outputReached decides IncStats.OutputReached once the fixpoint of the new
+// snapshot is settled. The region is unreached when three clauses hold:
+//
+//	(a) no appended node entered can(uo) or the list of a query node uo
+//	    reaches, so can(uo), C_uo and the relevant-set universe (RelSpace)
+//	    are the old ones;
+//	(b) no candidate pair changed liveness, an appended pair counting as
+//	    dead before, so the matches of every query node are the old ones;
+//	(c) no live pair whose data node gained or lost an out-edge (a touched
+//	    pair) is reachable over live product edges from a live uo pair.
+//
+// Under (b) both products have the same live pairs, and only touched pairs
+// changed their slots; a walk from the live uo pairs that meets no touched
+// pair therefore sees the same edges in both, so the new product suffices for
+// (c). It runs backwards, from the live touched pairs over reverse edges, and
+// stops at the first uo pair: it costs what the touched pairs' live ancestry
+// covers, not the region.
+func outputReached(st *IncState, ci *CandidateIndex, prod *Product, inSim []bool, shift []int32, touched []bool) bool {
+	nOld, out := st.G.NumNodes(), st.P.Output()
+	seen := make([]bool, len(inSim))
+	var stack []int32
+	for q := range inSim {
+		u, v := ci.U[q], ci.V[q]
+		appended := int(v) >= nOld
+		if appended && (int(u) == out || st.An.OutputDesc[u]) {
+			return true // (a)
+		}
+		if was := !appended && st.Res.InSim[int32(q)-shift[u]]; inSim[q] != was {
+			return true // (b)
+		}
+		if inSim[q] && touched[v] {
+			seen[q] = true
+			stack = append(stack, int32(q))
+		}
+	}
+	for len(stack) > 0 { // (c)
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if int(ci.U[q]) == out {
+			return true
+		}
+		for _, pid := range prod.Rev[prod.RevOff[q]:prod.RevOff[q+1]] {
+			if inSim[pid] && !seen[pid] {
+				seen[pid] = true
+				stack = append(stack, pid)
+			}
+		}
+	}
+	return false
 }
 
 // untouched reports whether d reaches no candidate pair of st — exactly the

@@ -31,7 +31,7 @@
 // # Fsync policy
 //
 // SyncAlways fsyncs every append before acknowledging it — the delta is
-// durable when Append returns. SyncInterval fsyncs when Interval has elapsed
+// durable when AppendBatch returns. SyncInterval fsyncs when Interval has elapsed
 // since the last sync, bounding the un-durable window while amortizing the
 // fsync cost across appends. SyncNever leaves flushing to the OS. Any append
 // or sync failure is sticky: the file may hold a partial record, so the Log
@@ -52,7 +52,7 @@ import (
 	"divtopk/internal/graph"
 )
 
-// SyncPolicy selects when Append fsyncs the log file.
+// SyncPolicy selects when AppendBatch fsyncs the log file.
 type SyncPolicy int
 
 const (
@@ -280,49 +280,16 @@ func scan(path string, data []byte) ([]Record, int64, RecoverInfo, error) {
 	return records, off, info, nil
 }
 
-// Append encodes (version, d) and writes it to the log, fsyncing per the
-// policy. version must extend the log contiguously. Any write or sync
-// failure is sticky: the file may now end in a partial record, so every
-// later Append fails with the original error until the process restarts and
-// Open truncates the tail.
-func (l *Log) Append(version uint64, d *graph.Delta) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.failed != nil {
-		return l.failed
-	}
-	if l.hasVer && version != l.lastVer+1 {
-		// A version gap is a caller bug, not a device failure: nothing was
-		// written, so the log stays usable.
-		return fmt.Errorf("wal: append version %d does not follow %d", version, l.lastVer)
-	}
-	l.buf = l.buf[:0]
-	l.buf = append(l.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	l.buf = encodeRecord(l.buf, version, d)
-	payload := l.buf[headerSize:]
-	binary.LittleEndian.PutUint32(l.buf[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.buf[4:], crc32.Checksum(payload, crcTable))
-	n, err := l.f.Write(l.buf)
-	l.size += int64(n)
-	if err != nil {
-		l.failed = fmt.Errorf("wal: appending to %s: %w", l.path, err)
-		return l.failed
-	}
-	if err := l.maybeSync(); err != nil {
-		return err
-	}
-	l.lastVer = version
-	l.hasVer = true
-	return nil
-}
-
 // AppendBatch writes the records (firstVersion+i, ds[i]) in one contiguous
 // write followed by a single sync point per the policy — the group-commit
 // append: K records cost one fsync instead of K. firstVersion must extend
 // the log contiguously. A crash during the write leaves a prefix of the
 // batch's records (the torn one is truncated by the next Open); since the
 // caller acknowledges nothing until AppendBatch returns, the lost suffix
-// was never promised. Failures are sticky exactly as for Append.
+// was never promised. A one-record batch is the single append. Any write or
+// sync failure is sticky: the file may now end in a partial record, so every
+// later AppendBatch fails with the original error until the process restarts
+// and Open truncates the tail.
 func (l *Log) AppendBatch(firstVersion uint64, ds []*graph.Delta) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -396,7 +363,7 @@ func (l *Log) syncLocked() error {
 
 // Reset empties the log after a checkpoint made its records obsolete (the
 // checkpoint-then-truncate rotation). The version sequence continues: the
-// next Append must still carry the next contiguous version.
+// next AppendBatch must still carry the next contiguous version.
 func (l *Log) Reset() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

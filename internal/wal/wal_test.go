@@ -54,7 +54,7 @@ func writeChain(t *testing.T, path string, n int, seed int64) []*graph.Delta {
 	deltas := make([]*graph.Delta, n)
 	for i := range deltas {
 		deltas[i] = randDelta(rng)
-		if err := l.Append(uint64(i+1), deltas[i]); err != nil {
+		if err := l.AppendBatch(uint64(i+1), []*graph.Delta{deltas[i]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,15 +86,15 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// Appends continue contiguously after recovery: the log recovered 16 as
 	// its last version.
-	if err := l.Append(17, &graph.Delta{}); err != nil {
+	if err := l.AppendBatch(17, []*graph.Delta{{}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(19, &graph.Delta{}); err == nil {
+	if err := l.AppendBatch(19, []*graph.Delta{{}}); err == nil {
 		t.Fatal("version gap accepted")
 	}
 	// A rejected gap is a caller bug, not a device failure: the log stays
 	// usable for the correct next version.
-	if err := l.Append(18, &graph.Delta{}); err != nil {
+	if err := l.AppendBatch(18, []*graph.Delta{{}}); err != nil {
 		t.Fatalf("append after rejected gap: %v", err)
 	}
 }
@@ -139,7 +139,7 @@ func tornFuzz(t *testing.T, dir string, data []byte, wantRecords int) {
 		}
 	}
 	next := uint64(wantRecords + 1)
-	if err := l.Append(next, &graph.Delta{}); err != nil {
+	if err := l.AppendBatch(next, []*graph.Delta{{}}); err != nil {
 		t.Fatalf("append after torn recovery: %v", err)
 	}
 	if err := l.Close(); err != nil {
@@ -261,7 +261,7 @@ func TestVersionDiscontinuityIsHardError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(1, &graph.Delta{}); err != nil {
+	if err := l.AppendBatch(1, []*graph.Delta{{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -345,7 +345,7 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 1; i <= appends; i++ {
-				if err := l.Append(uint64(i), &graph.Delta{}); err != nil {
+				if err := l.AppendBatch(uint64(i), []*graph.Delta{{}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -367,19 +367,19 @@ func TestAppendFailureIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if err := l.Append(1, &graph.Delta{}); err != nil {
+	if err := l.AppendBatch(1, []*graph.Delta{{}}); err != nil {
 		t.Fatal(err)
 	}
 	inj := errors.New("device gone")
 	fault.FailSyncs(inj)
-	if err := l.Append(2, &graph.Delta{}); !errors.Is(err, inj) {
+	if err := l.AppendBatch(2, []*graph.Delta{{}}); !errors.Is(err, inj) {
 		t.Fatalf("append under failing sync = %v", err)
 	}
 	// Disarming the fault must not un-degrade the log: the file may hold a
 	// partial or un-synced record, so only a restart (and tail truncation)
 	// recovers.
 	fault.FailSyncs(nil)
-	if err := l.Append(3, &graph.Delta{}); !errors.Is(err, inj) {
+	if err := l.AppendBatch(3, []*graph.Delta{{}}); !errors.Is(err, inj) {
 		t.Fatalf("append after disarm = %v, want sticky %v", err, inj)
 	}
 	if l.Err() == nil {
@@ -395,7 +395,7 @@ func TestResetRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := l.Append(uint64(i), &graph.Delta{}); err != nil {
+		if err := l.AppendBatch(uint64(i), []*graph.Delta{{}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -406,10 +406,10 @@ func TestResetRotation(t *testing.T) {
 		t.Fatalf("size after reset = %d", l.Size())
 	}
 	// The version sequence continues across the rotation.
-	if err := l.Append(3, &graph.Delta{}); err == nil {
+	if err := l.AppendBatch(3, []*graph.Delta{{}}); err == nil {
 		t.Fatal("stale version accepted after reset")
 	}
-	if err := l.Append(4, &graph.Delta{}); err != nil {
+	if err := l.AppendBatch(4, []*graph.Delta{{}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -15,12 +15,13 @@ import (
 	"divtopk/internal/graph"
 )
 
-// Matcher is a reusable query session over one Graph. Construction pays the
-// per-graph index cost once — the full descendant-label bound index (which
-// internally performs the SCC/reachability work of the paper's §4.1 index) —
-// after which the Matcher is safe for concurrent use from many goroutines:
-// TopKDH, the one algorithm that reads the index, reads it warmed and
-// immutable.
+// Matcher is a reusable query session over one Graph. Construction warms the
+// descendant-label bound index of the paper's §4.1 for every label; TopKDH,
+// the one algorithm that reads it, takes its initial upper bounds from it.
+// Warming is for concurrency, not speed: the Matcher is then safe for use
+// from many goroutines, which read the index warmed and immutable instead of
+// waiting on each other's cold label fills. (The index does not make TopKDH
+// cheaper than the find-all Match; see core.BoundsCache for the numbers.)
 //
 // A Matcher also serves dynamic graphs: UpdateWithStats applies a Delta,
 // advances the previous snapshot's bound index off to the side — recomputing
@@ -237,15 +238,10 @@ func (m *Matcher) commitLocked(g *Graph, merged *graph.Delta, parts []*Delta) (*
 	// deltas the swap below is unconditional, and if it refuses, nothing was
 	// published — queries keep seeing the old snapshot, which is exactly the
 	// newest durable version. The served state never runs ahead of the WAL.
-	// A batch logs one WAL record per part — recovery replays the same
+	// A commit logs one WAL record per part — recovery replays the same
 	// per-request chain the acks described — under a single sync.
 	if m.durability != nil {
-		if len(parts) == 1 {
-			err = m.durability.AppendDelta(g2, parts[0])
-		} else {
-			err = m.durability.AppendBatch(g2, parts)
-		}
-		if err != nil {
+		if err := m.durability.AppendBatch(g2, parts); err != nil {
 			return nil, IndexStats{}, fmt.Errorf("%w: %v", ErrDurabilityUnavailable, err)
 		}
 	}

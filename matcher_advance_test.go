@@ -677,11 +677,14 @@ func warmOn(t *testing.T, g *Graph, q *Pattern) (*Matcher, map[queryKind]any) {
 	return m, before
 }
 
-// TestWarmCarryOverDirected walks one small graph through the three deltas
-// that separate the advance pass's guards. The pattern is A* → B; a1 has five
-// B children and a non-candidate child z1, a2 and a3 one B child each, so
-// with k = 1 TopKDH stops after the first leaf with a1 matched and
-// unfinalized — its reported upper bound is the index's.
+// TestWarmCarryOverDirected walks one small graph through the deltas that
+// separate the advance pass's guards. The pattern is A* → B; a1 has five B
+// children and a non-candidate child z1, a2 and a3 one B child each, a4 none
+// (a dead candidate), so with k = 1 TopKDH stops after the first leaf with a1
+// matched and unfinalized — its reported upper bound is the index's. Two
+// deltas touch the state outside its output region and must carry the
+// find-all kinds while TopKDH re-runs; one delta per clause of the region
+// (simulation.IncStats.OutputReached) must re-evaluate everything.
 func TestWarmCarryOverDirected(t *testing.T) {
 	b := NewGraphBuilder()
 	a1 := b.AddNode("A")
@@ -689,7 +692,7 @@ func TestWarmCarryOverDirected(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		bs = append(bs, b.AddNode("B"))
 	}
-	a2, a3 := b.AddNode("A"), b.AddNode("A")
+	a2, a3, a4 := b.AddNode("A"), b.AddNode("A"), b.AddNode("A")
 	b6, b7 := b.AddNode("B"), b.AddNode("B")
 	z1, b9 := b.AddNode("Z"), b.AddNode("B")
 	x1, y1 := b.AddNode("X"), b.AddNode("Y")
@@ -777,6 +780,56 @@ func TestWarmCarryOverDirected(t *testing.T) {
 			t.Errorf("topkdh: the answer did not move with the bound vector: %+v", got)
 		}
 	})
+
+	// Touched outside the output region: the state is touched, so TopKDH
+	// re-runs, while the find-all answers are the previous values themselves.
+	for _, tc := range []struct {
+		name     string
+		from, to int
+	}{
+		{"a dead candidate pair gains an edge", a4, x1},
+		{"a live pair no live output pair reaches gains an edge", b9, x1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, before := warmOn(t, g, q)
+			var d Delta
+			d.InsertEdge(tc.from, tc.to)
+			st, after := commit(t, m, &d)
+			if st.WarmTouched != 1 || st.WarmReevaluated != 1 || st.WarmCarried != 2 {
+				t.Fatalf("warm counters %+v, want a touched state with TopKDH re-run and two answers carried", st)
+			}
+			for _, kind := range []queryKind{kindMatch, kindTopKDiv} {
+				if after[kind] != before[kind] {
+					t.Errorf("kind %d: a find-all answer outside the delta's reach was not carried", kind)
+				}
+			}
+		})
+	}
+
+	// One delta per clause of the region that changes the find-all answers;
+	// the existing appended-candidate subtest below is clause (a).
+	for _, tc := range []struct {
+		name  string
+		apply func(d *Delta)
+	}{
+		// (b): a2 loses its only B child and dies.
+		{"a pair changes liveness", func(d *Delta) { d.DeleteEdge(a2, b6) }},
+		// (c): a1 stays live, and its relevant set grows by b9.
+		{"a live output pair reaches a touched pair", func(d *Delta) { d.InsertEdge(a1, b9) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, before := warmOn(t, g, q)
+			var d Delta
+			tc.apply(&d)
+			st, after := commit(t, m, &d)
+			if st.WarmTouched != 1 || st.WarmReevaluated != 3 || st.WarmCarried != 0 {
+				t.Fatalf("warm counters %+v, want a touched state with three answers re-run", st)
+			}
+			if reflect.DeepEqual(after[kindMatch], before[kindMatch]) {
+				t.Errorf("match: the answer did not move: %+v", after[kindMatch])
+			}
+		})
+	}
 
 	t.Run("an appended candidate touches the state", func(t *testing.T) {
 		m, before := warmOn(t, g, q)

@@ -266,7 +266,7 @@ func TestQueryKeySoundness(t *testing.T) {
 			q.lambda = 0 // what the top-k entry points pass
 		}
 		kinds[q.kind] = true
-		a, err := evaluate(g, p, q, nil, nil)
+		a, err := evaluate(g, p, q, nil)
 		if err != nil {
 			t.Fatalf("%+v: %v", q, err)
 		}
