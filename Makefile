@@ -26,8 +26,10 @@ bench:
 # fuzz runs each native fuzz target — the decoders of untrusted bytes: binary
 # checkpoints, graph and pattern text, WAL records, and the query and update
 # JSON bodies through their HTTP handlers; the SCC routine graph.CondenseCSR
-# against brute-force reachability; and simulation.IncCompute's output-region
-# verdict against find-all answers on both snapshots — for 20 s. Their seed
+# against brute-force reachability; simulation.IncCompute's output-region
+# verdict against find-all answers on both snapshots; and the engine's state
+# after every batch against a naive greatest fixpoint, with its top k against
+# find-all's δr — for 20 s. Their seed
 # corpora already run inside `make test`; this explores past them. A
 # crashing input is written under the package's testdata/fuzz/ and fails the
 # target.
@@ -40,6 +42,7 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime 20s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzUpdateRequest$$' -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzIncComputeRegion$$' -fuzztime 20s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEngineBatches$$' -fuzztime 20s
 
 # paper runs the reproduction of the paper's §6 (internal/bench) and prints
 # its tables: the deterministic claims `make test` already checks, plus the

@@ -224,15 +224,18 @@ func timingFigures() []timingFigure {
 				return rows
 			},
 			// Reversed: on the Amazon-like graph (8 labels, 30 % reciprocal
-			// edges) the engine's per-batch work — re-refining the pattern's
-			// cyclic units and sweeping the relevance region, about a third
-			// of its time each — costs more than the find-all pass.
+			// edges) the engine's per-batch work — sweeping the relevance
+			// region, about a third of its time, and re-refining the
+			// pattern's cyclic units, about a fifth (pprof of TopK over the
+			// small suite at every k) — costs more than the find-all pass.
 			// Measured once the engine's R phase swept only the ancestors
 			// of each batch's new matches: TopK 1.3-2.6× Match at small
 			// (TopK 6-11 ms, down from 39-46 ms when it re-unioned sets
 			// around product cycles) and 2.5-4.0× at medium; TopKnopt
 			// 1.8-2.7× at small and 1.9-4.1× at medium. Only TopK at medium
-			// kept a twofold gap on every row of every run.
+			// kept a twofold gap on every row of every run. With the unit
+			// refinement on the product's one kill cascade: TopK 2.6-3.1×
+			// Match at medium.
 			claims: []timingClaim{
 				{fast: "Match", slow: "TopK", paper: "TopK grows with k but stays below Match", deviation: true, at: []string{"medium"}},
 				{fast: "Match", slow: "TopKnopt", paper: "TopKnopt grows with k but stays below Match", deviation: true},

@@ -340,25 +340,7 @@ func TestBadInputs(t *testing.T) {
 
 func TestSelfLoopPatternEngine(t *testing.T) {
 	// Pattern with a self-loop: a* -> a (self-loop on the output).
-	b := graph.NewBuilder()
-	n0 := b.AddNode("a", nil)
-	n1 := b.AddNode("a", nil)
-	n2 := b.AddNode("a", nil)
-	if err := b.AddEdge(n0, n1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(n1, n0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddEdge(n2, n0); err != nil {
-		t.Fatal(err)
-	}
-	g := b.Build()
-	p := pattern.New()
-	a := p.AddNode("a")
-	if err := p.AddEdge(a, a); err != nil {
-		t.Fatal(err)
-	}
+	g, p := selfLoopCase(t)
 	base, err := MatchBaseline(g, p, 3, false)
 	if err != nil {
 		t.Fatal(err)

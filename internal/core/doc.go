@@ -62,10 +62,17 @@
 //     last refinement runs on final inputs, its survivors finalize and the
 //     rest die.
 //   - refineUnit computes the greatest fixpoint of the simulation condition
-//     inside one unit, over the pairs whose cross-unit edges are satisfied.
-//     Outside support only grows, so successive fixpoints only grow and a
-//     pair matched by an earlier refinement always survives a later one
-//     (the engine panics if one does not).
+//     inside one unit with simulation.Cascade, the kill cascade the find-all
+//     simulation and IncCompute run too, over the product itself. Outside
+//     support only grows, so successive fixpoints only grow and a pair
+//     matched by an earlier refinement survives every later one: matched
+//     pairs stay fixed, carrying their support in satCnt, and only the
+//     unit's unknown pairs (in a leaf unit the fed ones) are variables. A
+//     variable's slot counts satCnt plus its successors that are variables;
+//     every slot is counted before the first removal, and the cascade starts
+//     from the variables with an empty slot. Each refinement counts its
+//     variables afresh, so it needs no revival closure, which IncCompute
+//     needs only because a delta can bring dead pairs back.
 //   - drainEvents processes matches first, then refinements in ascending
 //     unit rank, and only then finalization events: every pair the current
 //     inputs support is matched before per-pair resolution may declare an
@@ -125,7 +132,9 @@
 //
 // Every mutable per-run array of the engine — pair status and counters, the
 // match and finalization queues, the R phase's region, the feeder's order,
-// the refinement tables, and both slabs: the one the interior relevant sets
+// the refinement's variable flags and slot counters (per pair and per slot,
+// like the engine's own counters, so a refinement builds no table of its
+// own), and both slabs: the one the interior relevant sets
 // are carved from and the one the relevance sweeps carve their working sets
 // from — lives in a recycled scratch (scratch.go: one kept for good, the
 // others of a concurrent burst in a sync.Pool), so the engine owns no

@@ -36,7 +36,8 @@ const (
 //
 // Query nodes are grouped into units (the SCCs of Q); nontrivial units are
 // evaluated by greatest-fixpoint refinement (refineUnit), the engine's
-// equivalent of the paper's SccProcess.
+// equivalent of the paper's SccProcess, which runs simulation.Cascade on
+// the product with the unit's unknown pairs as variables.
 //
 // All mutable per-run arrays live in the embedded pooled scratch; the engine
 // value itself, the output-node sets, each R-phase sweep's condensation and
@@ -282,11 +283,5 @@ func (e *engine) outstandingDec(unit int32) {
 	if e.unitOutstanding[unit] == 0 && !e.unitFinalized[unit] {
 		e.unitPendingFin[unit] = true
 		e.markDirty(unit)
-		// markDirty refuses finalized units but unitPendingFin forces a
-		// last refinement even if the dirty flag was already set.
-		if !e.unitDirty[unit] {
-			e.unitDirty[unit] = true
-			e.dirtyUnits = append(e.dirtyUnits, unit)
-		}
 	}
 }

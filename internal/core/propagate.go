@@ -182,162 +182,76 @@ func (e *engine) drainEvents() {
 }
 
 // refineUnit computes the greatest fixpoint of the simulation condition
-// restricted to one nontrivial unit of Q (the engine's SccProcess): start
-// from the active pairs whose cross-unit edges are all satisfied by known
-// matches, then repeatedly delete pairs with an unsupported in-unit edge.
-// Survivors are matches. Because outside support only grows, previously
-// matched pairs always survive (monotonicity). When the unit's outstanding
-// work has hit zero the refinement is final: survivors finalize, the rest
-// die.
+// restricted to one nontrivial unit of Q (the engine's SccProcess). Matched
+// pairs stay fixed: outside support only grows, so they survive every later
+// refinement, and satCnt already counts them as support. The variables are
+// the unit's unknown pairs, in a leaf unit only the fed ones. Each variable
+// slot counts its matched successors plus its successors that are variables
+// (a cross-unit successor never is), and simulation.Cascade removes the
+// variables with an empty slot until none is left; the survivors are
+// matches. When the unit's outstanding work has hit zero the refinement is
+// final: matched pairs finalize and unknown pairs die.
 func (e *engine) refineUnit(unit int32) {
 	if e.unitFinalized[unit] {
 		return
 	}
-	final := e.unitPendingFin[unit]
-
-	nodes := e.unitNodes[unit]
-	// Dense per-query-node tables (patterns are tiny; maps here were pure
-	// overhead in the refinement loop). Every table of this function lives
-	// in the scratch and is rebuilt per call: refinements never nest.
-	inUnit := e.rfInUnit
-	clear(inUnit)
-	for _, u := range nodes {
-		inUnit[u] = true
-	}
-
-	// Local indexing of the unit's pairs: pair IDs of one query node are
-	// contiguous, so a per-node offset table maps them to dense local IDs
-	// (dead pairs keep a slot; they are simply never included).
-	localBase := e.rfLocalBase
-	totalLocal := int32(0)
-	pairs := e.rfPairs[:0]
+	nodes, leaf, in, cnt := e.unitNodes[unit], e.unitLeaf[unit], e.refineIn, e.refineCnt
 	for _, u := range nodes {
 		lo, hi := e.ci.PairRange(int(u))
-		localBase[u] = totalLocal - lo
-		totalLocal += hi - lo
 		for q := lo; q < hi; q++ {
-			pairs = append(pairs, q)
+			in[q] = e.status[q] == statusUnknown && (!leaf || e.fed[q])
 		}
 	}
-	e.rfPairs = pairs
-	localOf := func(q int32) int32 { return localBase[e.ci.U[q]] + q }
-
-	e.rfInclude = zeroed(e.rfInclude, int(totalLocal))
-	include := e.rfInclude
-	for li, q := range pairs {
-		if e.status[q] == statusDead {
-			continue
-		}
-		u := int(e.ci.U[q])
-		if e.unitLeaf[unit] && !e.fed[q] {
-			continue
-		}
-		ok := true
-		for j, uc := range e.p.Out(u) {
-			if inUnit[uc] {
-				continue
-			}
-			if e.satCnt[e.base[q]+int32(j)] == 0 {
-				ok = false
-				break
-			}
-		}
-		include[li] = ok
-	}
-
-	// In-unit support counters per (local pair, in-unit edge slot) and the
-	// reverse references needed by the removal worklist, all in flat slices.
-	maxOut := 0
+	// Every slot is counted before the first removal, so the cascade
+	// decrements exactly the counters that counted the pair it removes.
+	dead := e.stack[:0]
 	for _, u := range nodes {
-		if d := len(e.p.Out(int(u))); d > maxOut {
-			maxOut = d
-		}
-	}
-	e.rfInCnt = zeroed(e.rfInCnt, int(totalLocal)*maxOut)
-	inCnt := e.rfInCnt
-	// predHead[target] and predRef.next hold a preds index plus one; 0 ends
-	// the list.
-	e.rfPredHead = zeroed(e.rfPredHead, int(totalLocal))
-	predHead := e.rfPredHead
-	preds := e.rfPreds[:0]
-	for li, q := range pairs {
-		if !include[li] {
-			continue
-		}
-		u := int(e.ci.U[q])
-		for j, uc := range e.p.Out(u) {
-			if !inUnit[uc] {
+		lo, hi := e.ci.PairRange(int(u))
+		out := e.p.Out(int(u))
+		for q := lo; q < hi; q++ {
+			if !in[q] {
 				continue
 			}
-			key := int32(li)*int32(maxOut) + int32(j)
-			for _, qc := range e.prod.SlotSuccs(q, j) {
-				lc := localOf(qc)
-				if !include[lc] {
-					continue
+			empty := false
+			for j, uc := range out {
+				s := e.base[q] + int32(j)
+				c := e.satCnt[s]
+				if e.unitOf[uc] == unit {
+					for _, qc := range e.prod.SlotSuccs(q, j) {
+						if in[qc] {
+							c++
+						}
+					}
 				}
-				inCnt[key]++
-				preds = append(preds, predRef{key: key, next: predHead[lc]})
-				predHead[lc] = int32(len(preds))
+				cnt[s] = c
+				empty = empty || c == 0
+			}
+			if empty {
+				dead = append(dead, q)
 			}
 		}
 	}
-	e.rfPreds = preds
+	for _, q := range dead {
+		in[q] = false
+	}
+	e.stack = simulation.Cascade(e.prod, in, cnt, dead)
 
-	// Worklist removal of unsupported pairs.
-	removeQ := e.rfRemoveQ[:0]
-	for li, q := range pairs {
-		if !include[li] {
-			continue
-		}
-		u := int(e.ci.U[q])
-		for j, uc := range e.p.Out(u) {
-			if inUnit[uc] && inCnt[int32(li)*int32(maxOut)+int32(j)] == 0 {
-				include[li] = false
-				removeQ = append(removeQ, int32(li))
-				break
-			}
-		}
-	}
-	for len(removeQ) > 0 {
-		lr := removeQ[len(removeQ)-1]
-		removeQ = removeQ[:len(removeQ)-1]
-		for ref := predHead[lr]; ref != 0; ref = preds[ref-1].next {
-			key := preds[ref-1].key
-			parent := key / int32(maxOut)
-			if !include[parent] {
-				continue
-			}
-			inCnt[key]--
-			if inCnt[key] == 0 {
-				include[parent] = false
-				removeQ = append(removeQ, parent)
-			}
-		}
-	}
-	e.rfRemoveQ = removeQ
-
-	// Survivors are matches; previously matched pairs must be among them.
-	for li, q := range pairs {
-		if e.status[q] == statusDead {
-			continue
-		}
-		if include[li] {
-			if e.status[q] != statusMatched {
-				e.becomeMatched(q)
-			}
-		} else if e.status[q] == statusMatched {
-			panic(fmt.Sprintf("core: refineUnit dropped matched pair (%d,%d)", e.ci.U[q], e.ci.V[q]))
-		}
-	}
-
+	final := e.unitPendingFin[unit]
 	if final {
 		e.unitFinalized[unit] = true
 		e.unitPendingFin[unit] = false
-		for li, q := range pairs {
-			if e.status[q] == statusDead {
+	}
+	for _, u := range nodes {
+		lo, hi := e.ci.PairRange(int(u))
+		for q := lo; q < hi; q++ {
+			if in[q] {
+				in[q] = false // refineIn is all false between refinements
+				e.becomeMatched(q)
+			}
+			if !final || e.status[q] == statusDead {
 				continue
 			}
-			if include[li] {
+			if e.status[q] == statusMatched {
 				e.finalizePair(q)
 			} else {
 				e.die(q)

@@ -38,19 +38,14 @@ func edgesOf(g *graph.Graph) [][2]graph.NodeID {
 	return out
 }
 
-// decodeRegionCase reads a graph of at most 32 nodes, a pattern of at most 4
-// nodes (self-loops and cycles allowed) and a delta against the graph from
-// data, each count taken modulo its bound: the label count (≤ 16); the node
-// count and one label byte per node; the edge count and one byte pair per
-// edge; the query node count, its label bytes, the output and, behind their
-// count, one byte per query edge (source in the high nibble, target in the
-// low one); then the appended nodes' labels (one more label than the graph
-// has, so an append may bring a new one), the inserted edges over old and
-// appended nodes, and the deleted edges as indexes into edgesOf — each list
-// behind its count. Deletes of an edge already deleted or also inserted are
-// dropped.
-func decodeRegionCase(data []byte) (*graph.Graph, *pattern.Pattern, *graph.Delta) {
-	r := byteReader(data)
+// decodeGraphPattern reads a graph of at most 32 nodes and a pattern of at
+// most 4 nodes (self-loops and cycles allowed) from r, each count taken
+// modulo its bound: the label count (≤ 16); the node count and one label
+// byte per node; the edge count and one byte pair per edge; the query node
+// count, its label bytes, the output and, behind their count, one byte per
+// query edge (source in the high nibble, target in the low one). It also
+// returns the label count.
+func decodeGraphPattern(r *byteReader) (*graph.Graph, *pattern.Pattern, int) {
 	labels := 1 + r.next()%16
 	label := func(l int) string { return "L" + strconv.Itoa(l) }
 	n := 1 + r.next()%32
@@ -73,6 +68,20 @@ func decodeRegionCase(data []byte) (*graph.Graph, *pattern.Pattern, *graph.Delta
 		e := r.next()
 		_ = p.AddEdge((e>>4)%nq, (e&15)%nq)
 	}
+	return g, p, labels
+}
+
+// decodeRegionCase reads a graph and a pattern as decodeGraphPattern does,
+// then a delta against the graph: the appended nodes' labels (one more label
+// than the graph has, so an append may bring a new one), the inserted edges
+// over old and appended nodes, and the deleted edges as indexes into
+// edgesOf — each list behind its count, taken modulo 4, 16 and 4. Deletes of
+// an edge already deleted or also inserted are dropped.
+func decodeRegionCase(data []byte) (*graph.Graph, *pattern.Pattern, *graph.Delta) {
+	r := byteReader(data)
+	g, p, labels := decodeGraphPattern(&r)
+	label := func(l int) string { return "L" + strconv.Itoa(l) }
+	n := g.NumNodes()
 
 	var d graph.Delta
 	for a := r.next() % 4; a > 0; a-- {
@@ -92,20 +101,22 @@ func decodeRegionCase(data []byte) (*graph.Graph, *pattern.Pattern, *graph.Delta
 	return g, p, &d
 }
 
-// encodeRegionCase is decodeRegionCase's inverse for inputs within its
-// bounds whose labels are all "L<i>", i < labels.
-func encodeRegionCase(labels int, g *graph.Graph, p *pattern.Pattern, d *graph.Delta) []byte {
-	lab := func(s string) byte {
-		i, err := strconv.Atoi(s[1:])
-		if err != nil {
-			panic(err)
-		}
-		return byte(i)
+// labelByte is the index i of a label "L<i>".
+func labelByte(s string) byte {
+	i, err := strconv.Atoi(s[1:])
+	if err != nil {
+		panic(err)
 	}
+	return byte(i)
+}
+
+// encodeGraphPattern is decodeGraphPattern's inverse for inputs within its
+// bounds whose labels are all "L<i>", i < labels.
+func encodeGraphPattern(labels int, g *graph.Graph, p *pattern.Pattern) []byte {
 	edges := edgesOf(g)
 	out := []byte{byte(labels - 1), byte(g.NumNodes() - 1)}
 	for v := 0; v < g.NumNodes(); v++ {
-		out = append(out, lab(g.Label(graph.NodeID(v))))
+		out = append(out, labelByte(g.Label(graph.NodeID(v))))
 	}
 	out = append(out, byte(len(edges)))
 	for _, e := range edges {
@@ -113,15 +124,22 @@ func encodeRegionCase(labels int, g *graph.Graph, p *pattern.Pattern, d *graph.D
 	}
 	out = append(out, byte(p.NumNodes()-1))
 	for u := 0; u < p.NumNodes(); u++ {
-		out = append(out, lab(p.Label(u)))
+		out = append(out, labelByte(p.Label(u)))
 	}
 	out = append(out, byte(p.Output()), byte(p.NumEdges()))
 	for _, e := range p.Edges() {
 		out = append(out, byte(e[0]<<4|e[1]))
 	}
-	out = append(out, byte(len(d.NodeAppends)))
+	return out
+}
+
+// encodeRegionCase is decodeRegionCase's inverse for inputs within its
+// bounds whose labels are all "L<i>", i < labels.
+func encodeRegionCase(labels int, g *graph.Graph, p *pattern.Pattern, d *graph.Delta) []byte {
+	edges := edgesOf(g)
+	out := append(encodeGraphPattern(labels, g, p), byte(len(d.NodeAppends)))
 	for _, a := range d.NodeAppends {
-		out = append(out, lab(a.Label))
+		out = append(out, labelByte(a.Label))
 	}
 	out = append(out, byte(len(d.EdgeInserts)))
 	for _, e := range d.EdgeInserts {

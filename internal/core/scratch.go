@@ -8,14 +8,14 @@ import (
 )
 
 // scratch is the working memory of one engine run: every per-pair, per-slot
-// and per-unit array, every event queue, the feeder's order, the refinement
-// tables, the slab the interior relevant sets are carved from and the one
-// the relevance sweeps carve their working sets from. A run
-// takes one with acquireScratch in newEngine and returns it when TopK
-// returns, so a steady stream of queries allocates none of this (it was ≈ 3 MB
-// of a 4 MB query on a 15k-node graph). The lifecycle rules are in the package
-// documentation; the short form is that no backing array here holds a
-// pointer and nothing here is reachable from a Result.
+// and per-unit array (the refinement's variable flags and slot counters
+// among them), every event queue, the feeder's order, the slab the interior
+// relevant sets are carved from and the one the relevance sweeps carve their
+// working sets from. A run takes one with acquireScratch in newEngine and
+// returns it when TopK returns, so a steady stream of queries allocates none
+// of this (it was ≈ 3 MB of a 4 MB query on a 15k-node graph). The lifecycle
+// rules are in the package documentation; the short form is that no backing
+// array here holds a pointer and nothing here is reachable from a Result.
 //
 // reset re-lengths and clears exactly the prefix a run uses, so the contents
 // a previous run (or a test's poisoning) left behind are never read.
@@ -68,7 +68,8 @@ type scratch struct {
 	newRelM []int32 // newly matched pairs, for the R phase
 
 	// The R phase's region in discovery order, each pair's index there plus
-	// one (0 outside it), and the DFS stack of its walk and of markTracked.
+	// one (0 outside it), and the DFS stack of its walk and of markTracked,
+	// which is also refineUnit's kill queue.
 	region []int32
 	rlocal []int32
 	stack  []int32
@@ -85,15 +86,10 @@ type scratch struct {
 	// checkTermination's bounded selection of the k best lower bounds.
 	sel []cand
 
-	// refineUnit's tables, rebuilt per call.
-	rfInUnit    []bool  // per query node
-	rfLocalBase []int32 // per query node
-	rfPairs     []int32
-	rfInclude   []bool
-	rfInCnt     []int32
-	rfPredHead  []int32
-	rfPreds     []predRef
-	rfRemoveQ   []int32
+	// refineUnit's variables (per pair, all false between refinements) and
+	// their slot counters (per slot, written before they are read).
+	refineIn  []bool
+	refineCnt []int32
 
 	// sets backs the relevant sets of interior pairs. Output-node sets are
 	// allocated individually instead (engine.outSets): they escape through
@@ -106,12 +102,6 @@ type scratch struct {
 
 // cand is an output pair with its lower bound.
 type cand struct{ q, l int32 }
-
-// predRef links an in-unit product edge into its target's predecessor list.
-type predRef struct {
-	key  int32 // parent local * maxOut + edge slot
-	next int32 // next reference of the same target, index + 1; 0 ends the list
-}
 
 // keptScratch holds one released scratch for good; scratchPool takes the
 // ones released while that slot is full. A sync.Pool alone frees what sat
@@ -166,8 +156,6 @@ func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.matchCnt = zeroed(s.matchCnt, nq)
 	s.aliveCnt = zeroed(s.aliveCnt, nq)
 	s.unitOf = zeroed(s.unitOf, nq)
-	s.rfInUnit = zeroed(s.rfInUnit, nq)
-	s.rfLocalBase = zeroed(s.rfLocalBase, nq)
 
 	s.unitLeaf = zeroed(s.unitLeaf, nUnits)
 	s.unitOutstanding = zeroed(s.unitOutstanding, nUnits)
@@ -183,9 +171,11 @@ func (s *scratch) reset(nq, nUnits, pairs, slots, outputs, bits int) {
 	s.tracked = zeroed(s.tracked, pairs)
 	s.rslot = zeroed(s.rslot, pairs)
 	s.rlocal = zeroed(s.rlocal, pairs)
+	s.refineIn = zeroed(s.refineIn, pairs)
 
 	s.satCnt = zeroed(s.satCnt, slots)
 	s.unfinCnt = zeroed(s.unfinCnt, slots)
+	s.refineCnt = zeroed(s.refineCnt, slots)
 
 	s.upper = zeroed(s.upper, outputs)
 	s.lower = zeroed(s.lower, outputs)

@@ -43,6 +43,13 @@ var ErrIncFallback = errors.New("simulation: affected share above RecomputeRatio
 //     revived successor — restoring consistency with S0 in time linear in
 //     the affected area, not the product.
 //
+// The cascade itself is Cascade, the one every greatest fixpoint over a
+// product runs: Compute seeds it with the pairs that have an empty slot,
+// IncCompute with the affected area, and the engine of internal/core with
+// one cyclic unit's unsupported pairs. Only IncCompute needs the revival
+// closure: a delta can bring dead pairs back, while the engine's inputs only
+// grow and its matched pairs stay fixed.
+//
 // The resulting Result and Product are byte-identical to a from-scratch
 // Compute/BuildProduct on the new snapshot (the fixpoint is unique, and
 // PatchProduct reproduces BuildProduct's layout exactly); the randomized
@@ -306,23 +313,7 @@ func incAdvance(st *IncState, gNew *graph.Graph, d *graph.Delta, opts IncOptions
 	}
 
 	// The standard kill cascade, seeded from the affected area only.
-	for len(dead) > 0 {
-		id := dead[len(dead)-1]
-		dead = dead[:len(dead)-1]
-		for e := prod.RevOff[id]; e < prod.RevOff[id+1]; e++ {
-			pid := prod.Rev[e]
-			if !inSim[pid] {
-				continue
-			}
-			s := prod.RevSlot[e]
-			cnt[s]--
-			if cnt[s] == 0 {
-				inSim[pid] = false
-				dead = append(dead, pid)
-			}
-		}
-	}
-
+	Cascade(prod, inSim, cnt, dead)
 	res := &Result{CI: ci, InSim: inSim, Matched: matched(ci, inSim, nq)}
 	stats.OutputReached = outputReached(st, ci, prod, inSim, shift, touched)
 	return &IncState{G: gNew, P: p, CI: ci, Prod: prod, Res: res, An: st.An, cnt: cnt}, stats, nil

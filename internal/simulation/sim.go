@@ -77,26 +77,38 @@ func computeWithProductCnt(prod *Product) (*Result, []int32) {
 		}
 	}
 
-	// Cascade removals along reverse product edges.
+	Cascade(prod, inSim, cnt, dead)
+	res := &Result{CI: ci, InSim: inSim, Matched: matched(ci, inSim, nq)}
+	return res, cnt
+}
+
+// Cascade is the kill cascade of the counting refinement, the one every
+// greatest fixpoint over a product runs: it pops the pairs of dead, each
+// already out of in, and for every predecessor still in decrements the
+// counter of the connecting slot, removing the predecessor once that slot
+// is empty. Pairs not in are never touched, so a caller confines the
+// refinement to a set of variables by marking only those in. On entry every
+// slot of a pair in must count its successors in, plus whatever support the
+// caller holds fixed outside in; then the pairs left in are the greatest
+// fixpoint below the starting set. It returns dead emptied, for reuse.
+func Cascade(prod *Product, in []bool, cnt []int32, dead []int32) []int32 {
 	for len(dead) > 0 {
 		id := dead[len(dead)-1]
 		dead = dead[:len(dead)-1]
 		for e := prod.RevOff[id]; e < prod.RevOff[id+1]; e++ {
 			pid := prod.Rev[e]
-			if !inSim[pid] {
+			if !in[pid] {
 				continue
 			}
 			s := prod.RevSlot[e]
 			cnt[s]--
 			if cnt[s] == 0 {
-				inSim[pid] = false
+				in[pid] = false
 				dead = append(dead, pid)
 			}
 		}
 	}
-
-	res := &Result{CI: ci, InSim: inSim, Matched: matched(ci, inSim, nq)}
-	return res, cnt
+	return dead
 }
 
 // matched reports whether every query node retains at least one alive pair
