@@ -29,7 +29,10 @@ bench:
 # against brute-force reachability; simulation.IncCompute's output-region
 # verdict against find-all answers on both snapshots; and the engine's state
 # after every batch against a naive greatest fixpoint, with its top k against
-# find-all's δr — for 20 s. Their seed
+# find-all's δr; and the daemon model, FuzzDaemonHistory: histories of
+# queries, updates, merged batches, crashes and reboots against a persistent
+# daemon, every answer checked against the graph rebuilt from the acked
+# updates — for 20 s. Their seed
 # corpora already run inside `make test`; this explores past them. A
 # crashing input is written under the package's testdata/fuzz/ and fails the
 # target.
@@ -41,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 20s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzQueryRequest$$' -fuzztime 20s
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzUpdateRequest$$' -fuzztime 20s
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDaemonHistory$$' -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzIncComputeRegion$$' -fuzztime 20s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzEngineBatches$$' -fuzztime 20s
 

@@ -133,36 +133,16 @@ func BenchmarkTopKDivCold(b *testing.B) {
 // (maxWarmIdle). Beside ms/commit and B/commit it reports what the pass did
 // per commit: answers re-evaluated and carried, and its own share of the time.
 func BenchmarkCommitWarm(b *testing.B) {
-	g := NewSynthetic(10_000, 70_000, 24, 1)
-	patterns := minedDistinct(b, g, maxWarmPatterns, 1)
-	m := NewMatcher(g, WithCache(4096))
-	for _, q := range patterns {
-		for _, kind := range allKinds {
-			if _, _, err := askKind(m, q, kind, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	plan := newChurnPlan(rand.New(rand.NewSource(1)), g, patterns[:8])
-	plan.aimedOnly = true
-
+	m, patterns, plan := commitWarmSession(b)
 	var reevals, carried, warmUs int
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := m.UpdateWithStats(plan.next())
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := commitWarm(b, m, patterns, plan, i)
 		reevals += st.WarmReevaluated
 		carried += st.WarmCarried
 		warmUs += int(st.WarmMicros)
-		for _, kind := range allKinds {
-			if _, _, err := askKind(m, patterns[i%len(patterns)], kind, 10); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
@@ -172,4 +152,55 @@ func BenchmarkCommitWarm(b *testing.B) {
 	b.ReportMetric(float64(reevals)/n, "reevals/commit")
 	b.ReportMetric(float64(carried)/n, "carried/commit")
 	b.ReportMetric(float64(warmUs)/1e3/n, "warm-ms/commit")
+}
+
+// commitWarmSession is BenchmarkCommitWarm's session: the graph, the
+// patterns with their three shapes maintained, and the aimed churn plan.
+func commitWarmSession(tb testing.TB) (*Matcher, []*Pattern, *churnPlan) {
+	g := NewSynthetic(10_000, 70_000, 24, 1)
+	patterns := minedDistinct(tb, g, maxWarmPatterns, 1)
+	m := NewMatcher(g, WithCache(4096))
+	for _, q := range patterns {
+		for _, kind := range allKinds {
+			if _, _, err := askKind(m, q, kind, 10); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	plan := newChurnPlan(rand.New(rand.NewSource(1)), g, patterns[:8])
+	plan.aimedOnly = true
+	return m, patterns, plan
+}
+
+// commitWarm is iteration i of BenchmarkCommitWarm: one planned commit, then
+// a read of the three shapes of one pattern.
+func commitWarm(tb testing.TB, m *Matcher, patterns []*Pattern, plan *churnPlan, i int) IndexStats {
+	_, st, err := m.UpdateWithStats(plan.next())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, kind := range allKinds {
+		if _, _, err := askKind(m, patterns[i%len(patterns)], kind, 10); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return st
+}
+
+// TestCommitWarmCarryCounts pins what the warm advance pass does on
+// BenchmarkCommitWarm's first 60 commits: how many answers it carries and
+// how many it re-evaluates. Both are deterministic, so a change to the carry
+// rule, or to what IncCompute reports as reaching the output region, moves
+// them here rather than only in a benchmark read by eye.
+func TestCommitWarmCarryCounts(t *testing.T) {
+	m, patterns, plan := commitWarmSession(t)
+	var carried, reevals int
+	for i := 0; i < 60; i++ {
+		st := commitWarm(t, m, patterns, plan, i)
+		carried += st.WarmCarried
+		reevals += st.WarmReevaluated
+	}
+	if carried != 2211 || reevals != 669 {
+		t.Fatalf("60 commits carried %d answers and re-evaluated %d; want 2211 and 669", carried, reevals)
+	}
 }

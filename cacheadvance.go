@@ -86,11 +86,6 @@ const (
 type warmCache struct {
 	lru  *cache.Cache
 	warm warmRegistry
-	// advanceRatio is the work share past which a commit evicts a warm
-	// pattern state instead of advancing it; zero is the 0.25 default of
-	// simulation.IncOptions, and only the equivalence fuzzes set it, to force
-	// both sides.
-	advanceRatio float64
 	// advanceEvicted counts states the commit-time advance pass evicted,
 	// carried and reevaluated the answers it carried over and re-ran.
 	advanceEvicted, carried, reevaluated atomic.Uint64
@@ -362,7 +357,6 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 	c.warm.mu.Unlock()
 
 	stats.WarmStates = len(work)
-	incOpts := simulation.IncOptions{RecomputeRatio: c.advanceRatio}
 	for i := range work {
 		a := &work[i]
 		if a.old.inc.G != gOld.g {
@@ -370,7 +364,7 @@ func (c *warmCache) advanceWarm(gOld, g2 *Graph, merged *graph.Delta, stats *Ind
 			stats.WarmEvicted++
 			continue
 		}
-		inc2, ist, err := simulation.IncCompute(a.old.inc, g2.g, merged, incOpts)
+		inc2, ist, err := simulation.IncCompute(a.old.inc, g2.g, merged, simulation.IncOptions{})
 		if ist.TouchedPairs > 0 {
 			stats.WarmTouched++
 		}

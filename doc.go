@@ -175,9 +175,10 @@
 // the log into a checkpoint periodically — and server.NewPersistentRegistry
 // recovers every graph on boot by loading the newest valid checkpoint and
 // replaying the WAL tail through UpdateWithStats. cmd/divtopkd
-// enables it with -data-dir/-fsync/-checkpoint-every; a kill-and-recover
-// fuzz over injected filesystem faults (internal/fsx) proves recovered
-// query results byte-identical to a never-crashed run. See the README's
+// enables it with -data-dir/-fsync/-checkpoint-every; the daemon model
+// (internal/server FuzzDaemonHistory) crashes it at random byte offsets of
+// its writes (internal/fsx) and checks the recovered answers byte for byte
+// against the graph rebuilt from the acknowledged updates. See the README's
 // "Durability" section.
 //
 // # Performance

@@ -190,7 +190,11 @@ func (e *engine) drainEvents() {
 // (a cross-unit successor never is), and simulation.Cascade removes the
 // variables with an empty slot until none is left; the survivors are
 // matches. When the unit's outstanding work has hit zero the refinement is
-// final: matched pairs finalize and unknown pairs die.
+// final and finalizes the matched pairs. The unknown pairs it leaves die by
+// per-pair resolution (processFinalized) in the same drainEvents: every
+// cross-unit successor is final by then, so the ones outside the fixpoint
+// cannot support one another, and the deaths that empty their slots are
+// still queued, because refinements run before finalization events.
 func (e *engine) refineUnit(unit int32) {
 	if e.unitFinalized[unit] {
 		return
@@ -248,13 +252,8 @@ func (e *engine) refineUnit(unit int32) {
 				in[q] = false // refineIn is all false between refinements
 				e.becomeMatched(q)
 			}
-			if !final || e.status[q] == statusDead {
-				continue
-			}
-			if e.status[q] == statusMatched {
+			if final && e.status[q] == statusMatched {
 				e.finalizePair(q)
-			} else {
-				e.die(q)
 			}
 		}
 	}

@@ -1,14 +1,12 @@
 package server_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"divtopk"
 	"divtopk/internal/fsx"
 	"divtopk/internal/server"
 	"divtopk/internal/wal"
@@ -22,13 +20,8 @@ import (
 // "recovers".
 func TestDurabilityFailpoint(t *testing.T) {
 	t.Parallel()
-	base, _ := crashGraph(t)
-	patterns := crashPatterns(t)
-	var buf bytes.Buffer
-	if err := divtopk.WritePattern(&buf, patterns[0]); err != nil {
-		t.Fatal(err)
-	}
-	patternText := buf.String()
+	w := worlds[0]()
+	base, patternText := newModel(w).graph(), w.texts[0]
 
 	fault := fsx.NewFault(fsx.OS())
 	reg, err := server.NewPersistentRegistry(server.PersistOptions{

@@ -42,12 +42,6 @@ type Matcher struct {
 	cur      atomic.Pointer[Graph]
 	updateMu sync.Mutex // serializes commits (queries never take it)
 	base     []Option
-	// indexRatio is the work share past which a commit rebuilds the bound
-	// index instead of advancing it. Zero — what NewMatcher leaves — is the
-	// 0.25 default of core.AdvanceOptions: past a quarter, seeding the partial
-	// passes costs as much as starting over. Answers are the same either way;
-	// only the equivalence fuzzes set it, to force both sides.
-	indexRatio float64
 	// cache is the warm result cache, nil without WithCache.
 	cache *warmCache
 	// durability, when set, must acknowledge every delta before the snapshot
@@ -203,7 +197,7 @@ func (m *Matcher) commitLocked(g *Graph, merged *graph.Delta, parts []*Delta) (*
 		return nil, IndexStats{}, err
 	}
 	t0 := time.Now()
-	bc, adv, err := g.boundsCache().Advance(g2raw, sum, core.AdvanceOptions{RebuildRatio: m.indexRatio})
+	bc, adv, err := g.boundsCache().Advance(g2raw, sum, core.AdvanceOptions{})
 	if err != nil {
 		// The session built the inputs itself, so a mismatch is a bug, not
 		// a bad delta; surface it rather than limping on with a cold index.

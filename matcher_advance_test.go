@@ -15,40 +15,12 @@ import (
 // result cache: whatever the advance pass does on commit — advance a cached
 // entry incrementally, carry it verbatim when the delta missed its product,
 // or evict it past the work-share ratio — every answer a cached session gives
-// must be deeply equal to a never-cached session walking the same delta chain. Randomized
-// chains cross the interesting boundaries (appends into the pattern's
-// neighborhood, deletes of matched edges, no-op deltas), and the matrix
-// covers both entry points (TopK, with and without the ignored WithBaseline,
-// and TopKDiversified), both diversified families (early-termination
-// heuristic and find-all approximation), and all three advance policies.
+// must be deeply equal to a never-cached session walking the same delta
+// chain. Randomized chains cross the interesting boundaries (appends into
+// the pattern's neighborhood, deletes of matched edges, no-op deltas, deltas
+// past the work share that evicts) for the three query kinds.
 func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
-	modes := []struct {
-		name  string
-		ratio float64 // Matcher.advanceRatio: 0 = default, >= 1 never evicts
-	}{
-		{"adaptive", 0},
-		{"force-advance", 1},
-		{"force-evict", 1e-9},
-	}
-	type querySpec struct {
-		name string
-		run  func(m *Matcher, q *Pattern) (any, error)
-	}
-	queries := []querySpec{
-		{"topk", func(m *Matcher, q *Pattern) (any, error) {
-			return m.TopK(q, 8)
-		}},
-		{"topk/baseline", func(m *Matcher, q *Pattern) (any, error) {
-			return m.TopK(q, 8, WithBaseline())
-		}},
-		{"div/heuristic", func(m *Matcher, q *Pattern) (any, error) {
-			return m.TopKDiversified(q, 5, 0.5)
-		}},
-		{"div/approx", func(m *Matcher, q *Pattern) (any, error) {
-			return m.TopKDiversified(q, 5, 0.5, WithApproximation())
-		}},
-	}
-
+	var advanced, evicted uint64
 	for seed := int64(1); seed <= 12; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -63,81 +35,69 @@ func TestWarmCacheAdvanceEquivalenceFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			patterns := []*Pattern{q1, q2}
-
-			type session struct {
-				name      string
-				warm, ref *Matcher
-			}
-			var sessions []session
-			for _, mode := range modes {
-				warm := NewMatcher(base, WithCache(64))
-				warm.cache.advanceRatio = mode.ratio
-				sessions = append(sessions, session{name: mode.name, warm: warm, ref: NewMatcher(base)})
-			}
-
-			check := func(step int) {
-				for _, s := range sessions {
-					for _, q := range patterns {
-						for _, qs := range queries {
-							got, err := qs.run(s.warm, q)
-							if err != nil {
-								t.Fatalf("step %d %s %s (warm): %v", step, s.name, qs.name, err)
-							}
-							want, err := qs.run(s.ref, q)
-							if err != nil {
-								t.Fatalf("step %d %s %s (ref): %v", step, s.name, qs.name, err)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Fatalf("step %d %s %s: cached session diverged from never-cached reference:\ngot  %+v\nwant %+v",
-									step, s.name, qs.name, got, want)
-							}
-						}
-					}
-				}
-			}
-
-			// Query once before the first delta so the warm registry holds
-			// states and descriptors for every (pattern, family) the chain
-			// will advance.
-			check(-1)
-			for step := 0; step < 10; step++ {
-				d := mineBatchDelta(rng, sessions[0].warm.Graph(), int(seed)*100+step)
-				for _, s := range sessions {
-					if _, _, err := s.warm.UpdateWithStats(d); err != nil {
-						t.Fatalf("step %d %s (warm): %v", step, s.name, err)
-					}
-					if _, _, err := s.ref.UpdateWithStats(d); err != nil {
-						t.Fatalf("step %d %s (ref): %v", step, s.name, err)
-					}
-				}
-				check(step)
-			}
-
-			// Sanity on the policy split: the forced-advance sessions must
-			// have advanced entries and never tripped the ratio fallback,
-			// while the forced-evict ones must have evicted on every commit
-			// that touched a maintained product (a delta with zero affected
-			// share still advances at zero cost — even a tiny ratio only
-			// trips when there is work to skip).
-			for _, s := range sessions {
-				cs := s.warm.CacheStats()
-				switch s.name {
-				case "force-advance":
-					if cs.Advanced == 0 {
-						t.Errorf("%s: no entries advanced across 10 commits: %+v", s.name, cs)
-					}
-					if cs.AdvanceEvicted != 0 {
-						t.Errorf("%s: forced-advance session hit the ratio fallback: %+v", s.name, cs)
-					}
-				case "force-evict":
-					if cs.AdvanceEvicted == 0 {
-						t.Errorf("%s: forced-evict session never evicted: %+v", s.name, cs)
-					}
-				}
-			}
+			step := 0
+			warm := warmChain(t, base, []*Pattern{q1, q2}, []int{5, 8}, 10, func(m *Matcher) []*Delta {
+				step++
+				return []*Delta{mineBatchDelta(rng, m.Graph(), int(seed)*100+step)}
+			}, nil)
+			cs := warm.CacheStats()
+			advanced += cs.Advanced
+			evicted += cs.AdvanceEvicted
 		})
 	}
+	// The chains cross the default work share both ways: states advance, and
+	// states whose advance would cost more are evicted.
+	if advanced == 0 || evicted == 0 {
+		t.Errorf("%d entries advanced and %d states evicted across the chains; want both", advanced, evicted)
+	}
+}
+
+// warmChain walks a caching session and a never-cached one over base through
+// steps group commits of the deltas next draws against the current snapshot.
+// Before the first commit and after each, every shape — the three kinds at
+// each k of ks on every pattern — must answer deep-equal on both sessions at
+// the same version. each, when non-nil, sees the caching session's stats of
+// every commit. It returns the caching session.
+func warmChain(t *testing.T, base *Graph, patterns []*Pattern, ks []int, steps int,
+	next func(m *Matcher) []*Delta, each func(step int, st IndexStats)) *Matcher {
+	t.Helper()
+	warm, ref := NewMatcher(base, WithCache(1024)), NewMatcher(base)
+	check := func(step int) {
+		for pi, q := range patterns {
+			for _, kind := range allKinds {
+				for _, k := range ks {
+					got, info, err := askKind(warm, q, kind, k)
+					if err != nil {
+						t.Fatalf("step %d pattern %d kind %d k=%d (warm): %v", step, pi, kind, k, err)
+					}
+					want, refInfo, err := askKind(ref, q, kind, k)
+					if err != nil {
+						t.Fatalf("step %d pattern %d kind %d k=%d (ref): %v", step, pi, kind, k, err)
+					}
+					if info.Version != refInfo.Version || !reflect.DeepEqual(got, want) {
+						t.Fatalf("step %d pattern %d kind %d k=%d (cache %q, versions %d and %d): diverged from the never-cached session:\ngot  %+v\nwant %+v",
+							step, pi, kind, k, info.Cache, info.Version, refInfo.Version, got, want)
+					}
+				}
+			}
+		}
+	}
+	check(-1)
+	for step := 0; step < steps; step++ {
+		batch := next(warm)
+		if _, _, err := updateBatch(ref, batch); err != nil {
+			t.Fatalf("step %d (ref): %v", step, err)
+		}
+		_, st, err := updateBatch(warm, batch)
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		if each != nil {
+			each(step, st)
+		}
+		check(step)
+	}
+	return warm
 }
 
 // TestWarmRegistryConcurrentQueriesAndCommits races queries that each
@@ -231,7 +191,6 @@ func TestWarmRegistryConcurrentQueriesAndCommits(t *testing.T) {
 func TestWarmRegistryTouchDuringInstall(t *testing.T) {
 	g := NewYouTubeLike(1_500, 12_000, 3)
 	m := NewMatcher(g, WithCache(4096))
-	m.cache.advanceRatio = 1 // only the caps displace
 	type shapeRef struct {
 		text string
 		q    query
@@ -377,7 +336,6 @@ func TestWarmRegistryCaps(t *testing.T) {
 	}
 	sessions := func() (warm, ref *Matcher) {
 		warm = NewMatcher(g, WithCache(1024))
-		warm.cache.advanceRatio = 1 // never evict by work share: only the caps displace
 		return warm, NewMatcher(g)
 	}
 	commit := func(t *testing.T, ms ...*Matcher) {
@@ -596,66 +554,23 @@ func TestWarmCacheCarryOverFuzz(t *testing.T) {
 			base := NewSynthetic(400, 2_000, 16, seed)
 			patterns := minedDistinct(t, base, 5, seed)
 			plan := newChurnPlan(rng, base, patterns)
-			ref := NewMatcher(base)
-			sessions := []struct {
-				name string
-				m    *Matcher
-			}{
-				{"index-bounds", NewMatcher(base, WithCache(1024))},
-			}
-			check := func(step int) {
-				for _, s := range sessions {
-					for pi, q := range patterns {
-						for _, kind := range allKinds {
-							for _, k := range []int{1, 10} {
-								got, info, err := askKind(s.m, q, kind, k)
-								if err != nil {
-									t.Fatalf("step %d %s pattern %d kind %d k=%d (warm): %v", step, s.name, pi, kind, k, err)
-								}
-								want, refInfo, err := askKind(ref, q, kind, k)
-								if err != nil {
-									t.Fatalf("step %d %s pattern %d kind %d k=%d (ref): %v", step, s.name, pi, kind, k, err)
-								}
-								if info.Version != refInfo.Version {
-									t.Fatalf("step %d %s: warm session at version %d, reference at %d", step, s.name, info.Version, refInfo.Version)
-								}
-								if !reflect.DeepEqual(got, want) {
-									t.Fatalf("step %d %s pattern %d kind %d k=%d (cache %q): diverged from the never-cached session:\ngot  %+v\nwant %+v",
-										step, s.name, pi, kind, k, info.Cache, got, want)
-								}
-							}
-						}
-					}
-				}
-			}
-			check(-1)
-			for step := 0; step < 12; step++ {
+			warm := warmChain(t, base, patterns, []int{1, 10}, 12, func(*Matcher) []*Delta {
 				batch := make([]*Delta, 1+rng.Intn(4))
 				for i := range batch {
 					batch[i] = plan.next()
 				}
-				if _, _, err := updateBatch(ref, batch); err != nil {
-					t.Fatalf("step %d (ref): %v", step, err)
+				return batch
+			}, func(step int, st IndexStats) {
+				if st.WarmStates != len(patterns) || st.WarmTouched > st.WarmStates || st.WarmEvicted > st.WarmTouched {
+					t.Fatalf("step %d: inconsistent warm counters %+v", step, st)
 				}
-				for _, s := range sessions {
-					_, st, err := updateBatch(s.m, batch)
-					if err != nil {
-						t.Fatalf("step %d %s: %v", step, s.name, err)
-					}
-					if st.WarmStates != len(patterns) || st.WarmTouched > st.WarmStates || st.WarmEvicted > st.WarmTouched {
-						t.Fatalf("step %d %s: inconsistent warm counters %+v", step, s.name, st)
-					}
-					if shapes := (st.WarmStates - st.WarmEvicted) * len(allKinds) * 2; st.WarmCarried+st.WarmReevaluated != shapes {
-						t.Fatalf("step %d %s: %d carried + %d re-evaluated, want %d answers accounted for: %+v",
-							step, s.name, st.WarmCarried, st.WarmReevaluated, shapes, st)
-					}
+				if shapes := (st.WarmStates - st.WarmEvicted) * len(allKinds) * 2; st.WarmCarried+st.WarmReevaluated != shapes {
+					t.Fatalf("step %d: %d carried + %d re-evaluated, want %d answers accounted for: %+v",
+						step, st.WarmCarried, st.WarmReevaluated, shapes, st)
 				}
-				check(step)
-			}
-			for _, s := range sessions {
-				if cs := s.m.CacheStats(); cs.Carried == 0 || cs.Reevaluated == 0 || cs.Carried+cs.Reevaluated != cs.Advanced {
-					t.Errorf("%s: the chain did not exercise both sides of the rule: %+v", s.name, cs)
-				}
+			})
+			if cs := warm.CacheStats(); cs.Carried == 0 || cs.Reevaluated == 0 || cs.Carried+cs.Reevaluated != cs.Advanced {
+				t.Errorf("the chain did not exercise both sides of the rule: %+v", cs)
 			}
 		})
 	}
@@ -963,7 +878,6 @@ func TestWarmRegistryHotPatternsSurviveOneOffs(t *testing.T) {
 	all := minedDistinct(t, g, maxWarmPatterns+40, 11)
 	session := func(t *testing.T) (m *Matcher, ask func(q *Pattern) string, commit func(i int)) {
 		m = NewMatcher(g, WithCache(4096))
-		m.cache.advanceRatio = 1 // only the caps displace
 		rng := rand.New(rand.NewSource(5))
 		ask = func(q *Pattern) string {
 			t.Helper()

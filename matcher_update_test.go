@@ -2,10 +2,8 @@ package divtopk
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
-	"sync"
 	"testing"
 )
 
@@ -146,60 +144,6 @@ func TestMatcherUpdateFailureLeavesSessionIntact(t *testing.T) {
 	}
 }
 
-// TestMatcherConcurrentUpdatesAndQueries is the -race exercise of the swap:
-// queries, batch queries and updates (which intern new labels into the dict
-// the live graph reads) run concurrently; every answer must come from a
-// consistent snapshot (matching one of the sequential per-version answers).
-func TestMatcherConcurrentUpdatesAndQueries(t *testing.T) {
-	g, patterns := testGraphAndPatterns(t, 2)
-	m := NewMatcher(g, WithCache(128))
-	q := patterns[0]
-
-	const updates = 6
-	var wg sync.WaitGroup
-	errc := make(chan error, 64)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if _, _, err := m.TopKInfo(q, 10); err != nil {
-					errc <- err
-					return
-				}
-				if _, err := m.TopKDiversified(q, 5, 0.5); err != nil {
-					errc <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < updates; i++ {
-			var d Delta
-			// A fresh label every time: Intern runs against the dict the
-			// query goroutines are reading labels from.
-			idx := d.AddNode(fmt.Sprintf("dyn-%d", i))
-			nn := m.Graph().NumNodes() + idx
-			d.InsertEdge(0, nn)
-			if _, _, err := m.UpdateWithStats(&d); err != nil {
-				errc <- err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
-	}
-	if m.Graph().Version() != updates {
-		t.Fatalf("version = %d, want %d", m.Graph().Version(), updates)
-	}
-}
-
 // TestLambdaValidationLibraryLayer is the library half of the λ bugfix:
 // every diversified entry point rejects NaN/±Inf/out-of-range λ with the
 // structured ErrLambdaRange instead of silently producing NaN F.
@@ -231,81 +175,74 @@ func TestLambdaValidationLibraryLayer(t *testing.T) {
 	}
 }
 
-// TestMatcherUpdateWithStats pins the index-maintenance surface of a commit:
-// the stats describe a real maintenance step, query results after an
-// advanced index are byte-identical to a cold session over the updated
-// graph, and both forced maintenance paths (never fall back / always
-// rebuild) agree with the adaptive one.
+// TestMatcherUpdateWithStats pins the index-maintenance surface of a commit
+// on both sides of the default rebuild ratio: a delta whose frontier reaches
+// a sliver of the index advances it incrementally, one that changes the
+// descendants of most rows rebuilds it. Either way the stats describe the
+// step taken, and the answers after it, TopKDH's included (the one kind that
+// reads the index), equal a cold session's over the updated graph. The graph
+// is a chain x0 → … → x39 beside a lone y.
 func TestMatcherUpdateWithStats(t *testing.T) {
-	g, patterns := testGraphAndPatterns(t, 1)
-	q := patterns[0]
-	sessions := map[string]*Matcher{
-		"adaptive":    NewMatcher(g),
-		"incremental": NewMatcher(g),
-		"rebuild":     NewMatcher(g),
+	const n = 40
+	b := NewGraphBuilder()
+	for i := 0; i < n; i++ {
+		b.AddNode("x")
+		if i > 0 {
+			if err := b.AddEdge(i-1, i); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	sessions["incremental"].indexRatio = 1
-	sessions["rebuild"].indexRatio = 1e-12
-
-	for step := 0; step < 3; step++ {
+	y := b.AddNode("y")
+	pb := NewPatternBuilder()
+	if err := pb.AddEdge(pb.AddNode("x"), pb.AddNode("y")); err != nil {
+		t.Fatal(err)
+	}
+	q, err := pb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewMatcher(b.Build())
+	for _, step := range []struct {
+		mode  string
+		apply func(d *Delta)
+	}{
+		// An x leaf under y: y's own row is all the frontier holds.
+		{"incremental", func(d *Delta) { d.InsertEdge(y, m.Graph().NumNodes()+d.AddNode("x")) }},
+		// y under the chain's tail: every chain row gains descendants.
+		{"rebuild", func(d *Delta) { d.InsertEdge(n-1, y) }},
+	} {
 		var d Delta
-		idx := d.AddNode(fmt.Sprintf("dynstat-%d", step%2))
-		// All sessions walk the same chain, so any one's node count works.
-		nn := sessions["adaptive"].Graph().NumNodes() + idx
-		// The appended node points INTO the base graph: warmed labels occur
-		// below its component, so the frontier recomputes real work and the
-		// tiny-ratio session's fallback has something to trip on. (A delta
-		// affecting only labels the index never warmed recomputes zero cells
-		// and stays incremental under any ratio.)
-		d.InsertEdge(nn, 1)
-		if step == 2 {
-			d.DeleteEdge(nn-1, 1) // edge added by the previous step
+		step.apply(&d)
+		g2, stats, err := m.UpdateWithStats(&d)
+		if err != nil {
+			t.Fatal(err)
 		}
-
-		var reference *Result
-		for name, m := range sessions {
-			g2, stats, err := m.UpdateWithStats(&d)
-			if err != nil {
-				t.Fatalf("%s step %d: %v", name, step, err)
-			}
-			if stats.Mode != "incremental" && stats.Mode != "rebuild" {
-				t.Fatalf("%s step %d: mode %q", name, step, stats.Mode)
-			}
-			if name == "rebuild" && stats.Mode != "rebuild" {
-				t.Fatalf("forced-rebuild session advanced incrementally: %+v", stats)
-			}
-			if stats.Mode == "rebuild" && (stats.AffectedRows != stats.TotalRows || stats.AffectedShare != 1) {
-				t.Fatalf("rebuild stats must cover every row: %+v", stats)
-			}
-			if name == "incremental" && stats.Mode != "incremental" {
-				t.Fatalf("forced-incremental session fell back: %+v", stats)
-			}
-			if stats.TotalRows != g2.NumNodes() {
-				t.Fatalf("%s step %d: TotalRows %d, want %d", name, step, stats.TotalRows, g2.NumNodes())
-			}
-			if stats.BatchWidth != 1 {
-				t.Fatalf("%s step %d: plain update has batch width %d", name, step, stats.BatchWidth)
-			}
-			if stats.AffectedShare < 0 || stats.AffectedShare > 1 {
-				t.Fatalf("%s step %d: AffectedShare %v", name, step, stats.AffectedShare)
-			}
-			if stats.WallMicros < 0 {
-				t.Fatalf("%s step %d: negative wall time", name, step)
-			}
-			res, err := m.TopK(q, 10)
-			if err != nil {
-				t.Fatalf("%s step %d: %v", name, step, err)
-			}
-			if reference == nil {
-				cold, err := NewMatcher(g2).TopK(q, 10)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertResultsIdentical(t, fmt.Sprintf("%s step %d vs cold", name, step), res, cold)
-				reference = res
-			} else {
-				assertResultsIdentical(t, fmt.Sprintf("%s step %d vs adaptive", name, step), res, reference)
-			}
+		if stats.Mode != step.mode || stats.BatchWidth != 1 || stats.TotalRows != g2.NumNodes() ||
+			stats.AffectedShare < 0 || stats.AffectedShare > 1 || stats.WallMicros < 0 {
+			t.Fatalf("%s step: stats %+v", step.mode, stats)
 		}
+		if stats.Mode == "rebuild" && (stats.AffectedRows != stats.TotalRows || stats.AffectedShare != 1) {
+			t.Fatalf("rebuild stats must cover every row: %+v", stats)
+		}
+		cold := NewMatcher(g2)
+		res, err := m.TopK(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cold.TopK(q, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertResultsIdentical(t, step.mode+" vs cold", res, want)
+		div, err := m.TopKDiversified(q, 5, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDiv, err := cold.TopKDiversified(q, 5, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDiversifiedIdentical(t, step.mode+" vs cold", div, wantDiv)
 	}
 }

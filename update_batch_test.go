@@ -80,17 +80,10 @@ func mineBatchDelta(rng *rand.Rand, g *Graph, tag int) *Delta {
 // criterion at the session layer: applying K random deltas one commit at a
 // time and applying them as one group commit must land on the same version
 // and answer every query byte-identically — across both query kernels
-// (TopK and TopKDiversified), and all three maintenance policies (adaptive, forced-incremental,
-// forced-rebuild).
+// (TopK and TopKDiversified). The chains maintain the bound index both
+// ways, incrementally and by the rebuild past the default work share.
 func TestMatcherUpdateBatchEquivalenceFuzz(t *testing.T) {
-	configs := []struct {
-		name  string
-		ratio float64 // Matcher.indexRatio: 0 = default, 1 never rebuilds
-	}{
-		{"adaptive", 0},
-		{"incremental", 1},
-		{"rebuild", 1e-12},
-	}
+	modes := map[string]int{}
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -99,77 +92,52 @@ func TestMatcherUpdateBatchEquivalenceFuzz(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			type pair struct{ seq, batch *Matcher }
-			sessions := make([]pair, len(configs))
-			for i, c := range configs {
-				sessions[i] = pair{NewMatcher(base), NewMatcher(base)}
-				sessions[i].seq.indexRatio, sessions[i].batch.indexRatio = c.ratio, c.ratio
-			}
-
+			seq, batch := NewMatcher(base), NewMatcher(base)
 			tag := 0
 			for round := 0; round < 3; round++ {
 				k := 1 + rng.Intn(5)
 				parts := make([]*Delta, 0, k)
 				for i := 0; i < k; i++ {
-					// Mine against the sequential head (all sequential
-					// sessions walk the same chain), then apply everywhere.
-					d := mineBatchDelta(rng, sessions[0].seq.Graph(), tag)
+					d := mineBatchDelta(rng, seq.Graph(), tag)
 					tag++
 					parts = append(parts, d)
-					for ci := range sessions {
-						if _, _, err := sessions[ci].seq.UpdateWithStats(d); err != nil {
-							t.Fatalf("round %d part %d (%s): %v", round, i, configs[ci].name, err)
-						}
-					}
-				}
-				for ci := range sessions {
-					g2, stats, err := updateBatch(sessions[ci].batch, parts)
+					_, stats, err := seq.UpdateWithStats(d)
 					if err != nil {
-						t.Fatalf("round %d batch (%s): %v", round, configs[ci].name, err)
+						t.Fatalf("round %d part %d: %v", round, i, err)
 					}
-					if stats.BatchWidth != k {
-						t.Fatalf("round %d (%s): batch width %d, want %d", round, configs[ci].name, stats.BatchWidth, k)
-					}
-					if g2.Version() != sessions[ci].seq.Graph().Version() {
-						t.Fatalf("round %d (%s): batch landed on version %d, sequential on %d",
-							round, configs[ci].name, g2.Version(), sessions[ci].seq.Graph().Version())
-					}
+					modes[stats.Mode]++
 				}
-
-				// Every session, sequential or batched, under every policy
-				// and worker count, answers both kernels identically.
-				ref, err := sessions[0].seq.TopK(q, 8)
+				g2, stats, err := updateBatch(batch, parts)
+				if err != nil {
+					t.Fatalf("round %d batch: %v", round, err)
+				}
+				modes[stats.Mode]++
+				if stats.BatchWidth != k || g2.Version() != seq.Graph().Version() {
+					t.Fatalf("round %d: batch of %d landed on version %d (width %d), sequential on %d",
+						round, k, g2.Version(), stats.BatchWidth, seq.Graph().Version())
+				}
+				want, err := seq.TopK(q, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				refDiv, err := sessions[0].seq.TopKDiversified(q, 5, 0.5)
+				res, err := batch.TopK(q, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for ci, s := range sessions {
-					for _, m := range []*Matcher{s.seq, s.batch} {
-						res, err := m.TopK(q, 8)
-						if err != nil {
-							t.Fatal(err)
-						}
-						assertResultsIdentical(t, fmt.Sprintf("round %d %s", round, configs[ci].name), ref, res)
-						div, err := m.TopKDiversified(q, 5, 0.5)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if div.F != refDiv.F || len(div.Matches) != len(refDiv.Matches) {
-							t.Fatalf("round %d %s: diversified F/|S| %v/%d vs %v/%d",
-								round, configs[ci].name, div.F, len(div.Matches), refDiv.F, len(refDiv.Matches))
-						}
-						for j := range div.Matches {
-							if div.Matches[j].Node != refDiv.Matches[j].Node {
-								t.Fatalf("round %d %s: diversified selection differs at %d", round, configs[ci].name, j)
-							}
-						}
-					}
+				assertResultsIdentical(t, fmt.Sprintf("round %d", round), want, res)
+				wantDiv, err := seq.TopKDiversified(q, 5, 0.5)
+				if err != nil {
+					t.Fatal(err)
 				}
+				div, err := batch.TopKDiversified(q, 5, 0.5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertDiversifiedIdentical(t, fmt.Sprintf("round %d", round), div, wantDiv)
 			}
 		})
+	}
+	if modes["incremental"] == 0 || modes["rebuild"] == 0 {
+		t.Errorf("the chains did not maintain the index both ways: %v", modes)
 	}
 }
